@@ -217,6 +217,9 @@ class ComputeNodeRuntime:
         self._pending_local = 0  # lcc_i
         self._inflight_data = 0  # ndrc_i
         self._inflight_compute: dict[int, int] = {dn: 0 for dn in self._data_nodes}
+        #: Sum of ``_inflight_compute``, kept in step at every site that
+        #: adjusts a per-node count (dispatch, abandon, response).
+        self._inflight_compute_total = 0
         self._frac_computed: dict[int, SmoothedValue] = {
             dn: SmoothedValue(alpha=0.3, initial=1.0) for dn in self._data_nodes
         }
@@ -967,20 +970,24 @@ class ComputeNodeRuntime:
         items: "list[RequestItem] | RequestBlock",
     ) -> None:
         """Transport hook: a new logical batch left this node."""
+        n = len(items)
         if kind is RequestKind.COMPUTE:
-            self._inflight_compute[dst] += len(items)
+            self._inflight_compute[dst] += n
+            self._inflight_compute_total += n
         else:
-            self._inflight_data += len(items)
+            self._inflight_data += n
 
     def _on_abandon(
         self, dst: int, kind: RequestKind,
         items: "list[RequestItem] | RequestBlock",
     ) -> None:
         """Transport hook: a batch gave up on ``dst`` (replica fallback)."""
+        n = len(items)
         if kind is RequestKind.COMPUTE:
-            self._inflight_compute[dst] -= len(items)
+            self._inflight_compute[dst] -= n
+            self._inflight_compute_total -= n
         else:
-            self._inflight_data -= len(items)
+            self._inflight_data -= n
 
     def _on_batch_response(self, response: BatchResponse) -> None:
         """Process one matched response batch (transport already
@@ -993,6 +1000,7 @@ class ComputeNodeRuntime:
             )
             if item.route is Route.COMPUTE_REQUEST:
                 self._inflight_compute[response.src] -= 1
+                self._inflight_compute_total -= 1
                 self._frac_computed[response.src].observe(1.0 if item.computed else 0.0)
             else:
                 self._inflight_data -= 1
@@ -1059,6 +1067,7 @@ class ComputeNodeRuntime:
             route = item.route
             if route is Route.COMPUTE_REQUEST:
                 inflight_compute[src] -= 1
+                self._inflight_compute_total -= 1
                 if fsv is None:
                     fsv = self._frac_computed[src]
                     fa = fsv.alpha
@@ -1181,6 +1190,7 @@ class ComputeNodeRuntime:
             was_computed = computed[i]
             if route is compute:
                 inflight_compute[src] -= 1
+                self._inflight_compute_total -= 1
                 if fsv is None:
                     fsv = self._frac_computed[src]
                     fa = fsv.alpha
@@ -1257,24 +1267,25 @@ class ComputeNodeRuntime:
     # Appendix C statistics
     # ------------------------------------------------------------------
     def _snapshot_stats(self, dst: int) -> ComputeNodeStats:
-        pending_compute_elsewhere = sum(
-            count for dn, count in self._inflight_compute.items() if dn != dst
-        )
-        expected_computed = sum(
-            int(count * self._frac_computed[dn].value_or(1.0))
-            for dn, count in self._inflight_compute.items()
-            if dn != dst
-        )
-        queued_data = sum(len(buf) for buf in self._data_buffers.values())
-        queued_compute = sum(len(buf) for buf in self._compute_buffers.values())
+        """Per-batch piggyback: O(n_data) integer work, nothing per key."""
+        inflight = self._inflight_compute
+        expected_computed = queued_data = queued_compute = 0
+        for dn in self._data_nodes:
+            queued_data += len(self._data_buffers[dn])
+            queued_compute += len(self._compute_buffers[dn])
+            if dn != dst:
+                expected_computed += int(
+                    inflight[dn] * self._frac_computed[dn].value_or(1.0)
+                )
+        tcc = self._tcc
         return ComputeNodeStats(
             pending_local_computations=self._pending_local,
             pending_data_requests=queued_data,
             pending_compute_requests=queued_compute,
             pending_data_responses=self._inflight_data,
-            pending_at_other_data_nodes=pending_compute_elsewhere,
+            pending_at_other_data_nodes=self._inflight_compute_total - inflight[dst],
             expected_computed_elsewhere=expected_computed,
-            compute_time=self._tcc.value_or(self.sizes_compute_hint()),
+            compute_time=tcc.value if tcc.initialized else self.sizes_compute_hint(),
             net_bandwidth=self.cluster.network.node_bandwidth(self.node_id),
         )
 

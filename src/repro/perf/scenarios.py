@@ -11,7 +11,8 @@ Two tiers:
   across the four simulated engines plus the thread-pool
   ``LocalBackend`` and the real-process ``ClusterBackend`` (the
   ``cluster`` family; outputs-only digests, since worker processes
-  make wall time nondeterministic).
+  make wall time nondeterministic), and one cold-key macro (20 000
+  keys, z = 0.5) where compute-request batches dominate.
 
 Every scenario is deterministic: inputs come from pinned seeds, and
 each run returns a digest of its observable results (join outputs,
@@ -323,6 +324,27 @@ def _macro(engine: str, *, smoke: bool, headline: bool = False) -> Scenario:
     )
 
 
+def _macro_cold(*, smoke: bool) -> Scenario:
+    """Large key universe, low skew: most tuples are first contacts,
+    so compute-request batches (and the Appendix C statistics riding
+    on them) dominate.  Any per-batch work that grows with the number
+    of keys seen shows here and in no ``fig8`` macro (<= 400 keys)."""
+    n_keys, n_tuples = (5_000, 2_000) if smoke else (20_000, 8_000)
+    return Scenario(
+        name="macro_cold_keys" + ("_smoke" if smoke else ""),
+        kind="macro",
+        description=(
+            f"Cold keys: data-heavy synthetic, {n_keys} keys (z=0.5), "
+            f"engine on SimBackend, {n_tuples} tuples"
+        ),
+        runner=lambda: _macro_run_join(
+            "engine", "sim", n_keys=n_keys, n_tuples=n_tuples, skew=0.5, seed=7
+        ),
+        smoke=smoke,
+        tags=("cold", "engine"),
+    )
+
+
 def _macro_vector_sweep() -> ScenarioRun:
     """Vector-width invariance: widths 1, 16 and 256 agree bit-for-bit.
 
@@ -578,6 +600,10 @@ SCENARIOS: tuple[Scenario, ...] = (
         runner=_macro_vector_sweep,
         tags=("fig8", "engine", "vector"),
     ),
+    # ... the large-key-universe macro (per-batch statistics must not
+    # cost O(keys seen); smoke variant in the CI perf-smoke gate) ...
+    _macro_cold(smoke=True),
+    _macro_cold(smoke=False),
     # ... and the headline scenario the speedup gate runs ref-vs-opt.
     _macro("engine", smoke=False, headline=True),
 )

@@ -51,15 +51,14 @@ class ComputeNodeStats:
     net_bandwidth: float  # netBw_i
 
     def __post_init__(self) -> None:
-        counts = (
+        if min(
             self.pending_local_computations,
             self.pending_data_requests,
             self.pending_compute_requests,
             self.pending_data_responses,
             self.pending_at_other_data_nodes,
             self.expected_computed_elsewhere,
-        )
-        if any(c < 0 for c in counts):
+        ) < 0:
             raise ValueError("queue statistics must be non-negative")
         if self.compute_time < 0:
             raise ValueError("compute_time must be non-negative")
@@ -81,15 +80,14 @@ class DataNodeStats:
     net_bandwidth: float  # netBw_j
 
     def __post_init__(self) -> None:
-        counts = (
+        if min(
             self.pending_data_requests,
             self.pending_data_responses,
             self.pending_compute_requests,
             self.to_compute_locally,
             self.pending_from_this_compute_node,
             self.to_compute_from_this_compute_node,
-        )
-        if any(c < 0 for c in counts):
+        ) < 0:
             raise ValueError("queue statistics must be non-negative")
         if self.compute_time < 0:
             raise ValueError("compute_time must be non-negative")
@@ -127,6 +125,40 @@ class LoadProfile:
         self.comp = comp
         self.data = data
         self.sizes = sizes
+        # Each curve's d-independent prefix, derived once per decision.
+        # The terms are summed left to right in the curve methods' own
+        # order, so completion_time's floats are bit-identical to theirs.
+        back_elsewhere = max(
+            comp.pending_at_other_data_nodes - comp.expected_computed_elsewhere, 0
+        )
+        back_from_j = max(
+            data.pending_from_this_compute_node
+            - data.to_compute_from_this_compute_node,
+            0,
+        )
+        back_at_j = max(data.pending_compute_requests - data.to_compute_locally, 0)
+        sk, sp, sv, scv = (
+            sizes.key_size, sizes.param_size, sizes.value_size, sizes.computed_size
+        )
+        self._comp_cpu_items = (
+            comp.pending_local_computations + back_elsewhere + back_from_j
+        )
+        self._comp_net_load = (
+            comp.pending_data_requests * (sk + sv)
+            + comp.pending_compute_requests * (sk + sp)
+            + comp.pending_data_responses * sv
+            + back_elsewhere * sv
+            + comp.expected_computed_elsewhere * scv
+            + back_from_j * sv
+            + data.to_compute_from_this_compute_node * scv
+        )
+        self._data_net_load = (
+            data.pending_data_requests * (sk + sv)
+            + data.pending_data_responses * sv
+            + data.pending_compute_requests * (sk + sp)
+            + back_at_j * sv
+            + data.to_compute_locally * scv
+        )
 
     # -- CPU ------------------------------------------------------------
     def comp_cpu(self, d: float) -> float:
@@ -196,10 +228,19 @@ class LoadProfile:
         """Estimated batch completion: the max of the four loads.
 
         CPU, disk and network proceed concurrently, so the bottleneck
-        resource determines when the batch drains (Section 5).
+        resource determines when the batch drains (Section 5).  Equal
+        — bit for bit — to the max of the four curve methods, which stay
+        as the readable specification; this form reuses the prefixes.
         """
+        c, dn, s = self.comp, self.data, self.sizes
+        rest = self.batch_size - d
+        kept_bytes = d * s.computed_size
+        back_bytes = rest * s.value_size
         return max(
-            self.comp_cpu(d), self.comp_net(d), self.data_cpu(d), self.data_net(d)
+            c.compute_time * (self._comp_cpu_items + rest),
+            (self._comp_net_load + kept_bytes + back_bytes) / c.net_bandwidth,
+            dn.compute_time * (dn.to_compute_locally + d),
+            (self._data_net_load + kept_bytes + back_bytes) / dn.net_bandwidth,
         )
 
 

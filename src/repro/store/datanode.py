@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heapreplace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.cost_model import CostParameters
 from repro.perf.mode import reference_mode
@@ -132,6 +132,14 @@ class DataNodeServer:
         self._pending_data = 0  # ndc_j
         self._pending_compute: dict[int, int] = defaultdict(int)  # nrd_ij
         self._to_compute: dict[int, int] = defaultdict(int)  # rd_ij
+        # Sums of the two dicts (nrd_j, rd_j), kept in step at every site
+        # that adjusts them, so local_stats never scans the compute nodes.
+        self._pending_compute_total = 0
+        self._to_compute_total = 0
+        # tcd: computed once on first use (see _udf_time_estimate), and
+        # (placement generation, this node hosts a region) of the last look.
+        self._tcd_cache: float | None = None
+        self._has_regions: tuple[int, bool] = (-1, False)
         self._items_served = 0
         self._udfs_executed = 0
         # Idempotency: responses by request id.  A retried or
@@ -282,8 +290,6 @@ class DataNodeServer:
     def local_stats(self, src: int, sizes: SizeProfile) -> DataNodeStats:
         """Snapshot of this node's queues for a batch from ``src``."""
         at = self.cluster.sim.now
-        nrd_j = sum(self._pending_compute.values())
-        rd_j = sum(self._to_compute.values())
         # Pending outbound responses (ndrd_j): infer from the NIC tx
         # backlog — booked egress seconds translated back into
         # value-sized items.
@@ -294,8 +300,8 @@ class DataNodeServer:
         return DataNodeStats(
             pending_data_requests=self._pending_data,
             pending_data_responses=ndrd_j,
-            pending_compute_requests=nrd_j,
-            to_compute_locally=rd_j,
+            pending_compute_requests=self._pending_compute_total,
+            to_compute_locally=self._to_compute_total,
             pending_from_this_compute_node=self._pending_compute[src],
             to_compute_from_this_compute_node=self._to_compute[src],
             compute_time=self._udf_time_estimate(),
@@ -369,6 +375,7 @@ class DataNodeServer:
         n_compute = batch.n_compute
         self._pending_data += batch.n_data
         self._pending_compute[src] += n_compute
+        self._pending_compute_total += n_compute
 
         if n_compute > 0 and batch.comp_stats is not None:
             data_stats = self.local_stats(src, sizes)
@@ -378,6 +385,7 @@ class DataNodeServer:
             # it executes everything it was asked to (FD behaviour).
             d = n_compute
         self._to_compute[src] += d
+        self._to_compute_total += d
 
         batched = len(batch) > 1
         response_items: list[ResponseItem] = []
@@ -408,6 +416,7 @@ class DataNodeServer:
             )
         else:
             ready_at = at
+            done_kept, done_bounced, done_data = self._completion_callbacks(src)
             for index, (key, tuple_id, route, params) in enumerate(
                 batch.compute_entries()
             ):
@@ -419,8 +428,8 @@ class DataNodeServer:
                 response_items.append(resp)
                 if finish > ready_at:
                     ready_at = finish
-                self._schedule_compute_decrement(
-                    finish, src, executed=execute_here
+                self.cluster.sim.schedule_at(
+                    finish, done_kept if execute_here else done_bounced
                 )
             for index, (key, tuple_id, route, params) in enumerate(
                 batch.data_entries()
@@ -433,7 +442,7 @@ class DataNodeServer:
                 response_items.append(resp)
                 if finish > ready_at:
                     ready_at = finish
-                self._schedule_data_decrement(finish)
+                self.cluster.sim.schedule_at(finish, done_data)
 
         if block is not None:
             response = BatchResponse(
@@ -629,7 +638,7 @@ class DataNodeServer:
         full_seek = spec.disk_seek
         short_seek_time = full_seek * self.batched_seek_factor
         disk_bw = spec.disk_bandwidth
-        pending_compute = self._pending_compute
+        done_kept, done_bounced, done_data = self._completion_callbacks(src)
         node_id = self.node_id
         key_size = udf.key_size
         param_size = udf.param_size
@@ -758,21 +767,9 @@ class DataNodeServer:
                 if finish > ready_at:
                     ready_at = finish
                 if compute_pass:
-                    if executed:
-                        def decrement(
-                            _pc=pending_compute, _tc=self._to_compute, _s=src
-                        ) -> None:
-                            _pc[_s] -= 1
-                            _tc[_s] -= 1
-                    else:
-                        def decrement(
-                            _pc=pending_compute, _s=src
-                        ) -> None:
-                            _pc[_s] -= 1
+                    schedule(finish, done_kept if executed else done_bounced)
                 else:
-                    def decrement() -> None:
-                        self._pending_data -= 1
-                schedule(finish, decrement)
+                    schedule(finish, done_data)
                 index += 1
         self._udfs_executed += udfs
         return ready_at
@@ -827,8 +824,7 @@ class DataNodeServer:
         short_seek = full_seek * self.batched_seek_factor
         key_size = udf.key_size
         result_size = udf.result_size
-        pending_compute = self._pending_compute
-        to_compute = self._to_compute
+        done_kept, done_bounced, done_data = self._completion_callbacks(src)
 
         # Gather pass (no mutation): aligned columns for the whole
         # batch, compute entries first then data entries — serve order.
@@ -967,21 +963,9 @@ class DataNodeServer:
             if finish > ready_at:
                 ready_at = finish
             if i < n_comp:
-                if executed:
-                    def decrement(
-                        _pc=pending_compute, _tc=to_compute, _s=src
-                    ) -> None:
-                        _pc[_s] -= 1
-                        _tc[_s] -= 1
-                else:
-                    def decrement(  # type: ignore[misc]
-                        _pc=pending_compute, _s=src
-                    ) -> None:
-                        _pc[_s] -= 1
+                schedule(finish, done_kept if executed else done_bounced)
             else:
-                def decrement() -> None:  # type: ignore[misc]
-                    self._pending_data -= 1
-            schedule(finish, decrement)
+                schedule(finish, done_data)
         self._udfs_executed += udfs
         return ready_at
 
@@ -991,31 +975,42 @@ class DataNodeServer:
         Uses the mean compute cost over this node's rows; cheap and
         stable, standing in for the runtime-measured smoothed value.
         """
-        regions = self.kvstore.region_map.regions_on_node(self.node_id)
-        if not regions:
+        region_map = self.kvstore.region_map
+        if self._has_regions[0] != region_map.generation:
+            self._has_regions = (
+                region_map.generation,
+                bool(region_map.regions_on_node(self.node_id)),
+            )
+        if not self._has_regions[1]:
             return 0.0
         # Sampling every row each time would be quadratic; cache it.
-        if not hasattr(self, "_tcd_cache"):
+        if self._tcd_cache is None:
             total, count = 0.0, 0
             for row in self.kvstore.table.rows():
-                if self.kvstore.region_map.node_for_key(row.key) == self.node_id:
+                if region_map.node_for_key(row.key) == self.node_id:
                     total += self.udf.cost(row) + row.hydration_cost
                     count += 1
             self._tcd_cache = total / count if count else 0.0
         return self._tcd_cache
 
-    def _schedule_compute_decrement(
-        self, finish: float, src: int, executed: bool
-    ) -> None:
-        def decrement() -> None:
-            self._pending_compute[src] -= 1
-            if executed:
-                self._to_compute[src] -= 1
+    def _completion_callbacks(self, src: int) -> tuple[Callable[[], None], ...]:
+        """Queue-counter decrements for one batch from ``src``, built
+        once per batch: a compute item executed here, a compute item
+        bounced back, a data item.  Each keeps the per-source count and
+        its running total in step."""
+        pending, to_compute = self._pending_compute, self._to_compute
 
-        self.cluster.sim.schedule_at(finish, decrement)
+        def done_kept() -> None:
+            pending[src] -= 1
+            to_compute[src] -= 1
+            self._pending_compute_total -= 1
+            self._to_compute_total -= 1
 
-    def _schedule_data_decrement(self, finish: float) -> None:
-        def decrement() -> None:
+        def done_bounced() -> None:
+            pending[src] -= 1
+            self._pending_compute_total -= 1
+
+        def done_data() -> None:
             self._pending_data -= 1
 
-        self.cluster.sim.schedule_at(finish, decrement)
+        return done_kept, done_bounced, done_data

@@ -2,15 +2,19 @@
 
 import pytest
 
+from repro.perf.mode import REFERENCE_ENV
 from repro.placement.batch import BatchLoadBalancer, SizeProfile
 from repro.engine.compute_node import ComputeNodeRuntime
+from repro.engine.job import JoinJob
 from repro.engine.strategies import Strategy
+from repro.faults import CrashFault, FaultSchedule, FaultTolerance, MessageChaos
 from repro.sim.cluster import Cluster
 from repro.store.datanode import DataNodeServer
 from repro.store.kvstore import KVStore
 from repro.store.messages import UDF
 from repro.store.partitioner import HashPartitioner, RegionMap
 from repro.store.table import Row, Table
+from repro.workloads.synthetic import SyntheticWorkload
 
 
 def build_runtime(strategy, n_keys=40, value_size=1000.0, compute_cost=0.001,
@@ -148,3 +152,113 @@ class TestStatsSnapshot:
         end = runtime._snapshot_stats(dst=1)
         assert end.pending_data_responses == 0
         assert end.pending_at_other_data_nodes == 0
+
+
+def faulty_fo_job():
+    """A 2+2 FO job under drops, duplicates and a mid-run crash: every
+    path that adjusts the Appendix C counters runs (dispatch, retry,
+    abandon + replica fallback, duplicate responses)."""
+    workload = SyntheticWorkload.data_heavy(
+        n_keys=300, n_tuples=900, skew=0.5, seed=17
+    )
+    schedule = FaultSchedule(
+        seed=5,
+        crashes=(CrashFault(node_id=2, at=0.05, duration=0.6),),
+        chaos=(MessageChaos(at=0.0, duration=1e6, drop=0.15, duplicate=0.15),),
+    )
+    job = JoinJob(
+        cluster=Cluster.homogeneous(4),
+        compute_nodes=[0, 1],
+        data_nodes=[2, 3],
+        table=workload.build_table(),
+        udf=UDF(result_size=64.0, param_size=64.0, key_size=8.0),
+        strategy=Strategy.fo(),
+        sizes=workload.sizes,
+        batch_size=8,
+        fault_schedule=schedule,
+        fault_tolerance=FaultTolerance(request_timeout=0.2, max_retries=1),
+        seed=3,
+    )
+    return job, workload.keys()
+
+
+class TestAppendixCCost:
+    @pytest.mark.parametrize("reference", ["0", "1"])
+    def test_running_total_equals_the_sums_at_every_snapshot(
+        self, monkeypatch, reference
+    ):
+        # Both the optimized and the reference handlers adjust the totals.
+        monkeypatch.setenv(REFERENCE_ENV, reference)
+        snapshots = []
+        inner = ComputeNodeRuntime._snapshot_stats
+
+        def checked(self, dst):
+            stats = inner(self, dst)
+            inflight = self._inflight_compute
+            elsewhere = [dn for dn in inflight if dn != dst]
+            assert self._inflight_compute_total == sum(inflight.values())
+            assert stats.pending_at_other_data_nodes == sum(
+                inflight[dn] for dn in elsewhere
+            )
+            assert stats.expected_computed_elsewhere == sum(
+                int(inflight[dn] * self._frac_computed[dn].value_or(1.0))
+                for dn in elsewhere
+            )
+            assert stats.pending_data_requests == sum(
+                len(buf) for buf in self._data_buffers.values()
+            )
+            assert stats.pending_compute_requests == sum(
+                len(buf) for buf in self._compute_buffers.values()
+            )
+            snapshots.append(stats)
+            return stats
+
+        monkeypatch.setattr(ComputeNodeRuntime, "_snapshot_stats", checked)
+        job, keys = faulty_fo_job()
+        result = job.run(keys)
+        # The run took the paths where a running total could drift ...
+        assert result.retries > 0
+        assert result.fallbacks > 0
+        assert result.duplicate_responses > 0
+        assert len(snapshots) > 100
+        assert any(s.pending_at_other_data_nodes > 0 for s in snapshots)
+        # ... and everything drained.
+        for runtime in job.runtimes.values():
+            assert runtime._inflight_compute_total == 0
+            assert set(runtime._inflight_compute.values()) == {0}
+
+    def test_tcc_fallback_scan_stops_once_tcc_is_measured(self, monkeypatch):
+        """Counting, not timing: the O(keys seen) fallback may only run
+        while there is no measured ``tcc`` to report."""
+        snapshots = []
+        hints = []
+        inner_snapshot = ComputeNodeRuntime._snapshot_stats
+        inner_hint = ComputeNodeRuntime.sizes_compute_hint
+
+        def snapshot(self, dst):
+            snapshots.append(self._tcc.initialized)
+            return inner_snapshot(self, dst)
+
+        def hint(self):
+            hints.append(self._tcc.initialized)
+            return inner_hint(self)
+
+        monkeypatch.setattr(ComputeNodeRuntime, "_snapshot_stats", snapshot)
+        monkeypatch.setattr(ComputeNodeRuntime, "sizes_compute_hint", hint)
+        workload = SyntheticWorkload.data_heavy(n_keys=5000, n_tuples=5000, seed=1)
+        job = JoinJob(
+            cluster=Cluster.homogeneous(4),
+            compute_nodes=[0, 1],
+            data_nodes=[2, 3],
+            table=workload.build_table(),
+            udf=workload.udf,
+            strategy=Strategy.fo(),
+            sizes=workload.sizes,
+            batch_size=16,
+            seed=3,
+        )
+        job.run(range(5000))  # every key distinct: all cold
+        assert len(snapshots) > 200
+        assert not any(hints)
+        assert len(hints) == snapshots.count(False)
+        assert len(hints) < len(snapshots) // 4

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.perf.mode import REFERENCE_ENV
 from repro.placement.batch import (
     BatchLoadBalancer,
     ComputeNodeStats,
@@ -14,6 +15,8 @@ from repro.store.kvstore import KVStore
 from repro.store.messages import BatchRequest, RequestItem, RequestKind, UDF
 from repro.store.partitioner import HashPartitioner, RegionMap
 from repro.store.table import Row, Table
+
+from tests.test_compute_node import faulty_fo_job
 
 
 def setup_server(balancer=None, n_rows=20, compute_cost=0.01, size=1000.0):
@@ -184,3 +187,60 @@ class TestMeasuredCosts:
         assert pending_before == 1
         cluster.sim.run()
         assert server.local_stats(0, SIZES).pending_compute_requests == 0
+
+
+class TestAppendixCCost:
+    @pytest.mark.parametrize("reference", ["0", "1"])
+    def test_running_totals_equal_the_sums_at_every_local_stats(
+        self, monkeypatch, reference
+    ):
+        # Both the optimized and the reference handlers adjust the totals.
+        monkeypatch.setenv(REFERENCE_ENV, reference)
+        calls = []
+        inner = DataNodeServer.local_stats
+
+        def checked(self, src, sizes):
+            data_stats = inner(self, src, sizes)
+            assert self._pending_compute_total == sum(self._pending_compute.values())
+            assert self._to_compute_total == sum(self._to_compute.values())
+            assert data_stats.pending_compute_requests == self._pending_compute_total
+            assert data_stats.to_compute_locally == self._to_compute_total
+            calls.append(data_stats)
+            return data_stats
+
+        monkeypatch.setattr(DataNodeServer, "local_stats", checked)
+        job, keys = faulty_fo_job()
+        result = job.run(keys)
+        assert result.retries > 0 and result.fallbacks > 0
+        assert sum(s.duplicate_requests for s in job.servers.values()) > 0
+        assert len(calls) > 50
+        assert any(s.to_compute_locally > 0 for s in calls)
+        for server in job.servers.values():
+            assert server._pending_compute_total == 0
+            assert server._to_compute_total == 0
+            assert set(server._pending_compute.values()) <= {0}
+
+    def test_has_regions_is_looked_up_once_per_placement_generation(
+        self, monkeypatch
+    ):
+        cluster, server = setup_server()
+        lookups = []
+        inner = RegionMap.regions_on_node
+
+        def counted(self, node):
+            lookups.append(node)
+            return inner(self, node)
+
+        monkeypatch.setattr(RegionMap, "regions_on_node", counted)
+        for _ in range(3):
+            assert server.local_stats(0, SIZES).compute_time == pytest.approx(0.01)
+        assert lookups == [1]
+        region_map = server.kvstore.region_map
+        for region in range(4):
+            region_map.move_region(region, 0)
+        # The node hosts nothing now; tcd itself stays computed-once.
+        assert server.local_stats(0, SIZES).compute_time == 0.0
+        assert server.local_stats(0, SIZES).compute_time == 0.0
+        assert lookups == [1, 1]
+        region_map.move_region(0, 1)
+        assert server.local_stats(0, SIZES).compute_time == pytest.approx(0.01)

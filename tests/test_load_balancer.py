@@ -199,3 +199,83 @@ def test_property_gradient_descent_is_globally_optimal(
     assert p.completion_time(gd) == pytest.approx(
         p.completion_time(brute), rel=1e-9, abs=1e-12
     )
+
+
+# ----------------------------------------------------------------------
+# completion_time's prefix form against the four curve methods
+# ----------------------------------------------------------------------
+_count = st.integers(min_value=0, max_value=10_000)
+_seconds = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+_bandwidth = st.floats(min_value=1.0, max_value=1e10, allow_nan=False)
+_size = st.floats(min_value=0.0, max_value=1e7, allow_nan=False)
+
+_comp_stats = st.builds(
+    ComputeNodeStats, _count, _count, _count, _count, _count, _count,
+    _seconds, _bandwidth,
+)
+_data_stats = st.builds(
+    DataNodeStats, _count, _count, _count, _count, _count, _count,
+    _seconds, _bandwidth,
+)
+_size_profiles = st.builds(SizeProfile, _size, _size, _size, _size)
+
+
+@given(
+    b=st.integers(min_value=0, max_value=64),
+    comp=_comp_stats,
+    data=_data_stats,
+    sizes=_size_profiles,
+)
+@settings(max_examples=200, deadline=None)
+def test_property_completion_time_is_bitwise_max_of_the_four_curves(
+    b, comp, data, sizes
+):
+    """The prefix form is an optimization, not an approximation: ``==``
+    on every integer d, so the balancer's decisions cannot move."""
+    p = LoadProfile(b, comp, data, sizes)
+    for d in range(b + 1):
+        assert p.completion_time(d) == max(
+            p.comp_cpu(d), p.comp_net(d), p.data_cpu(d), p.data_net(d)
+        )
+
+
+def _pinned_profiles():
+    """50 profiles drawn from a fixed seed (inputs of the golden table)."""
+    rng = np.random.default_rng(2017)
+    profiles = []
+    for _ in range(50):
+        counts = [int(c) for c in rng.integers(0, 400, size=12)]
+        tcc, tcd = (float(t) for t in rng.uniform(1e-4, 5e-2, size=2))
+        bw_c, bw_d = (float(w) for w in rng.uniform(1e7, 1e9, size=2))
+        sv = float(rng.uniform(1e2, 2e5))
+        scv = float(rng.uniform(8.0, 1e4))
+        profiles.append(
+            LoadProfile(
+                int(rng.integers(1, 257)),
+                ComputeNodeStats(*counts[:6], tcc, bw_c),
+                DataNodeStats(*counts[6:], tcd, bw_d),
+                SizeProfile(8.0, float(rng.uniform(0.0, 64.0)), sv, scv),
+            )
+        )
+    return profiles
+
+
+# d chosen by each minimizer on the commit before completion_time was
+# rewritten (gradient descent seeded with the profile's index).
+_GOLDEN_GRADIENT_D = (
+    161, 204, 68, 183, 20, 68, 0, 0, 240, 0, 231, 138, 32, 196, 0, 6, 234,
+    195, 0, 253, 0, 53, 0, 131, 0, 142, 0, 11, 241, 0, 77, 144, 60, 0, 102,
+    181, 132, 53, 0, 94, 124, 232, 188, 0, 0, 41, 22, 15, 5, 4,
+)
+_GOLDEN_EXACT_D = _GOLDEN_GRADIENT_D  # convex objective: both found the same d
+
+
+def test_minimizers_choose_the_same_d_as_before_the_prefix_form():
+    profiles = _pinned_profiles()
+    gradient = tuple(
+        gradient_descent_min_d(p, rng=np.random.default_rng(i))
+        for i, p in enumerate(profiles)
+    )
+    exact = tuple(exact_min_d(p) for p in profiles)
+    assert gradient == _GOLDEN_GRADIENT_D
+    assert exact == _GOLDEN_EXACT_D

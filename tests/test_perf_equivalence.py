@@ -170,6 +170,7 @@ class TestScenarioVerification:
             "micro_cache_churn",
             "micro_event_cancel",
             "macro_fig8_engine",
+            "macro_cold_keys_smoke",
         ],
     )
     def test_scenario_identical_across_modes(self, name):
