@@ -135,31 +135,22 @@ class JobSpec:
 
 @dataclass(frozen=True)
 class BatchOptions:
-    """Request batching + vectorized execution knobs.
+    """Request batching knobs (Section 7.2).
 
     Groups what used to be the flat ``RunConfig.batch_size`` /
-    ``max_wait`` kwargs with the vectorization controls introduced
-    alongside :mod:`repro.vector`.
+    ``max_wait`` kwargs.
     """
 
     #: Requests buffered per data node before a batch is flushed.
     batch_size: int = 16
     #: Seconds a partial batch may wait before flushing anyway.
     max_wait: float = 0.005
-    #: Tuples handed to the columnar submit kernel per sweep; width 1
-    #: degenerates to per-tuple submission (useful for sweeps).
-    vector_width: int = 64
-    #: Enable the columnar array-at-a-time kernels (routing, serving,
-    #: response handling).  Forced off by ``REPRO_PERF_REFERENCE=1``.
-    columnar: bool = True
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_wait < 0:
             raise ValueError("max_wait must be non-negative")
-        if self.vector_width < 1:
-            raise ValueError("vector_width must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -378,8 +369,6 @@ def _backend_for(
         return LocalBackend(
             max_workers=max(cfg.n_compute, 1),
             batch_size=batching.batch_size,
-            vector_width=batching.vector_width,
-            columnar=batching.columnar,
             tracer=tracer,
             registry=registry,
             tenancy=cfg.tenancy if cfg.tenancy.enabled else None,
@@ -415,8 +404,6 @@ def _backend_for(
         strategy=spec.strategy,
         batch_size=batching.batch_size,
         max_wait=batching.max_wait,
-        vector_width=batching.vector_width,
-        columnar=batching.columnar,
         seed=cfg.seed,
         fault_schedule=cfg.faults,
         fault_tolerance=cfg.fault_tolerance,

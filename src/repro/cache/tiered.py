@@ -28,11 +28,10 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from typing import Any, Hashable, Sequence
+from typing import Any, Hashable
 
 from repro.cache.benefit import LFUDAPolicy
 from repro.perf.mode import reference_mode
-from repro.vector.lanes import CacheLanes
 
 #: Heap-compaction watermark: rebuild once more than this many dead
 #: entries (keys no longer memory resident) have accumulated *and*
@@ -211,71 +210,6 @@ class TieredCache:
             return resident.value, CacheTier.DISK
         self._misses += 1
         return None
-
-    def probe_batch(
-        self, keys: Sequence[Hashable], weights: Sequence[float]
-    ) -> CacheLanes:
-        """Vectorized :meth:`access_fast`: classify a key column in one sweep.
-
-        Performs the same per-key side effects as calling
-        :meth:`access_fast` on each ``(key, weight)`` pair in order —
-        benefit updates, heap pushes, hit/miss counters — but hoists
-        the dict and attribute lookups out of the loop and returns the
-        hit/miss/ghost partition as :class:`CacheLanes` instead of one
-        tuple per key.  Duplicate keys in the batch are legal; later
-        occurrences observe the frequency bumps of earlier ones, as in
-        the scalar sweep.  Callers guarantee ``weight > 0``.
-        """
-        n = len(keys)
-        lanes = CacheLanes(n=n)
-        mem_idx = lanes.mem_idx
-        mem_values = lanes.mem_values
-        disk_idx = lanes.disk_idx
-        disk_values = lanes.disk_values
-        ghost_idx = lanes.ghost_idx
-        miss_idx = lanes.miss_idx
-        policy = self.policy
-        frequency = policy._frequency
-        policy_weight = policy._weight
-        policy_benefit = policy._benefit
-        memory_get = self._memory.get
-        disk_get = self._disk.get
-        n_mem_hits = 0
-        n_disk_hits = 0
-        n_misses = 0
-        for i in range(n):
-            key = keys[i]
-            freq = frequency.get(key, 0) + 1
-            frequency[key] = freq
-            weight = weights[i]
-            policy_weight[key] = weight
-            benefit = weight * freq + policy._age
-            policy_benefit[key] = benefit
-            resident = memory_get(key)
-            if resident is not None:
-                self._push_heap(key, benefit)
-                if not resident.reserved:
-                    n_mem_hits += 1
-                    mem_idx.append(i)
-                    mem_values.append(resident.value)
-                    continue
-            resident = disk_get(key)
-            if resident is not None:
-                n_disk_hits += 1
-                disk_idx.append(i)
-                disk_values.append(resident.value)
-                continue
-            n_misses += 1
-            if key in self._memory:
-                # Reserved slot, value in flight: a miss for the
-                # counters (scalar semantics) but its own lane.
-                ghost_idx.append(i)
-            else:
-                miss_idx.append(i)
-        self._memory_hits += n_mem_hits
-        self._disk_hits += n_disk_hits
-        self._misses += n_misses
-        return lanes
 
     # ------------------------------------------------------------------
     # Admission: condCacheInMemory (Algorithms 2 and 3)

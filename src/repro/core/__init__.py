@@ -10,8 +10,7 @@ optimizer       Algorithm 1 ``skiRentalCaching`` request router
 update_tracker  Section 4.2.3 update handling (invalidation + resets)
 
 Batch load balancing (Section 5 / Appendix C) moved to
-:mod:`repro.placement.batch`; the names below stay re-exported here and
-``repro.core.load_balancer`` remains as a deprecated shim.
+:mod:`repro.placement.batch`; the names below stay re-exported here.
 """
 
 from repro.core.ski_rental import (

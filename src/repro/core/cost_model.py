@@ -30,7 +30,8 @@ from repro.core.smoothing import SmoothedValue
 from repro.perf.mode import reference_mode
 
 
-@dataclass(frozen=True, slots=True)
+# Not frozen: one per response item (see repro.store.messages).
+@dataclass(slots=True)
 class CostParameters:
     """One observed set of cost parameters for a key at a data node.
 
@@ -293,112 +294,6 @@ class CostModel:
         key_changed = (nv != v) or key_changed
         if key_changed:
             self._key_epoch[params.key] = self._key_epoch.get(params.key, 0) + 1
-
-    def observe_scalar(
-        self,
-        key: Hashable,
-        value_size: float,
-        compute_time: float,
-        disk_time: float,
-        param_size: float,
-        key_size: float,
-        computed_size: float,
-        node_id: int,
-        service_time: float,
-    ) -> None:
-        """:meth:`observe` over scalar fields (columnar response path).
-
-        The block-encoded response handler folds cost columns without
-        materializing one :class:`CostParameters` per item; this runs
-        exactly the same EWMA folds and epoch bookkeeping as
-        :meth:`observe`.  ``service_time`` is the resolved value of the
-        ``CostParameters.service_time`` property (``cpu_service_time``
-        falling back to ``compute_time``).
-        """
-        if not self._memo_enabled:
-            self.observe(
-                CostParameters(
-                    key=key,
-                    value_size=value_size,
-                    compute_time=compute_time,
-                    disk_time=disk_time,
-                    param_size=param_size,
-                    key_size=key_size,
-                    computed_size=computed_size,
-                    node_id=node_id,
-                    cpu_service_time=service_time,
-                )
-            )
-            return
-        a = self._alpha
-        b = 1.0 - a
-        sv = self._key_size
-        v = sv._value
-        x = key_size
-        nv = x if v is None else a * x + b * v
-        sv._value = nv
-        sv._observations += 1
-        changed = nv != v
-        sv = self._param_size
-        v = sv._value
-        x = param_size
-        nv = x if v is None else a * x + b * v
-        sv._value = nv
-        sv._observations += 1
-        changed = (nv != v) or changed
-        if computed_size > 0:
-            sv = self._computed_size
-            v = sv._value
-            x = computed_size
-            nv = x if v is None else a * x + b * v
-            sv._value = nv
-            sv._observations += 1
-            changed = (nv != v) or changed
-        if changed:
-            self._epoch += 1
-        node_disk = self._remote_disk.get(node_id)
-        if node_disk is None:
-            node_disk = SmoothedValue(alpha=a)
-            self._remote_disk[node_id] = node_disk
-        v = node_disk._value
-        x = disk_time
-        nv = x if v is None else a * x + b * v
-        node_disk._value = nv
-        node_disk._observations += 1
-        if nv != v:
-            self._node_epoch[node_id] = self._node_epoch.get(node_id, 0) + 1
-        sv = self._remote_compute
-        v = sv._value
-        x = compute_time
-        sv._value = x if v is None else a * x + b * v
-        sv._observations += 1
-        per_key = self._per_key.get(key)
-        if per_key is None:
-            per_key = _KeyEstimates(a)
-            self._per_key[key] = per_key
-        sv = per_key.value_size
-        v = sv._value
-        x = value_size
-        nv = x if v is None else a * x + b * v
-        sv._value = nv
-        sv._observations += 1
-        key_changed = nv != v
-        sv = per_key.compute_time
-        v = sv._value
-        x = compute_time
-        nv = x if v is None else a * x + b * v
-        sv._value = nv
-        sv._observations += 1
-        key_changed = (nv != v) or key_changed
-        sv = per_key.service_time
-        v = sv._value
-        x = service_time
-        nv = x if v is None else a * x + b * v
-        sv._value = nv
-        sv._observations += 1
-        key_changed = (nv != v) or key_changed
-        if key_changed:
-            self._key_epoch[key] = self._key_epoch.get(key, 0) + 1
 
     def observe_local_compute(self, seconds: float) -> None:
         """Record a locally measured UDF execution time (``tc_i``).

@@ -21,10 +21,8 @@ parallel data store (:mod:`repro.store`):
 from repro.engine.requests import (
     BatchRequest,
     BatchResponse,
-    RequestBlock,
     RequestItem,
     RequestKind,
-    ResponseBlock,
     ResponseItem,
     UDF,
 )
@@ -39,10 +37,8 @@ from repro.engine.elastic import ElasticJoinJob, ElasticResult, MembershipEvent
 __all__ = [
     "BatchRequest",
     "BatchResponse",
-    "RequestBlock",
     "RequestItem",
     "RequestKind",
-    "ResponseBlock",
     "ResponseItem",
     "UDF",
     "BatchBuffer",

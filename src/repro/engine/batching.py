@@ -10,11 +10,9 @@ application turns for its latency requirement.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable
+from typing import Callable
 
-from repro.core.optimizer import Route
-from repro.engine.requests import RequestItem, RequestKind
-from repro.store.messages import RequestBlock
+from repro.engine.requests import RequestItem
 from repro.sim.events import Simulator
 
 class BatchBuffer:
@@ -31,44 +29,25 @@ class BatchBuffer:
         fill level; ``None`` disables the timeout (batch jobs flush on
         size and at end-of-input).
     on_flush:
-        Callback receiving the flushed items — a ``RequestItem`` list,
-        or a :class:`~repro.store.messages.RequestBlock` in columnar
-        mode.
-    kind:
-        The request kind this buffer queues; required for
-        :meth:`add_request` and for columnar mode (a block carries one
-        kind for the whole batch).
-    columnar:
-        Store pending requests as parallel columns and flush one
-        :class:`RequestBlock` instead of allocating a ``RequestItem``
-        per tuple.  Flush timing, thresholds and ordering are
-        identical either way; only the container changes.
+        Callback receiving the flushed items.
     """
 
     def __init__(
         self,
         sim: Simulator,
         batch_size: int,
-        on_flush: Callable[[Any], None],
+        on_flush: Callable[[list[RequestItem]], None],
         max_wait: float | None = None,
-        kind: RequestKind | None = None,
-        columnar: bool = False,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if max_wait is not None and max_wait <= 0:
             raise ValueError("max_wait must be positive when set")
-        if columnar and kind is None:
-            raise ValueError("columnar buffers need a request kind")
         self.sim = sim
         self.batch_size = batch_size
         self.max_wait = max_wait
         self.on_flush = on_flush
-        self.kind = kind
-        self._columnar = columnar
-        self._items: list[RequestItem] | RequestBlock = (
-            RequestBlock(kind) if columnar and kind is not None else []
-        )
+        self._items: list[RequestItem] = []
         self._oldest_at: float | None = None
         self._epoch = 0  # invalidates stale timeout events
         self._flushes = 0
@@ -89,46 +68,10 @@ class BatchBuffer:
 
     def add(self, item: RequestItem) -> None:
         """Queue one item, flushing if the buffer fills."""
-        if self._columnar:
-            self.add_request(item.key, item.route, item.tuple_id, item.params)
-            return
         if not self._items:
             self._arm_timer()
         self._items.append(item)
         if len(self._items) >= self.batch_size:
-            self.flush()
-
-    def add_request(
-        self, key: Hashable, route: Route, tuple_id: int, params: Any = None
-    ) -> None:
-        """Queue one request as scalars.
-
-        In columnar mode this appends straight to the block's columns;
-        otherwise it materializes a :class:`RequestItem` (requires the
-        buffer's ``kind``).  Flush behaviour is identical to
-        :meth:`add`.
-        """
-        if not self._columnar:
-            if self.kind is None:
-                raise ValueError("add_request on an item buffer needs a kind")
-            self.add(
-                RequestItem(
-                    key=key, kind=self.kind, route=route,
-                    tuple_id=tuple_id, params=params,
-                )
-            )
-            return
-        # Append straight onto the block's columns; going through the
-        # block's append/__len__ wrappers costs a frame per tuple.
-        block = self._items
-        keys = block.keys
-        if not keys:
-            self._arm_timer()
-        keys.append(key)
-        block.routes.append(route)
-        block.tuple_ids.append(tuple_id)
-        block.params.append(params)
-        if len(keys) >= self.batch_size:
             self.flush()
 
     def _arm_timer(self) -> None:
@@ -142,8 +85,7 @@ class BatchBuffer:
         """Flush the buffer immediately (no-op when empty)."""
         if not self._items:
             return
-        items = self._items
-        self._items = RequestBlock(self.kind) if self._columnar else []
+        items, self._items = self._items, []
         self._oldest_at = None
         self._epoch += 1
         self._flushes += 1
@@ -181,19 +123,14 @@ class AdaptiveBatchBuffer(BatchBuffer):
         self,
         sim: Simulator,
         batch_size: int,
-        on_flush: Callable[[Any], None],
+        on_flush: Callable[[list[RequestItem]], None],
         max_wait: float,
         min_size: int = 4,
         max_size: int = 512,
-        kind: RequestKind | None = None,
-        columnar: bool = False,
     ) -> None:
         if not min_size <= batch_size <= max_size:
             raise ValueError("need min_size <= batch_size <= max_size")
-        super().__init__(
-            sim, batch_size, on_flush, max_wait=max_wait,
-            kind=kind, columnar=columnar,
-        )
+        super().__init__(sim, batch_size, on_flush, max_wait=max_wait)
         self.min_size = min_size
         self.max_size = max_size
         self._resizes = 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heapreplace
-from typing import Any, Callable, Hashable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Hashable
 
 import numpy as np
 
@@ -28,12 +28,11 @@ from repro.cache.tiered import CacheTier, TieredCache
 from repro.core.cost_model import CostModel
 from repro.core.frequency import ExactCounter, LossyCounter
 from repro.placement.batch import ComputeNodeStats, SizeProfile
-from repro.core.optimizer import _MIN_WEIGHT, JoinLocationOptimizer, Route
+from repro.core.optimizer import JoinLocationOptimizer, Route
 from repro.core.smoothing import SmoothedValue
 from repro.engine.batching import AdaptiveBatchBuffer, BatchBuffer
 from repro.engine.requests import (
     BatchResponse,
-    RequestBlock,
     RequestItem,
     RequestKind,
     UDF,
@@ -53,10 +52,8 @@ from repro.runtime.transport import Transport
 from repro.sim.cluster import Cluster
 from repro.store.datanode import DataNodeServer
 from repro.store.kvstore import KVStore
-from repro.store.messages import ResponseBlock
-from repro.vector.kernels import ski_rental_lanes
 
-if False:  # pragma: no cover - import for type checkers only
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.memory.budget import MemoryBudget
     from repro.metrics.trace import FaultTrace, RoutingTrace
     from repro.tenancy.options import TenancyOptions
@@ -133,8 +130,6 @@ class ComputeNodeRuntime:
         tenancy: "TenancyOptions | None" = None,
         tenant_of: Callable[[int], str] | None = None,
         tenant_shares: dict[str, TenantShare] | None = None,
-        vector_width: int = 64,
-        columnar: bool = True,
         budget: "MemoryBudget | None" = None,
         seed: int = 0,
     ) -> None:
@@ -177,19 +172,14 @@ class ComputeNodeRuntime:
                 reset_count_on_update=reset_count_on_update,
             )
         # Batch buffers per data node, separate for compute and data
-        # requests (Algorithm 1 routes to distinct queues).  Columnar
-        # buffers skip the per-tuple RequestItem envelope; the
-        # reference mode keeps the item-list encoding.
+        # requests (Algorithm 1 routes to distinct queues).
         self._compute_buffers: dict[int, BatchBuffer] = {}
         self._data_buffers: dict[int, BatchBuffer] = {}
         effective_batch = batch_size if config.batching else 1
-        # ``columnar=False`` (BatchOptions) pins the scalar per-tuple
-        # algorithms even outside reference mode; reference mode always
-        # forces them.
-        columnar = columnar and not reference_mode()
+        optimized = not reference_mode()
         # Single-evaluation routing fast path (see route_fast); the
         # reference mode keeps the original two-pass route().
-        self._fast_route = columnar and self.optimizer is not None
+        self._fast_route = optimized and self.optimizer is not None
 
         def make_buffer(dn: int, kind: RequestKind) -> BatchBuffer:
             if adaptive_batching and config.batching and max_wait is not None:
@@ -198,16 +188,12 @@ class ComputeNodeRuntime:
                     effective_batch,
                     on_flush=self._make_flusher(dn, kind),
                     max_wait=max_wait,
-                    kind=kind,
-                    columnar=columnar,
                 )
             return BatchBuffer(
                 cluster.sim,
                 effective_batch,
                 on_flush=self._make_flusher(dn, kind),
                 max_wait=max_wait if config.batching else None,
-                kind=kind,
-                columnar=columnar,
             )
 
         for dn in self._data_nodes:
@@ -263,11 +249,9 @@ class ComputeNodeRuntime:
             comp_stats=(
                 self._snapshot_stats if udf.side_effect_free else None
             ),
-            # The fused handler skips the worker-release hook, which
-            # only does work in blocking mode.
             on_response=(
                 self._on_batch_response_fast
-                if columnar and not config.blocking
+                if optimized
                 else self._on_batch_response
             ),
             on_dispatch=self._on_dispatch,
@@ -353,10 +337,6 @@ class ComputeNodeRuntime:
         self._recording = trace is not None or tracer.enabled
         self._dst_cache: dict[Hashable, int] = {}
         self._dst_gen = -1
-        self.vector_width = vector_width if vector_width >= 1 else 1
-        self.submit_window: (
-            Callable[[Sequence[tuple[int, Hashable, Any]]], None] | None
-        ) = None
         if (
             self._fast_route
             and not config.blocking
@@ -364,7 +344,6 @@ class ComputeNodeRuntime:
             and udf.side_effect_free
         ):
             self.submit = self._submit_fast  # type: ignore[method-assign]
-            self.submit_window = self._submit_window
 
     def _submit_fast(
         self, tuple_id: int, key: Hashable, params: Any = None
@@ -401,174 +380,15 @@ class ComputeNodeRuntime:
                                 value=value, params=params)
         elif route is Route.COMPUTE_REQUEST:
             if self.admission is None:
-                self._compute_buffers[dst].add_request(
-                    key, route, tuple_id, params
+                self._compute_buffers[dst].add(
+                    RequestItem(key=key, kind=RequestKind.COMPUTE,
+                                route=route, tuple_id=tuple_id, params=params)
                 )
             else:
                 self._enqueue(dst, tuple_id, key, RequestKind.COMPUTE,
                               route, params)
         else:
             self._enqueue_fetch(dst, tuple_id, key, route, params)
-
-    def _submit_window(
-        self, items: Sequence[tuple[int, Hashable, Any]]
-    ) -> None:
-        """Columnar :meth:`_submit_fast`: route and dispatch one window.
-
-        Element-wise identical to calling :meth:`_submit_fast` on each
-        ``(tuple_id, key, params)`` in order.  Routing performs no
-        cost-model observations, so the cost lookups, benefit weights
-        and ski-rental thresholds are frozen once per distinct
-        ``(key, dst)`` pair up front (threshold arithmetic columnar via
-        :func:`repro.vector.kernels.ski_rental_lanes`) — with one
-        exception: local dispatch synchronously folds the local-compute
-        EWMA that ``costs4`` reads live, so after the first
-        LOCAL_MEMORY/LOCAL_DISK dispatch the frozen columns are stale
-        and the rest of the window falls back to scalar ``route_fast``.
-        """
-        optimizer = self.optimizer
-        assert optimizer is not None
-        n = len(items)
-        self._submitted += n
-        region_map = self.kvstore.region_map
-        if region_map.generation != self._dst_gen:
-            self._dst_cache.clear()
-            self._dst_gen = region_map.generation
-            self.cost_model.observe_placement_epoch(region_map.generation)
-        dst_cache = self._dst_cache
-        elastic = getattr(region_map, "elastic_active", False)
-        node_id = self.node_id
-        dsts: list[int] = []
-        for _, key, _ in items:
-            dst = dst_cache.get(key)
-            if dst is None:
-                if elastic:
-                    dst = region_map.route_for_key(key, node_id)
-                else:
-                    dst = region_map.node_for_key(key)
-                dst_cache[key] = dst
-            dsts.append(dst)
-        # Pass 1 — distinct-pair cost precompute (mirrors
-        # JoinLocationOptimizer.route_batch): (weight, knows,
-        # has_costs, mem_threshold, disk_threshold, item_size).
-        model = self.cost_model
-        costs4 = model.costs4
-        fixed = optimizer.fixed_threshold
-        item_size = optimizer._item_size
-        records: dict[tuple[Hashable, int], Any] = {}
-        slots: list[tuple[tuple[Hashable, int], float]] = []
-        rents: list[float] = []
-        buys: list[float] = []
-        rec_mems: list[float] = []
-        rec_disks: list[float] = []
-        for i in range(n):
-            pair = (items[i][1], dsts[i])
-            if pair in records:
-                continue
-            key, dst = pair
-            try:
-                c4 = costs4(key, dst)
-            except KeyError:
-                records[pair] = (
-                    1.0, model.knows_key(key), False, 0.0, 0.0,
-                    item_size(key),
-                )
-                continue
-            records[pair] = None
-            slots.append((pair, item_size(key)))
-            rents.append(c4[0])
-            buys.append(c4[1])
-            rec_mems.append(c4[2])
-            rec_disks.append(c4[3])
-        if slots:
-            weights, mem_ts, disk_ts = ski_rental_lanes(
-                rents, buys, rec_mems, rec_disks, _MIN_WEIGHT
-            )
-            for s, (pair, size) in enumerate(slots):
-                if fixed is not None:
-                    records[pair] = (weights[s], True, True, fixed, fixed, size)
-                else:
-                    records[pair] = (
-                        weights[s], True, True, mem_ts[s], disk_ts[s], size
-                    )
-        # Pass 2 — in-order decide + dispatch (the sweep replicates
-        # route_fast branch for branch against the frozen records).
-        cache = optimizer.cache
-        access_fast = cache.access_fast
-        cond_cache = cache.cond_cache_in_memory
-        counter_add = optimizer.counter.add
-        route_fast = optimizer.route_fast
-        recording = self._recording
-        compute_buffers = self._compute_buffers
-        admission = self.admission
-        local_mem = Route.LOCAL_MEMORY
-        local_disk = Route.LOCAL_DISK
-        compute = Route.COMPUTE_REQUEST
-        data_mem = Route.DATA_REQUEST_MEMORY
-        data_disk = Route.DATA_REQUEST_DISK
-        stale = False
-        for i in range(n):
-            tuple_id, key, params = items[i]
-            dst = dsts[i]
-            if stale:
-                route, value = route_fast(key, dst)
-            else:
-                weight, knows, has_costs, mem_t, disk_t, size = records[
-                    (key, dst)
-                ]
-                cached = access_fast(key, weight)
-                count = counter_add(key)
-                value = None
-                if cached is not None:
-                    value, tier = cached
-                    if tier is CacheTier.MEMORY:
-                        optimizer._n_local_mem += 1
-                        route = local_mem
-                    else:
-                        optimizer._n_local_disk += 1
-                        cond_cache(key, value, size)
-                        route = local_disk
-                elif not knows:
-                    optimizer._n_first += 1
-                    optimizer._n_compute += 1
-                    route = compute
-                else:
-                    if not has_costs:
-                        # knows_key but costs raised during precompute:
-                        # surface the KeyError exactly where the scalar
-                        # path would.
-                        costs4(key, dst)
-                    if count <= mem_t:
-                        optimizer._n_compute += 1
-                        route = compute
-                    elif cond_cache(key, None, size):
-                        optimizer._n_data_mem += 1
-                        route = data_mem
-                    elif count <= disk_t:
-                        optimizer._n_compute += 1
-                        route = compute
-                    else:
-                        optimizer._n_data_disk += 1
-                        route = data_disk
-            if recording:
-                self._record(tuple_id, key, route.value)
-            if route is local_mem:
-                self._execute_local_mem(tuple_id, key, value, params)
-                stale = True
-            elif route is local_disk:
-                self._execute_local(tuple_id, key, CacheTier.DISK,
-                                    value=value, params=params)
-                stale = True
-            elif route is compute:
-                if admission is None:
-                    compute_buffers[dst].add_request(
-                        key, route, tuple_id, params
-                    )
-                else:
-                    self._enqueue(dst, tuple_id, key, RequestKind.COMPUTE,
-                                  route, params)
-            else:
-                self._enqueue_fetch(dst, tuple_id, key, route, params)
 
     # ------------------------------------------------------------------
     # Fault-handling counters (aggregated into JobResult) now live on
@@ -753,13 +573,12 @@ class ComputeNodeRuntime:
         self, dst: int, tuple_id: int, key: Hashable, kind: RequestKind,
         route: Route, params: Any = None,
     ) -> None:
-        # add_request appends scalars: columnar buffers write straight
-        # into the block's columns, item buffers materialize the
-        # RequestItem themselves.
+        item = RequestItem(key=key, kind=kind, route=route, tuple_id=tuple_id,
+                           params=params)
         if kind is RequestKind.COMPUTE:
-            self._compute_buffers[dst].add_request(key, route, tuple_id, params)
+            self._compute_buffers[dst].add(item)
         else:
-            self._data_buffers[dst].add_request(key, route, tuple_id, params)
+            self._data_buffers[dst].add(item)
 
     def _dispatch_admitted(self, dst: int, tuple_id: int, payload: Any) -> None:
         """Admission callback: a parked tuple won a freed slot."""
@@ -947,7 +766,7 @@ class ComputeNodeRuntime:
     # Batch send / receive (wire mechanics live in repro.runtime)
     # ------------------------------------------------------------------
     def _make_flusher(self, dst: int, kind: RequestKind):
-        def flush(items: "list[RequestItem] | RequestBlock") -> None:
+        def flush(items: list[RequestItem]) -> None:
             if not self.tracer.enabled:
                 self.transport.send(dst, kind, items)
                 return
@@ -966,8 +785,7 @@ class ComputeNodeRuntime:
         return flush
 
     def _on_dispatch(
-        self, dst: int, kind: RequestKind,
-        items: "list[RequestItem] | RequestBlock",
+        self, dst: int, kind: RequestKind, items: list[RequestItem],
     ) -> None:
         """Transport hook: a new logical batch left this node."""
         n = len(items)
@@ -978,8 +796,7 @@ class ComputeNodeRuntime:
             self._inflight_data += n
 
     def _on_abandon(
-        self, dst: int, kind: RequestKind,
-        items: "list[RequestItem] | RequestBlock",
+        self, dst: int, kind: RequestKind, items: list[RequestItem],
     ) -> None:
         """Transport hook: a batch gave up on ``dst`` (replica fallback)."""
         n = len(items)
@@ -1033,13 +850,8 @@ class ComputeNodeRuntime:
         Same per-item sequence with batch invariants hoisted: the
         response source, clock reading (constant within one delivery
         event), smoothed fraction-computed estimate, and the optimizer
-        observation targets.  Only installed for non-blocking runs, so
-        the worker-release no-op is dropped.
+        observation targets.
         """
-        block = response.block
-        if block is not None:
-            self._on_block_response(response.src, block)
-            return
         src = response.src
         row_info = self._row_info
         optimizer = self.optimizer
@@ -1053,6 +865,7 @@ class ComputeNodeRuntime:
         now = self.cluster.sim.now
         admission = self.admission
         inflight_compute = self._inflight_compute
+        blocking = self.config.blocking
         fsv = None
         for item in response.items:
             cp = item.cost_params
@@ -1092,6 +905,8 @@ class ComputeNodeRuntime:
                 if admission is not None:
                     admission.release(tuple_id)
                 on_complete(tuple_id, now)
+                if blocking:
+                    self._release_worker()
                 continue
             if (
                 route is Route.DATA_REQUEST_MEMORY
@@ -1135,127 +950,6 @@ class ComputeNodeRuntime:
             # deserializes; the live object serves the rest.
             self._execute_local(tuple_id, key, tier=None, hydrate=index == 0,
                                 value=item.value, params=params)
-
-    def _on_block_response(self, src: int, block: ResponseBlock) -> None:
-        """Columnar :meth:`_on_batch_response_fast` body.
-
-        Folds a :class:`ResponseBlock` column-wise without ever
-        materializing per-item ``ResponseItem``/``CostParameters``
-        objects; the per-item sequence of observations and completions
-        is the one the item loop performs.
-        """
-        row_info = self._row_info
-        optimizer = self.optimizer
-        if optimizer is not None:
-            observe_scalar = optimizer.cost_model.observe_scalar
-            ut_observe = optimizer.updates.observe_timestamp
-        settled = self._settled
-        outputs = self.outputs
-        has_apply = self.udf.apply_fn is not None
-        on_complete = self.on_complete
-        now = self.cluster.sim.now
-        admission = self.admission
-        inflight_compute = self._inflight_compute
-        keys = block.keys
-        tuple_ids = block.tuple_ids
-        routes = block.routes
-        computed = block.computed
-        values = block.values
-        value_sizes = block.value_sizes
-        compute_times = block.compute_times
-        disk_times = block.disk_times
-        cpu_services = block.cpu_service_times
-        hydrations = block.hydration_times
-        updated_ats = block.updated_ats
-        params_col = block.params
-        p_size = block.param_size
-        k_size = block.key_size
-        c_size = block.computed_size
-        dn_id = block.node_id
-        compute = Route.COMPUTE_REQUEST
-        data_mem = Route.DATA_REQUEST_MEMORY
-        data_disk = Route.DATA_REQUEST_DISK
-        fsv = None
-        for i in range(len(keys)):
-            key = keys[i]
-            service = cpu_services[i]
-            if service is None:
-                service = compute_times[i]
-            row_info[key] = _RowInfo(
-                size=value_sizes[i],
-                compute_cost=service,
-                hydration_cost=hydrations[i],
-            )
-            route = routes[i]
-            was_computed = computed[i]
-            if route is compute:
-                inflight_compute[src] -= 1
-                self._inflight_compute_total -= 1
-                if fsv is None:
-                    fsv = self._frac_computed[src]
-                    fa = fsv.alpha
-                    fb = 1.0 - fa
-                x = 1.0 if was_computed else 0.0
-                v = fsv._value
-                fsv._value = x if v is None else fa * x + fb * v
-                fsv._observations += 1
-            else:
-                self._inflight_data -= 1
-            if optimizer is not None:
-                observe_scalar(
-                    key, value_sizes[i], compute_times[i], disk_times[i],
-                    p_size, k_size, c_size, dn_id, service,
-                )
-                ut_observe(key, updated_ats[i])
-            if was_computed:
-                tuple_id = tuple_ids[i]
-                if tuple_id in settled:
-                    continue  # exactly-once guard (see _execute_local)
-                settled.add(tuple_id)
-                if has_apply:
-                    outputs[tuple_id] = values[i]
-                self._completed += 1
-                if admission is not None:
-                    admission.release(tuple_id)
-                on_complete(tuple_id, now)
-                continue
-            if route is data_mem or route is data_disk:
-                self._complete_fetch_cols(
-                    key, tuple_ids[i], route, values[i], params_col[i],
-                    value_sizes[i], updated_ats[i],
-                )
-            else:
-                self._execute_local(
-                    tuple_ids[i], key, tier=None,
-                    value=values[i], params=params_col[i],
-                )
-
-    def _complete_fetch_cols(
-        self, key: Hashable, tuple_id: int, route: Route, value: Any,
-        params: Any, value_size: float, updated_at: float,
-    ) -> None:
-        """Scalar-argument :meth:`_complete_fetch` for the block path."""
-        if self.config.caching and self.optimizer is not None and not self._frozen():
-            if route is Route.DATA_REQUEST_DISK:
-                self._node.disk.acquire(
-                    self.cluster.sim.now,
-                    self._node.spec.cache_disk_time(value_size),
-                )
-            self.optimizer.complete_fetch(key, value, route, updated_at)
-            if self.update_notifications:
-                self.kvstore.subscribe(
-                    key,
-                    subscriber_id=self.node_id,
-                    listener=self._on_update_notification,
-                )
-        waiters = self._fetch_waiters.pop(key, None)
-        if waiters is None:
-            waiters = [(tuple_id, params)]
-        elif all(tid != tuple_id for tid, _ in waiters):
-            waiters = waiters + [(tuple_id, params)]
-        for index, (tid, wparams) in enumerate(waiters):
-            self._execute_local(tid, key, tier=None, hydrate=index == 0,
-                                value=value, params=wparams)
 
     def _on_update_notification(self, key: Hashable, updated_at: float) -> None:
         """Targeted invalidation pushed by a data node (Section 4.2.3)."""

@@ -174,13 +174,6 @@ class JoinJob:
     sizes: SizeProfile
     batch_size: int = 64
     max_wait: float | None = 0.01
-    #: Submit-window width for the columnar hot path (tuples routed
-    #: per ``submit_window`` call); 1 degenerates to per-tuple submit.
-    vector_width: int = 64
-    #: Enable the columnar kernels (windowed routing, block serving,
-    #: block response folding).  ``False`` pins the scalar per-tuple
-    #: optimized paths; reference mode always forces them off.
-    columnar: bool = True
     memory_cache_bytes: float = 100e6
     pipeline_window: int = 256
     regions_per_node: int = 4
@@ -265,7 +258,6 @@ class JoinJob:
                     rng=np.random.default_rng(derive_seed(self.seed, f"lb:{dn}")),
                 ),
                 block_cache_bytes=self.block_cache_bytes,
-                columnar=self.columnar,
                 tracer=self.tracer,
             )
             for dn in self.data_nodes
@@ -361,8 +353,6 @@ class JoinJob:
                 memory_cache_bytes=self.memory_cache_bytes,
                 batch_size=self.batch_size,
                 max_wait=self.max_wait,
-                vector_width=self.vector_width,
-                columnar=self.columnar,
                 expected_inputs=len(per_node_input[cn]),
                 counter=counter,
                 fixed_threshold=self.fixed_threshold,
@@ -575,8 +565,6 @@ class JoinJob:
                 memory_cache_bytes=self.memory_cache_bytes,
                 batch_size=self.batch_size,
                 max_wait=self.max_wait,
-                vector_width=self.vector_width,
-                columnar=self.columnar,
                 counter=counter,
                 fixed_threshold=self.fixed_threshold,
                 reset_count_on_update=self.reset_count_on_update,
@@ -752,11 +740,6 @@ class JoinJob:
         return sources
 
 
-#: Minimum refill size worth routing through the columnar submit
-#: window; smaller top-ups use the scalar fast path.
-_WINDOW_MIN = 8
-
-
 class _Feeder:
     """Bounded-window input feeder for one compute node."""
 
@@ -775,10 +758,7 @@ class _Feeder:
 
     def prime(self) -> None:
         """Initial fill at time zero."""
-        if self.runtime.submit_window is not None:
-            self.feed_fast()
-        else:
-            self._feed()
+        self._feed()
 
     def on_completion(self) -> None:
         """One tuple finished: top the window back up."""
@@ -807,30 +787,7 @@ class _Feeder:
         nxt = self._next
         out = self._outstanding
         window = self.window
-        runtime = self.runtime
-        submit_window = runtime.submit_window
-        # Columnar refill: hand the runtime chunks of up to
-        # vector_width tuples; submit_window routes each chunk in one
-        # sweep (element-wise identical to per-tuple submit, so the
-        # cutover between the two paths is invisible).  Steady-state
-        # completions free one slot at a time — those single-tuple
-        # refills go through the scalar fast path, where the sweep's
-        # setup would be pure overhead.
-        if submit_window is not None and window - out >= _WINDOW_MIN:
-            vector_width = runtime.vector_width
-            while nxt < n and out < window:
-                take = window - out
-                if take > vector_width:
-                    take = vector_width
-                if take > n - nxt:
-                    take = n - nxt
-                if take < _WINDOW_MIN:
-                    break
-                end = nxt + take
-                submit_window(items[nxt:end])
-                nxt = end
-                out += take
-        submit = runtime.submit
+        submit = self.runtime.submit
         while nxt < n and out < window:
             tuple_id, key, params = items[nxt]
             nxt += 1

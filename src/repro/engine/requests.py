@@ -10,10 +10,8 @@ engine's runtime classes.
 from repro.store.messages import (
     BatchRequest,
     BatchResponse,
-    RequestBlock,
     RequestItem,
     RequestKind,
-    ResponseBlock,
     ResponseItem,
     UDF,
 )
@@ -21,10 +19,8 @@ from repro.store.messages import (
 __all__ = [
     "BatchRequest",
     "BatchResponse",
-    "RequestBlock",
     "RequestItem",
     "RequestKind",
-    "ResponseBlock",
     "ResponseItem",
     "UDF",
 ]

@@ -142,7 +142,7 @@ def _micro_route_batch(n_keys: int, n_items: int, width: int) -> ScenarioRun:
 
     Same setup as ``micro_route``, but the stream is processed in
     ``width``-tuple windows: optimized mode routes each window through
-    ``route_batch`` (the sweep behind the engines' submit window);
+    ``route_batch`` (a measured-only kernel — no engine calls it);
     reference mode loops scalar ``route`` over the same windows.
     Fetches complete at window boundaries in *both* modes, so the
     digest over routes, counters and cache state must be identical.
@@ -345,49 +345,6 @@ def _macro_cold(*, smoke: bool) -> Scenario:
     )
 
 
-def _macro_vector_sweep() -> ScenarioRun:
-    """Vector-width invariance: widths 1, 16 and 256 agree bit-for-bit.
-
-    Runs the Figure 8 data-heavy z=1.5 workload once per
-    ``BatchOptions(vector_width=...)`` setting and fails loudly if any
-    width changes the outputs or the simulated makespan.  The digest
-    covers all three runs, so the harness's ref/opt comparison also
-    pins the sweep against reference mode (where the widths are
-    ignored and all three runs use the scalar paths).
-    """
-    from repro.api import BatchOptions, JobSpec, RunConfig, run_join
-
-    n_tuples = 2000
-    spec = JobSpec.synthetic(
-        kind="data_heavy", n_keys=200, n_tuples=n_tuples, skew=1.5, seed=7
-    )
-    parts: list[str] = []
-    baseline: list[str] | None = None
-    sim_time = 0.0
-    for width in (1, 16, 256):
-        report = run_join(
-            spec,
-            RunConfig(
-                engine="engine",
-                batching=BatchOptions(vector_width=width),
-            ),
-        )
-        outs = sorted(map(repr, report.outputs.items()))
-        outs.append(repr(round(report.makespan, 12)))
-        if baseline is None:
-            baseline = outs
-            sim_time = report.makespan
-        elif outs != baseline:
-            raise AssertionError(
-                f"vector_width={width} diverged from vector_width=1"
-            )
-        parts.append(f"w{width}")
-        parts.extend(outs)
-    return ScenarioRun(
-        sim_time=sim_time, digest=_digest(parts), n_items=3 * n_tuples
-    )
-
-
 def _macro_skew_migration() -> ScenarioRun:
     """The elastic-placement macro: a z=1.5 hot spot the coordinator
     actively splits, migrates and replicates away mid-run.
@@ -586,19 +543,6 @@ SCENARIOS: tuple[Scenario, ...] = (
         ),
         runner=_macro_skew_migration,
         tags=("skew", "placement", "engine"),
-    ),
-    # ... the vector-width invariance sweep (widths 1/16/256 must be
-    # bit-identical to each other and to reference mode) ...
-    Scenario(
-        name="macro_vector_sweep",
-        kind="macro",
-        description=(
-            "Figure 8 data-heavy synthetic (z=1.5), engine on "
-            "SimBackend, swept over BatchOptions vector_width "
-            "1/16/256 — all widths must agree bit-for-bit"
-        ),
-        runner=_macro_vector_sweep,
-        tags=("fig8", "engine", "vector"),
     ),
     # ... the large-key-universe macro (per-batch statistics must not
     # cost O(keys seen); smoke variant in the CI perf-smoke gate) ...

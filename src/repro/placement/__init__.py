@@ -1,10 +1,10 @@
 """Placement: the single versioned logical->physical map (ROADMAP item 2).
 
 Before this package, the region assignment lived in several places at
-once — ``store/partitioner.py`` owned the static map, ``store/balancer.py``
-planned long-term moves against it, ``core/load_balancer.py`` balanced
-batches around it, and the cluster driver kept its own peer map.  All
-of them now consult one :class:`PlacementService`: an epoch-stamped
+once — ``store/partitioner.py`` owned the static map, a store-side
+balancer planned long-term moves against it, a core-side load balancer
+balanced batches around it, and the cluster driver kept its own peer
+map.  All of them now consult one :class:`PlacementService`: an epoch-stamped
 region map that supports runtime region split/merge, live copy-then-
 cutover migration with a double-serve window, and replicated serving of
 pathological hot keys.
@@ -26,11 +26,9 @@ Modules
 ``options``
     :class:`ElasticOptions` (frozen, off by default).
 ``batch``
-    Per-batch compute/data load balancing (Appendix C), moved here from
-    ``repro.core.load_balancer``.
+    Per-batch compute/data load balancing (Appendix C).
 ``balancer``
-    Long-term region rebalancing plans, moved here from
-    ``repro.store.balancer``.
+    Long-term region rebalancing plans.
 """
 
 from repro.placement.balancer import (

@@ -14,9 +14,6 @@ it is a between-jobs background tool; under an elastic
 :class:`~repro.placement.elastic.ElasticCoordinator` calls
 :func:`plan_rebalance` mid-run and executes the moves as live
 copy-then-cutover migrations.
-
-This module was ``repro.store.balancer``; the old import path remains
-as a deprecated shim.
 """
 
 from __future__ import annotations

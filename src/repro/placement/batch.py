@@ -20,11 +20,9 @@ executes *at the compute node* is priced at the compute node's UDF time
 is equivalent only for homogeneous nodes; with heterogeneous nodes the
 intent — time to compute at ``i`` — requires ``tcc``).
 
-This module was ``repro.core.load_balancer``; the short-term batch
-decision now lives beside the long-term region planner
-(:mod:`repro.placement.balancer`) so that every placement-adjacent
-policy consults the same package.  The old import path remains as a
-deprecated shim.
+The short-term batch decision lives beside the long-term region
+planner (:mod:`repro.placement.balancer`) so that every
+placement-adjacent policy consults the same package.
 """
 
 from __future__ import annotations

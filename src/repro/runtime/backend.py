@@ -149,12 +149,6 @@ class SimBackend:
     strategy: str = "FO"
     batch_size: int = 16
     max_wait: float = 0.005
-    #: Tuples handed to the columnar submit kernel per sweep (engine /
-    #: streaming runners); width 1 degenerates to per-tuple submission.
-    vector_width: int = 64
-    #: Enable the columnar array-at-a-time kernels.  Forced off by
-    #: ``REPRO_PERF_REFERENCE=1``.
-    columnar: bool = True
     seed: int = 0
     fault_schedule: FaultSchedule | None = None
     fault_tolerance: FaultTolerance | None = None
@@ -235,8 +229,6 @@ class SimBackend:
             sizes=workload.sizes,
             batch_size=self.batch_size,
             max_wait=self.max_wait,
-            vector_width=self.vector_width,
-            columnar=self.columnar,
             memory_cache_bytes=self.memory_cache_bytes,
             fault_schedule=self.fault_schedule,
             fault_tolerance=self.fault_tolerance,
@@ -336,8 +328,6 @@ class SimBackend:
             n_data_nodes=self.n_data,
             batch_size=self.batch_size,
             max_wait=self.max_wait,
-            vector_width=self.vector_width,
-            columnar=self.columnar,
             fault_schedule=self.fault_schedule,
             fault_tolerance=self.fault_tolerance,
             fault_trace=self.fault_trace,
@@ -425,7 +415,7 @@ class SimBackend:
             p = params[tuple_id] if params is not None else None
             return [(key, (tuple_id, p))]
 
-        columnar = self.columnar and not reference_mode()
+        columnar = not reference_mode()
         apply_fn = udf.apply_fn
 
         def reduce_fn(key: Hashable, pairs: list[tuple[int, Any]]):
@@ -535,7 +525,7 @@ class SimBackend:
         udf = workload.udf
         params = workload.params
         outputs: dict[int, Any] = {}
-        if self.columnar and not reference_mode():
+        if not reference_mode():
             # Gather aligned tid/key/param/value columns from the query
             # result, then apply the UDF in one columnar sweep.
             tids = [row[tid_at] for row in result.result.rows]
@@ -692,11 +682,6 @@ class LocalBackend:
 
     max_workers: int = 4
     batch_size: int = 64
-    #: Tuples gathered per columnar UDF sweep inside each partition.
-    vector_width: int = 64
-    #: Enable the columnar gather + UDF sweep.  Forced off by
-    #: ``REPRO_PERF_REFERENCE=1``.
-    columnar: bool = True
     tracer: Tracer = NO_TRACER
     registry: MetricsRegistry | None = None
     #: Accepted for config symmetry with SimBackend; real threads have
@@ -715,8 +700,6 @@ class LocalBackend:
             raise ValueError("max_workers must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.vector_width < 1:
-            raise ValueError("vector_width must be >= 1")
 
     def run_join(self, workload: JoinWorkload) -> BackendRun:
         values = workload.stored_values()
@@ -765,11 +748,10 @@ class LocalBackend:
         keys = workload.keys
         params = workload.params
         outputs: dict[int, Any] = {}
-        if self.columnar and not reference_mode():
+        if not reference_mode():
             apply_fn = udf.apply_fn
-            width = self.vector_width
-            for at in range(0, len(tuple_ids), width):
-                chunk = tuple_ids[at : at + width]
+            for at in range(0, len(tuple_ids), self.batch_size):
+                chunk = tuple_ids[at : at + self.batch_size]
                 chunk_keys = [keys[tid] for tid in chunk]
                 chunk_values = [values[k] for k in chunk_keys]
                 p_col = (

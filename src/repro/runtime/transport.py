@@ -32,7 +32,6 @@ schedule installed at the network therefore perturbs every engine.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -45,7 +44,6 @@ from repro.sim.events import EventHandle
 from repro.store.messages import (
     BatchRequest,
     BatchResponse,
-    RequestBlock,
     RequestItem,
     RequestKind,
 )
@@ -126,7 +124,7 @@ class _Pending:
     )
 
     def __init__(
-        self, dst: int, kind: RequestKind, items: "list[RequestItem] | RequestBlock"
+        self, dst: int, kind: RequestKind, items: list[RequestItem]
     ) -> None:
         self.dst = dst
         self.kind = kind
@@ -204,13 +202,11 @@ class Transport:
         comp_stats: Callable[[int], ComputeNodeStats | None] | None = None,
         on_response: Callable[[BatchResponse], None] | None = None,
         on_dispatch: (
-            Callable[[int, RequestKind, "list[RequestItem] | RequestBlock"], None]
-            | None
+            Callable[[int, RequestKind, list[RequestItem]], None] | None
         ) = None,
         on_timeout: Callable[[int, float], None] | None = None,
         on_abandon: (
-            Callable[[int, RequestKind, "list[RequestItem] | RequestBlock"], None]
-            | None
+            Callable[[int, RequestKind, list[RequestItem]], None] | None
         ) = None,
         fault_tolerance: FaultTolerance | None = None,
         fault_trace: "FaultTrace | None" = None,
@@ -266,15 +262,12 @@ class Transport:
         self,
         dst: int,
         kind: RequestKind,
-        items: "list[RequestItem] | RequestBlock",
+        items: list[RequestItem],
         attempt: int = 0,
         span_parent: Span | None = None,
     ) -> str:
         """Transmit one new logical request batch; returns its id.
 
-        ``items`` is either a ``RequestItem`` list or one columnar
-        :class:`RequestBlock` (the optimized batch-buffer flush);
-        flushers hand over ownership, so blocks are kept by reference.
         ``attempt`` seeds the backoff clock: fallback batches inherit
         the exhausted batch's attempt count so successive replica
         generations wait longer instead of hammering replicas at the
@@ -287,10 +280,7 @@ class Transport:
         self.requests_sent += 1
         if self.on_dispatch is not None:
             self.on_dispatch(dst, kind, items)
-        entry = _Pending(
-            dst, kind,
-            items if isinstance(items, RequestBlock) else list(items),
-        )
+        entry = _Pending(dst, kind, list(items))
         entry.attempt = attempt
         entry.created_at = self.cluster.sim.now
         if self.tracer.enabled:
@@ -332,17 +322,10 @@ class Transport:
         for entry in self._pending.values():
             if entry.dst != dst:
                 continue
-            items = entry.items
-            if isinstance(items, RequestBlock):
-                keys.extend(
-                    key for key, route in zip(items.keys, items.routes)
-                    if route is Route.DATA_REQUEST_MEMORY
-                )
-            else:
-                keys.extend(
-                    item.key for item in items
-                    if item.route is Route.DATA_REQUEST_MEMORY
-                )
+            keys.extend(
+                item.key for item in entry.items
+                if item.route is Route.DATA_REQUEST_MEMORY
+            )
         return keys
 
     def stats(self) -> TransportStats:
@@ -364,7 +347,7 @@ class Transport:
         self,
         rid: str,
         entry: _Pending,
-        items: "list[RequestItem] | RequestBlock",
+        items: list[RequestItem],
         attempt: int,
     ) -> None:
         """One (re)transmission of a registered batch."""
@@ -391,22 +374,13 @@ class Transport:
         self,
         rid: str,
         kind: RequestKind,
-        items: "list[RequestItem] | RequestBlock",
+        items: list[RequestItem],
         attempt: int,
         dst: int,
     ) -> BatchRequest:
         """Build the wire envelope for one (re)transmission at ``dst``."""
         if kind is RequestKind.COMPUTE:
             stats = self.comp_stats(dst) if self.comp_stats is not None else None
-            if isinstance(items, RequestBlock):
-                return BatchRequest(
-                    src=self.node_id,
-                    dst=dst,
-                    compute_block=items,
-                    comp_stats=stats,
-                    request_id=rid,
-                    attempt=attempt,
-                )
             return BatchRequest(
                 src=self.node_id,
                 dst=dst,
@@ -414,11 +388,6 @@ class Transport:
                 comp_stats=stats,
                 request_id=rid,
                 attempt=attempt,
-            )
-        if isinstance(items, RequestBlock):
-            return BatchRequest(
-                src=self.node_id, dst=dst, data_block=items,
-                request_id=rid, attempt=attempt,
             )
         return BatchRequest(
             src=self.node_id, dst=dst, data_items=items,
@@ -638,27 +607,16 @@ class Transport:
                     entry.span, at=now, status="fallback",
                     attempts=entry.attempt + 1,
                 )
-        fallback_items: "list[RequestItem] | RequestBlock"
-        if isinstance(entry.items, RequestBlock):
-            block = entry.items
-            fallback_items = RequestBlock(
+        fallback_items = [
+            RequestItem(
+                key=item.key,
                 kind=RequestKind.DATA,
-                keys=list(block.keys),
-                routes=[Route.DATA_REQUEST_DISK] * len(block),
-                tuple_ids=list(block.tuple_ids),
-                params=list(block.params),
+                route=Route.DATA_REQUEST_DISK,
+                tuple_id=item.tuple_id,
+                params=item.params,
             )
-        else:
-            fallback_items = [
-                RequestItem(
-                    key=item.key,
-                    kind=RequestKind.DATA,
-                    route=Route.DATA_REQUEST_DISK,
-                    tuple_id=item.tuple_id,
-                    params=item.params,
-                )
-                for item in entry.items
-            ]
+            for item in entry.items
+        ]
         # The replacement request nests under the exhausted one, so the
         # trace shows the whole degradation chain as one subtree.
         self.send(replica, RequestKind.DATA, fallback_items,
@@ -707,26 +665,14 @@ class Transport:
                     attempts=entry.attempt + 1,
                 )
         region_map = self.servers[entry.dst].kvstore.region_map
-        items = (
-            entry.items.to_items()
-            if isinstance(entry.items, RequestBlock)
-            else entry.items
-        )
         groups: "dict[int, list[RequestItem]]" = {}
-        for item in items:
+        for item in entry.items:
             owner = exc.owners.get(item.key)
             if owner is None:
                 owner = region_map.node_for_key(item.key)
             groups.setdefault(owner, []).append(item)
-        rebuild_block = isinstance(entry.items, RequestBlock)
         for owner in sorted(groups):
-            group = groups[owner]
-            resend: "list[RequestItem] | RequestBlock" = (
-                RequestBlock.from_items(entry.kind, group)
-                if rebuild_block
-                else group
-            )
-            self.send(owner, entry.kind, resend,
+            self.send(owner, entry.kind, groups[owner],
                       attempt=entry.attempt, span_parent=entry.span)
 
     def replica_for(self, dst: int) -> int:

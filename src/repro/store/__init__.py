@@ -28,10 +28,8 @@ from repro.store.kvstore import KVStore
 from repro.store.messages import (
     BatchRequest,
     BatchResponse,
-    RequestBlock,
     RequestItem,
     RequestKind,
-    ResponseBlock,
     ResponseItem,
     UDF,
 )
@@ -52,10 +50,8 @@ __all__ = [
     "KVStore",
     "BatchRequest",
     "BatchResponse",
-    "RequestBlock",
     "RequestItem",
     "RequestKind",
-    "ResponseBlock",
     "ResponseItem",
     "UDF",
     "DataNodeServer",

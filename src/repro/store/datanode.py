@@ -20,7 +20,7 @@ scheduling decrement events at each item's completion time.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from heapq import heapreplace
 from typing import TYPE_CHECKING, Callable
 
@@ -38,13 +38,13 @@ from repro.obs.tracer import NO_TRACER, Span, Tracer
 from repro.store.messages import (
     BatchRequest,
     BatchResponse,
-    ResponseBlock,
+    RequestItem,
     ResponseItem,
     UDF,
 )
 from repro.sim.cluster import Cluster, Node
 from repro.store.kvstore import KVStore
-from repro.vector.kernels import disk_service_times, serial_chain
+from repro.vector.kernels import disk_service_times
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.memory.hybrid_join import HybridHashJoin
@@ -91,7 +91,6 @@ class DataNodeServer:
         per_item_overhead: float = 0.00005,
         batched_seek_factor: float = 0.25,
         block_cache_bytes: float = 0.0,
-        columnar: bool = True,
         tracer: Tracer = NO_TRACER,
     ) -> None:
         if not 0.0 < batched_seek_factor <= 1.0:
@@ -154,19 +153,6 @@ class DataNodeServer:
         # Optimized-mode serving loop (batch invariants hoisted out of
         # the per-item body); reference mode keeps the per-item calls.
         self._fast_serve = not reference_mode()
-        # Columnar serving kernel (repro.vector): the per-batch disk
-        # reservations collapse into one serial chain and responses are
-        # emitted as one ResponseBlock instead of per-item envelopes.
-        # Only valid when the disk is a single-server resource (the
-        # chain recurrence models back-to-back reservations on one
-        # arm) and the block cache is off (cached keys would break the
-        # chain's uniform service times).
-        self._block_serve = (
-            self._fast_serve
-            and columnar
-            and block_cache_bytes == 0
-            and len(self._node.disk._free) == 1
-        )
         # Memory-adaptive execution (opt-in via :meth:`arm_memory`):
         # a budget-governed spilling hybrid-hash build side standing in
         # front of the disk.  ``None`` keeps serving bit-identical.
@@ -190,10 +176,6 @@ class DataNodeServer:
         through :func:`repro.vector.kernels.disk_service_times` and
         reserved on this node's disk arm, so the cost shows up in
         makespans the same way every other disk access does.
-
-        The columnar block-serve kernel assumes uniform per-item disk
-        service times, which hybrid hits break — serving falls back to
-        the hoisted per-item loop while armed.
         """
         from repro.memory.hybrid_join import HybridHashJoin
 
@@ -214,7 +196,6 @@ class DataNodeServer:
             io_cost=io_cost,
         )
         self._hybrid_keys = set()
-        self._block_serve = False
 
     def memory_counters(self) -> dict[str, float]:
         """Hybrid build-side counters (``memory.*`` registry fodder)."""
@@ -342,14 +323,7 @@ class DataNodeServer:
             _c, finish = self._node.cpu.acquire(
                 at, self.per_item_overhead * max(len(batch), 1)
             )
-            replay = BatchResponse(
-                src=cached.src,
-                dst=cached.dst,
-                items=cached._items,
-                block=cached.block,
-                request_id=cached.request_id,
-                replayed=True,
-            )
+            replay = replace(cached, replayed=True)
             if span is not None:
                 self.tracer.end(span, at=finish, status="replayed")
             return ServedBatch(response=replay, ready_at=finish, kept_at_data_node=0)
@@ -361,8 +335,8 @@ class DataNodeServer:
             # WrongRegion redirect instead of a wrong answer.  The
             # current owner, a hot-key replica, or the pre-cutover
             # owner inside its double-serve window all pass.
-            keys = [k for k, _t, _r, _p in batch.compute_entries()]
-            keys.extend(k for k, _t, _r, _p in batch.data_entries())
+            keys = [item.key for item in batch.compute_items]
+            keys.extend(item.key for item in batch.data_items)
             owners, stalled = region_map.check_batch(keys, self.node_id, at)
             if owners:
                 region_map.counters["redirects"] += 1
@@ -372,8 +346,8 @@ class DataNodeServer:
                     self.tracer.end(span, at=at, status="wrong_region")
                 raise WrongRegion(region_map.generation, owners, stalled)
         src = batch.src
-        n_compute = batch.n_compute
-        self._pending_data += batch.n_data
+        n_compute = len(batch.compute_items)
+        self._pending_data += len(batch.data_items)
         self._pending_compute[src] += n_compute
         self._pending_compute_total += n_compute
 
@@ -389,40 +363,17 @@ class DataNodeServer:
 
         batched = len(batch) > 1
         response_items: list[ResponseItem] = []
-        block: ResponseBlock | None = None
-        if self._block_serve and not self._block_cached and len(batch) > 0:
-            block = ResponseBlock(
-                param_size=self.udf.param_size,
-                key_size=self.udf.key_size,
-                computed_size=self.udf.result_size,
-                node_id=self.node_id,
-            )
-            maybe_ready = self._serve_block_fast(
-                at, batch, d, src, n_compute, batched, block
-            )
-            if maybe_ready is None:
-                # A zero-size row would enter the (zero-byte) block
-                # cache on the reference path; bail out to the per-item
-                # loop before any resource mutation.
-                block = None
-                ready_at = self._serve_batch_fast(
-                    at, batch, d, src, n_compute, batched, response_items
-                )
-            else:
-                ready_at = maybe_ready
-        elif self._fast_serve:
+        if self._fast_serve:
             ready_at = self._serve_batch_fast(
                 at, batch, d, src, n_compute, batched, response_items
             )
         else:
             ready_at = at
             done_kept, done_bounced, done_data = self._completion_callbacks(src)
-            for index, (key, tuple_id, route, params) in enumerate(
-                batch.compute_entries()
-            ):
+            for index, item in enumerate(batch.compute_items):
                 execute_here = index < d
                 finish, resp = self._serve_item(
-                    at, key, tuple_id, route, params, execute_here,
+                    at, item, execute_here,
                     short_seek=batched and index > 0,
                 )
                 response_items.append(resp)
@@ -431,29 +382,20 @@ class DataNodeServer:
                 self.cluster.sim.schedule_at(
                     finish, done_kept if execute_here else done_bounced
                 )
-            for index, (key, tuple_id, route, params) in enumerate(
-                batch.data_entries()
-            ):
+            for index, item in enumerate(batch.data_items):
                 short = batched and (index > 0 or n_compute > 0)
                 finish, resp = self._serve_item(
-                    at, key, tuple_id, route, params,
-                    execute_here=False, short_seek=short,
+                    at, item, execute_here=False, short_seek=short,
                 )
                 response_items.append(resp)
                 if finish > ready_at:
                     ready_at = finish
                 self.cluster.sim.schedule_at(finish, done_data)
 
-        if block is not None:
-            response = BatchResponse(
-                src=self.node_id, dst=src, block=block,
-                request_id=batch.request_id,
-            )
-        else:
-            response = BatchResponse(
-                src=self.node_id, dst=src, items=response_items,
-                request_id=batch.request_id,
-            )
+        response = BatchResponse(
+            src=self.node_id, dst=src, items=response_items,
+            request_id=batch.request_id,
+        )
         self._items_served += len(batch)
         if batch.request_id is not None:
             self._response_cache[batch.request_id] = response
@@ -485,19 +427,11 @@ class DataNodeServer:
     def _serve_item(
         self,
         at: float,
-        key,
-        tuple_id: int,
-        route,
-        req_params,
+        item: RequestItem,
         execute_here: bool,
         short_seek: bool,
     ) -> tuple[float, ResponseItem]:
-        """Serve one request given its fields as scalars.
-
-        Taking scalars (rather than a :class:`RequestItem`) lets the
-        caller iterate a columnar block's columns directly; the item
-        path destructures into the same arguments.
-        """
+        key = item.key
         row = self.kvstore.table.get_or_none(key)
         if row is None:
             raise KeyError(
@@ -559,7 +493,7 @@ class DataNodeServer:
             payload = self.udf.result_size
             if self.udf.apply_fn is not None:
                 # Real execution: the coprocessor computes f'(k, p, v).
-                value = self.udf.apply(key, req_params, row.value)
+                value = self.udf.apply(key, item.params, row.value)
             else:
                 value = row.value  # timing sim: carry the raw value through
         else:
@@ -583,14 +517,14 @@ class DataNodeServer:
         )
         response = ResponseItem(
             key=key,
-            tuple_id=tuple_id,
-            route=route,
+            tuple_id=item.tuple_id,
+            route=item.route,
             computed=execute_here,
             value=value,
             payload_size=payload,
             cost_params=params,
             updated_at=row.updated_at,
-            params=None if execute_here else req_params,
+            params=None if execute_here else item.params,
         )
         return finish, response
 
@@ -648,11 +582,10 @@ class DataNodeServer:
         udfs = 0
 
         for compute_pass in (True, False):
-            entries = (
-                batch.compute_entries() if compute_pass else batch.data_entries()
-            )
+            items = batch.compute_items if compute_pass else batch.data_items
             index = 0
-            for key, tuple_id, route, req_params in entries:
+            for item in items:
+                key = item.key
                 row = table_get(key)
                 if row is None:
                     raise KeyError(
@@ -718,7 +651,7 @@ class DataNodeServer:
                         sr._observations += 1
                     payload = result_size
                     if apply_fn is not None:
-                        value = apply_fn(key, req_params, row.value)
+                        value = apply_fn(key, item.params, row.value)
                     else:
                         value = row.value
                     executed = True
@@ -754,14 +687,14 @@ class DataNodeServer:
                 append(
                     ResponseItem(
                         key=key,
-                        tuple_id=tuple_id,
-                        route=route,
+                        tuple_id=item.tuple_id,
+                        route=item.route,
                         computed=executed,
                         value=value,
                         payload_size=payload,
                         cost_params=params,
                         updated_at=row.updated_at,
-                        params=None if executed else req_params,
+                        params=None if executed else item.params,
                     )
                 )
                 if finish > ready_at:
@@ -771,201 +704,6 @@ class DataNodeServer:
                 else:
                     schedule(finish, done_data)
                 index += 1
-        self._udfs_executed += udfs
-        return ready_at
-
-    def _serve_block_fast(
-        self,
-        at: float,
-        batch: BatchRequest,
-        d: int,
-        src: int,
-        n_compute: int,
-        batched: bool,
-        block: ResponseBlock,
-    ) -> float | None:
-        """Columnar serving kernel filling a :class:`ResponseBlock`.
-
-        Array-at-a-time form of :meth:`_serve_batch_fast` for the
-        no-block-cache case: a gather pass materializes the batch's
-        row/size/seek columns, the capacity-1 disk's reservations
-        collapse into one :func:`repro.vector.kernels.serial_chain`
-        (``finish[i] = finish[i-1] + service[i]`` — exactly the per-item
-        peek + ``heapreplace`` recurrence), and per-item responses are
-        appended to the block's columns instead of allocating a
-        ``CostParameters`` + ``ResponseItem`` pair per tuple.  The CPU
-        is a multi-server heap, so its reservations stay per item; disk
-        and CPU are independent resources and each item's CPU start
-        depends only on its own disk finish, so running the whole disk
-        pass first is value-identical to the interleaved order.
-        Resource accounting folds stay sequential Python loops (numpy
-        reductions round differently).  Returns ``None`` — before any
-        mutation — if a zero-size row is present, which the reference
-        path would admit into the (zero-byte) block cache.
-        """
-        sim = self.cluster.sim
-        schedule = sim.schedule_call
-        table = self.kvstore.table
-        table_get = table.get_or_none
-        spec = self._node.spec
-        slow = self.speed_factor(at)
-        udf = self.udf
-        cost_fn = udf.cost_fn
-        apply_fn = udf.apply_fn
-        overhead = self.per_item_overhead
-        disk = self._node.disk
-        cpu = self._node.cpu
-        disk_free = disk._free
-        cpu_free = cpu._free
-        sr = self._sojourn_ratio
-        sr_a = sr.alpha
-        sr_b = 1.0 - sr_a
-        full_seek = spec.disk_seek
-        short_seek = full_seek * self.batched_seek_factor
-        key_size = udf.key_size
-        result_size = udf.result_size
-        done_kept, done_bounced, done_data = self._completion_callbacks(src)
-
-        # Gather pass (no mutation): aligned columns for the whole
-        # batch, compute entries first then data entries — serve order.
-        keys: list = []
-        tuple_ids: list[int] = []
-        routes: list = []
-        req_params: list = []
-        rows: list = []
-        sizes: list[float] = []
-        seeks: list[float] = []
-        n_comp = 0
-        for key, tuple_id, route, params in batch.compute_entries():
-            row = table_get(key)
-            if row is None:
-                raise KeyError(
-                    f"key {key!r} not found in table {table.name!r}"
-                )
-            if row.size <= 0:
-                return None
-            keys.append(key)
-            tuple_ids.append(tuple_id)
-            routes.append(route)
-            req_params.append(params)
-            rows.append(row)
-            sizes.append(row.size)
-            seeks.append(short_seek if (batched and n_comp > 0) else full_seek)
-            n_comp += 1
-        index = 0
-        for key, tuple_id, route, params in batch.data_entries():
-            row = table_get(key)
-            if row is None:
-                raise KeyError(
-                    f"key {key!r} not found in table {table.name!r}"
-                )
-            if row.size <= 0:
-                return None
-            keys.append(key)
-            tuple_ids.append(tuple_id)
-            routes.append(route)
-            req_params.append(params)
-            rows.append(row)
-            sizes.append(row.size)
-            short = batched and (index > 0 or n_compute > 0)
-            seeks.append(short_seek if short else full_seek)
-            index += 1
-        n = len(keys)
-        if n == 0:
-            return at
-
-        # Disk pass: elementwise service times, then one serial chain
-        # on the single disk arm.  Accounting folds mirror the per-item
-        # ``+=`` sequence (same terms, same order, scalar floats).
-        disk_times = disk_service_times(seeks, sizes, spec.disk_bandwidth, slow)
-        base = disk_free[0]
-        if not base > at:
-            base = at
-        finishes = serial_chain(base, disk_times)
-        busy = disk._busy_time
-        wait = disk._total_wait
-        prev = base
-        for i in range(n):
-            busy += disk_times[i]
-            wait += prev - at
-            prev = finishes[i]
-        disk._busy_time = busy
-        disk._total_wait = wait
-        disk._requests += n
-        last = finishes[n - 1]
-        disk_free[0] = last
-        if last > disk._last_finish:
-            disk._last_finish = last
-
-        # CPU + response pass: per item (multi-server heap, opaque UDF),
-        # appending straight into the block's columns.
-        append = block.append
-        ready_at = at
-        udfs = 0
-        for i in range(n):
-            row = rows[i]
-            disk_done = finishes[i]
-            service = cost_fn(row) if cost_fn is not None else row.compute_cost
-            executed = i < d and i < n_comp
-            if executed:
-                cpu_time = (row.hydration_cost + service + overhead) * slow
-                earliest = cpu_free[0]
-                cstart = earliest if earliest > disk_done else disk_done
-                finish = cstart + cpu_time
-                heapreplace(cpu_free, finish)
-                cpu._requests += 1
-                cpu._busy_time += cpu_time
-                cpu._total_wait += cstart - disk_done
-                if finish > cpu._last_finish:
-                    cpu._last_finish = finish
-                udfs += 1
-                if cpu_time > 0:
-                    x = (finish - disk_done) / cpu_time
-                    sr._value = sr_a * x + sr_b * sr._value
-                    sr._observations += 1
-                payload = result_size
-                if apply_fn is not None:
-                    value = apply_fn(keys[i], req_params[i], row.value)
-                else:
-                    value = row.value
-            else:
-                cpu_time = overhead * slow
-                earliest = cpu_free[0]
-                cstart = earliest if earliest > disk_done else disk_done
-                finish = cstart + cpu_time
-                heapreplace(cpu_free, finish)
-                cpu._requests += 1
-                cpu._busy_time += cpu_time
-                cpu._total_wait += cstart - disk_done
-                if finish > cpu._last_finish:
-                    cpu._last_finish = finish
-                payload = key_size + row.size
-                value = row.value
-            srv = sr._value
-            ratio = srv if srv > 1.0 else 1.0
-            waited = disk_done - at
-            dt = disk_times[i]
-            append(
-                keys[i],
-                tuple_ids[i],
-                routes[i],
-                executed,
-                value,
-                payload,
-                row.size,
-                (service + row.hydration_cost) * ratio,
-                waited if waited >= dt else dt,
-                service,
-                row.hydration_cost,
-                row.updated_at,
-                None if executed else req_params[i],
-            )
-            if finish > ready_at:
-                ready_at = finish
-            if i < n_comp:
-                schedule(finish, done_kept if executed else done_bounced)
-            else:
-                schedule(finish, done_data)
         self._udfs_executed += udfs
         return ready_at
 

@@ -11,7 +11,7 @@ sparklite join executor).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Hashable
 
 from repro.core.cost_model import CostParameters
@@ -77,7 +77,12 @@ class RequestKind(enum.Enum):
     DATA = "data"  # fetch the stored value for caching
 
 
-@dataclass(frozen=True, slots=True)
+# RequestItem, ResponseItem and CostParameters are allocated once per
+# remote tuple — the three allocations of the request path.  They are
+# values nobody mutates (retries, replays and hedges share them), but
+# deliberately not ``frozen=True``: a frozen dataclass assigns every
+# field through ``object.__setattr__``, 2-2.5x the construction cost.
+@dataclass(slots=True)
 class RequestItem:
     """One ``(k, p)`` request inside a batch."""
 
@@ -92,86 +97,12 @@ class RequestItem:
         return self.kind is RequestKind.COMPUTE
 
 
-class RequestBlock:
-    """Columnar encoding of one request batch (structure of arrays).
-
-    The optimized hot path keeps a batch as parallel ``keys`` /
-    ``routes`` / ``tuple_ids`` / ``params`` lists instead of one
-    :class:`RequestItem` dataclass per tuple — the batch buffer appends
-    scalars, the transport forwards the block untouched, and the data
-    node iterates the columns directly, so no per-tuple envelope object
-    is ever allocated on the request path.  All entries share one
-    :class:`RequestKind` (buffers are per-kind queues).  The reference
-    path (``REPRO_PERF_REFERENCE=1``) keeps shipping ``RequestItem``
-    lists; both encodings carry exactly the same fields, priced and
-    served identically.
-    """
-
-    __slots__ = ("kind", "keys", "routes", "tuple_ids", "params")
-
-    def __init__(
-        self,
-        kind: RequestKind,
-        keys: list[Hashable] | None = None,
-        routes: list[Route] | None = None,
-        tuple_ids: list[int] | None = None,
-        params: list[Any] | None = None,
-    ) -> None:
-        self.kind = kind
-        self.keys: list[Hashable] = [] if keys is None else keys
-        self.routes: list[Route] = [] if routes is None else routes
-        self.tuple_ids: list[int] = [] if tuple_ids is None else tuple_ids
-        self.params: list[Any] = [] if params is None else params
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def append(
-        self, key: Hashable, route: Route, tuple_id: int, params: Any = None
-    ) -> None:
-        """Append one request as scalars (no envelope allocation)."""
-        self.keys.append(key)
-        self.routes.append(route)
-        self.tuple_ids.append(tuple_id)
-        self.params.append(params)
-
-    def entries(self):
-        """Iterate ``(key, tuple_id, route, params)`` tuples."""
-        return zip(self.keys, self.tuple_ids, self.routes, self.params)
-
-    def to_items(self) -> list[RequestItem]:
-        """Materialize the block as :class:`RequestItem` objects."""
-        return [
-            RequestItem(key=k, kind=self.kind, route=r, tuple_id=t, params=p)
-            for k, t, r, p in self.entries()
-        ]
-
-    @classmethod
-    def from_items(cls, kind: RequestKind, items: list[RequestItem]) -> "RequestBlock":
-        """Columnarize an item list (items must all be of ``kind``)."""
-        return cls(
-            kind,
-            keys=[i.key for i in items],
-            routes=[i.route for i in items],
-            tuple_ids=[i.tuple_id for i in items],
-            params=[i.params for i in items],
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"RequestBlock(kind={self.kind.name}, n={len(self.keys)})"
-
-
 @dataclass(slots=True)
 class BatchRequest:
     """A batch of requests from one compute node to one data node.
 
     Carries the compute node's queue statistics (Appendix C) so the
-    data node can balance load without an extra round trip.  A batch
-    carries its requests either as item lists (``compute_items`` /
-    ``data_items``) or as one columnar :class:`RequestBlock` per kind
-    (``compute_block`` / ``data_block``); the serving side iterates
-    whichever is populated via :meth:`compute_entries` /
-    :meth:`data_entries`.
+    data node can balance load without an extra round trip.
     """
 
     src: int
@@ -188,51 +119,18 @@ class BatchRequest:
     request_id: str | None = None
     #: Retry attempt number, 0 for the first transmission.
     attempt: int = 0
-    #: Columnar alternatives to the item lists (optimized hot path).
-    compute_block: RequestBlock | None = None
-    data_block: RequestBlock | None = None
-
-    @property
-    def n_compute(self) -> int:
-        """Number of compute requests, whichever encoding carries them."""
-        n = len(self.compute_items)
-        if self.compute_block is not None:
-            n += len(self.compute_block)
-        return n
-
-    @property
-    def n_data(self) -> int:
-        """Number of data requests, whichever encoding carries them."""
-        n = len(self.data_items)
-        if self.data_block is not None:
-            n += len(self.data_block)
-        return n
-
-    def compute_entries(self):
-        """Iterate compute requests as ``(key, tuple_id, route, params)``."""
-        if self.compute_block is not None:
-            return self.compute_block.entries()
-        return (
-            (i.key, i.tuple_id, i.route, i.params) for i in self.compute_items
-        )
-
-    def data_entries(self):
-        """Iterate data requests as ``(key, tuple_id, route, params)``."""
-        if self.data_block is not None:
-            return self.data_block.entries()
-        return ((i.key, i.tuple_id, i.route, i.params) for i in self.data_items)
 
     def __len__(self) -> int:
-        return self.n_compute + self.n_data
+        return len(self.compute_items) + len(self.data_items)
 
     def request_bytes(self, key_size: float, param_size: float) -> float:
         """Bytes on the wire for this batch."""
-        compute_bytes = self.n_compute * (key_size + param_size)
-        data_bytes = self.n_data * key_size
+        compute_bytes = len(self.compute_items) * (key_size + param_size)
+        data_bytes = len(self.data_items) * key_size
         return compute_bytes + data_bytes
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ResponseItem:
     """One response inside a batch response.
 
@@ -258,193 +156,29 @@ class ResponseItem:
     params: Any = None
 
 
-class ResponseBlock:
-    """Columnar encoding of one batch response (structure of arrays).
-
-    The optimized serving kernel fills aligned per-item columns instead
-    of allocating one :class:`ResponseItem` (plus its
-    :class:`~repro.core.cost_model.CostParameters`) per tuple, and the
-    compute node's batch handler folds the columns directly.  The four
-    cost-parameter fields that are constant across a server's responses
-    (``param_size``, ``key_size``, ``computed_size``, ``node_id``) are
-    stored once on the block.  :meth:`to_items` materializes the
-    classic item list when introspection needs it; both encodings carry
-    exactly the same fields.
-    """
-
-    __slots__ = (
-        "keys", "tuple_ids", "routes", "computed", "values",
-        "payload_sizes", "value_sizes", "compute_times", "disk_times",
-        "cpu_service_times", "hydration_times", "updated_ats", "params",
-        "param_size", "key_size", "computed_size", "node_id",
-    )
-
-    def __init__(
-        self,
-        param_size: float = 0.0,
-        key_size: float = 8.0,
-        computed_size: float = 0.0,
-        node_id: int = -1,
-    ) -> None:
-        self.param_size = param_size
-        self.key_size = key_size
-        self.computed_size = computed_size
-        self.node_id = node_id
-        self.keys: list[Hashable] = []
-        self.tuple_ids: list[int] = []
-        self.routes: list[Route] = []
-        self.computed: list[bool] = []
-        self.values: list[Any] = []
-        self.payload_sizes: list[float] = []
-        self.value_sizes: list[float] = []
-        self.compute_times: list[float] = []
-        self.disk_times: list[float] = []
-        self.cpu_service_times: list[float] = []
-        self.hydration_times: list[float] = []
-        self.updated_ats: list[float] = []
-        self.params: list[Any] = []
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def append(
-        self,
-        key: Hashable,
-        tuple_id: int,
-        route: Route,
-        computed: bool,
-        value: Any,
-        payload_size: float,
-        value_size: float,
-        compute_time: float,
-        disk_time: float,
-        cpu_service_time: float,
-        hydration_time: float,
-        updated_at: float,
-        params: Any,
-    ) -> None:
-        """Append one response as scalars (no envelope allocation)."""
-        self.keys.append(key)
-        self.tuple_ids.append(tuple_id)
-        self.routes.append(route)
-        self.computed.append(computed)
-        self.values.append(value)
-        self.payload_sizes.append(payload_size)
-        self.value_sizes.append(value_size)
-        self.compute_times.append(compute_time)
-        self.disk_times.append(disk_time)
-        self.cpu_service_times.append(cpu_service_time)
-        self.hydration_times.append(hydration_time)
-        self.updated_ats.append(updated_at)
-        self.params.append(params)
-
-    def cost_params_at(self, index: int) -> CostParameters:
-        """Materialize one item's :class:`CostParameters`."""
-        return CostParameters(
-            key=self.keys[index],
-            value_size=self.value_sizes[index],
-            compute_time=self.compute_times[index],
-            disk_time=self.disk_times[index],
-            param_size=self.param_size,
-            key_size=self.key_size,
-            computed_size=self.computed_size,
-            node_id=self.node_id,
-            cpu_service_time=self.cpu_service_times[index],
-            hydration_time=self.hydration_times[index],
-        )
-
-    def to_items(self) -> list[ResponseItem]:
-        """Materialize the block as :class:`ResponseItem` objects."""
-        return [
-            ResponseItem(
-                key=self.keys[i],
-                tuple_id=self.tuple_ids[i],
-                route=self.routes[i],
-                computed=self.computed[i],
-                value=self.values[i],
-                payload_size=self.payload_sizes[i],
-                cost_params=self.cost_params_at(i),
-                updated_at=self.updated_ats[i],
-                params=self.params[i],
-            )
-            for i in range(len(self.keys))
-        ]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"ResponseBlock(node={self.node_id}, n={len(self.keys)})"
-
-
+@dataclass(slots=True)
 class BatchResponse:
-    """A batch of responses from one data node to one compute node.
+    """A batch of responses from one data node to one compute node."""
 
-    Carries its responses either as a :class:`ResponseItem` list or as
-    one columnar :class:`ResponseBlock` (the optimized serving path).
-    ``items`` on a block-backed response materializes (and caches) the
-    item list, so introspection and the reference-mode handlers see the
-    same shape either way.
-    """
-
-    __slots__ = ("src", "dst", "request_id", "replayed", "block", "_items")
-
-    def __init__(
-        self,
-        src: int,
-        dst: int,
-        items: list[ResponseItem] | None = None,
-        request_id: str | None = None,
-        replayed: bool = False,
-        block: ResponseBlock | None = None,
-    ) -> None:
-        self.src = src
-        self.dst = dst
-        #: Columnar alternative to the item list (optimized hot path).
-        self.block = block
-        if items is None and block is None:
-            items = []
-        self._items = items
-        #: Echo of the request's idempotency token; the compute node
-        #: drops any response whose id it has already accepted (late
-        #: originals after a retry, network-duplicated responses).
-        self.request_id = request_id
-        #: True when this response was replayed from the data node's
-        #: idempotency cache rather than served fresh.
-        self.replayed = replayed
-
-    @property
-    def items(self) -> list[ResponseItem]:
-        """Responses as items (materialized from the block on demand)."""
-        if self._items is None:
-            assert self.block is not None
-            self._items = self.block.to_items()
-        return self._items
+    src: int
+    dst: int
+    items: list[ResponseItem] = field(default_factory=list)
+    #: Echo of the request's idempotency token; the compute node drops
+    #: any response whose id it has already accepted (late originals
+    #: after a retry, network-duplicated responses).
+    request_id: str | None = None
+    #: True when this response was replayed from the data node's
+    #: idempotency cache rather than served fresh.
+    replayed: bool = False
 
     def __len__(self) -> int:
-        if self.block is not None:
-            return len(self.block)
-        assert self._items is not None
-        return len(self._items)
+        return len(self.items)
 
     def with_src(self, src: int) -> "BatchResponse":
         """Shallow copy with a rewritten source node id."""
-        return BatchResponse(
-            src=src,
-            dst=self.dst,
-            items=self._items,
-            request_id=self.request_id,
-            replayed=self.replayed,
-            block=self.block,
-        )
+        return replace(self, src=src)
 
     @property
     def payload_bytes(self) -> float:
         """Total payload bytes on the wire."""
-        if self.block is not None:
-            return sum(self.block.payload_sizes)
-        assert self._items is not None
-        return sum(item.payload_size for item in self._items)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"BatchResponse(src={self.src}, dst={self.dst}, "
-            f"n={len(self)}, request_id={self.request_id!r})"
-        )
+        return sum(item.payload_size for item in self.items)

@@ -127,10 +127,6 @@ class MuppetJoinSimulation:
     memory_cache_bytes: float = 100e6
     batch_size: int = 64
     max_wait: float = 0.02
-    #: Columnar hot-path knobs passed through to the JoinJob (see
-    #: repro.api.BatchOptions).
-    vector_width: int = 64
-    columnar: bool = True
     block_cache_bytes: float = 0.0
     #: Fault seam passthrough: the stream engine rides the same
     #: runtime kernel (repro.runtime.Transport) as the batch engine,
@@ -170,8 +166,6 @@ class MuppetJoinSimulation:
             sizes=self.sizes,
             batch_size=self.batch_size,
             max_wait=self.max_wait,
-            vector_width=self.vector_width,
-            columnar=self.columnar,
             memory_cache_bytes=self.memory_cache_bytes,
             block_cache_bytes=self.block_cache_bytes,
             fault_schedule=self.fault_schedule,

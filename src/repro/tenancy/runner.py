@@ -135,8 +135,6 @@ class SimRunner:
             sizes=workload.sizes,
             batch_size=cfg.batching.batch_size,
             max_wait=cfg.batching.max_wait,
-            vector_width=cfg.batching.vector_width,
-            columnar=cfg.batching.columnar,
             memory_cache_bytes=cfg.memory_cache_bytes,
             resilience=cfg.resilience if cfg.resilience.enabled else None,
             tenancy=tenancy,

@@ -1,22 +1,19 @@
-"""repro.vector — columnar array-at-a-time kernels for the hot loops.
+"""repro.vector — columnar array-at-a-time kernels.
 
-The per-tuple inner loops (routing, batch serving, response handling)
-spend most of their time in Python frame overhead, not in the decision
-logic.  This package holds the array-at-a-time building blocks those
-loops share:
+What is left after the engine's request path went back to one item
+format (DESIGN.md §14):
 
-* :func:`serial_chain` — finish times of back-to-back reservations on
-  a single-server resource (the data node's disk arm), numpy
-  ``add.accumulate`` when available (sequential float semantics, so the
-  results are bit-identical to the scalar fold).
 * :func:`disk_service_times` — elementwise ``(seek + size/bw) * slow``
-  over aligned seek/size columns.
+  over aligned seek/size columns (spill/unspill pricing of the
+  memory-adaptive build sides).
 * :func:`apply_udf_batch` — one UDF application sweep over aligned
-  key/param/value columns.
-* :class:`~repro.vector.lanes.CacheLanes` /
-  :class:`~repro.vector.lanes.RouteLanes` — the lane-partition result
-  types returned by :meth:`repro.cache.TieredCache.probe_batch` and
-  :meth:`repro.core.optimizer.JoinLocationOptimizer.route_batch`.
+  key/param/value columns (mapreduce, sparklite, LocalBackend and the
+  cluster workers).
+* :func:`ski_rental_lanes` and :class:`~repro.vector.lanes.RouteLanes`
+  — the threshold arithmetic and result type of
+  :meth:`repro.core.optimizer.JoinLocationOptimizer.route_batch`, a
+  kernel no engine calls; it is kept because the repo's benchmark
+  measures it (``core.optimizer.route_batch_us_per_key``).
 
 Every kernel is numpy-when-available with a pure-python columnar
 fallback, and every consumer is gated behind the
@@ -30,17 +27,14 @@ from repro.vector.kernels import (
     HAVE_NUMPY,
     apply_udf_batch,
     disk_service_times,
-    serial_chain,
     ski_rental_lanes,
 )
-from repro.vector.lanes import CacheLanes, RouteLanes
+from repro.vector.lanes import RouteLanes
 
 __all__ = [
     "HAVE_NUMPY",
-    "CacheLanes",
     "RouteLanes",
     "apply_udf_batch",
     "disk_service_times",
-    "serial_chain",
     "ski_rental_lanes",
 ]

@@ -4,13 +4,11 @@ Two rules govern everything in this module:
 
 1. **Bit-identity.**  Each kernel's float results must match the scalar
    reference fold exactly.  That restricts the numpy surface to
-   operations with sequential float semantics: elementwise ufuncs
-   (one IEEE operation per lane, identical to the scalar expression)
-   and ``add.accumulate`` (a strict left-to-right recurrence, unlike
-   ``add.reduce``/``sum`` which use pairwise summation and therefore
-   round differently).  Results are converted back to Python floats
-   with ``tolist()`` so downstream accounting and JSON export never
-   see ``np.float64``.
+   elementwise ufuncs (one IEEE operation per lane, identical to the
+   scalar expression; ``add.reduce``/``sum`` use pairwise summation
+   and therefore round differently).  Results are converted back to
+   Python floats with ``tolist()`` so downstream accounting and JSON
+   export never see ``np.float64``.
 2. **Graceful fallback.**  numpy is an optional accelerator; every
    kernel has a pure-python columnar path producing the same values.
 
@@ -36,32 +34,6 @@ except ImportError:  # pragma: no cover - numpy ships with the package
 _NUMPY_MIN = 32
 
 _INF = float("inf")
-
-
-def serial_chain(base: float, durations: Sequence[float]) -> list[float]:
-    """Finish times of back-to-back reservations on one server.
-
-    Models a ``capacity=1`` :class:`~repro.sim.resources.Resource`
-    receiving requests in order, all with the same ready time at or
-    before ``base``: the i-th request starts when the (i-1)-th
-    finishes, so ``finish[i] = base + d[0] + ... + d[i]`` folded
-    strictly left to right.  ``add.accumulate`` performs exactly that
-    sequential recurrence, so the numpy path is bit-identical to the
-    scalar loop.
-    """
-    n = len(durations)
-    if HAVE_NUMPY and n >= _NUMPY_MIN:
-        chain = _np.empty(n + 1, dtype=_np.float64)
-        chain[0] = base
-        chain[1:] = durations
-        out: list[float] = _np.add.accumulate(chain)[1:].tolist()
-        return out
-    finishes: list[float] = []
-    acc = base
-    for duration in durations:
-        acc = acc + duration
-        finishes.append(acc)
-    return finishes
 
 
 def disk_service_times(

@@ -1,56 +1,16 @@
-"""Lane-partition result types for the columnar probe/route sweeps.
+"""Lane-partition result type for the columnar route sweep.
 
 A *lane* is a list of input positions that took the same branch of a
-per-tuple decision.  The batch kernels classify a whole key column in
-one sweep and return lanes instead of per-tuple objects, so downstream
-code can process each branch array-at-a-time.
-
-The partitions are strict: every input index lands in exactly one lane
-(the hypothesis suite asserts the concatenation is a permutation of
-``range(n)``), and lane order preserves input order within each lane.
+per-tuple decision.  The batch kernel classifies a whole key column in
+one sweep and returns lanes instead of per-tuple objects, so downstream
+code can process each branch array-at-a-time.  Lane order preserves
+input order within each lane.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
-
-
-@dataclass(slots=True)
-class CacheLanes:
-    """Result of :meth:`repro.cache.TieredCache.probe_batch`.
-
-    Partition of ``range(n)`` into four lanes:
-
-    * ``mem_idx`` — memory hits; ``mem_values`` is aligned with it.
-    * ``disk_idx`` — disk hits; ``disk_values`` is aligned with it.
-    * ``ghost_idx`` — the key has an in-flight memory *reservation*
-      (probe-form ``condCacheInMemory`` admitted it but the value has
-      not arrived) and no disk copy.  Scalar ``lookup`` counts these
-      as misses — the value is not usable yet — but routing treats
-      them specially, so they get their own lane.
-    * ``miss_idx`` — not present in any tier.
-    """
-
-    n: int
-    mem_idx: list[int] = field(default_factory=list)
-    mem_values: list[Any] = field(default_factory=list)
-    disk_idx: list[int] = field(default_factory=list)
-    disk_values: list[Any] = field(default_factory=list)
-    ghost_idx: list[int] = field(default_factory=list)
-    miss_idx: list[int] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return self.n
-
-    @property
-    def hit_count(self) -> int:
-        """Indices whose value is locally usable right now."""
-        return len(self.mem_idx) + len(self.disk_idx)
-
-    def all_indices(self) -> list[int]:
-        """Concatenated lanes — a permutation of ``range(n)``."""
-        return self.mem_idx + self.disk_idx + self.ghost_idx + self.miss_idx
 
 
 @dataclass(slots=True)

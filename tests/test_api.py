@@ -7,6 +7,7 @@ re-export must keep resolving, with a ``DeprecationWarning`` naming
 the new import path.
 """
 
+import dataclasses
 import json
 import re
 import warnings
@@ -104,8 +105,11 @@ class TestOptionGroups:
             BatchOptions(batch_size=0)
         with pytest.raises(ValueError, match="max_wait"):
             BatchOptions(max_wait=-1.0)
-        with pytest.raises(ValueError, match="vector_width"):
-            BatchOptions(vector_width=0)
+        # The request path has one batch format; the knobs that used
+        # to pick another are gone, not ignored.
+        assert [f.name for f in dataclasses.fields(BatchOptions)] == [
+            "batch_size", "max_wait",
+        ]
 
     def test_cluster_options_validation(self):
         with pytest.raises(ValueError, match="placement"):
@@ -115,11 +119,11 @@ class TestOptionGroups:
 
     def test_groups_accepted_directly(self):
         config = RunConfig(
-            batching=BatchOptions(batch_size=8, vector_width=128),
+            batching=BatchOptions(batch_size=8, max_wait=0.02),
             cluster=ClusterRunOptions(placement="colocated"),
         )
         assert config.batching.batch_size == 8
-        assert config.batching.vector_width == 128
+        assert config.batching.max_wait == 0.02
         assert config.cluster.placement == "colocated"
 
     def test_flat_kwargs_fold_into_groups_with_warning(self):
@@ -150,10 +154,9 @@ class TestOptionGroups:
 
     def test_with_batching_copies(self):
         config = RunConfig()
-        tuned = config.with_batching(vector_width=256, columnar=False)
-        assert tuned.batching.vector_width == 256
-        assert tuned.batching.columnar is False
-        assert config.batching.vector_width == 64  # original untouched
+        tuned = config.with_batching(max_wait=0.25)
+        assert tuned.batching.max_wait == 0.25
+        assert config.batching.max_wait == 0.005  # original untouched
         assert tuned.batching.batch_size == config.batching.batch_size
 
 

@@ -17,10 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import BatchOptions, JobSpec, RunConfig, run_join
+from repro.api import JobSpec, RunConfig, run_join
+from repro.faults.policy import FaultTolerance
+from repro.faults.schedule import CrashFault, FaultSchedule, MessageChaos
+from repro.memory import MemoryOptions
 from repro.perf.harness import verify_scenario
 from repro.perf.mode import REFERENCE_ENV
 from repro.perf.scenarios import SCENARIOS
+from repro.placement import ElasticOptions
 from repro.runtime.backend import ENGINES
 
 
@@ -51,24 +55,95 @@ def _run(mode: str, spec_kwargs: dict, cfg: RunConfig):
     return report.outputs, report.makespan, report.snapshot, spans
 
 
-def _assert_equivalent(spec_kwargs: dict, cfg: RunConfig) -> None:
+def _assert_equivalent(spec_kwargs: dict, cfg: RunConfig) -> dict:
+    """Both modes agree on every observable; returns the counters."""
     ref = _run("1", spec_kwargs, cfg)
     opt = _run("0", spec_kwargs, cfg)
     assert ref[0] == opt[0], "join outputs diverged"
     assert ref[1] == opt[1], "simulated makespan diverged"
     assert ref[2] == opt[2], "metrics snapshot diverged"
     assert ref[3] == opt[3], "span trees diverged"
+    return opt[2].get("counters", {})
+
+
+_CHAOS = FaultSchedule(
+    seed=5,
+    crashes=(CrashFault(node_id=2, at=0.01, duration=0.6),),
+    chaos=(
+        MessageChaos(
+            at=0.0, duration=3.0,
+            drop=0.15, duplicate=0.1, delay=0.1, max_delay=0.03,
+        ),
+    ),
+)
+_FT = FaultTolerance(request_timeout=0.05, max_retries=1)
+
+#: One plain case per engine, then the branches of the one optimized
+#: request path that a plain run never takes: (config, spec overrides,
+#: counters that must be non-zero so the case keeps exercising what it
+#: claims to).
+_ENGINE_CASES = {
+    **{engine: (dict(engine=engine), {}, ()) for engine in ENGINES},
+    # Hybrid build side armed at the data nodes: hits skip the disk,
+    # spilled partitions pay an unspill, inserts can force a spill.
+    "engine-memory": (
+        dict(
+            engine="engine",
+            memory=MemoryOptions.on(budget_bytes=2e5),
+            memory_cache_bytes=1e5,
+        ),
+        {},
+        ("memory.build_hits", "memory.build_unspill_reads", "memory.spills"),
+    ),
+    # NO: blocking workers, one unbatched request in flight per thread.
+    "engine-blocking": (dict(engine="engine"), dict(strategy="NO"), ()),
+    # Drops, duplicates and a crashed data node: same-id retries,
+    # idempotent replays, and replica fallback (routes rewritten to
+    # DATA_REQUEST_DISK).
+    "engine-chaos": (
+        dict(engine="engine", faults=_CHAOS, fault_tolerance=_FT),
+        {},
+        (
+            "transport.retries", "transport.fallbacks",
+            "transport.duplicate_responses",
+        ),
+    ),
+    # The same chaos while elastic placement moves regions under the
+    # in-flight batches: WrongRegion refusals regroup and resend.
+    "engine-elastic-chaos": (
+        dict(
+            engine="engine",
+            n_compute=3,
+            n_data=3,
+            faults=_CHAOS,
+            fault_tolerance=_FT,
+            memory_cache_bytes=2e4,
+            elastic=ElasticOptions.on(
+                check_interval=0.02,
+                min_observations=16,
+                split_factor=1.5,
+                hot_key_fraction=0.05,
+            ),
+        ),
+        dict(skew=1.5),
+        ("placement.redirects", "transport.retries", "transport.fallbacks"),
+    ),
+}
 
 
 class TestEngineEquivalence:
     """One pinned workload per engine, tracer on."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_engine_matches_reference(self, engine):
-        _assert_equivalent(
-            dict(kind="data_heavy", n_keys=60, n_tuples=300, skew=1.2, seed=11),
-            RunConfig(engine=engine).with_obs(tracing=True),
+    @pytest.mark.parametrize("case", list(_ENGINE_CASES))
+    def test_engine_matches_reference(self, case):
+        cfg_kwargs, spec_kwargs, exercised = _ENGINE_CASES[case]
+        spec = dict(kind="data_heavy", n_keys=60, n_tuples=300, skew=1.2, seed=11)
+        counters = _assert_equivalent(
+            {**spec, **spec_kwargs},
+            RunConfig(**cfg_kwargs).with_obs(tracing=True),
         )
+        for name in exercised:
+            assert counters.get(name, 0) > 0, f"{case} never hit {name}"
 
     def test_compute_heavy_matches_reference(self):
         _assert_equivalent(
@@ -89,55 +164,6 @@ class TestEngineEquivalence:
             ),
             RunConfig(engine="engine").with_obs(tracing=True),
         )
-
-
-class TestVectorEquivalence:
-    """The columnar batch kernels vs the reference scalar loops.
-
-    Reference mode never runs the vector kernels, so each case below
-    is a vector-vs-scalar differential: any batch-kernel divergence —
-    lane partitioning, frozen-threshold reuse, window splitting —
-    shows up as a mismatch in outputs, makespan, metrics or spans.
-    """
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("vector_width", [1, 16, 256])
-    def test_vector_width_matches_reference(self, engine, vector_width):
-        _assert_equivalent(
-            dict(kind="data_heavy", n_keys=60, n_tuples=300, skew=1.5, seed=11),
-            RunConfig(
-                engine=engine,
-                batching=BatchOptions(vector_width=vector_width),
-            ).with_obs(tracing=True),
-        )
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_columnar_off_matches_reference(self, engine):
-        # columnar=False pins the scalar per-tuple algorithms even in
-        # optimized mode; both modes must still agree.
-        _assert_equivalent(
-            dict(kind="data_heavy", n_keys=60, n_tuples=300, skew=1.5, seed=11),
-            RunConfig(
-                engine=engine, batching=BatchOptions(columnar=False)
-            ).with_obs(tracing=True),
-        )
-
-    def test_vector_widths_agree_with_each_other(self):
-        # The width is a blocking factor, not a semantic knob: every
-        # width must give the same optimized-mode observables.
-        spec = dict(kind="data_heavy", n_keys=60, n_tuples=300, skew=1.5, seed=3)
-        runs = [
-            _run(
-                "0",
-                spec,
-                RunConfig(
-                    engine="engine",
-                    batching=BatchOptions(vector_width=width),
-                ).with_obs(tracing=True),
-            )
-            for width in (1, 16, 256)
-        ]
-        assert runs[0] == runs[1] == runs[2]
 
 
 @given(

@@ -5,13 +5,12 @@ Two layers:
 1. Direct kernel differentials — each kernel against its scalar fold,
    with column lengths chosen on both sides of ``_NUMPY_MIN`` so the
    numpy path and the pure-python fallback are both exercised.
-2. Twin-instance sweeps — ``TieredCache.probe_batch`` and
-   ``JoinLocationOptimizer.route_batch`` against a scalar twin driven
-   through ``access_fast`` / ``route_fast`` on identical state, over
-   hypothesis-generated key columns, skews and cache contents.  The
-   batch result must equal the scalar replay element-wise, the lane
-   partition must be a permutation of the input positions, and every
-   counter and policy table must land in the same place.
+2. Twin-instance sweep — ``JoinLocationOptimizer.route_batch``
+   against a scalar twin driven through ``route_fast`` on identical
+   state, over hypothesis-generated key columns, skews and cache
+   contents.  The batch result must equal the scalar replay
+   element-wise, and every counter and policy table must land in the
+   same place.
 """
 
 import math
@@ -19,14 +18,13 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import CacheTier, TieredCache
+from repro.cache import TieredCache
 from repro.core.cost_model import CostModel, CostParameters
 from repro.core.frequency import ExactCounter
 from repro.core.optimizer import JoinLocationOptimizer, Route
 from repro.vector import (
     apply_udf_batch,
     disk_service_times,
-    serial_chain,
     ski_rental_lanes,
 )
 from repro.vector.kernels import _NUMPY_MIN
@@ -43,18 +41,6 @@ _FINITE = st.floats(
 # ----------------------------------------------------------------------
 # Direct kernel differentials
 # ----------------------------------------------------------------------
-@given(base=_FINITE, durations=st.lists(_FINITE, max_size=2 * _NUMPY_MIN))
-@settings(max_examples=60, deadline=None)
-def test_property_serial_chain_matches_scalar_fold(base, durations):
-    got = serial_chain(base, durations)
-    acc = base
-    expected = []
-    for d in durations:
-        acc = acc + d
-        expected.append(acc)
-    assert got == expected  # bit-identical, not approx
-
-
 @given(
     pairs=st.lists(st.tuples(_FINITE, _FINITE), max_size=2 * _NUMPY_MIN),
     bandwidth=_FINITE,
@@ -122,84 +108,6 @@ def test_property_apply_udf_batch_matches_loop(items, with_params):
     else:
         expected = [apply_fn(k, None, v) for k, v in zip(keys, values)]
     assert got == expected
-
-
-# ----------------------------------------------------------------------
-# probe_batch vs a scalar access_fast twin
-# ----------------------------------------------------------------------
-@st.composite
-def cache_workloads(draw):
-    """A cache setup plus a probe column over a small key universe."""
-    n_keys = draw(st.integers(min_value=1, max_value=8))
-    # Per-key placement: absent, memory, reserved (ghost), or disk.
-    placement = [
-        draw(st.sampled_from(["absent", "memory", "ghost", "disk"]))
-        for _ in range(n_keys)
-    ]
-    probes = draw(
-        st.lists(
-            st.tuples(
-                st.integers(0, n_keys - 1),
-                st.floats(min_value=1e-3, max_value=100.0),
-            ),
-            min_size=1,
-            max_size=80,
-        )
-    )
-    return placement, probes
-
-
-def _build_cache(placement):
-    cache = TieredCache(memory_bytes=1e9, disk_bytes=1e9)
-    for key, kind in enumerate(placement):
-        if kind == "memory":
-            assert cache.cond_cache_in_memory(key, ("v", key), 100.0)
-        elif kind == "ghost":
-            # Probe-form admission: reserve the slot, value in flight.
-            assert cache.cond_cache_in_memory(key, None, 100.0)
-        elif kind == "disk":
-            assert cache.add_to_disk(key, ("v", key), 100.0)
-    return cache
-
-
-@given(workload=cache_workloads())
-@settings(max_examples=100, deadline=None)
-def test_property_probe_batch_matches_scalar_access_fast(workload):
-    placement, probes = workload
-    batch_cache = _build_cache(placement)
-    scalar_cache = _build_cache(placement)
-    keys = [k for k, _ in probes]
-    weights = [w for _, w in probes]
-
-    lanes = batch_cache.probe_batch(keys, weights)
-    scalar = [scalar_cache.access_fast(k, w) for k, w in probes]
-
-    # The lane partition is a permutation of the input positions.
-    assert sorted(lanes.all_indices()) == list(range(len(probes)))
-    assert len(lanes) == len(probes)
-
-    # Element-wise classification matches the scalar sweep.
-    for i in lanes.mem_idx:
-        assert scalar[i] is not None and scalar[i][1] is CacheTier.MEMORY
-    for i, value in zip(lanes.mem_idx, lanes.mem_values):
-        assert value == scalar[i][0]
-    for i in lanes.disk_idx:
-        assert scalar[i] is not None and scalar[i][1] is CacheTier.DISK
-    for i, value in zip(lanes.disk_idx, lanes.disk_values):
-        assert value == scalar[i][0]
-    for i in lanes.ghost_idx:
-        assert scalar[i] is None  # in-flight reservation: a scalar miss
-        assert placement[keys[i]] == "ghost"
-    for i in lanes.miss_idx:
-        assert scalar[i] is None
-    assert lanes.hit_count == sum(1 for s in scalar if s is not None)
-
-    # Counters and policy state end up identical.
-    assert batch_cache.stats() == scalar_cache.stats()
-    assert batch_cache.policy._frequency == scalar_cache.policy._frequency
-    assert batch_cache.policy._benefit == scalar_cache.policy._benefit
-    assert batch_cache.memory_keys == scalar_cache.memory_keys
-    assert batch_cache.disk_keys == scalar_cache.disk_keys
 
 
 # ----------------------------------------------------------------------
