@@ -13,8 +13,7 @@ experiment harness per paper figure.
 The curated surface is small: :func:`repro.api.run_join` drives any
 engine from one call, :mod:`repro.obs` observes it, and the core
 routing-decision types parameterize it.  Everything else lives in its
-subpackage (``repro.engine``, ``repro.sim``, ``repro.store``, ...);
-the old top-level re-exports still resolve but warn.
+subpackage (``repro.engine``, ``repro.sim``, ``repro.store``, ...).
 
 Quick start
 -----------
@@ -78,71 +77,9 @@ __all__ = [
     "run_join",
 ]
 
-#: Legacy top-level re-exports, kept importable through ``__getattr__``
-#: below.  Each maps to the subpackage that owns the name today.
-#:
-#: Pruned to the names users actually reached for at the top level —
-#: the documented entry points of each subpackage.  Internal plumbing
-#: types (``BatchBuffer``, ``ResultHashMap``, ``SmoothedValue``,
-#: ``RuntimeMetrics``, ...) no longer resolve here; import them from
-#: their owning subpackage directly.
-_DEPRECATED = {
-    # repro.core / repro.placement
-    "BatchLoadBalancer": "repro.placement",
-    "ExactCounter": "repro.core",
-    "LossyCounter": "repro.core",
-    "buy_threshold": "repro.core",
-    "competitive_ratio": "repro.core",
-    # repro.cache
-    "CacheTier": "repro.cache",
-    "LFUDAPolicy": "repro.cache",
-    "TieredCache": "repro.cache",
-    # repro.sim
-    "Cluster": "repro.sim",
-    "Network": "repro.sim",
-    "Simulator": "repro.sim",
-    # repro.store
-    "DataNodeServer": "repro.store",
-    "HashPartitioner": "repro.store",
-    "KVStore": "repro.store",
-    "RangePartitioner": "repro.store",
-    "RegionMap": "repro.store",
-    "Row": "repro.store",
-    "Table": "repro.store",
-    # repro.engine
-    "JoinJob": "repro.engine",
-    # repro.runtime
-    "JoinWorkload": "repro.runtime",
-    "LocalBackend": "repro.runtime",
-    "ShuffleChannel": "repro.runtime",
-    "SimBackend": "repro.runtime",
-    "Transport": "repro.runtime",
-}
-
-
-def __getattr__(name: str):
-    """Resolve legacy re-exports with a deprecation warning.
-
-    Deliberately does not cache the attribute into module globals, so
-    the warning machinery (not this module) decides how often to warn.
-    """
-    module_path = _DEPRECATED.get(name)
-    if module_path is None:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    import importlib
-    import warnings
-
-    warnings.warn(
-        f"importing {name!r} from 'repro' is deprecated; use "
-        f"'from {module_path} import {name}' instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(module_path), name)
-
 
 def __dir__() -> list:
-    return sorted([*__all__, *_DEPRECATED])
+    return sorted(__all__)
 
 
 def quickstart_demo(

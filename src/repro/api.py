@@ -25,13 +25,12 @@ answer" and "why did it cost what it cost".
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Hashable
 
 from repro.placement.batch import SizeProfile
 from repro.placement.options import ElasticOptions
-from repro.engine.elastic import MembershipEvent
+from repro.engine.job import MembershipEvent, replay_membership
 from repro.faults.policy import FaultTolerance
 from repro.faults.schedule import FaultSchedule
 from repro.memory.options import MemoryOptions
@@ -135,11 +134,7 @@ class JobSpec:
 
 @dataclass(frozen=True)
 class BatchOptions:
-    """Request batching knobs (Section 7.2).
-
-    Groups what used to be the flat ``RunConfig.batch_size`` /
-    ``max_wait`` kwargs.
-    """
+    """Request batching knobs (Section 7.2)."""
 
     #: Requests buffered per data node before a batch is flushed.
     batch_size: int = 16
@@ -157,9 +152,7 @@ class BatchOptions:
 class ClusterRunOptions:
     """Cluster-backend process topology knobs.
 
-    Groups what used to be the flat ``RunConfig.placement`` /
-    ``startup_timeout`` kwargs.  Ignored by the sim and local
-    backends.
+    Ignored by the sim and local backends.
     """
 
     #: ``split`` (dedicated compute and data processes) or
@@ -178,25 +171,14 @@ class ClusterRunOptions:
             raise ValueError("startup_timeout must be positive")
 
 
-def _deprecated_kwarg(flat: str, group: str, option: str) -> None:
-    warnings.warn(
-        f"RunConfig({flat}=...) is deprecated; pass "
-        f"RunConfig({group}={option}) instead",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """How to run a :class:`JobSpec`.
 
     Cross-cutting knobs are grouped into option dataclasses
-    (``batching``, ``cluster``, ``resilience``, ``elastic``, ``obs``).
-    The pre-group flat kwargs (``batch_size``, ``max_wait``,
-    ``placement``, ``startup_timeout``) are still accepted but
-    deprecated: ``__post_init__`` folds them into the matching group
-    with a :class:`DeprecationWarning`.
+    (``batching``, ``cluster``, ``resilience``, ``elastic``, ``memory``,
+    ``tenancy``, ``obs``).  A combination the chosen engine and backend
+    cannot honour is rejected here, at construction.
     """
 
     #: Execution layer (see :data:`repro.runtime.backend.ENGINES`);
@@ -227,8 +209,10 @@ class RunConfig:
     #: ``ElasticOptions.off()`` (the default) wires nothing — the run
     #: is bit-identical to the static region map.
     elastic: ElasticOptions = field(default_factory=ElasticOptions)
-    #: Mid-run compute-membership changes (``engine`` on ``sim`` only);
-    #: non-empty routes the run through :class:`ElasticJoinJob`.
+    #: Mid-run compute-membership changes (``engine`` on ``sim`` only)
+    #: over nodes ``range(n_compute)``: a node whose first event is an
+    #: "add" sits out until it fires, everything else runs from time
+    #: zero.  Composes with every other option group.
     membership: tuple[MembershipEvent, ...] = ()
     #: Memory-adaptive execution: per-node budget arbiter, spilling
     #: hybrid-hash build sides, budgeted shuffle buffers, optional
@@ -246,18 +230,8 @@ class RunConfig:
     tenancy: TenancyOptions = field(default_factory=TenancyOptions)
     #: Observability knobs.
     obs: ObsOptions = field(default_factory=ObsOptions)
-    #: Deprecated flat kwargs — use ``batching=BatchOptions(...)`` /
-    #: ``cluster=ClusterRunOptions(...)``.  ``None`` means "not
-    #: passed"; any other value is folded into the group above (with a
-    #: DeprecationWarning) and the field reset to ``None``, so copies
-    #: via ``dataclasses.replace`` do not re-warn.
-    batch_size: int | None = None
-    max_wait: float | None = None
-    placement: str | None = None
-    startup_timeout: float | None = None
 
     def __post_init__(self) -> None:
-        self._fold_deprecated()
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
@@ -272,51 +246,12 @@ class RunConfig:
                 f"ignores engine={self.engine!r}; drop the engine argument "
                 "or use backend='sim' / backend='cluster'"
             )
-        if self.membership and (
-            self.backend != "sim" or self.engine != "engine"
-        ):
-            raise ValueError(
-                "membership events require backend='sim', engine='engine'"
-            )
-
-    def _fold_deprecated(self) -> None:
-        """Normalize deprecated flat kwargs into their option groups."""
-        batch_changes: dict[str, Any] = {}
-        if self.batch_size is not None:
-            _deprecated_kwarg(
-                "batch_size", "batching", "BatchOptions(batch_size=...)"
-            )
-            batch_changes["batch_size"] = self.batch_size
-        if self.max_wait is not None:
-            _deprecated_kwarg(
-                "max_wait", "batching", "BatchOptions(max_wait=...)"
-            )
-            batch_changes["max_wait"] = self.max_wait
-        if batch_changes:
-            object.__setattr__(
-                self, "batching", replace(self.batching, **batch_changes)
-            )
-            object.__setattr__(self, "batch_size", None)
-            object.__setattr__(self, "max_wait", None)
-        cluster_changes: dict[str, Any] = {}
-        if self.placement is not None:
-            _deprecated_kwarg(
-                "placement", "cluster", "ClusterRunOptions(placement=...)"
-            )
-            cluster_changes["placement"] = self.placement
-        if self.startup_timeout is not None:
-            _deprecated_kwarg(
-                "startup_timeout",
-                "cluster",
-                "ClusterRunOptions(startup_timeout=...)",
-            )
-            cluster_changes["startup_timeout"] = self.startup_timeout
-        if cluster_changes:
-            object.__setattr__(
-                self, "cluster", replace(self.cluster, **cluster_changes)
-            )
-            object.__setattr__(self, "placement", None)
-            object.__setattr__(self, "startup_timeout", None)
+        if self.membership:
+            if self.backend != "sim" or self.engine != "engine":
+                raise ValueError(
+                    "membership events require backend='sim', engine='engine'"
+                )
+            replay_membership(range(self.n_compute), self.membership)
 
     def with_obs(self, **changes: Any) -> "RunConfig":
         """Copy with updated :class:`ObsOptions` fields."""

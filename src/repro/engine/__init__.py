@@ -13,7 +13,8 @@ parallel data store (:mod:`repro.store`):
 * :mod:`repro.engine.strategies` — the NO/FC/FD/FR/CO/LO/FO
   configurations evaluated in Section 9,
 * :mod:`repro.engine.compute_node` — the simulated compute node,
-* :mod:`repro.engine.job` — batch/streaming job drivers and metrics,
+* :mod:`repro.engine.job` — batch/streaming job drivers, mid-run
+  compute-node membership, and metrics,
 * :mod:`repro.engine.multi_join` — pipelined multi-join stages
   (Section 6).
 """
@@ -30,9 +31,14 @@ from repro.engine.batching import AdaptiveBatchBuffer, BatchBuffer
 from repro.engine.prefetch import PostMapRunner, PreMapRunner, ResultHashMap
 from repro.engine.strategies import Strategy, StrategyConfig
 from repro.engine.compute_node import ComputeNodeRuntime
-from repro.engine.job import JoinJob, JobResult, RateRunResult, StreamResult
+from repro.engine.job import (
+    JoinJob,
+    JobResult,
+    MembershipEvent,
+    RateRunResult,
+    StreamResult,
+)
 from repro.engine.multi_join import JoinStageSpec, MultiJoinJob
-from repro.engine.elastic import ElasticJoinJob, ElasticResult, MembershipEvent
 
 __all__ = [
     "BatchRequest",
@@ -54,8 +60,6 @@ __all__ = [
     "RateRunResult",
     "StreamResult",
     "JoinStageSpec",
-    "ElasticJoinJob",
-    "ElasticResult",
     "MembershipEvent",
     "MultiJoinJob",
 ]

@@ -55,7 +55,6 @@ from repro.store.kvstore import KVStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.memory.budget import MemoryBudget
-    from repro.metrics.trace import FaultTrace, RoutingTrace
     from repro.tenancy.options import TenancyOptions
 
 
@@ -120,10 +119,8 @@ class ComputeNodeRuntime:
         fixed_threshold: float | None = None,
         reset_count_on_update: bool = True,
         update_notifications: bool = False,
-        trace: "RoutingTrace | None" = None,
         adaptive_batching: bool = False,
         fault_tolerance: FaultTolerance | None = None,
-        fault_trace: "FaultTrace | None" = None,
         tracer: Tracer = NO_TRACER,
         obs_parent: Span | None = None,
         resilience: ResilienceOptions | None = None,
@@ -146,8 +143,6 @@ class ComputeNodeRuntime:
         # invalidation on update; otherwise staleness is detected via
         # the timestamps piggybacked on compute responses.
         self.update_notifications = update_notifications
-        #: Optional decision recorder (repro.metrics.trace).
-        self.trace = trace
         #: Span tracer and the job span routing/batch records nest under.
         self.tracer = tracer
         self.obs_parent = obs_parent
@@ -238,7 +233,6 @@ class ComputeNodeRuntime:
         # its policy via callbacks.
         # ------------------------------------------------------------------
         self.fault_tolerance = fault_tolerance
-        self.fault_trace = fault_trace
         self.transport = Transport(
             cluster,
             node_id,
@@ -258,7 +252,6 @@ class ComputeNodeRuntime:
             on_timeout=self.cost_model.observe_timeout,
             on_abandon=self._on_abandon,
             fault_tolerance=fault_tolerance,
-            fault_trace=fault_trace,
             tracer=tracer,
         )
         # Exactly-once dispatch guard: under fallback, one tuple can be
@@ -334,7 +327,7 @@ class ComputeNodeRuntime:
         # chain.  The decision sequence and all side effects are
         # identical to the reference path.
         # ------------------------------------------------------------------
-        self._recording = trace is not None or tracer.enabled
+        self._recording = tracer.enabled
         self._dst_cache: dict[Hashable, int] = {}
         self._dst_gen = -1
         if (
@@ -443,10 +436,6 @@ class ComputeNodeRuntime:
     # Routing
     # ------------------------------------------------------------------
     def _record(self, tuple_id: int, key: Hashable, route: str) -> None:
-        if self.trace is not None:
-            self.trace.record(
-                self.cluster.sim.now, self.node_id, tuple_id, key, route
-            )
         if self.tracer.enabled:
             self.tracer.event(
                 "route",

@@ -11,12 +11,20 @@ Batch jobs (Hadoop-style, Figure 5/8) report the **makespan**;
 streaming jobs (Muppet-style, Figures 6/11) report **throughput** —
 the paper's "number of input tuples processed per unit time" under
 saturation feeding.
+
+Compute nodes hold no join state — only transiently cached data — so
+they can join or leave a running job (Section 1, contribution 3).  A
+``membership`` schedule makes the input one *shared* queue: a joining
+node starts pulling at once and warms its cache through the same
+ski-rental decisions; a leaving node stops pulling, drains its in-flight
+tuples and flushes its batches.  Nothing migrates.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -31,7 +39,7 @@ from repro.faults.schedule import FaultSchedule
 from repro.memory.budget import MemoryBudget, publish_memory_counters
 from repro.memory.options import MemoryOptions
 from repro.obs.registry import MetricsRegistry, ambient_registry
-from repro.obs.tracer import NO_TRACER, Tracer
+from repro.obs.tracer import NO_TRACER, Span, Tracer
 from repro.obs.usage import publish_job_result
 from repro.perf.mode import reference_mode
 from repro.placement import ElasticCoordinator, ElasticOptions, PlacementService
@@ -45,6 +53,59 @@ from repro.store.kvstore import KVStore
 from repro.store.partitioner import HashPartitioner
 from repro.store.table import Table
 from repro.tenancy.options import TenancyOptions
+
+
+@dataclass(frozen=True)
+class MembershipEvent:
+    """One planned change to the set of active compute nodes."""
+
+    time: float
+    action: str  # "add" | "remove"
+    node_id: int
+
+    def __post_init__(self) -> None:
+        if self.action not in ("add", "remove"):
+            raise ValueError(f"action must be 'add' or 'remove', got {self.action!r}")
+        if self.time < 0:
+            raise ValueError("time must be non-negative")
+
+
+def replay_membership(
+    compute_nodes: Sequence[int], events: Iterable[MembershipEvent]
+) -> list[int]:
+    """Check a membership schedule; returns the nodes active at time zero.
+
+    A node whose first event is an "add" sits out until it fires; every
+    other compute node runs from the start.  Replayed in time order over
+    that set, an "add" must name an inactive node, a "remove" an active
+    one, and some node must always be left to pull input.
+    """
+    ordered = sorted(events, key=lambda e: e.time)
+    first_action: dict[int, str] = {}
+    for event in ordered:
+        if event.node_id not in compute_nodes:
+            raise ValueError(
+                f"membership event names node {event.node_id}, which is not "
+                f"one of the compute nodes {list(compute_nodes)}"
+            )
+        first_action.setdefault(event.node_id, event.action)
+    initial = [cn for cn in compute_nodes if first_action.get(cn) != "add"]
+    active = set(initial)
+    if not active:
+        raise ValueError("membership schedule starts with no active compute node")
+    for event in ordered:
+        where = f"membership event at t={event.time:g}: node {event.node_id}"
+        if event.action == "add":
+            if event.node_id in active:
+                raise ValueError(f"{where} is already active")
+            active.add(event.node_id)
+        else:
+            if event.node_id not in active:
+                raise ValueError(f"{where} is not active")
+            active.remove(event.node_id)
+            if not active:
+                raise ValueError(f"{where} is the last active compute node")
+    return initial
 
 
 @dataclass(frozen=True)
@@ -70,6 +131,12 @@ class JobResult:
     duplicate_responses: int = 0
     duplicate_requests: int = 0
     messages_faulted: int = 0
+    #: Tuples finished at each compute node, summed over every
+    #: incarnation of a node that left and rejoined.
+    completed_per_node: dict[int, int] = field(default_factory=dict)
+    #: Sorted per-tuple finish times; recorded on membership runs only
+    #: (what :meth:`throughput_in` reads).
+    completion_times: list[float] = field(repr=False, default_factory=list)
 
     @property
     def throughput(self) -> float:
@@ -77,6 +144,15 @@ class JobResult:
         if self.makespan <= 0:
             return 0.0
         return self.n_tuples / self.makespan
+
+    def throughput_in(self, start: float, end: float) -> float:
+        """Tuples/second completed within ``[start, end)``."""
+        if end <= start:
+            raise ValueError("end must exceed start")
+        if len(self.completion_times) != self.n_tuples:
+            raise ValueError("finish times are recorded on membership runs only")
+        count = sum(1 for t in self.completion_times if start <= t < end)
+        return count / (end - start)
 
 
 @dataclass(frozen=True)
@@ -139,7 +215,9 @@ class JoinJob:
     cluster:
         The simulated hardware.
     compute_nodes, data_nodes:
-        Node-id partitions (the paper's 10 + 10 split).
+        Node-id partitions (the paper's 10 + 10 split).  With a
+        ``membership`` schedule, ``compute_nodes`` is every node that
+        may ever take part.
     table:
         The stored, indexed join relation.
     udf:
@@ -157,6 +235,11 @@ class JoinJob:
         Maximum tuples in flight per compute node (Map queue depth).
     regions_per_node:
         HBase-style multiple regions per data node.
+    membership:
+        Mid-run compute-node additions/removals (see
+        :func:`replay_membership` for who starts active).  Non-empty
+        switches :meth:`run` from per-node input slices to one shared
+        queue.
     exact_counting:
         Use exact counters instead of Lossy Counting (ablation).
     use_exact_balancer:
@@ -182,7 +265,7 @@ class JoinJob:
     reset_count_on_update: bool = True
     update_notifications: bool = False
     adaptive_batching: bool = False
-    trace: Any = None
+    membership: Sequence[MembershipEvent] = ()
     exact_counting: bool = False
     use_exact_balancer: bool = False
     #: Deterministic fault plan (repro.faults); installed at job
@@ -193,11 +276,10 @@ class JoinJob:
     #: schedule that loses messages will stall the job (and ``run``
     #: will say so).
     fault_tolerance: FaultTolerance | None = None
-    #: Optional repro.metrics.trace.FaultTrace recording injections and
-    #: the engine's reactions.
-    fault_trace: Any = None
     #: Span tracer threaded through every component (servers,
     #: transports, injector); the run opens one ``job`` root span.
+    #: Routing decisions, injected faults and the engine's reactions
+    #: are its events.
     tracer: Tracer = NO_TRACER
     #: Per-run metrics registry; results always also land in the
     #: process-wide ambient registry.
@@ -230,7 +312,12 @@ class JoinJob:
     seed: int = 0
     kvstore: KVStore = field(init=False)
     servers: dict[int, DataNodeServer] = field(init=False)
+    #: Latest runtime per compute node.
     runtimes: dict[int, ComputeNodeRuntime] = field(init=False)
+    #: Every runtime of the latest run, in activation order: a node that
+    #: leaves and rejoins gets a fresh runtime, and its first
+    #: incarnation's outputs and counters still count.
+    incarnations: list[ComputeNodeRuntime] = field(init=False, default_factory=list)
     budgets: dict[int, MemoryBudget] = field(init=False, default_factory=dict)
     injector: FaultInjector | None = field(init=False, default=None)
     resilience_manager: ResilienceManager | None = field(init=False, default=None)
@@ -275,10 +362,7 @@ class JoinJob:
             for dn, server in self.servers.items():
                 server.arm_memory(self.budgets[dn], self.memory)
         if self.fault_schedule is not None:
-            self.injector = FaultInjector(
-                self.fault_schedule, trace=self.fault_trace,
-                tracer=self.tracer,
-            )
+            self.injector = FaultInjector(self.fault_schedule, tracer=self.tracer)
             self.injector.install(
                 self.cluster, servers=self.servers, kvstore=self.kvstore,
                 budgets=self.budgets or None,
@@ -307,86 +391,53 @@ class JoinJob:
         """
         key_list = list(keys)
         n_tuples = len(key_list)
+        if params is not None and len(params) != n_tuples:
+            raise ValueError("params must align one-to-one with keys")
+        if self.membership:
+            if self.strategy.adaptive_fraction < 1.0:
+                raise ValueError(
+                    "a membership schedule feeds one shared queue; the "
+                    "Figure-9 freeze (adaptive_fraction < 1) needs each "
+                    "node's expected input count"
+                )
+            starters = replay_membership(self.compute_nodes, self.membership)
         self._completions = 0
         self._last_finish = 0.0
+        self.incarnations = []
+        sim = self.cluster.sim
         job_span = None
         if self.tracer.enabled:
             job_span = self.tracer.start(
                 "job",
-                at=self.cluster.sim.now,
+                at=sim.now,
                 engine="engine",
                 strategy=self.strategy.name,
                 n_tuples=n_tuples,
             )
 
-        # Round-robin input distribution across compute nodes — the
-        # framework assumes the source balances compute-node load
-        # (Section 3.1).
-        if params is not None and len(params) != n_tuples:
-            raise ValueError("params must align one-to-one with keys")
-        per_node_input: dict[int, list[tuple[int, Hashable, Any]]] = {
-            cn: [] for cn in self.compute_nodes
-        }
-        for tuple_id, key in enumerate(key_list):
-            target = self.compute_nodes[tuple_id % len(self.compute_nodes)]
-            p = params[tuple_id] if params is not None else None
-            per_node_input[target].append((tuple_id, key, p))
-
-        feeders: dict[int, _Feeder] = {}
-
         def on_complete(tuple_id: int, finish: float) -> None:
             self._completions += 1
             self._last_finish = max(self._last_finish, finish)
 
-        for cn in self.compute_nodes:
-            counter: LossyCounter | ExactCounter
-            counter = ExactCounter() if self.exact_counting else LossyCounter(1e-4)
-            runtime = ComputeNodeRuntime(
-                cluster=self.cluster,
-                node_id=cn,
-                kvstore=self.kvstore,
-                servers=self.servers,
-                udf=self.udf,
-                config=self.strategy,
-                sizes=self.sizes,
-                on_complete=on_complete,
-                memory_cache_bytes=self.memory_cache_bytes,
-                batch_size=self.batch_size,
-                max_wait=self.max_wait,
-                expected_inputs=len(per_node_input[cn]),
-                counter=counter,
-                fixed_threshold=self.fixed_threshold,
-                reset_count_on_update=self.reset_count_on_update,
-                update_notifications=self.update_notifications,
-                trace=self.trace,
-                adaptive_batching=self.adaptive_batching,
-                fault_tolerance=self.fault_tolerance,
-                fault_trace=self.fault_trace,
-                tracer=self.tracer,
-                obs_parent=job_span,
-                resilience=self.resilience,
-                tenancy=self.tenancy,
-                tenant_of=self.tenant_of,
-                tenant_shares=self.tenant_shares,
-                budget=self.budgets.get(cn),
-                seed=derive_seed(self.seed, f"cn:{cn}"),
-            )
-            self.runtimes[cn] = runtime
-            feeders[cn] = _Feeder(
-                runtime, per_node_input[cn], window=self.pipeline_window
-            )
+        finish_times: list[float] = []
 
-        # Chain feeding onto completions so the pipeline window holds.
-        fused = not reference_mode()
-        for cn, feeder in feeders.items():
-            runtime = self.runtimes[cn]
+        def on_member_complete(tuple_id: int, finish: float) -> None:
+            on_complete(tuple_id, finish)
+            finish_times.append(finish)
+
+        # Optimized mode fuses a static run's per-tuple callback; the
+        # shared queue keeps the plain chain (it is not a hot path).
+        fused = not reference_mode() and not self.membership
+
+        def chain(feeder: _Feeder) -> None:
+            """Chain feeding onto completions so the pipeline window holds."""
+            runtime = feeder.runtime
             original = runtime.on_complete
 
             if fused:
-                # Optimized mode: inline the job counters and the
-                # feeder decrement into one callback — this runs once
-                # per tuple.  Same statement order as the chained
-                # reference closure below.
+                # Inline the job counters and the feeder decrement into
+                # one callback — this runs once per tuple.  Same
+                # statement order as the chained reference closure below.
                 def chained_fast(
                     tuple_id: int, finish: float, _f=feeder, _j=self
                 ) -> None:
@@ -397,7 +448,7 @@ class JoinJob:
                     _f.feed_fast()
 
                 runtime.on_complete = chained_fast
-                continue
+                return
 
             def chained(tuple_id: int, finish: float, _f=feeder, _o=original) -> None:
                 _o(tuple_id, finish)
@@ -405,11 +456,52 @@ class JoinJob:
 
             runtime.on_complete = chained
 
+        items = [
+            (tuple_id, key, params[tuple_id] if params is not None else None)
+            for tuple_id, key in enumerate(key_list)
+        ]
+        feeders: list[_Feeder] = []
+        if self.membership:
+            # One shared queue: whoever is active pulls the next tuple.
+            shared = deque(items)
+            active: dict[int, _QueueFeeder] = {}
+
+            def join(cn: int) -> _QueueFeeder:
+                runtime = self._make_runtime(cn, on_member_complete, job_span)
+                active[cn] = _QueueFeeder(runtime, shared, self.pipeline_window)
+                chain(active[cn])
+                return active[cn]
+
+            def apply_membership(event: MembershipEvent) -> None:
+                if event.action == "remove":
+                    active.pop(event.node_id).retire()
+                    return
+                feeder = join(event.node_id)
+                for loop in (self.resilience_manager, self.elastic_coordinator):
+                    if loop is not None:
+                        loop.attach(feeder.runtime)
+                feeder.prime()
+
+            feeders.extend(join(cn) for cn in starters)
+            for event in sorted(self.membership, key=lambda e: e.time):
+                sim.schedule_at(event.time, lambda e=event: apply_membership(e))
+        else:
+            # Round-robin input distribution across compute nodes — the
+            # framework assumes the source balances compute-node load
+            # (Section 3.1).
+            for index, cn in enumerate(self.compute_nodes):
+                share = items[index::len(self.compute_nodes)]
+                runtime = self._make_runtime(
+                    cn, on_complete, job_span, expected_inputs=len(share)
+                )
+                feeders.append(_Feeder(runtime, share, self.pipeline_window))
+                chain(feeders[-1])
+
         for time, key, new_value in updates or ():
             def apply_update(k=key, v=new_value, t=time) -> None:
                 self.kvstore.update_value(k, v, at_time=t)
 
-            self.cluster.sim.schedule_at(time, apply_update)
+            sim.schedule_at(time, apply_update)
 
         if self.resilience is not None and self.resilience.enabled:
             manager = ResilienceManager(
@@ -420,7 +512,7 @@ class JoinJob:
                 region_map=self.kvstore.region_map,
                 tracer=self.tracer,
             )
-            for runtime in self.runtimes.values():
+            for runtime in self.incarnations:
                 manager.attach(runtime)
             # Ticks gate on job progress so the event loop still drains.
             manager.start(active=lambda: self._completions < n_tuples)
@@ -440,14 +532,14 @@ class JoinJob:
                 tracer=self.tracer,
                 obs_parent=job_span,
             )
-            for runtime in self.runtimes.values():
+            for runtime in self.incarnations:
                 coordinator.attach(runtime)
             coordinator.start(active=lambda: self._completions < n_tuples)
             self.elastic_coordinator = coordinator
 
-        for feeder in feeders.values():
+        for feeder in feeders:
             feeder.prime()
-        self.cluster.sim.run()
+        sim.run()
 
         if self._completions != n_tuples:
             hint = ""
@@ -464,7 +556,54 @@ class JoinJob:
             )
         if job_span is not None:
             self.tracer.end(job_span, at=self._last_finish)
-        return self._collect(n_tuples)
+        return self._collect(n_tuples, finish_times)
+
+    def _make_runtime(
+        self,
+        cn: int,
+        on_complete: Callable[[int, float], None],
+        job_span: Span | None,
+        expected_inputs: int | None = None,
+    ) -> ComputeNodeRuntime:
+        """Assemble one compute-node runtime from the job's options."""
+        runtime = ComputeNodeRuntime(
+            cluster=self.cluster,
+            node_id=cn,
+            kvstore=self.kvstore,
+            servers=self.servers,
+            udf=self.udf,
+            config=self.strategy,
+            sizes=self.sizes,
+            on_complete=on_complete,
+            memory_cache_bytes=self.memory_cache_bytes,
+            batch_size=self.batch_size,
+            max_wait=self.max_wait,
+            expected_inputs=expected_inputs,
+            counter=ExactCounter() if self.exact_counting else LossyCounter(1e-4),
+            fixed_threshold=self.fixed_threshold,
+            reset_count_on_update=self.reset_count_on_update,
+            update_notifications=self.update_notifications,
+            adaptive_batching=self.adaptive_batching,
+            fault_tolerance=self.fault_tolerance,
+            tracer=self.tracer,
+            obs_parent=job_span,
+            resilience=self.resilience,
+            tenancy=self.tenancy,
+            tenant_of=self.tenant_of,
+            tenant_shares=self.tenant_shares,
+            budget=self.budgets.get(cn),
+            seed=derive_seed(self.seed, f"cn:{cn}"),
+        )
+        rejoins = sum(1 for earlier in self.incarnations if earlier.node_id == cn)
+        if rejoins:
+            # Request ids are "<node>:<seq>" and the data nodes keep an
+            # idempotency cache by id: a rejoining node restarting at
+            # seq 0 would be answered with its first incarnation's
+            # responses.  Each incarnation gets its own id range.
+            runtime.transport._rid_seq = rejoins << 32
+        self.runtimes[cn] = runtime
+        self.incarnations.append(runtime)
+        return runtime
 
     def run_streaming(self, keys: Iterable[Hashable]) -> StreamResult:
         """Saturation-feed the stream and report throughput."""
@@ -516,6 +655,11 @@ class JoinJob:
         and no backpressure on the source (open loop), which is exactly
         what admission control is for.
         """
+        if self.membership:
+            raise ValueError(
+                "a membership schedule needs the pull-mode input of run(); "
+                "timed arrivals are pushed at fixed nodes"
+            )
         key_list = list(keys)
         n_tuples = len(key_list)
         if len(arrivals) != n_tuples:
@@ -549,40 +693,11 @@ class JoinJob:
             last_finish = max(last_finish, finish)
             latencies[tuple_id] = finish - arrival_time[tuple_id]
 
-        runtimes: dict[int, ComputeNodeRuntime] = {}
-        for cn in self.compute_nodes:
-            counter: LossyCounter | ExactCounter
-            counter = ExactCounter() if self.exact_counting else LossyCounter(1e-4)
-            runtimes[cn] = ComputeNodeRuntime(
-                cluster=self.cluster,
-                node_id=cn,
-                kvstore=self.kvstore,
-                servers=self.servers,
-                udf=self.udf,
-                config=self.strategy,
-                sizes=self.sizes,
-                on_complete=on_complete,
-                memory_cache_bytes=self.memory_cache_bytes,
-                batch_size=self.batch_size,
-                max_wait=self.max_wait,
-                counter=counter,
-                fixed_threshold=self.fixed_threshold,
-                reset_count_on_update=self.reset_count_on_update,
-                update_notifications=self.update_notifications,
-                trace=self.trace,
-                adaptive_batching=self.adaptive_batching,
-                fault_tolerance=self.fault_tolerance,
-                fault_trace=self.fault_trace,
-                tracer=self.tracer,
-                obs_parent=job_span,
-                resilience=self.resilience,
-                tenancy=self.tenancy,
-                tenant_of=self.tenant_of,
-                tenant_shares=self.tenant_shares,
-                budget=self.budgets.get(cn),
-                seed=derive_seed(self.seed, f"cn:{cn}"),
-            )
-        self.runtimes.update(runtimes)
+        self.incarnations = []
+        runtimes = {
+            cn: self._make_runtime(cn, on_complete, job_span)
+            for cn in self.compute_nodes
+        }
         sim = self.cluster.sim
         for time, key, new_value in updates or ():
             def apply_update(k=key, v=new_value, t=time) -> None:
@@ -633,18 +748,22 @@ class JoinJob:
         invariant the tests verify.
         """
         merged: dict[int, Any] = {}
-        for runtime in self.runtimes.values():
+        for runtime in self.incarnations:
             merged.update(runtime.outputs)
         return merged
 
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
-    def _collect(self, n_tuples: int) -> JobResult:
+    def _collect(self, n_tuples: int, finish_times: list[float]) -> JobResult:
         udfs_data = sum(server.udfs_executed for server in self.servers.values())
         udfs_compute = 0
         mem_hits = disk_hits = compute_reqs = data_reqs = 0
-        for runtime in self.runtimes.values():
+        completed: dict[int, int] = {}
+        for runtime in self.incarnations:
+            completed[runtime.node_id] = (
+                completed.get(runtime.node_id, 0) + runtime.completed
+            )
             stats = runtime.cache.stats()
             mem_hits += stats.memory_hits
             disk_hits += stats.disk_hits
@@ -663,11 +782,11 @@ class JoinJob:
             for server in self.servers.values()
             if server.balancer.decisions > 0
         ]
-        timeouts = sum(r.timeouts for r in self.runtimes.values())
-        retries = sum(r.retries for r in self.runtimes.values())
-        fallbacks = sum(r.fallbacks for r in self.runtimes.values())
+        timeouts = sum(r.timeouts for r in self.incarnations)
+        retries = sum(r.retries for r in self.incarnations)
+        fallbacks = sum(r.fallbacks for r in self.incarnations)
         dup_responses = sum(
-            r.duplicate_responses for r in self.runtimes.values()
+            r.duplicate_responses for r in self.incarnations
         )
         dup_requests = sum(
             server.duplicate_requests for server in self.servers.values()
@@ -693,6 +812,8 @@ class JoinJob:
             messages_faulted=(
                 self.injector.messages_faulted if self.injector else 0
             ),
+            completed_per_node=completed,
+            completion_times=sorted(finish_times),
         )
         # Every finished job lands in the ambient obs pipeline — this
         # is what lets the benchmark JSON hook attach routing and fault
@@ -725,11 +846,11 @@ class JoinJob:
             if counts:
                 sources.append(counts)
         cache_spills = sum(
-            runtime.cache.budget_spills for runtime in self.runtimes.values()
+            runtime.cache.budget_spills for runtime in self.incarnations
         )
         if cache_spills:
             sources.append({"cache_spills": float(cache_spills)})
-        for runtime in self.runtimes.values():
+        for runtime in self.incarnations:
             count, nbytes, seconds = runtime.cost_model.spills_charged
             if count:
                 sources.append({
@@ -796,5 +917,36 @@ class _Feeder:
         self._next = nxt
         self._outstanding = out
         if nxt >= n and not self._finished_input:
+            self._finished_input = True
+            self.runtime.finish_input()
+
+
+class _QueueFeeder(_Feeder):
+    """Bounded-window feeder pulling from the job's shared input queue."""
+
+    def __init__(
+        self,
+        runtime: ComputeNodeRuntime,
+        pending: deque[tuple[int, Hashable, Any]],
+        window: int,
+    ) -> None:
+        super().__init__(runtime, [], window)
+        self.pending = pending
+        self._retired = False
+
+    def retire(self) -> None:
+        """Stop pulling new work; what is in flight drains."""
+        self._retired = True
+        self.runtime.finish_input()
+
+    def _feed(self) -> None:
+        if self._retired:
+            return
+        pending = self.pending
+        while pending and self._outstanding < self.window:
+            tuple_id, key, params = pending.popleft()
+            self._outstanding += 1
+            self.runtime.submit(tuple_id, key, params)
+        if not pending and not self._finished_input:
             self._finished_input = True
             self.runtime.finish_input()

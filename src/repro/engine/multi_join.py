@@ -86,7 +86,6 @@ class MultiJoinJob:
         regions_per_node: int = 4,
         block_cache_bytes: float = 0.0,
         fault_tolerance: FaultTolerance | None = None,
-        fault_trace=None,
         seed: int = 0,
         memory: MemoryOptions | None = None,
         stage_estimates: Sequence[StageEstimate] | None = None,
@@ -107,7 +106,6 @@ class MultiJoinJob:
         self.regions_per_node = regions_per_node
         self.block_cache_bytes = block_cache_bytes
         self.fault_tolerance = fault_tolerance
-        self.fault_trace = fault_trace
         self.seed = seed
         self.memory = memory
         self.stage_estimates = list(stage_estimates) if stage_estimates else None
@@ -218,7 +216,6 @@ class MultiJoinJob:
                     max_wait=self.max_wait,
                     counter=LossyCounter(1e-4),
                     fault_tolerance=self.fault_tolerance,
-                    fault_trace=self.fault_trace,
                     seed=derive_seed(self.seed, f"cn:{s}:{cn}"),
                     budget=self.budgets.get(cn),
                 )
@@ -493,7 +490,6 @@ class MultiJoinJob:
                     max_wait=self.max_wait,
                     counter=LossyCounter(1e-4),
                     fault_tolerance=self.fault_tolerance,
-                    fault_trace=self.fault_trace,
                     seed=derive_seed(self.seed, f"cn:{s}:{cn}"),
                     budget=self.budgets.get(cn),
                 )

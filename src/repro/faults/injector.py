@@ -27,7 +27,6 @@ from repro.sim.cluster import Cluster
 from repro.sim.rng import make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.metrics.trace import FaultTrace
     from repro.store.datanode import DataNodeServer
     from repro.store.kvstore import KVStore
 
@@ -38,11 +37,9 @@ class FaultInjector:
     def __init__(
         self,
         schedule: FaultSchedule,
-        trace: "FaultTrace | None" = None,
         tracer: Tracer = NO_TRACER,
     ) -> None:
         self.schedule = schedule
-        self.trace = trace
         self.tracer = tracer
         self._rng = make_rng(schedule.seed, "fault-injector")
         self._cluster: Cluster | None = None
@@ -172,8 +169,6 @@ class FaultInjector:
         )
 
     def _record(self, time: float, kind: str, node_id: int, detail: str) -> None:
-        if self.trace is not None:
-            self.trace.record(time, kind, node_id, detail)
         if self.tracer.enabled:
             self.tracer.event(
                 f"fault.{kind}", at=time, node=node_id, detail=detail

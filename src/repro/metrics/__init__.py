@@ -14,7 +14,6 @@ from repro.obs.usage import (
 )
 from repro.metrics.report import ExperimentTable
 from repro.metrics.charts import render_bars, render_series
-from repro.metrics.trace import RouteEvent, RoutingTrace
 
 __all__ = [
     "ClusterUsage",
@@ -25,6 +24,4 @@ __all__ = [
     "ExperimentTable",
     "render_bars",
     "render_series",
-    "RouteEvent",
-    "RoutingTrace",
 ]

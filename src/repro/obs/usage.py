@@ -128,13 +128,13 @@ def collect_fault_stats(job, registry: MetricsRegistry | None = None) -> FaultSt
     """Aggregate fault counters from a finished :class:`JoinJob`.
 
     Duck-typed on the job to keep the metrics layer import-free of the
-    engine; works with any object exposing ``runtimes``, ``servers``
-    and (optionally) ``injector``.  With a ``registry``, the stats are
-    also published as ``faults.*`` counters.
+    engine; works with any object exposing ``incarnations`` (its
+    compute-node runtimes), ``servers`` and (optionally) ``injector``.
+    With a ``registry``, the stats also publish as ``faults.*`` counters.
     """
     timeouts = retries = fallbacks = dup_responses = 0
     retry_seconds = 0.0
-    for runtime in getattr(job, "runtimes", {}).values():
+    for runtime in getattr(job, "incarnations", ()):
         timeouts += runtime.timeouts
         retries += runtime.retries
         fallbacks += runtime.fallbacks

@@ -111,8 +111,8 @@ class BackendRun:
     duration: float
     metrics: RuntimeMetrics | None = None
     #: The engine-native result value (``JobResult``, ``StreamResult``,
-    #: ``ElasticResult``, ...) for callers that want engine-specific
-    #: detail the portable fields above do not carry.
+    #: ...) for callers that want engine-specific detail the portable
+    #: fields above do not carry.
     native: Any = None
 
 
@@ -152,7 +152,6 @@ class SimBackend:
     seed: int = 0
     fault_schedule: FaultSchedule | None = None
     fault_tolerance: FaultTolerance | None = None
-    fault_trace: Any = None
     #: Opt-in resilience (repro.resilience).  The event-loop engines
     #: wire the full subsystem; the analytic shuffle engines get
     #: detection verdicts via an after-the-fact heartbeat replay
@@ -165,8 +164,8 @@ class SimBackend:
     #: analytic shuffle engines have no per-key serving path to migrate.
     elastic: Any = None
     #: Mid-run compute-node membership changes
-    #: (:class:`repro.engine.elastic.MembershipEvent`); non-empty
-    #: routes the ``engine`` runner through :class:`ElasticJoinJob`.
+    #: (:class:`repro.engine.job.MembershipEvent`); non-empty makes the
+    #: ``engine`` runner's input one shared queue the active nodes pull.
     membership: tuple = ()
     #: Opt-in memory-adaptive execution
     #: (:class:`repro.memory.options.MemoryOptions`).  The
@@ -214,8 +213,6 @@ class SimBackend:
         from repro.engine.job import JoinJob
         from repro.engine.strategies import Strategy
 
-        if self.membership:
-            return self._run_elastic(workload)
         cluster = self._cluster()
         job = JoinJob(
             cluster=cluster,
@@ -230,13 +227,18 @@ class SimBackend:
             batch_size=self.batch_size,
             max_wait=self.max_wait,
             memory_cache_bytes=self.memory_cache_bytes,
+            # The shared membership queue keeps the window of 128 its
+            # runs have always had.
+            pipeline_window=(
+                128 if self.membership else JoinJob.pipeline_window
+            ),
             fault_schedule=self.fault_schedule,
             fault_tolerance=self.fault_tolerance,
-            fault_trace=self.fault_trace,
             tracer=self.tracer,
             registry=self.registry,
             resilience=self.resilience,
             elastic=self.elastic,
+            membership=self.membership,
             memory=self.memory,
             tenancy=self.tenancy,
             tenant_of=self.tenant_of,
@@ -251,62 +253,8 @@ class SimBackend:
             duration=result.makespan,
             metrics=collect_runtime_metrics(
                 cluster,
-                transports=[r.transport for r in job.runtimes.values()],
+                transports=[r.transport for r in job.incarnations],
                 injector=job.injector,
-                registry=self.registry,
-            ),
-            native=result,
-        )
-
-    def _run_elastic(self, workload: JoinWorkload) -> BackendRun:
-        """The ``engine`` runner with mid-run membership changes.
-
-        Nodes named by "add" events join later; everything else in the
-        compute range is active from the start.
-        """
-        from repro.engine.elastic import ElasticJoinJob, MembershipEvent
-        from repro.engine.strategies import Strategy
-
-        if workload.params is not None:
-            raise ValueError(
-                "the elastic runner feeds bare key streams; "
-                "per-tuple params are not expressible"
-            )
-        events = list(self.membership)
-        for event in events:
-            if not isinstance(event, MembershipEvent):
-                raise TypeError(
-                    f"membership entries must be MembershipEvent, got {event!r}"
-                )
-        compute = list(range(self.n_compute))
-        added = {e.node_id for e in events if e.action == "add"}
-        initial = [cn for cn in compute if cn not in added] or compute[:1]
-        cluster = self._cluster()
-        job = ElasticJoinJob(
-            cluster=cluster,
-            initial_compute_nodes=initial,
-            data_nodes=list(
-                range(self.n_compute, self.n_compute + self.n_data)
-            ),
-            table=workload.table,
-            udf=workload.udf,
-            strategy=Strategy.by_name(self.strategy),
-            sizes=workload.sizes,
-            events=events,
-            batch_size=self.batch_size,
-            max_wait=self.max_wait,
-            memory_cache_bytes=self.memory_cache_bytes,
-            seed=self.seed,
-        )
-        result = job.run(list(workload.keys))
-        return BackendRun(
-            engine="engine",
-            backend="sim",
-            outputs=job.collected_outputs(),
-            duration=result.makespan,
-            metrics=collect_runtime_metrics(
-                cluster,
-                transports=[r.transport for r in job.runtimes.values()],
                 registry=self.registry,
             ),
             native=result,
@@ -330,7 +278,6 @@ class SimBackend:
             max_wait=self.max_wait,
             fault_schedule=self.fault_schedule,
             fault_tolerance=self.fault_tolerance,
-            fault_trace=self.fault_trace,
             tracer=self.tracer,
             registry=self.registry,
             resilience=self.resilience,
@@ -364,9 +311,7 @@ class SimBackend:
             return None
         from repro.faults.injector import FaultInjector
 
-        injector = FaultInjector(
-            self.fault_schedule, trace=self.fault_trace, tracer=self.tracer
-        )
+        injector = FaultInjector(self.fault_schedule, tracer=self.tracer)
         injector.install(cluster, budgets=budgets)
         return injector
 

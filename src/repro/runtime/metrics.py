@@ -12,9 +12,8 @@ the :class:`repro.obs.registry.MetricsRegistry` pipeline — pass a
 registry to :func:`collect_runtime_metrics` and every counter it
 merges is also published under the ``transport.*`` / ``shuffle.*`` /
 ``faults.*`` / ``usage.*`` families.  The event-level view is the
-:class:`repro.obs.tracer.Tracer` (spans) plus the legacy
-:class:`repro.metrics.trace.FaultTrace`, which both the injector and
-the transports feed.
+:class:`repro.obs.tracer.Tracer`, which both the injector and the
+transports feed.
 """
 
 from __future__ import annotations

@@ -50,7 +50,6 @@ from repro.store.messages import (
 from repro.core.optimizer import Route
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.metrics.trace import FaultTrace
     from repro.store.datanode import DataNodeServer
 
 
@@ -179,15 +178,12 @@ class Transport:
         Timeout/retry/fallback knobs; ``None`` (or a disabled policy)
         sends fire-and-forget requests exactly like the
         pre-fault-tolerance engine.
-    fault_trace:
-        Optional :class:`repro.metrics.trace.FaultTrace` receiving one
-        event per timeout / retry / fallback / duplicate response.
     tracer:
         Span tracer (:data:`repro.obs.tracer.NO_TRACER` by default).
         When enabled, every logical batch gets a ``request`` span,
         every (re)transmission an ``attempt`` child span, and the
-        timeout/retry/fallback machinery emits events under the
-        request span.
+        timeout/retry/fallback machinery emits one event per reaction
+        under the request span.
     """
 
     def __init__(
@@ -209,7 +205,6 @@ class Transport:
             Callable[[int, RequestKind, list[RequestItem]], None] | None
         ) = None,
         fault_tolerance: FaultTolerance | None = None,
-        fault_trace: "FaultTrace | None" = None,
         tracer: Tracer = NO_TRACER,
     ) -> None:
         self.cluster = cluster
@@ -224,7 +219,6 @@ class Transport:
         self.on_timeout = on_timeout
         self.on_abandon = on_abandon
         self.fault_tolerance = fault_tolerance
-        self.fault_trace = fault_trace
         self.tracer = tracer
         self._ring = sorted(servers)
         self._pending: dict[str, _Pending] = {}
@@ -460,10 +454,6 @@ class Transport:
                 # network-duplicated response, or a batch that has
                 # since degraded to a replica: the token is dead.
                 self.duplicate_responses += 1
-                self._record_fault(
-                    "duplicate-response", response.src,
-                    f"rid={response.request_id}",
-                )
                 if self.tracer.enabled:
                     self.tracer.event(
                         "duplicate-response",
@@ -547,7 +537,6 @@ class Transport:
         # would double-bill the cost model for one slow request.
         if self.on_timeout is not None and not entry.hedged:
             self.on_timeout(entry.dst, waited)
-        self._record_fault("timeout", entry.dst, f"rid={rid} attempt={attempt}")
         if self.tracer.enabled:
             now = self.cluster.sim.now
             self.tracer.event(
@@ -559,8 +548,6 @@ class Transport:
         if entry.attempt < ft.max_retries or not ft.fallback_to_replica:
             entry.attempt += 1
             self.retries += 1
-            self._record_fault("retry", entry.dst,
-                               f"rid={rid} attempt={entry.attempt}")
             if self.tracer.enabled:
                 self.tracer.event(
                     "retry", parent=entry.span, at=self.cluster.sim.now,
@@ -592,10 +579,6 @@ class Transport:
         if self.on_abandon is not None:
             self.on_abandon(entry.dst, entry.kind, entry.items)
         replica = self.replica_for(entry.dst)
-        self._record_fault(
-            "fallback", entry.dst,
-            f"rid={rid} -> data request at replica node {replica}",
-        )
         if self.tracer.enabled:
             now = self.cluster.sim.now
             self.tracer.event(
@@ -647,9 +630,6 @@ class Transport:
         # replacement sends below re-charge their own destinations.
         if self.on_abandon is not None:
             self.on_abandon(entry.dst, entry.kind, entry.items)
-        self._record_fault(
-            "wrong-region", entry.dst, f"rid={rid} epoch={exc.epoch}"
-        )
         if self.tracer.enabled:
             now = self.cluster.sim.now
             self.tracer.event(
@@ -710,10 +690,6 @@ class Transport:
             return
         entry.hedged = True
         self.hedges_issued += 1
-        self._record_fault(
-            "hedge", entry.dst,
-            f"rid={rid} -> speculative duplicate at replica node {replica}",
-        )
         if self.tracer.enabled:
             self.tracer.event(
                 "hedge", parent=entry.span, at=self.cluster.sim.now,
@@ -753,9 +729,6 @@ class Transport:
             self.failovers += 1
             if self.on_abandon is not None:
                 self.on_abandon(entry.dst, entry.kind, entry.items)
-            self._record_fault(
-                "failover", dead, f"rid={rid} -> replay at node {new_owner}"
-            )
             if self.tracer.enabled:
                 now = self.cluster.sim.now
                 self.tracer.event(
@@ -772,10 +745,6 @@ class Transport:
             self.send(new_owner, entry.kind, entry.items,
                       attempt=entry.attempt, span_parent=entry.span)
         return len(doomed)
-
-    def _record_fault(self, kind: str, node_id: int, detail: str) -> None:
-        if self.fault_trace is not None:
-            self.fault_trace.record(self.cluster.sim.now, kind, node_id, detail)
 
 
 @dataclass(frozen=True, slots=True)

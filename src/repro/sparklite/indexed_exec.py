@@ -85,7 +85,6 @@ class IndexedExecutor:
         max_wait: float = 0.005,
         pipeline_window: int = 1024,
         fault_tolerance: FaultTolerance | None = None,
-        fault_trace=None,
         seed: int = 0,
     ) -> None:
         self.cluster = cluster
@@ -99,7 +98,6 @@ class IndexedExecutor:
         # Passed straight down to the kernel transports of every
         # pipeline stage (repro.runtime.Transport).
         self.fault_tolerance = fault_tolerance
-        self.fault_trace = fault_trace
         self.seed = seed
 
     def run(self, query: StarQuery, join_order: list[int] | None = None) -> IndexedQueryResult:
@@ -205,7 +203,6 @@ class IndexedExecutor:
             pipeline_window=self.pipeline_window,
             block_cache_bytes=costs.block_cache_bytes,
             fault_tolerance=self.fault_tolerance,
-            fault_trace=self.fault_trace,
             seed=self.seed,
         )
         result = job.run(stage_keys)

@@ -133,7 +133,6 @@ class MuppetJoinSimulation:
     #: so schedules and tolerance policies plug in identically.
     fault_schedule: FaultSchedule | None = None
     fault_tolerance: FaultTolerance | None = None
-    fault_trace: Any = None
     #: Resilience options passthrough (repro.resilience); opt-in.
     resilience: Any = None
     #: Elastic placement passthrough (repro.placement); opt-in.
@@ -170,7 +169,6 @@ class MuppetJoinSimulation:
             block_cache_bytes=self.block_cache_bytes,
             fault_schedule=self.fault_schedule,
             fault_tolerance=self.fault_tolerance,
-            fault_trace=self.fault_trace,
             tracer=self.tracer,
             registry=self.registry,
             resilience=self.resilience,

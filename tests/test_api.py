@@ -2,9 +2,8 @@
 
 The acceptance bar from the redesign: one ``run_join`` call per engine
 must yield a trace JSONL and a rendered run report; the curated
-``repro.__all__`` must import cleanly; and every legacy top-level
-re-export must keep resolving, with a ``DeprecationWarning`` naming
-the new import path.
+``repro.__all__`` must import cleanly and is the whole top-level
+surface.
 """
 
 import dataclasses
@@ -14,12 +13,6 @@ import warnings
 from pathlib import Path
 
 import pytest
-
-# This module deliberately exercises the deprecated top-level
-# re-exports; exempt it from the suite-wide error filter.
-pytestmark = pytest.mark.filterwarnings(
-    "always::DeprecationWarning"
-)
 
 import repro
 from repro.api import (
@@ -98,7 +91,7 @@ class TestRunConfig:
 
 
 class TestOptionGroups:
-    """BatchOptions / ClusterRunOptions and the flat-kwarg migration."""
+    """BatchOptions / ClusterRunOptions: the only spelling of their knobs."""
 
     def test_batch_options_validation(self):
         with pytest.raises(ValueError, match="batch_size"):
@@ -126,31 +119,18 @@ class TestOptionGroups:
         assert config.batching.max_wait == 0.02
         assert config.cluster.placement == "colocated"
 
-    def test_flat_kwargs_fold_into_groups_with_warning(self):
-        with pytest.warns(DeprecationWarning, match="batch_size"):
-            config = RunConfig(batch_size=4)
-        assert config.batching.batch_size == 4
-        assert config.batch_size is None  # flat field consumed
-        with pytest.warns(DeprecationWarning, match="max_wait"):
-            config = RunConfig(max_wait=0.25)
-        assert config.batching.max_wait == 0.25
-        with pytest.warns(DeprecationWarning, match="placement"):
-            config = RunConfig(placement="colocated")
-        assert config.cluster.placement == "colocated"
-        assert config.placement is None
-        with pytest.warns(DeprecationWarning, match="startup_timeout"):
-            config = RunConfig(startup_timeout=3.0)
-        assert config.cluster.startup_timeout == 3.0
-
-    def test_flat_kwargs_point_to_new_spelling(self):
-        with pytest.warns(DeprecationWarning, match=r"BatchOptions\(batch_size=\.\.\.\)"):
+    def test_run_config_fields_are_pinned(self):
+        # Knobs live in their option group; a flat kwarg beside the
+        # groups (the retired batch_size / max_wait / placement /
+        # startup_timeout) must not creep back.
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            "engine", "backend", "n_compute", "n_data", "seed",
+            "batching", "cluster", "faults", "fault_tolerance",
+            "resilience", "elastic", "membership", "memory",
+            "memory_cache_bytes", "tenancy", "obs",
+        ]
+        with pytest.raises(TypeError):
             RunConfig(batch_size=4)
-
-    def test_flat_kwargs_validated_through_group(self):
-        with pytest.warns(DeprecationWarning), pytest.raises(
-            ValueError, match="batch_size"
-        ):
-            RunConfig(batch_size=0)
 
     def test_with_batching_copies(self):
         config = RunConfig()
@@ -215,37 +195,19 @@ class TestCuratedSurface:
             for name in repro.__all__:
                 assert getattr(repro, name) is not None
 
-    def test_deprecated_names_warn_with_new_path(self):
-        for name, module_path in (
-            ("JoinJob", "repro.engine"),
-            ("Cluster", "repro.sim"),
-            ("Transport", "repro.runtime"),
-            ("TieredCache", "repro.cache"),
-            ("Table", "repro.store"),
-        ):
-            with pytest.warns(DeprecationWarning, match=module_path):
-                obj = getattr(repro, name)
-            assert obj is not None
-
-    def test_every_deprecated_name_resolves(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for name in repro._DEPRECATED:
-                assert getattr(repro, name) is not None
-
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
             repro.does_not_exist
 
-    def test_dir_covers_both_surfaces(self):
-        listing = dir(repro)
-        assert "run_join" in listing and "JoinJob" in listing
+    def test_dir_lists_the_curated_surface(self):
+        assert dir(repro) == sorted(repro.__all__)
 
     def test_internal_names_pruned_from_shim(self):
-        # Internal plumbing must not resolve at the top level anymore.
+        # Neither internal plumbing nor the subpackages' entry points
+        # resolve at the top level; import them from their subpackage.
         for name in ("BatchBuffer", "ResultHashMap", "SmoothedValue",
-                     "RuntimeMetrics", "StreamResult", "PreMapRunner"):
-            assert name not in repro._DEPRECATED
+                     "RuntimeMetrics", "StreamResult", "PreMapRunner",
+                     "JoinJob", "Cluster", "Transport"):
             with pytest.raises(AttributeError):
                 getattr(repro, name)
 

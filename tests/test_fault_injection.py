@@ -27,7 +27,7 @@ from repro.faults import (
     StragglerFault,
     UpdateFault,
 )
-from repro.metrics.trace import FaultTrace
+from repro.obs import Tracer
 from repro.sim.cluster import Cluster, NodeSpec
 from repro.sim.events import Simulator
 from repro.sim.network import Network
@@ -303,19 +303,18 @@ class TestFaultInjector:
 
     def test_trace_records_injections(self):
         cluster = Cluster.homogeneous(3)
-        trace = FaultTrace()
+        trace = Tracer()
         schedule = FaultSchedule(
             seed=0,
             crashes=(CrashFault(node_id=2, at=0.5, duration=0.5),),
             stragglers=(StragglerFault(node_id=2, at=0.0, duration=1.0),),
         )
         _cluster, server = setup_server()
-        injector = FaultInjector(schedule, trace=trace)
+        injector = FaultInjector(schedule, tracer=trace)
         injector.install(cluster, servers={2: server})
-        kinds = trace.counts_by_kind()
-        assert kinds["crash"] == 1
-        assert kinds["straggler"] == 1
-        assert trace.events_of_kind("crash")[0].node_id == 2
+        assert len(trace.events_named("fault.crash")) == 1
+        assert len(trace.events_named("fault.straggler")) == 1
+        assert trace.events_named("fault.crash")[0].attrs["node"] == 2
 
 
 class TestFallbackToReplica:

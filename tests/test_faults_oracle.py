@@ -24,8 +24,7 @@ from repro.faults import (
     StragglerFault,
     UpdateFault,
 )
-from repro.obs import collect_fault_stats
-from repro.metrics.trace import FaultTrace
+from repro.obs import NO_TRACER, Tracer, collect_fault_stats
 from repro.sim.cluster import Cluster
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -47,7 +46,7 @@ REAL_UDF = UDF(
 FT = FaultTolerance(request_timeout=0.25, max_retries=2)
 
 
-def build_job(workload, strategy, schedule=None, ft=None, trace=None, seed=11):
+def build_job(workload, strategy, schedule=None, ft=None, trace=NO_TRACER, seed=11):
     cluster = Cluster.homogeneous(4)
     return JoinJob(
         cluster=cluster,
@@ -60,12 +59,12 @@ def build_job(workload, strategy, schedule=None, ft=None, trace=None, seed=11):
         memory_cache_bytes=20e6,
         fault_schedule=schedule,
         fault_tolerance=ft,
-        fault_trace=trace,
+        tracer=trace,
         seed=seed,
     )
 
 
-def run_against_oracle(workload, strategy, schedule=None, ft=None, trace=None):
+def run_against_oracle(workload, strategy, schedule=None, ft=None, trace=NO_TRACER):
     """Run the job and return (result, engine outputs, oracle outputs)."""
     keys = workload.keys()
     job = build_job(workload, strategy, schedule=schedule, ft=ft, trace=trace)
@@ -96,7 +95,7 @@ class TestAcceptanceScenario:
             ),
         )
         assert schedule.fault_kinds >= {"crash", "chaos", "straggler"}
-        trace = FaultTrace()
+        trace = Tracer()
         job, result, outputs, oracle = run_against_oracle(
             workload, Strategy.fo(), schedule=schedule, ft=FT, trace=trace
         )
@@ -106,10 +105,9 @@ class TestAcceptanceScenario:
         assert result.timeouts > 0
         assert result.retries > 0
         # ... and the trace shows both sides: injections and reactions.
-        kinds = trace.counts_by_kind()
-        assert kinds.get("crash") == 1
-        assert kinds.get("straggler") == 1
-        assert kinds.get("retry", 0) == result.retries
+        assert len(trace.events_named("fault.crash")) == 1
+        assert len(trace.events_named("fault.straggler")) == 1
+        assert len(trace.events_named("retry")) == result.retries
 
     def test_fault_stats_collector_aggregates_job(self):
         workload = SyntheticWorkload.data_heavy(

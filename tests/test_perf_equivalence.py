@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import JobSpec, RunConfig, run_join
+from repro.api import JobSpec, MembershipEvent, RunConfig, run_join
 from repro.faults.policy import FaultTolerance
 from repro.faults.schedule import CrashFault, FaultSchedule, MessageChaos
 from repro.memory import MemoryOptions
@@ -127,6 +127,26 @@ _ENGINE_CASES = {
         ),
         dict(skew=1.5),
         ("placement.redirects", "transport.retries", "transport.fallbacks"),
+    ),
+    # A node joins and another leaves mid-run: the shared input queue
+    # replaces the per-node feeders, under the same chaos.
+    "engine-membership": (
+        dict(
+            engine="engine",
+            n_compute=3,
+            faults=FaultSchedule(
+                seed=5,
+                crashes=(CrashFault(node_id=3, at=0.01, duration=0.6),),
+                chaos=_CHAOS.chaos,
+            ),
+            fault_tolerance=_FT,
+            membership=(
+                MembershipEvent(0.01, "add", 2),
+                MembershipEvent(0.03, "remove", 1),
+            ),
+        ),
+        {},
+        ("transport.retries", "transport.duplicate_responses"),
     ),
 }
 

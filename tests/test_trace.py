@@ -1,20 +1,19 @@
-"""Tests for the routing trace recorder."""
+"""Tests for the tracer's routing-decision views."""
 
 import pytest
 
 from repro.engine.job import JoinJob
 from repro.engine.strategies import Strategy
-from repro.metrics.trace import RoutingTrace
-from repro.obs import NO_TRACER, Tracer
+from repro.obs import Tracer
 from repro.sim.cluster import Cluster
 from repro.workloads.synthetic import SyntheticWorkload
 
 
-def traced_run(strategy="FO", n_tuples=1500, skew=1.3, seed=73, tracer=NO_TRACER):
+def traced_run(strategy="FO", n_tuples=1500, skew=1.3, seed=73):
     workload = SyntheticWorkload.data_heavy(
         n_keys=300, n_tuples=n_tuples, skew=skew, seed=seed
     )
-    trace = RoutingTrace()
+    trace = Tracer()
     cluster = Cluster.homogeneous(4)
     job = JoinJob(
         cluster=cluster,
@@ -26,8 +25,7 @@ def traced_run(strategy="FO", n_tuples=1500, skew=1.3, seed=73, tracer=NO_TRACER
         sizes=workload.sizes,
         memory_cache_bytes=20e6,
         pipeline_window=32,
-        trace=trace,
-        tracer=tracer,
+        tracer=trace,
         seed=seed,
     )
     result = job.run(workload.keys())
@@ -37,7 +35,7 @@ def traced_run(strategy="FO", n_tuples=1500, skew=1.3, seed=73, tracer=NO_TRACER
 class TestRoutingTrace:
     def test_one_event_per_tuple(self):
         result, trace = traced_run()
-        assert len(trace) == result.n_tuples
+        assert len(trace.events_named("route")) == result.n_tuples
 
     def test_route_mix_covers_expected_routes(self):
         _result, trace = traced_run("FO")
@@ -56,7 +54,9 @@ class TestRoutingTrace:
         # The hottest key's trajectory: rents first, ends with hits.
         from collections import Counter
 
-        hottest = Counter(e.key for e in trace.events).most_common(1)[0][0]
+        hottest = Counter(
+            e.attrs["key"] for e in trace.events_named("route")
+        ).most_common(1)[0][0]
         history = trace.key_history(hottest)
         assert history[0] == "compute-request"
         assert history[-1] == "local-memory"
@@ -72,16 +72,8 @@ class TestRoutingTrace:
         assert set(trace.per_node_counts()) == {0, 1}
 
     def test_windowed_mix_validation(self):
-        trace = RoutingTrace()
+        trace = Tracer()
         with pytest.raises(ValueError):
             trace.windowed_mix(0)
         assert trace.windowed_mix(3) == [{}, {}, {}]
         assert trace.local_hit_rate_curve(2) == [0.0, 0.0]
-
-    def test_span_tracer_route_events_agree_with_routing_trace(self):
-        # The obs tracer observes the same _record call sites, so its
-        # route events must reproduce RoutingTrace's mix exactly.
-        tracer = Tracer()
-        result, trace = traced_run("FO", tracer=tracer)
-        assert tracer.route_mix() == trace.route_mix()
-        assert len(tracer.events_named("route")) == result.n_tuples
