@@ -246,6 +246,22 @@ class RunConfig:
                 f"ignores engine={self.engine!r}; drop the engine argument "
                 "or use backend='sim' / backend='cluster'"
             )
+        if self.backend == "local":
+            # Real threads: nothing simulated to fault, fail over, move or
+            # spill.  Tenancy stays: the replay runner drives local windows.
+            armed = {
+                "faults": self.faults is not None,
+                "fault_tolerance": self.fault_tolerance is not None,
+                "resilience": self.resilience.enabled,
+                "elastic": self.elastic.enabled,
+                "memory": self.memory.enabled,
+            }
+            dropped = [name for name, on in armed.items() if on]
+            if dropped:
+                raise ValueError(
+                    f"backend='local' cannot honour {', '.join(dropped)}; "
+                    "use backend='sim' or backend='cluster'"
+                )
         if self.membership:
             if self.backend != "sim" or self.engine != "engine":
                 raise ValueError(

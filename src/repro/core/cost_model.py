@@ -464,7 +464,9 @@ class CostModel:
         tc_remote = per_key.compute_time.value
         t_compute = max(t_disk_remote, (sk + sp + scv) / bw, tc_remote)
         t_fetch = max(t_disk_remote, (sk + sv) / bw)
-        self._memo[memo_key] = (self._epoch, k_ep, n_ep, t_compute, t_fetch)
+        if self._memo_enabled:
+            # Off, observe() advances no epoch: an entry would never expire.
+            self._memo[memo_key] = (self._epoch, k_ep, n_ep, t_compute, t_fetch)
         return t_compute, t_fetch
 
     def costs4(self, key: Hashable, data_node: int) -> tuple[float, float, float, float]:

@@ -171,10 +171,9 @@ class ComputeNodeRuntime:
         self._compute_buffers: dict[int, BatchBuffer] = {}
         self._data_buffers: dict[int, BatchBuffer] = {}
         effective_batch = batch_size if config.batching else 1
-        optimized = not reference_mode()
         # Single-evaluation routing fast path (see route_fast); the
         # reference mode keeps the original two-pass route().
-        self._fast_route = optimized and self.optimizer is not None
+        self._fast_route = not reference_mode() and self.optimizer is not None
 
         def make_buffer(dn: int, kind: RequestKind) -> BatchBuffer:
             if adaptive_batching and config.batching and max_wait is not None:
@@ -243,11 +242,7 @@ class ComputeNodeRuntime:
             comp_stats=(
                 self._snapshot_stats if udf.side_effect_free else None
             ),
-            on_response=(
-                self._on_batch_response_fast
-                if optimized
-                else self._on_batch_response
-            ),
+            on_response=self._on_batch_response,
             on_dispatch=self._on_dispatch,
             on_timeout=self.cost_model.observe_timeout,
             on_abandon=self._on_abandon,
@@ -735,7 +730,7 @@ class ComputeNodeRuntime:
             self.outputs[tuple_id] = apply_fn(key, params, value)
         self._pending_local += 1
         self._tcc.observe(cpu_time)
-        self.cost_model.observe_local_compute(finish - start)
+        self.cost_model.observe_local_compute(finish - at)
         admission = self.admission
         if admission is None:
             def complete() -> None:
@@ -828,81 +823,6 @@ class ComputeNodeRuntime:
             else:
                 # Compute request bounced back by load balancing: the
                 # value arrived uncomputed; run the UDF locally.
-                self._execute_local(
-                    item.tuple_id, item.key, tier=None,
-                    value=item.value, params=item.params,
-                )
-
-    def _on_batch_response_fast(self, response: BatchResponse) -> None:
-        """Optimized-mode :meth:`_on_batch_response`.
-
-        Same per-item sequence with batch invariants hoisted: the
-        response source, clock reading (constant within one delivery
-        event), smoothed fraction-computed estimate, and the optimizer
-        observation targets.
-        """
-        src = response.src
-        row_info = self._row_info
-        optimizer = self.optimizer
-        if optimizer is not None:
-            cm_observe = optimizer.cost_model.observe
-            ut_observe = optimizer.updates.observe_timestamp
-        settled = self._settled
-        outputs = self.outputs
-        has_apply = self.udf.apply_fn is not None
-        on_complete = self.on_complete
-        now = self.cluster.sim.now
-        admission = self.admission
-        inflight_compute = self._inflight_compute
-        blocking = self.config.blocking
-        fsv = None
-        for item in response.items:
-            cp = item.cost_params
-            service = cp.cpu_service_time
-            if service is None:
-                service = cp.compute_time
-            row_info[item.key] = _RowInfo(
-                size=cp.value_size,
-                compute_cost=service,
-                hydration_cost=cp.hydration_time,
-            )
-            route = item.route
-            if route is Route.COMPUTE_REQUEST:
-                inflight_compute[src] -= 1
-                self._inflight_compute_total -= 1
-                if fsv is None:
-                    fsv = self._frac_computed[src]
-                    fa = fsv.alpha
-                    fb = 1.0 - fa
-                x = 1.0 if item.computed else 0.0
-                v = fsv._value
-                fsv._value = x if v is None else fa * x + fb * v
-                fsv._observations += 1
-            else:
-                self._inflight_data -= 1
-            if optimizer is not None:
-                cm_observe(cp)
-                ut_observe(item.key, item.updated_at)
-            if item.computed:
-                tuple_id = item.tuple_id
-                if tuple_id in settled:
-                    continue  # exactly-once guard (see _execute_local)
-                settled.add(tuple_id)
-                if has_apply:
-                    outputs[tuple_id] = item.value
-                self._completed += 1
-                if admission is not None:
-                    admission.release(tuple_id)
-                on_complete(tuple_id, now)
-                if blocking:
-                    self._release_worker()
-                continue
-            if (
-                route is Route.DATA_REQUEST_MEMORY
-                or route is Route.DATA_REQUEST_DISK
-            ):
-                self._complete_fetch(item)
-            else:
                 self._execute_local(
                     item.tuple_id, item.key, tier=None,
                     value=item.value, params=item.params,

@@ -188,6 +188,5 @@ def publish_job_result(result, registry: MetricsRegistry | None = None) -> None:
     reg.counter("faults.timeouts").inc(result.timeouts)
     reg.counter("faults.retries").inc(result.retries)
     reg.counter("faults.fallbacks").inc(result.fallbacks)
-    reg.counter("faults.messages_faulted").inc(result.messages_faulted)
     reg.histogram("jobs.makespan").observe(result.makespan)
     reg.histogram("jobs.bytes_moved").observe(result.bytes_moved)

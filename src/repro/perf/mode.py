@@ -1,11 +1,12 @@
 """Reference-mode switch for the hot-path optimizations (repro.perf).
 
 Every optimization in the performance pass (cost-formula memoization,
-heap tombstone compaction, the fused ``_fast`` submit / serve /
-response loops, the ``apply_udf_batch`` sweeps) keeps the exact
-pre-optimization algorithm alive behind this switch — the only switch
-on those layers: each has the reference implementation and one
-optimized implementation, nothing else.  With
+heap tombstone compaction, the fused ``_submit_fast`` /
+``_execute_local_mem`` submit path, the ``_serve_batch_fast`` serving
+loop, the ``apply_udf_batch`` sweeps) keeps the exact pre-optimization
+algorithm alive behind this switch — the only switch on those layers:
+each has the reference implementation and one optimized implementation,
+nothing else (response merging has one, which both modes run).  With
 ``REPRO_PERF_REFERENCE=1`` in the environment, newly constructed
 components take the reference code paths verbatim, which is what the
 differential equivalence suite (``tests/test_perf_equivalence.py``)

@@ -629,15 +629,8 @@ class LocalBackend:
     batch_size: int = 64
     tracer: Tracer = NO_TRACER
     registry: MetricsRegistry | None = None
-    #: Accepted for config symmetry with SimBackend; real threads have
-    #: no simulated failures to survive, so the options are inert here.
-    resilience: ResilienceOptions | None = None
-    #: Config symmetry again: real threads use real RAM, there is no
-    #: modeled disk tier to spill to, so memory options are inert.
-    memory: MemoryOptions | None = None
-    #: Config symmetry once more: the tenancy replay adapter drives
-    #: this backend per service window and applies fair queueing in
-    #: the harness, so the options are inert here too.
+    #: Inert here: the tenancy replay adapter drives this backend per
+    #: service window and applies fair queueing in the harness.
     tenancy: Any = None
 
     def __post_init__(self) -> None:

@@ -19,10 +19,15 @@ from repro.api import (
     BACKENDS,
     BatchOptions,
     ClusterRunOptions,
+    ElasticOptions,
     JobSpec,
+    MemoryOptions,
+    ResilienceOptions,
     RunConfig,
+    TenancyOptions,
     run_join,
 )
+from repro.faults import FaultSchedule, FaultTolerance
 from repro.obs import ObsOptions
 from repro.runtime import ENGINES
 from tests.oracle import assert_oracle_equal, single_node_hash_join
@@ -88,6 +93,21 @@ class TestRunConfig:
             RunConfig(backend="local", engine="mapreduce")
         # The default engine stays accepted.
         assert RunConfig(backend="local").engine == "engine"
+
+    ARMED = {
+        "faults": FaultSchedule(seed=1),
+        "fault_tolerance": FaultTolerance(request_timeout=0.05),
+        "resilience": ResilienceOptions.on(),
+        "elastic": ElasticOptions.on(),
+        "memory": MemoryOptions.on(budget_bytes=1e6),
+    }
+
+    @pytest.mark.parametrize("group", sorted(ARMED))
+    def test_local_backend_rejects_what_it_would_drop(self, group):
+        with pytest.raises(ValueError, match=f"cannot honour {group}"):
+            RunConfig(backend="local", **{group: self.ARMED[group]})
+        # Tenancy stays: the replay runner drives local service windows.
+        RunConfig(backend="local", tenancy=TenancyOptions.on(window=0.5))
 
 
 class TestOptionGroups:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.cost_model import CostModel, CostParameters
+from repro.perf.mode import REFERENCE_ENV
 
 
 def params(key="k", node=1, **overrides):
@@ -61,6 +62,21 @@ class TestObservation:
         cm.observe(params())
         cm.forget_key("k")
         assert not cm.knows_key("k")
+
+    @pytest.mark.parametrize("reference", ["0", "1"])
+    def test_costs4_follows_costs_after_an_estimate_moves(
+        self, reference, monkeypatch
+    ):
+        # The optimized accessor must not serve a cost computed before
+        # the last observation, whichever mode built the model.
+        monkeypatch.setenv(REFERENCE_ENV, reference)
+        cm = model()
+        cm.observe(params())
+        first = cm.costs4("k", 1)
+        cm.observe(params(value_size=5e6, compute_time=0.5, disk_time=0.2))
+        c = cm.costs("k", 1)
+        assert cm.costs4("k", 1) == (c.rent, c.buy, c.t_rec_mem, c.t_rec_disk)
+        assert cm.costs4("k", 1) != first
 
 
 class TestCostFormulas:

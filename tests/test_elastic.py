@@ -16,6 +16,7 @@ from repro.engine.job import JoinJob, MembershipEvent, replay_membership
 from repro.engine.strategies import Strategy
 from repro.faults import CrashFault, FaultSchedule, FaultTolerance, MessageChaos
 from repro.obs import ObsOptions
+from repro.perf.mode import REFERENCE_ENV
 from repro.sim.cluster import Cluster
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -131,42 +132,44 @@ class TestElasticRuns:
             result.throughput_in(0.0, 1.0)
 
 
-#: ``ElasticJoinJob`` results for the configurations above, taken at the
-#: commit before it was folded into ``JoinJob`` (the second static
+#: Shared-queue makespans for the configurations above, identical under
+#: the default engine and ``REPRO_PERF_REFERENCE=1`` (the second static
 #: configuration, two nodes and no events, is a plain round-robin run
-#: now and has no shared-queue float to hold).
+#: and has no shared-queue float to hold).
 PINNED = {
-    "static-one-node": (dict(compute=(0,)), 17.85045133866665, {0: 2400}),
+    "static-one-node": (dict(compute=(0,)), 10.66497427999998, {0: 2400}),
     "add-one": (
         dict(compute=(0, 1), events=[MembershipEvent(1.0, "add", 1)]),
-        9.864967994666646, {0: 1375, 1: 1025},
+        8.066574599999985, {0: 1422, 1: 978},
     ),
     "add-two": (
         dict(compute=(0, 1, 2), events=[
             MembershipEvent(0.5, "add", 1), MembershipEvent(0.5, "add", 2),
         ]),
-        6.879480426666658, {0: 913, 1: 738, 2: 749},
+        6.5495977466666595, {0: 926, 1: 728, 2: 746},
     ),
     "remove-one": (
         dict(compute=(0, 1), events=[MembershipEvent(0.3, "remove", 1)]),
-        16.876684029333305, {0: 2252, 1: 148},
+        10.750940247999978, {0: 2252, 1: 148},
     ),
     "scale-out-4000": (
         dict(compute=(0, 1, 2), n_tuples=4000, events=[
             MembershipEvent(1.0, "add", 1), MembershipEvent(1.0, "add", 2),
         ]),
-        12.250798066666638, {0: 1515, 1: 1260, 2: 1225},
+        10.85152306933331, {0: 1584, 1: 1216, 2: 1200},
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_bare_membership_runs_keep_their_floats(name):
+def test_bare_membership_runs_keep_their_floats(name, monkeypatch):
     kwargs, makespan, completed = PINNED[name]
-    workload, job = make_job(**kwargs)
-    result = job.run(workload.keys())
-    assert result.makespan == makespan
-    assert result.completed_per_node == completed
+    for mode in ("0", "1"):
+        monkeypatch.setenv(REFERENCE_ENV, mode)
+        workload, job = make_job(**kwargs)
+        result = job.run(workload.keys())
+        assert result.makespan == makespan, f"{REFERENCE_ENV}={mode}"
+        assert result.completed_per_node == completed, f"{REFERENCE_ENV}={mode}"
 
 
 class TestScheduleValidation:

@@ -171,6 +171,16 @@ class TestEngineEquivalence:
             RunConfig(engine="engine").with_obs(tracing=True),
         )
 
+    def test_queued_compute_node_matches_reference(self):
+        # Enough compute-heavy tuples on few hot keys that the compute
+        # node's CPU queues: the memory-hit path must observe the same
+        # queueing-included local cost as its reference, or the route mix
+        # (and the makespan) parts.  Smaller cases never reach that scale.
+        _assert_equivalent(
+            dict(kind="compute_heavy", n_keys=60, n_tuples=3000, skew=1.5, seed=11),
+            RunConfig(),
+        )
+
     def test_fixed_threshold_strategy_matches_reference(self):
         # FC exercises the fixed-threshold branch of the router.
         _assert_equivalent(
@@ -189,7 +199,7 @@ class TestEngineEquivalence:
 @given(
     kind=st.sampled_from(["data_heavy", "compute_heavy", "data_compute_heavy"]),
     n_keys=st.integers(min_value=5, max_value=60),
-    n_tuples=st.integers(min_value=10, max_value=200),
+    n_tuples=st.integers(min_value=10, max_value=3000),
     skew=st.sampled_from([0.0, 0.5, 1.0, 1.5]),
     seed=st.integers(min_value=0, max_value=2**16),
     engine=st.sampled_from(ENGINES),

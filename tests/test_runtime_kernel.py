@@ -6,10 +6,13 @@ execution path the kernel offers must produce bit-for-bit the same
 healthy, and under a fault schedule injected at the transport seam.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.faults.policy import FaultTolerance
 from repro.faults.schedule import FaultSchedule, MessageChaos
+from repro.obs import MetricsRegistry
 from repro.runtime import ENGINES, JoinWorkload, LocalBackend, SimBackend
 from repro.workloads.synthetic import SyntheticWorkload
 from tests.oracle import assert_oracle_equal, single_node_hash_join
@@ -67,6 +70,38 @@ class TestSimBackend:
         assert faulted.duration != healthy.duration
         # ... and the answer is still exactly the oracle's.
         assert_oracle_equal(faulted.outputs, oracle)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_each_counter_has_one_publisher(self, engine, workload):
+        """Every ``transport.*`` / ``faults.*`` counter in the per-run
+        registry equals the field it was read from — published once."""
+        registry = MetricsRegistry()
+        run = SimBackend(
+            engine=engine,
+            seed=5,
+            fault_schedule=CHAOS,
+            fault_tolerance=TOLERANCE,
+            registry=registry,
+        ).run_join(workload)
+        counters = registry.snapshot()["counters"]
+        sources = {"faults.messages_faulted": run.metrics.messages_faulted}
+        assert sources["faults.messages_faulted"] > 0
+        for field in dataclasses.fields(run.metrics.transport):
+            if field.name != "latencies":
+                sources[f"transport.{field.name}"] = getattr(
+                    run.metrics.transport, field.name
+                )
+        if engine in ("engine", "streaming"):
+            # A JoinJob ran: its JobResult carries the same three sums.
+            for name in ("timeouts", "retries", "fallbacks"):
+                sources[f"faults.{name}"] = sources[f"transport.{name}"]
+                if engine == "engine":
+                    assert getattr(run.native, name) == sources[f"faults.{name}"]
+        published = {
+            name: value for name, value in counters.items()
+            if name.startswith(("transport.", "faults."))
+        }
+        assert published == sources
 
     def test_engines_agree_with_each_other(self, workload):
         runs = {
