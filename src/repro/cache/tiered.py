@@ -31,13 +31,6 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from repro.cache.benefit import LFUDAPolicy
-from repro.perf.mode import reference_mode
-
-#: Heap-compaction watermark: rebuild once more than this many dead
-#: entries (keys no longer memory resident) have accumulated *and*
-#: they outnumber the live entries.  Small caches stay on the pure
-#: lazy path.
-_COMPACT_MIN_DEAD = 64
 
 
 class CacheTier(enum.Enum):
@@ -123,17 +116,6 @@ class TieredCache:
         # Lazy min-heap over memory residents: (benefit, seq, key).
         self._mem_heap: list[tuple[float, int, Hashable]] = []
         self._seq = 0
-        # Tombstone accounting for heap compaction.  ``_heap_entries``
-        # counts heap entries per key; ``_heap_dead`` counts entries
-        # whose key is no longer memory resident.  Compaction removes
-        # *only* dead entries — the reference pop loop skips them with
-        # zero side effects, so dropping them up front preserves the
-        # exact eviction order — and stale-but-live duplicates are left
-        # alone (their refresh-re-push path affects seq tie-breaking).
-        # Disabled in reference mode.
-        self._heap_entries: dict[Hashable, int] = {}
-        self._heap_dead = 0
-        self._compact_enabled = not reference_mode()
         self._memory_hits = 0
         self._disk_hits = 0
         self._misses = 0
@@ -263,7 +245,6 @@ class TieredCache:
             self._mem_used -= resident.size
             if self._budget is not None:
                 self._budget.release(self._budget_owner, resident.size)
-            self._note_key_left_memory(key)
 
     # ------------------------------------------------------------------
     # Disk tier
@@ -302,7 +283,6 @@ class TieredCache:
             self._mem_used -= resident.size
             if self._budget is not None:
                 self._budget.release(self._budget_owner, resident.size)
-            self._note_key_left_memory(key)
             found = True
         resident = self._disk.pop(key, None)
         if resident is not None:
@@ -397,60 +377,9 @@ class TieredCache:
     def _push_heap(self, key: Hashable, benefit: float) -> None:
         heapq.heappush(self._mem_heap, (benefit, self._seq, key))
         self._seq += 1
-        if self._compact_enabled:
-            entries = self._heap_entries
-            entries[key] = entries.get(key, 0) + 1
-
-    def _note_pop(self, key: Hashable) -> None:
-        """Account for one heap entry removed by ``heappop``."""
-        if not self._compact_enabled:
-            return
-        entries = self._heap_entries
-        n = entries.get(key, 0)
-        if n <= 1:
-            entries.pop(key, None)
-        else:
-            entries[key] = n - 1
-        if key not in self._memory and self._heap_dead > 0:
-            self._heap_dead -= 1
-
-    def _note_key_left_memory(self, key: Hashable) -> None:
-        """A key left the memory tier: its heap entries are now dead."""
-        if not self._compact_enabled:
-            return
-        self._heap_dead += self._heap_entries.get(key, 0)
-        if (
-            self._heap_dead > _COMPACT_MIN_DEAD
-            and self._heap_dead * 2 > len(self._mem_heap)
-        ):
-            self._compact_heap()
-
-    def _compact_heap(self) -> None:
-        """Rebuild the heap without dead entries (order preserving).
-
-        Keeps every entry whose key is memory resident — including
-        stale duplicates, whose refresh-re-push behaviour is part of
-        the eviction order — as its exact ``(benefit, seq, key)``
-        tuple, so subsequent pops return the same sequence the lazy
-        reference path would.
-        """
-        memory = self._memory
-        live = [entry for entry in self._mem_heap if entry[2] in memory]
-        heapq.heapify(live)
-        self._mem_heap = live
-        self._heap_entries = {
-            key: n for key, n in self._heap_entries.items() if key in memory
-        }
-        self._heap_dead = 0
 
     def _admit(self, key: Hashable, value: Any | None, size: float) -> None:
         was_on_disk = key in self._disk
-        if self._compact_enabled:
-            # Entries left over from an earlier residency are no
-            # longer dead: the key is resident again.
-            self._heap_dead -= min(
-                self._heap_dead, self._heap_entries.get(key, 0)
-            )
         self._memory[key] = _Resident(
             value=value, size=size, reserved=value is None
         )
@@ -475,7 +404,6 @@ class TieredCache:
         """
         while self._mem_heap:
             benefit, _seq, key = heapq.heappop(self._mem_heap)
-            self._note_pop(key)
             if exclude is not None and key in exclude:
                 continue
             resident = self._memory.get(key)
@@ -545,7 +473,6 @@ class TieredCache:
         self._mem_used -= resident.size
         if self._budget is not None:
             self._budget.release(self._budget_owner, resident.size)
-        self._note_key_left_memory(key)
         self._mem_to_disk += 1
         self.policy.on_evict(key)
         if resident.reserved:

@@ -54,9 +54,7 @@ from repro.faults.schedule import FaultSchedule
 from repro.faults.wire import WireFaults
 from repro.obs.exporters import trace_records
 from repro.obs.tracer import Tracer
-from repro.perf.mode import reference_mode
 from repro.store.partitioner import stable_hash
-from repro.vector.kernels import apply_udf_batch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.backend import JoinWorkload
@@ -378,17 +376,10 @@ class _Worker:
     ) -> dict[int, Any]:
         udf = self.udf
         outputs: dict[int, Any] = {}
-        if udf.apply_fn is not None and not reference_mode():
-            # Columnar sweep: gather the value column once, then run
-            # the UDF over the aligned arrays in one pass.
-            value_col = [values[key] for key in keys]
-            computed = apply_udf_batch(udf.apply_fn, keys, params, value_col)
-            outputs = dict(zip(tids, computed))
-        else:
-            for at, tid in enumerate(tids):
-                key = keys[at]
-                p = params[at] if params is not None else None
-                outputs[tid] = udf.apply(key, p, values[key])
+        for at, tid in enumerate(tids):
+            key = keys[at]
+            p = params[at] if params is not None else None
+            outputs[tid] = udf.apply(key, p, values[key])
         self.bump("udf.applied", len(tids))
         return outputs
 
@@ -524,22 +515,8 @@ class _Worker:
         group_keys = [key for key, _pairs in request["groups"]]
         self._count_serves(group_keys)
         self._ensure_values(group_keys)
-        columnar = udf.apply_fn is not None and not reference_mode()
         for key, pairs in request["groups"]:
             stored = self.values[key]
-            if columnar and len(pairs) > 1:
-                # One reduce group shares key and stored value; sweep
-                # the UDF over the param column in one pass.
-                computed = apply_udf_batch(
-                    udf.apply_fn,
-                    [key] * len(pairs),
-                    [p for _, p in pairs],
-                    [stored] * len(pairs),
-                )
-                for (tid, _), out in zip(pairs, computed):
-                    outputs[tid] = out
-                n += len(pairs)
-                continue
             for tid, p in pairs:
                 outputs[tid] = udf.apply(key, p, stored)
                 n += 1

@@ -142,7 +142,6 @@ class CostModel:
         # per node — congestion on one data node must not pollute the
         # estimates for the others).
         self._remote_disk: dict[int, SmoothedValue] = {}
-        self._remote_compute = SmoothedValue(alpha=alpha)
         # Per-key overrides for the key-specific quantities.
         self._per_key: dict[Hashable, _KeyEstimates] = {}
         # Retry charging: wall time burned waiting on requests that
@@ -167,8 +166,9 @@ class CostModel:
         # would invalidate the memo constantly, while recomputing it is
         # two attribute reads.  Epochs only advance when an observation
         # actually moves a smoothed value, so a hit always returns the
-        # exact floats the formulas would have produced.  Disabled in
-        # reference mode to keep the pre-optimization path verbatim.
+        # exact floats the formulas would have produced.  Epochs advance
+        # in both modes; in reference mode ``costs()`` evaluates the
+        # formulas every time instead of consulting the memo.
         self._epoch = 0
         self._key_epoch: dict[Hashable, int] = {}
         self._node_epoch: dict[int, int] = {}
@@ -196,104 +196,41 @@ class CostModel:
     # Observation side: fold measured parameters into the estimates.
     # ------------------------------------------------------------------
     def observe(self, params: CostParameters) -> None:
-        """Fold a data node's reported parameters into the estimates."""
-        if not self._memo_enabled:
-            self._key_size.observe(params.key_size)
-            self._param_size.observe(params.param_size)
-            if params.computed_size > 0:
-                self._computed_size.observe(params.computed_size)
-            node_disk = self._remote_disk.get(params.node_id)
-            if node_disk is None:
-                node_disk = SmoothedValue(alpha=self._alpha)
-                self._remote_disk[params.node_id] = node_disk
-            node_disk.observe(params.disk_time)
-            self._remote_compute.observe(params.compute_time)
-            per_key = self._per_key.get(params.key)
-            if per_key is None:
-                per_key = _KeyEstimates(self._alpha)
-                self._per_key[params.key] = per_key
-            per_key.value_size.observe(params.value_size)
-            per_key.compute_time.observe(params.compute_time)
-            per_key.service_time.observe(params.service_time)
-            return
-        # Tracking path: the EWMA folds are inlined (exact expression
-        # from SmoothedValue.observe, all estimates share this model's
-        # alpha) so change detection costs attribute reads, not method
-        # calls.  Each epoch advances only when an observation actually
-        # moved its group's estimate.
-        a = self._alpha
-        b = 1.0 - a
-        sv = self._key_size
-        v = sv._value
-        x = params.key_size
-        nv = x if v is None else a * x + b * v
-        sv._value = nv
-        sv._observations += 1
-        changed = nv != v
-        sv = self._param_size
-        v = sv._value
-        x = params.param_size
-        nv = x if v is None else a * x + b * v
-        sv._value = nv
-        sv._observations += 1
-        changed = (nv != v) or changed
+        """Fold a data node's reported parameters into the estimates.
+
+        An epoch advances only when an observation actually moved one
+        of its group's estimates — in both modes, so an entry
+        :meth:`costs4` memoized expires whichever mode built the model.
+        """
+        sk, sp, scv = self._key_size, self._param_size, self._computed_size
+        was_sk, was_sp, was_scv = sk._value, sp._value, scv._value
+        sk.observe(params.key_size)
+        sp.observe(params.param_size)
         if params.computed_size > 0:
-            sv = self._computed_size
-            v = sv._value
-            x = params.computed_size
-            nv = x if v is None else a * x + b * v
-            sv._value = nv
-            sv._observations += 1
-            changed = (nv != v) or changed
-        if changed:
+            scv.observe(params.computed_size)
+        if sk._value != was_sk or sp._value != was_sp or scv._value != was_scv:
             self._epoch += 1
-        node_disk = self._remote_disk.get(params.node_id)
-        if node_disk is None:
-            node_disk = SmoothedValue(alpha=a)
-            self._remote_disk[params.node_id] = node_disk
-        v = node_disk._value
-        x = params.disk_time
-        nv = x if v is None else a * x + b * v
-        node_disk._value = nv
-        node_disk._observations += 1
-        if nv != v:
-            self._node_epoch[params.node_id] = (
-                self._node_epoch.get(params.node_id, 0) + 1
-            )
-        # _remote_compute feeds average_compute_time (load statistics),
-        # not the memoized cost formulas — no epoch involvement.
-        sv = self._remote_compute
-        v = sv._value
-        x = params.compute_time
-        sv._value = x if v is None else a * x + b * v
-        sv._observations += 1
-        per_key = self._per_key.get(params.key)
+        self._observe_disk(params.node_id, params.disk_time)
+        key = params.key
+        per_key = self._per_key.get(key)
         if per_key is None:
-            per_key = _KeyEstimates(a)
-            self._per_key[params.key] = per_key
-        sv = per_key.value_size
-        v = sv._value
-        x = params.value_size
-        nv = x if v is None else a * x + b * v
-        sv._value = nv
-        sv._observations += 1
-        key_changed = nv != v
-        sv = per_key.compute_time
-        v = sv._value
-        x = params.compute_time
-        nv = x if v is None else a * x + b * v
-        sv._value = nv
-        sv._observations += 1
-        key_changed = (nv != v) or key_changed
-        sv = per_key.service_time
-        v = sv._value
-        x = params.service_time
-        nv = x if v is None else a * x + b * v
-        sv._value = nv
-        sv._observations += 1
-        key_changed = (nv != v) or key_changed
-        if key_changed:
-            self._key_epoch[params.key] = self._key_epoch.get(params.key, 0) + 1
+            per_key = self._per_key[key] = _KeyEstimates(self._alpha)
+        sv, tc, ts = per_key.value_size, per_key.compute_time, per_key.service_time
+        was_sv, was_tc, was_ts = sv._value, tc._value, ts._value
+        sv.observe(params.value_size)
+        tc.observe(params.compute_time)
+        ts.observe(params.service_time)
+        if sv._value != was_sv or tc._value != was_tc or ts._value != was_ts:
+            self._key_epoch[key] = self._key_epoch.get(key, 0) + 1
+
+    def _observe_disk(self, data_node: int, seconds: float) -> None:
+        """Fold ``seconds`` into ``tDisk_j``; bump the node's epoch if it moved."""
+        node_disk = self._remote_disk.get(data_node)
+        if node_disk is None:
+            node_disk = self._remote_disk[data_node] = SmoothedValue(alpha=self._alpha)
+        before = node_disk._value
+        if node_disk.observe(seconds) != before:
+            self._node_epoch[data_node] = self._node_epoch.get(data_node, 0) + 1
 
     def observe_local_compute(self, seconds: float) -> None:
         """Record a locally measured UDF execution time (``tc_i``).
@@ -318,16 +255,7 @@ class CostModel:
             self._timeouts_per_node.get(data_node, 0) + 1
         )
         self._retry_seconds += waited
-        node_disk = self._remote_disk.get(data_node)
-        if node_disk is None:
-            node_disk = SmoothedValue(alpha=self._alpha)
-            self._remote_disk[data_node] = node_disk
-        if not self._memo_enabled:
-            node_disk.observe(waited)
-            return
-        before = node_disk._value
-        if node_disk.observe(waited) != before:
-            self._node_epoch[data_node] = self._node_epoch.get(data_node, 0) + 1
+        self._observe_disk(data_node, waited)
 
     def observe_spill(self, nbytes: float, seconds: float) -> None:
         """Charge one spill (or unspill) of ``nbytes`` taking ``seconds``.
@@ -364,8 +292,7 @@ class CostModel:
     def forget_key(self, key: Hashable) -> None:
         """Drop per-key estimates (e.g. after a data-store update)."""
         self._per_key.pop(key, None)
-        if self._memo_enabled:
-            self._key_epoch[key] = self._key_epoch.get(key, 0) + 1
+        self._key_epoch[key] = self._key_epoch.get(key, 0) + 1
 
     # ------------------------------------------------------------------
     # Query side.
@@ -403,13 +330,24 @@ class CostModel:
             raise KeyError(f"no cost parameters yet for key {key!r}")
         if self._memo_enabled:
             t_compute, t_fetch = self._remote_costs(key, data_node, per_key)
-            tc_local = self._local_compute.value_or(per_key.service_time.value)
-            return RequestCosts(
-                t_compute=t_compute,
-                t_fetch=t_fetch,
-                t_rec_mem=tc_local,
-                t_rec_disk=max(tc_local, self._local_disk_time),
-            )
+        else:
+            t_compute, t_fetch = self._remote_formulas(data_node, per_key)
+        # Local UDF time: prefer a locally measured value; fall back to
+        # the key's *pure service* cost — an idle local CPU would take
+        # about that long (falling back to the load-inflated remote
+        # measurement would make r <= br and freeze buying forever).
+        tc_local = self._local_compute.value_or(per_key.service_time.value)
+        return RequestCosts(
+            t_compute=t_compute,
+            t_fetch=t_fetch,
+            t_rec_mem=tc_local,
+            t_rec_disk=max(tc_local, self._local_disk_time),
+        )
+
+    def _remote_formulas(
+        self, data_node: int, per_key: _KeyEstimates
+    ) -> tuple[float, float]:
+        """``(tCompute, tFetch)`` from the current estimates."""
         bw = self.bandwidth_to(data_node)
         sk = self._key_size.value_or(8.0)
         sp = self._param_size.value_or(0.0)
@@ -418,30 +356,17 @@ class CostModel:
         node_disk = self._remote_disk.get(data_node)
         t_disk_remote = node_disk.value_or(0.0) if node_disk is not None else 0.0
         tc_remote = per_key.compute_time.value
-        # Local UDF time: prefer a locally measured value; fall back to
-        # the key's *pure service* cost — an idle local CPU would take
-        # about that long (falling back to the load-inflated remote
-        # measurement would make r <= br and freeze buying forever).
-        tc_local = self._local_compute.value_or(per_key.service_time.value)
         t_compute = max(t_disk_remote, (sk + sp + scv) / bw, tc_remote)
         t_fetch = max(t_disk_remote, (sk + sv) / bw)
-        t_rec_mem = tc_local
-        t_rec_disk = max(tc_local, self._local_disk_time)
-        return RequestCosts(
-            t_compute=t_compute,
-            t_fetch=t_fetch,
-            t_rec_mem=t_rec_mem,
-            t_rec_disk=t_rec_disk,
-        )
+        return t_compute, t_fetch
 
     def _remote_costs(
         self, key: Hashable, data_node: int, per_key: _KeyEstimates
     ) -> tuple[float, float]:
-        """Memoized ``(tCompute, tFetch)`` — optimized mode only.
+        """Memoized :meth:`_remote_formulas`.
 
-        The formulas are evaluated with exactly the reference
-        expressions on a miss; a hit returns the floats computed under
-        identical estimate values, so results are bit-equal either way.
+        A hit returns the floats computed under identical estimate
+        values, so results are bit-equal either way.
         """
         k_ep = self._key_epoch.get(key, 0)
         n_ep = self._node_epoch.get(data_node, 0)
@@ -454,19 +379,8 @@ class CostModel:
             and entry[2] == n_ep
         ):
             return entry[3], entry[4]
-        bw = self.bandwidth_to(data_node)
-        sk = self._key_size.value_or(8.0)
-        sp = self._param_size.value_or(0.0)
-        scv = self._computed_size.value_or(0.0)
-        sv = per_key.value_size.value
-        node_disk = self._remote_disk.get(data_node)
-        t_disk_remote = node_disk.value_or(0.0) if node_disk is not None else 0.0
-        tc_remote = per_key.compute_time.value
-        t_compute = max(t_disk_remote, (sk + sp + scv) / bw, tc_remote)
-        t_fetch = max(t_disk_remote, (sk + sv) / bw)
-        if self._memo_enabled:
-            # Off, observe() advances no epoch: an entry would never expire.
-            self._memo[memo_key] = (self._epoch, k_ep, n_ep, t_compute, t_fetch)
+        t_compute, t_fetch = self._remote_formulas(data_node, per_key)
+        self._memo[memo_key] = (self._epoch, k_ep, n_ep, t_compute, t_fetch)
         return t_compute, t_fetch
 
     def costs4(self, key: Hashable, data_node: int) -> tuple[float, float, float, float]:
@@ -501,25 +415,3 @@ class CostModel:
             tc_local,
             tc_local if tc_local >= ldt else ldt,
         )
-
-    def average_compute_time(self) -> float:
-        """Current estimate of the UDF CPU time (for load statistics)."""
-        return self._local_compute.value_or(self._remote_compute.value_or(0.0))
-
-    def average_sizes(self) -> tuple[float, float, float, float]:
-        """Average ``(sk, sp, sv, scv)`` across observed keys.
-
-        ``sv`` here is the mean over per-key estimates; used by the
-        load balancer's network-load formulas where the batch mixes
-        many keys.
-        """
-        sk = self._key_size.value_or(8.0)
-        sp = self._param_size.value_or(0.0)
-        scv = self._computed_size.value_or(0.0)
-        sizes = [
-            pk.value_size.value
-            for pk in self._per_key.values()
-            if pk.value_size.initialized
-        ]
-        sv = sum(sizes) / len(sizes) if sizes else 0.0
-        return sk, sp, sv, scv

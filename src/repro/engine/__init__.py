@@ -27,7 +27,7 @@ from repro.engine.requests import (
     ResponseItem,
     UDF,
 )
-from repro.engine.batching import AdaptiveBatchBuffer, BatchBuffer
+from repro.engine.batching import BatchBuffer
 from repro.engine.prefetch import PostMapRunner, PreMapRunner, ResultHashMap
 from repro.engine.strategies import Strategy, StrategyConfig
 from repro.engine.compute_node import ComputeNodeRuntime
@@ -48,7 +48,6 @@ __all__ = [
     "ResponseItem",
     "UDF",
     "BatchBuffer",
-    "AdaptiveBatchBuffer",
     "PreMapRunner",
     "PostMapRunner",
     "ResultHashMap",

@@ -48,7 +48,6 @@ class BatchBuffer:
         self.max_wait = max_wait
         self.on_flush = on_flush
         self._items: list[RequestItem] = []
-        self._oldest_at: float | None = None
         self._epoch = 0  # invalidates stale timeout events
         self._flushes = 0
         self._timeout_flushes = 0
@@ -76,7 +75,6 @@ class BatchBuffer:
 
     def _arm_timer(self) -> None:
         """First item of a batch: start the max-wait clock."""
-        self._oldest_at = self.sim.now
         if self.max_wait is not None:
             epoch = self._epoch
             self.sim.schedule_after(self.max_wait, lambda: self._on_timeout(epoch))
@@ -86,7 +84,6 @@ class BatchBuffer:
         if not self._items:
             return
         items, self._items = self._items, []
-        self._oldest_at = None
         self._epoch += 1
         self._flushes += 1
         self.on_flush(items)
@@ -98,63 +95,3 @@ class BatchBuffer:
             return
         self._timeout_flushes += 1
         self.flush()
-
-
-class AdaptiveBatchBuffer(BatchBuffer):
-    """Batch buffer that tunes its own size (the paper's future work).
-
-    "Extensions to dynamically determine batch size is a topic of
-    future work" (Section 7.2).  The control law is the obvious one:
-    the batch should be as large as possible while still *filling*
-    well within the latency budget (``max_wait``):
-
-    * a flush triggered by the timeout means arrivals are too slow for
-      the current size — halve it;
-    * a size-triggered flush that filled in under a quarter of the
-      budget means there is latency headroom — double it;
-    * anything in between holds steady.
-
-    Sizes stay within ``[min_size, max_size]``.  Under a fast stream
-    the buffer grows to amortize per-request overheads; when the
-    stream thins it shrinks so tuples never sit waiting.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        batch_size: int,
-        on_flush: Callable[[list[RequestItem]], None],
-        max_wait: float,
-        min_size: int = 4,
-        max_size: int = 512,
-    ) -> None:
-        if not min_size <= batch_size <= max_size:
-            raise ValueError("need min_size <= batch_size <= max_size")
-        super().__init__(sim, batch_size, on_flush, max_wait=max_wait)
-        self.min_size = min_size
-        self.max_size = max_size
-        self._resizes = 0
-
-    @property
-    def resizes(self) -> int:
-        """Number of size adjustments made."""
-        return self._resizes
-
-    def flush(self) -> None:
-        if not self._items:
-            return
-        fill_time = (
-            self.sim.now - self._oldest_at if self._oldest_at is not None else 0.0
-        )
-        filled = len(self._items) >= self.batch_size
-        super().flush()
-        assert self.max_wait is not None
-        if not filled or fill_time > self.max_wait:
-            new_size = max(self.batch_size // 2, self.min_size)
-        elif fill_time < self.max_wait / 4:
-            new_size = min(self.batch_size * 2, self.max_size)
-        else:
-            new_size = self.batch_size
-        if new_size != self.batch_size:
-            self.batch_size = new_size
-            self._resizes += 1

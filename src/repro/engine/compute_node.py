@@ -30,7 +30,7 @@ from repro.core.frequency import ExactCounter, LossyCounter
 from repro.placement.batch import ComputeNodeStats, SizeProfile
 from repro.core.optimizer import JoinLocationOptimizer, Route
 from repro.core.smoothing import SmoothedValue
-from repro.engine.batching import AdaptiveBatchBuffer, BatchBuffer
+from repro.engine.batching import BatchBuffer
 from repro.engine.requests import (
     BatchResponse,
     RequestItem,
@@ -119,7 +119,6 @@ class ComputeNodeRuntime:
         fixed_threshold: float | None = None,
         reset_count_on_update: bool = True,
         update_notifications: bool = False,
-        adaptive_batching: bool = False,
         fault_tolerance: FaultTolerance | None = None,
         tracer: Tracer = NO_TRACER,
         obs_parent: Span | None = None,
@@ -171,18 +170,8 @@ class ComputeNodeRuntime:
         self._compute_buffers: dict[int, BatchBuffer] = {}
         self._data_buffers: dict[int, BatchBuffer] = {}
         effective_batch = batch_size if config.batching else 1
-        # Single-evaluation routing fast path (see route_fast); the
-        # reference mode keeps the original two-pass route().
-        self._fast_route = not reference_mode() and self.optimizer is not None
 
         def make_buffer(dn: int, kind: RequestKind) -> BatchBuffer:
-            if adaptive_batching and config.batching and max_wait is not None:
-                return AdaptiveBatchBuffer(
-                    cluster.sim,
-                    effective_batch,
-                    on_flush=self._make_flusher(dn, kind),
-                    max_wait=max_wait,
-                )
             return BatchBuffer(
                 cluster.sim,
                 effective_batch,
@@ -326,7 +315,8 @@ class ComputeNodeRuntime:
         self._dst_cache: dict[Hashable, int] = {}
         self._dst_gen = -1
         if (
-            self._fast_route
+            not reference_mode()
+            and self.optimizer is not None
             and not config.blocking
             and self._freeze_after is None
             and udf.side_effect_free
@@ -490,21 +480,6 @@ class ComputeNodeRuntime:
                     self._record(tuple_id, key, Route.COMPUTE_REQUEST.value)
                     self._enqueue(dst, tuple_id, key, RequestKind.COMPUTE,
                                   Route.COMPUTE_REQUEST, params)
-                return
-            if self._fast_route:
-                route, value = self.optimizer.route_fast(key, dst)
-                self._record(tuple_id, key, route.value)
-                if route is Route.LOCAL_MEMORY:
-                    self._execute_local(tuple_id, key, CacheTier.MEMORY,
-                                        value=value, params=params)
-                elif route is Route.LOCAL_DISK:
-                    self._execute_local(tuple_id, key, CacheTier.DISK,
-                                        value=value, params=params)
-                elif route is Route.COMPUTE_REQUEST:
-                    self._enqueue(dst, tuple_id, key, RequestKind.COMPUTE,
-                                  route, params)
-                else:
-                    self._enqueue_fetch(dst, tuple_id, key, route, params)
                 return
             decision = self.optimizer.route(key, dst)
             self._record(tuple_id, key, decision.route.value)

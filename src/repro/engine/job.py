@@ -264,7 +264,6 @@ class JoinJob:
     fixed_threshold: float | None = None
     reset_count_on_update: bool = True
     update_notifications: bool = False
-    adaptive_batching: bool = False
     membership: Sequence[MembershipEvent] = ()
     exact_counting: bool = False
     use_exact_balancer: bool = False
@@ -583,7 +582,6 @@ class JoinJob:
             fixed_threshold=self.fixed_threshold,
             reset_count_on_update=self.reset_count_on_update,
             update_notifications=self.update_notifications,
-            adaptive_batching=self.adaptive_batching,
             fault_tolerance=self.fault_tolerance,
             tracer=self.tracer,
             obs_parent=job_span,

@@ -16,8 +16,8 @@ never drops a tuple.
 The structure is pure bookkeeping: it never touches the simulator.
 Every byte moved to or from the disk tier is reported through the
 ``io_cost(nbytes, op)`` hook as seconds of disk service (callers price
-it with :func:`repro.vector.kernels.disk_service_times` and charge the
-node's single disk arm / the :class:`~repro.core.cost_model.CostModel`).
+it as ``seek + nbytes / bandwidth`` and charge the node's single disk
+arm / the :class:`~repro.core.cost_model.CostModel`).
 """
 
 from __future__ import annotations

@@ -222,9 +222,10 @@ def _micro_lossy_counter(n_keys: int, n_items: int) -> ScenarioRun:
 def _micro_cache_churn(n_keys: int, n_items: int) -> ScenarioRun:
     """Tiered-cache churn: admissions, promotions, invalidations.
 
-    Exercises the LFU-DA heap's lazy-deletion/compaction machinery
-    with a pinned access trace whose working set overflows the memory
-    tier, so entries constantly move memory -> disk -> evicted.
+    Exercises the LFU-DA heap's lazy deletion with a pinned access
+    trace whose working set overflows the memory tier, so entries
+    constantly move memory -> disk -> evicted and the heap fills with
+    entries of keys that are no longer memory resident.
     """
     from repro.cache.tiered import TieredCache
 

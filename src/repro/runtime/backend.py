@@ -35,9 +35,7 @@ from repro.faults.schedule import FaultSchedule
 from repro.memory.options import MemoryOptions
 from repro.obs.registry import MetricsRegistry, ambient_registry
 from repro.obs.tracer import NO_TRACER, Tracer
-from repro.perf.mode import reference_mode
 from repro.resilience.options import ResilienceOptions
-from repro.vector.kernels import apply_udf_batch, disk_service_times
 from repro.runtime.metrics import RuntimeMetrics, collect_runtime_metrics
 from repro.runtime.transport import ShuffleChannel
 from repro.sim.cluster import Cluster
@@ -360,24 +358,8 @@ class SimBackend:
             p = params[tuple_id] if params is not None else None
             return [(key, (tuple_id, p))]
 
-        columnar = not reference_mode()
-        apply_fn = udf.apply_fn
-
         def reduce_fn(key: Hashable, pairs: list[tuple[int, Any]]):
             stored = mem.lookup(key) if mem is not None else values[key]
-            if columnar and len(pairs) > 1:
-                # One reduce group shares key and stored value; run the
-                # UDF over the param column in one sweep.
-                results = apply_udf_batch(
-                    apply_fn,
-                    [key] * len(pairs),
-                    [p for _, p in pairs],
-                    [stored] * len(pairs),
-                )
-                return [
-                    (tid, out)
-                    for (tid, _), out in zip(pairs, results)
-                ]
             return [(tid, udf.apply(key, p, stored)) for tid, p in pairs]
 
         channel = ShuffleChannel(
@@ -470,27 +452,12 @@ class SimBackend:
         udf = workload.udf
         params = workload.params
         outputs: dict[int, Any] = {}
-        if not reference_mode():
-            # Gather aligned tid/key/param/value columns from the query
-            # result, then apply the UDF in one columnar sweep.
-            tids = [row[tid_at] for row in result.result.rows]
-            keys = [workload.keys[tid] for tid in tids]
-            if mem is not None:
-                row_values = [mem.lookup(k) for k in keys]
-            else:
-                row_values = [row[value_at] for row in result.result.rows]
-            p_col = (
-                [params[tid] for tid in tids] if params is not None else None
-            )
-            computed = apply_udf_batch(udf.apply_fn, keys, p_col, row_values)
-            outputs = dict(zip(tids, computed))
-        else:
-            for row in result.result.rows:
-                tid = row[tid_at]
-                p = params[tid] if params is not None else None
-                key = workload.keys[tid]
-                stored = mem.lookup(key) if mem is not None else row[value_at]
-                outputs[tid] = udf.apply(key, p, stored)
+        for row in result.result.rows:
+            tid = row[tid_at]
+            p = params[tid] if params is not None else None
+            key = workload.keys[tid]
+            stored = mem.lookup(key) if mem is not None else row[value_at]
+            outputs[tid] = udf.apply(key, p, stored)
         self._replay_resilience(cluster, result.makespan)
         duration = result.makespan
         if mem is not None:
@@ -569,7 +536,7 @@ class _ShuffleMemory:
                 _seek: float = spec.disk_seek,
                 _bw: float = spec.disk_bandwidth,
             ) -> float:
-                return disk_service_times([_seek], [nbytes], _bw, 1.0)[0]
+                return _seek + nbytes / _bw
 
             self.hybrids[nid] = HybridHashJoin(
                 budget=self.budgets[nid],
@@ -686,22 +653,6 @@ class LocalBackend:
         keys = workload.keys
         params = workload.params
         outputs: dict[int, Any] = {}
-        if not reference_mode():
-            apply_fn = udf.apply_fn
-            for at in range(0, len(tuple_ids), self.batch_size):
-                chunk = tuple_ids[at : at + self.batch_size]
-                chunk_keys = [keys[tid] for tid in chunk]
-                chunk_values = [values[k] for k in chunk_keys]
-                p_col = (
-                    [params[tid] for tid in chunk]
-                    if params is not None
-                    else None
-                )
-                computed = apply_udf_batch(
-                    apply_fn, chunk_keys, p_col, chunk_values
-                )
-                outputs.update(zip(chunk, computed))
-            return outputs
         for at in range(0, len(tuple_ids), self.batch_size):
             for tuple_id in tuple_ids[at : at + self.batch_size]:
                 key = keys[tuple_id]

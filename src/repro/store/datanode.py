@@ -44,7 +44,6 @@ from repro.store.messages import (
 )
 from repro.sim.cluster import Cluster, Node
 from repro.store.kvstore import KVStore
-from repro.vector.kernels import disk_service_times
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.memory.hybrid_join import HybridHashJoin
@@ -173,9 +172,9 @@ class DataNodeServer:
         sequential) unspill instead of a random read, and budget
         pressure spills whole partitions — degrading service latency
         gracefully instead of failing.  Spill/unspill traffic is priced
-        through :func:`repro.vector.kernels.disk_service_times` and
-        reserved on this node's disk arm, so the cost shows up in
-        makespans the same way every other disk access does.
+        as one seek plus the streamed bytes and reserved on this node's
+        disk arm, so the cost shows up in makespans the same way every
+        other disk access does.
         """
         from repro.memory.hybrid_join import HybridHashJoin
 
@@ -186,7 +185,7 @@ class DataNodeServer:
         def io_cost(nbytes: float, op: str) -> float:
             # Whole-partition spills are sequential: one short seek
             # plus the streamed bytes, both ways.
-            return disk_service_times([seek], [nbytes], bandwidth, 1.0)[0]
+            return seek + nbytes / bandwidth
 
         self.hybrid = HybridHashJoin(
             budget=budget,

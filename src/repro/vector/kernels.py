@@ -1,15 +1,15 @@
-"""Low-level columnar kernels shared by the vectorized hot paths.
+"""The one columnar kernel left: ski-rental thresholds over cost columns.
 
-Two rules govern everything in this module:
+Two rules govern it:
 
-1. **Bit-identity.**  Each kernel's float results must match the scalar
+1. **Bit-identity.**  The kernel's float results must match the scalar
    reference fold exactly.  That restricts the numpy surface to
    elementwise ufuncs (one IEEE operation per lane, identical to the
    scalar expression; ``add.reduce``/``sum`` use pairwise summation
    and therefore round differently).  Results are converted back to
    Python floats with ``tolist()`` so downstream accounting and JSON
    export never see ``np.float64``.
-2. **Graceful fallback.**  numpy is an optional accelerator; every
+2. **Graceful fallback.**  numpy is an optional accelerator; the
    kernel has a pure-python columnar path producing the same values.
 
 ``_NUMPY_MIN`` is the batch length below which the scalar fallback is
@@ -19,7 +19,7 @@ it saves on tiny batches.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Sequence
+from typing import Sequence
 
 try:  # pragma: no cover - exercised implicitly by every import
     import numpy as _np
@@ -29,34 +29,11 @@ except ImportError:  # pragma: no cover - numpy ships with the package
     _np = None  # type: ignore[assignment]
     HAVE_NUMPY = False
 
-#: Minimum column length for the numpy paths; shorter columns use the
+#: Minimum column length for the numpy path; shorter columns use the
 #: scalar fold (identical results, less overhead).
 _NUMPY_MIN = 32
 
 _INF = float("inf")
-
-
-def disk_service_times(
-    seeks: Sequence[float],
-    sizes: Sequence[float],
-    bandwidth: float,
-    slow: float,
-) -> list[float]:
-    """Elementwise ``(seek + size / bandwidth) * slow`` over columns.
-
-    One IEEE divide, add and multiply per lane in both paths — the
-    numpy ufunc applies the same three operations per element as the
-    scalar expression, so the results are identical floats.
-    """
-    if HAVE_NUMPY and len(sizes) >= _NUMPY_MIN:
-        sizes_arr = _np.asarray(sizes, dtype=_np.float64)
-        seeks_arr = _np.asarray(seeks, dtype=_np.float64)
-        out: list[float] = ((seeks_arr + sizes_arr / bandwidth) * slow).tolist()
-        return out
-    return [
-        (seek + size / bandwidth) * slow
-        for seek, size in zip(seeks, sizes)
-    ]
 
 
 def ski_rental_lanes(
@@ -128,24 +105,3 @@ def ski_rental_lanes(
         else:
             disk_thresholds.append(buy_i / (rent_i - rec_disk_i))
     return weights, mem_thresholds, disk_thresholds
-
-
-def apply_udf_batch(
-    apply_fn: Callable[[Hashable, Any, Any], Any],
-    keys: Sequence[Hashable],
-    params: Sequence[Any] | None,
-    values: Sequence[Any],
-) -> list[Any]:
-    """Apply one UDF over aligned key/param/value columns.
-
-    The UDF is an opaque Python callable, so the "vectorization" here
-    is the columnar sweep itself: one comprehension over pre-gathered
-    aligned columns instead of a per-tuple gather + call in the engine
-    loop.  ``params=None`` broadcasts a ``None`` argument.
-    """
-    if params is None:
-        return [apply_fn(key, None, value) for key, value in zip(keys, values)]
-    return [
-        apply_fn(key, p, value)
-        for key, p, value in zip(keys, params, values)
-    ]

@@ -1,6 +1,8 @@
 """Tests for Table 1 cost parameters and the Section 4.3 cost formulas."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cost_model import CostModel, CostParameters
 from repro.perf.mode import REFERENCE_ENV
@@ -77,6 +79,75 @@ class TestObservation:
         c = cm.costs("k", 1)
         assert cm.costs4("k", 1) == (c.rent, c.buy, c.t_rec_mem, c.t_rec_disk)
         assert cm.costs4("k", 1) != first
+
+
+# Few distinct values, so repeats leave an estimate where it was (no
+# epoch bump) as often as they move it.
+_KEYS = st.sampled_from(["a", "b", "c"])
+_NODES = st.sampled_from([1, 2])
+_SECONDS = st.sampled_from([0.0, 0.002, 0.01, 0.5])
+_STEP = st.one_of(
+    st.tuples(
+        st.just("observe"), _KEYS, _NODES, st.sampled_from([10.0, 1e5, 5e6]),
+        _SECONDS, _SECONDS, st.sampled_from([0.0, 128.0, 4096.0]),
+    ),
+    st.tuples(st.just("observe_timeout"), _NODES, _SECONDS),
+    st.tuples(st.just("forget_key"), _KEYS),
+    st.tuples(st.just("observe_placement_epoch"), st.integers(0, 3)),
+    st.tuples(st.just("observe_local_compute"), _SECONDS),
+)
+
+
+def _estimates_and_epochs(cm: CostModel):
+    def smoothed(s):
+        return s._value, s.observations
+
+    return (
+        [smoothed(s) for s in (cm._key_size, cm._param_size,
+                               cm._computed_size, cm._local_compute)],
+        {node: smoothed(s) for node, s in cm._remote_disk.items()},
+        {
+            key: [smoothed(s) for s in (pk.value_size, pk.compute_time,
+                                        pk.service_time)]
+            for key, pk in cm._per_key.items()
+        },
+        (cm._epoch, cm._key_epoch, cm._node_epoch, cm._placement_epoch),
+    )
+
+
+@given(steps=st.lists(_STEP, min_size=1, max_size=40))
+@settings(max_examples=80, deadline=None)
+def test_property_modes_hold_equal_estimates_and_epochs(steps):
+    """A default-mode and a reference-mode model fed one sequence agree
+    on every estimate and every epoch, and in both ``costs4`` is
+    ``costs`` after every step."""
+    models = []
+    with pytest.MonkeyPatch.context() as mp:
+        for reference in ("0", "1"):
+            mp.setenv(REFERENCE_ENV, reference)
+            models.append(model())
+    default, reference = models
+    assert default._memo_enabled and not reference._memo_enabled
+    for name, *args in steps:
+        for cm in models:
+            if name == "observe":
+                key, node, value_size, compute_time, disk_time, computed = args
+                cm.observe(params(
+                    key=key, node=node, value_size=value_size,
+                    compute_time=compute_time, disk_time=disk_time,
+                    computed_size=computed,
+                ))
+            else:
+                getattr(cm, name)(*args)
+        assert _estimates_and_epochs(default) == _estimates_and_epochs(reference)
+        for key in default._per_key:
+            for node in (1, 2):
+                c = reference.costs(key, node)
+                assert default.costs(key, node) == c
+                for cm in models:
+                    assert cm.costs4(key, node) == (
+                        c.t_compute, c.t_fetch, c.t_rec_mem, c.t_rec_disk
+                    )
 
 
 class TestCostFormulas:
@@ -160,23 +231,6 @@ class TestBandwidth:
             CostModel(0, {1: -5.0}, 0.001)
         with pytest.raises(ValueError):
             CostModel(0, {1: 1.0}, -0.001)
-
-
-class TestAverages:
-    def test_average_sizes(self):
-        cm = model()
-        cm.observe(params(key="a", value_size=100.0))
-        cm.observe(params(key="b", value_size=300.0))
-        sk, sp, sv, scv = cm.average_sizes()
-        assert sv == pytest.approx(200.0)
-        assert sk == pytest.approx(8.0)
-
-    def test_average_compute_time_prefers_local(self):
-        cm = model()
-        cm.observe(params(compute_time=1.0))
-        assert cm.average_compute_time() == pytest.approx(1.0)
-        cm.observe_local_compute(0.2)
-        assert cm.average_compute_time() == pytest.approx(0.2)
 
 
 class TestCostMonotonicity:

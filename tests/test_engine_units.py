@@ -294,79 +294,3 @@ class TestPostMapRunner:
         )
         list(runner.run(range(10)))
         assert runner.bulk_calls == 2
-
-
-class TestAdaptiveBatchBuffer:
-    def _make(self, batch_size=8, max_wait=1.0, **kwargs):
-        from repro.engine.batching import AdaptiveBatchBuffer
-
-        sim = Simulator()
-        flushed = []
-        buf = AdaptiveBatchBuffer(
-            sim, batch_size, on_flush=flushed.append, max_wait=max_wait, **kwargs
-        )
-        return sim, buf, flushed
-
-    def test_grows_under_fast_arrivals(self):
-        sim, buf, flushed = self._make(batch_size=8, max_wait=1.0)
-
-        def burst():
-            for i in range(8):
-                buf.add(item(tid=i))
-
-        sim.schedule_at(0.0, burst)  # fills instantly: well under budget
-        sim.run()
-        assert buf.batch_size == 16
-        assert buf.resizes == 1
-
-    def test_shrinks_on_timeout_flush(self):
-        sim, buf, flushed = self._make(batch_size=8, max_wait=0.5)
-        sim.schedule_at(0.0, lambda: buf.add(item(tid=0)))
-        sim.run()  # only the timeout fires
-        assert len(flushed) == 1
-        assert buf.batch_size == 4
-
-    def test_respects_bounds(self):
-        sim, buf, flushed = self._make(batch_size=4, max_wait=0.1, min_size=4)
-        for round_ in range(5):
-            sim.schedule_at(round_ * 10.0, lambda r=round_: buf.add(item(tid=r)))
-        sim.run()
-        assert buf.batch_size == 4  # never below min_size
-
-        sim2, buf2, _f = self._make(batch_size=256, max_wait=10.0, max_size=256)
-
-        def burst():
-            for i in range(256):
-                buf2.add(item(tid=i))
-
-        sim2.schedule_at(0.0, burst)
-        sim2.run()
-        assert buf2.batch_size == 256  # never above max_size
-
-    def test_validation(self):
-        from repro.engine.batching import AdaptiveBatchBuffer
-
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            AdaptiveBatchBuffer(sim, 2, on_flush=lambda i: None,
-                                max_wait=1.0, min_size=4)
-
-    def test_end_to_end_with_join_job(self):
-        from repro.engine.job import JoinJob
-        from repro.sim.cluster import Cluster
-        from repro.workloads.synthetic import SyntheticWorkload
-
-        wl = SyntheticWorkload.data_heavy(n_keys=200, n_tuples=1200, skew=1.0)
-        job = JoinJob(
-            cluster=Cluster.homogeneous(4),
-            compute_nodes=[0, 1],
-            data_nodes=[2, 3],
-            table=wl.build_table(),
-            udf=wl.udf,
-            strategy=Strategy.fo(),
-            sizes=wl.sizes,
-            adaptive_batching=True,
-            seed=5,
-        )
-        result = job.run(wl.keys())
-        assert result.n_tuples == 1200

@@ -12,12 +12,14 @@ optimization changed behaviour, not just speed.
 from __future__ import annotations
 
 import os
+import pathlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import JobSpec, MembershipEvent, RunConfig, run_join
+import repro
+from repro.api import BatchOptions, JobSpec, MembershipEvent, RunConfig, run_join
 from repro.faults.policy import FaultTolerance
 from repro.faults.schedule import CrashFault, FaultSchedule, MessageChaos
 from repro.memory import MemoryOptions
@@ -97,6 +99,11 @@ _ENGINE_CASES = {
     ),
     # NO: blocking workers, one unbatched request in flight per thread.
     "engine-blocking": (dict(engine="engine"), dict(strategy="NO"), ()),
+    # FO-NA: the adaptive prefix (first 10 % per node) goes through
+    # _route_and_dispatch, the frozen rest through its cache-only branch.
+    "engine-fo-na": (
+        dict(engine="engine"), dict(strategy="FO-NA", n_tuples=2000), ()
+    ),
     # Drops, duplicates and a crashed data node: same-id retries,
     # idempotent replays, and replica fallback (routes rewritten to
     # DATA_REQUEST_DISK).
@@ -181,6 +188,28 @@ class TestEngineEquivalence:
             RunConfig(),
         )
 
+    @pytest.mark.parametrize(
+        "shape, cache_bytes",
+        [
+            # sim_rent: cold keys, ~70 % compute requests.
+            (dict(n_keys=20_000, skew=0.5, n_tuples=30_000), 100e6),
+            # sim_churn: working set 20x the memory tier.
+            (dict(n_keys=2_000, skew=0.8, n_tuples=60_000), 15e6),
+        ],
+        ids=["sim_rent", "sim_churn"],
+    )
+    def test_joinbench_shape_matches_reference(self, shape, cache_bytes):
+        # Mode equality at the benchmark's scale, not only at 3 000
+        # tuples: what ROADMAP 2(ii) asks for before the reference goes.
+        _assert_equivalent(
+            dict(kind="data_heavy", seed=3, **shape),
+            RunConfig(
+                seed=3,
+                batching=BatchOptions(batch_size=16),
+                memory_cache_bytes=cache_bytes,
+            ),
+        )
+
     def test_fixed_threshold_strategy_matches_reference(self):
         # FC exercises the fixed-threshold branch of the router.
         _assert_equivalent(
@@ -211,6 +240,27 @@ def test_property_run_join_equivalence(kind, n_keys, n_tuples, skew, seed, engin
         dict(kind=kind, n_keys=n_keys, n_tuples=n_tuples, skew=skew, seed=seed),
         RunConfig(engine=engine).with_obs(tracing=True),
     )
+
+
+#: The forks DESIGN.md §11 keeps, one row of evidence each ("Two tiers
+#: where they pay").  A new ``reference_mode()`` fork needs its row first.
+_GUARDED_MODULES = {
+    "core/cost_model.py",
+    "engine/compute_node.py",
+    "engine/job.py",
+    "sim/events.py",
+    "store/datanode.py",
+}
+
+
+def test_reference_mode_forks_are_the_ones_design_keeps():
+    root = pathlib.Path(repro.__file__).parent
+    guarded = {
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.py")
+        if path.parent.name != "perf" and "reference_mode" in path.read_text()
+    }
+    assert guarded == _GUARDED_MODULES
 
 
 class TestScenarioVerification:

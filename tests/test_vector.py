@@ -2,9 +2,10 @@
 
 Two layers:
 
-1. Direct kernel differentials — each kernel against its scalar fold,
-   with column lengths chosen on both sides of ``_NUMPY_MIN`` so the
-   numpy path and the pure-python fallback are both exercised.
+1. Direct kernel differential — ``ski_rental_lanes`` against its
+   scalar fold, with column lengths chosen on both sides of
+   ``_NUMPY_MIN`` so the numpy path and the pure-python fallback are
+   both exercised.
 2. Twin-instance sweep — ``JoinLocationOptimizer.route_batch``
    against a scalar twin driven through ``route_fast`` on identical
    state, over hypothesis-generated key columns, skews and cache
@@ -22,11 +23,7 @@ from repro.cache import TieredCache
 from repro.core.cost_model import CostModel, CostParameters
 from repro.core.frequency import ExactCounter
 from repro.core.optimizer import JoinLocationOptimizer, Route
-from repro.vector import (
-    apply_udf_batch,
-    disk_service_times,
-    ski_rental_lanes,
-)
+from repro.vector import ski_rental_lanes
 from repro.vector.kernels import _NUMPY_MIN
 
 # Column lengths straddling the numpy cutover: the scalar fallback
@@ -39,22 +36,8 @@ _FINITE = st.floats(
 
 
 # ----------------------------------------------------------------------
-# Direct kernel differentials
+# Direct kernel differential
 # ----------------------------------------------------------------------
-@given(
-    pairs=st.lists(st.tuples(_FINITE, _FINITE), max_size=2 * _NUMPY_MIN),
-    bandwidth=_FINITE,
-    slow=_FINITE,
-)
-@settings(max_examples=60, deadline=None)
-def test_property_disk_service_times_matches_scalar(pairs, bandwidth, slow):
-    seeks = [p[0] for p in pairs]
-    sizes = [p[1] for p in pairs]
-    got = disk_service_times(seeks, sizes, bandwidth, slow)
-    expected = [(seek + size / bandwidth) * slow for seek, size in pairs]
-    assert got == expected
-
-
 @given(
     rows=st.lists(
         st.tuples(_FINITE, _FINITE, _FINITE, _FINITE),
@@ -84,30 +67,6 @@ def test_property_ski_rental_lanes_matches_scalar(rows, min_weight):
             assert disk_ts[i] == math.inf
         else:
             assert disk_ts[i] == buy / (rent - rec_disk)
-
-
-@given(
-    items=st.lists(
-        st.tuples(st.integers(0, 9), st.integers(-50, 50)),
-        max_size=2 * _NUMPY_MIN,
-    ),
-    with_params=st.booleans(),
-)
-@settings(max_examples=40, deadline=None)
-def test_property_apply_udf_batch_matches_loop(items, with_params):
-    keys = [k for k, _ in items]
-    values = [v for _, v in items]
-    params = [k * 3 for k, _ in items] if with_params else None
-
-    def apply_fn(key, param, value):
-        return (key, param, value * 2)
-
-    got = apply_udf_batch(apply_fn, keys, params, values)
-    if with_params:
-        expected = [apply_fn(k, p, v) for k, p, v in zip(keys, params, values)]
-    else:
-        expected = [apply_fn(k, None, v) for k, v in zip(keys, values)]
-    assert got == expected
 
 
 # ----------------------------------------------------------------------
