@@ -138,14 +138,14 @@ class BatchOptions:
 
     #: Requests buffered per data node before a batch is flushed.
     batch_size: int = 16
-    #: Seconds a partial batch may wait before flushing anyway.
-    max_wait: float = 0.005
+    #: Streaming latency bound on a held partial batch (``None``: no bound).
+    max_wait: float | None = None
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.max_wait < 0:
-            raise ValueError("max_wait must be non-negative")
+        if self.max_wait is not None and self.max_wait <= 0:
+            raise ValueError("max_wait must be positive when set")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heapreplace
-from typing import TYPE_CHECKING, Any, Callable, Hashable
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator
 
 import numpy as np
 
@@ -165,23 +165,20 @@ class ComputeNodeRuntime:
                 fixed_threshold=fixed_threshold,
                 reset_count_on_update=reset_count_on_update,
             )
-        # Batch buffers per data node, separate for compute and data
-        # requests (Algorithm 1 routes to distinct queues).
-        self._compute_buffers: dict[int, BatchBuffer] = {}
-        self._data_buffers: dict[int, BatchBuffer] = {}
-        effective_batch = batch_size if config.batching else 1
+        # Batch buffers per data node and request kind (Algorithm 1 routes
+        # to distinct queues); unbatched, every item is a full batch.
+        size = batch_size if config.batching else 1
 
-        def make_buffer(dn: int, kind: RequestKind) -> BatchBuffer:
-            return BatchBuffer(
-                cluster.sim,
-                effective_batch,
-                on_flush=self._make_flusher(dn, kind),
-                max_wait=max_wait if config.batching else None,
-            )
+        def make_buffers(kind: RequestKind) -> dict[int, BatchBuffer]:
+            return {
+                dn: BatchBuffer(
+                    cluster.sim, size, self._make_flusher(dn, kind), max_wait
+                )
+                for dn in self._data_nodes
+            }
 
-        for dn in self._data_nodes:
-            self._compute_buffers[dn] = make_buffer(dn, RequestKind.COMPUTE)
-            self._data_buffers[dn] = make_buffer(dn, RequestKind.DATA)
+        self._compute_buffers = make_buffers(RequestKind.COMPUTE)
+        self._data_buffers = make_buffers(RequestKind.DATA)
         # Appendix C bookkeeping.
         self._pending_local = 0  # lcc_i
         self._inflight_data = 0  # ndrc_i
@@ -369,26 +366,6 @@ class ComputeNodeRuntime:
             self._enqueue_fetch(dst, tuple_id, key, route, params)
 
     # ------------------------------------------------------------------
-    # Fault-handling counters (aggregated into JobResult) now live on
-    # the transport; keep the runtime attributes as thin views.
-    # ------------------------------------------------------------------
-    @property
-    def timeouts(self) -> int:
-        return self.transport.timeouts
-
-    @property
-    def retries(self) -> int:
-        return self.transport.retries
-
-    @property
-    def fallbacks(self) -> int:
-        return self.transport.fallbacks
-
-    @property
-    def duplicate_responses(self) -> int:
-        return self.transport.duplicate_responses
-
-    # ------------------------------------------------------------------
     # Input
     # ------------------------------------------------------------------
     def submit(self, tuple_id: int, key: Hashable, params: Any = None) -> None:
@@ -405,11 +382,14 @@ class ComputeNodeRuntime:
             return
         self._route_and_dispatch(tuple_id, key, params)
 
+    def buffers(self) -> Iterator[BatchBuffer]:
+        """Every batch buffer of this node, compute queues first."""
+        yield from self._compute_buffers.values()
+        yield from self._data_buffers.values()
+
     def finish_input(self) -> None:
         """Flush every partially filled batch (end of a batch job)."""
-        for buffer in self._compute_buffers.values():
-            buffer.flush()
-        for buffer in self._data_buffers.values():
+        for buffer in self.buffers():
             buffer.flush()
 
     @property
@@ -751,8 +731,10 @@ class ComputeNodeRuntime:
         if kind is RequestKind.COMPUTE:
             self._inflight_compute[dst] += n
             self._inflight_compute_total += n
+            self._compute_buffers[dst].in_flight += 1
         else:
             self._inflight_data += n
+            self._data_buffers[dst].in_flight += 1
 
     def _on_abandon(
         self, dst: int, kind: RequestKind, items: list[RequestItem],
@@ -762,8 +744,10 @@ class ComputeNodeRuntime:
         if kind is RequestKind.COMPUTE:
             self._inflight_compute[dst] -= n
             self._inflight_compute_total -= n
+            self._compute_buffers[dst].request_done()
         else:
             self._inflight_data -= n
+            self._data_buffers[dst].request_done()
 
     def _on_batch_response(self, response: BatchResponse) -> None:
         """Process one matched response batch (transport already
@@ -802,6 +786,10 @@ class ComputeNodeRuntime:
                     item.tuple_id, item.key, tier=None,
                     value=item.value, params=item.params,
                 )
+        # The ack clock ticks last, once the completions above have refilled.
+        compute = response.items[-1].route is Route.COMPUTE_REQUEST
+        buffers = self._compute_buffers if compute else self._data_buffers
+        buffers[response.src].request_done()
 
     def _complete_fetch(self, item) -> None:
         """A fetched value arrived: cache it and serve all waiters."""

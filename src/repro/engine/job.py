@@ -22,7 +22,7 @@ tuples and flushes its batches.  Nothing migrates.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
@@ -46,6 +46,7 @@ from repro.placement import ElasticCoordinator, ElasticOptions, PlacementService
 from repro.resilience.admission import TenantShare
 from repro.resilience.manager import ResilienceManager
 from repro.resilience.options import ResilienceOptions
+from repro.runtime.metrics import transport_stats
 from repro.sim.cluster import Cluster
 from repro.sim.rng import derive_seed
 from repro.store.datanode import DataNodeServer
@@ -134,6 +135,8 @@ class JobResult:
     #: Tuples finished at each compute node, summed over every
     #: incarnation of a node that left and rejoined.
     completed_per_node: dict[int, int] = field(default_factory=dict)
+    #: Batches sent, by what flushed them (``engine.batching.FLUSH_CAUSES``).
+    flushes: dict[str, int] = field(default_factory=dict)
     #: Sorted per-tuple finish times; recorded on membership runs only
     #: (what :meth:`throughput_in` reads).
     completion_times: list[float] = field(repr=False, default_factory=list)
@@ -227,8 +230,9 @@ class JoinJob:
     sizes:
         Average message sizes for load statistics.
     batch_size, max_wait:
-        Batching parameters.  ``max_wait`` also guards the pipeline
-        against partially filled batches stalling a batch job.
+        Batching parameters.  A partial batch waits for an answer from
+        its data node (``engine/batching.py``); ``max_wait`` bounds
+        that wait and is not needed for a batch job to finish.
     memory_cache_bytes:
         Memory cache per compute node (the paper limits it to 100 MB).
     pipeline_window:
@@ -755,7 +759,6 @@ class JoinJob:
     # ------------------------------------------------------------------
     def _collect(self, n_tuples: int, finish_times: list[float]) -> JobResult:
         udfs_data = sum(server.udfs_executed for server in self.servers.values())
-        udfs_compute = 0
         mem_hits = disk_hits = compute_reqs = data_reqs = 0
         completed: dict[int, int] = {}
         for runtime in self.incarnations:
@@ -780,15 +783,14 @@ class JoinJob:
             for server in self.servers.values()
             if server.balancer.decisions > 0
         ]
-        timeouts = sum(r.timeouts for r in self.incarnations)
-        retries = sum(r.retries for r in self.incarnations)
-        fallbacks = sum(r.fallbacks for r in self.incarnations)
-        dup_responses = sum(
-            r.duplicate_responses for r in self.incarnations
-        )
+        wire = transport_stats(r.transport for r in self.incarnations)
         dup_requests = sum(
             server.duplicate_requests for server in self.servers.values()
         )
+        flushes: Counter[str] = Counter()
+        for runtime in self.incarnations:
+            for buffer in runtime.buffers():
+                flushes.update(buffer.flush_counts)
         result = JobResult(
             strategy=self.strategy.name,
             n_tuples=n_tuples,
@@ -802,36 +804,31 @@ class JoinJob:
             data_requests=data_reqs,
             lb_kept_fraction=sum(kept) / len(kept) if kept else 0.0,
             events=self.cluster.sim.events_processed,
-            timeouts=timeouts,
-            retries=retries,
-            fallbacks=fallbacks,
-            duplicate_responses=dup_responses,
+            timeouts=wire.timeouts,
+            retries=wire.retries,
+            fallbacks=wire.fallbacks,
+            duplicate_responses=wire.duplicate_responses,
             duplicate_requests=dup_requests,
             messages_faulted=(
                 self.injector.messages_faulted if self.injector else 0
             ),
             completed_per_node=completed,
+            flushes=dict(flushes),
             completion_times=sorted(finish_times),
         )
         # Every finished job lands in the ambient obs pipeline — this
         # is what lets the benchmark JSON hook attach routing and fault
         # counters without any per-tuple instrumentation.
-        publish_job_result(result)
-        if self.registry is not None:
-            publish_job_result(result, self.registry)
-        if self.resilience_manager is not None:
-            self.resilience_manager.publish(ambient_registry())
-            if self.registry is not None:
-                self.resilience_manager.publish(self.registry)
-        if self.elastic_coordinator is not None:
-            self.elastic_coordinator.publish(ambient_registry())
-            if self.registry is not None:
-                self.elastic_coordinator.publish(self.registry)
-        if self.budgets:
-            sources = self._memory_counter_sources()
-            publish_memory_counters(ambient_registry(), *sources)
-            if self.registry is not None:
-                publish_memory_counters(self.registry, *sources)
+        sources = self._memory_counter_sources() if self.budgets else None
+        for registry in (ambient_registry(), self.registry):
+            if registry is None:
+                continue
+            publish_job_result(result, registry)
+            for loop in (self.resilience_manager, self.elastic_coordinator):
+                if loop is not None:
+                    loop.publish(registry)
+            if sources is not None:
+                publish_memory_counters(registry, *sources)
         return result
 
     def _memory_counter_sources(self) -> list[dict[str, float]]:

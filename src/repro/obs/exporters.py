@@ -172,7 +172,7 @@ def render_run_report(report: RunReport) -> str:
     if faults:
         lines += ["", "## Faults", ""]
         lines += [f"- {name}: {value:g}" for name, value in sorted(faults.items())]
-    kernel = _section_counters(counters, ("transport.", "shuffle."))
+    kernel = _section_counters(counters, ("batching.", "transport.", "shuffle."))
     if kernel:
         lines += ["", "## Kernel", ""]
         lines += [f"- {name}: {value:g}" for name, value in kernel.items()]

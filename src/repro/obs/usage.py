@@ -132,14 +132,8 @@ def collect_fault_stats(job, registry: MetricsRegistry | None = None) -> FaultSt
     compute-node runtimes), ``servers`` and (optionally) ``injector``.
     With a ``registry``, the stats also publish as ``faults.*`` counters.
     """
-    timeouts = retries = fallbacks = dup_responses = 0
-    retry_seconds = 0.0
-    for runtime in getattr(job, "incarnations", ()):
-        timeouts += runtime.timeouts
-        retries += runtime.retries
-        fallbacks += runtime.fallbacks
-        dup_responses += runtime.duplicate_responses
-        retry_seconds += runtime.cost_model.retry_seconds_charged
+    runtimes = getattr(job, "incarnations", ())
+    wire = [runtime.transport for runtime in runtimes]
     dup_requests = sum(
         server.duplicate_requests
         for server in getattr(job, "servers", {}).values()
@@ -150,12 +144,14 @@ def collect_fault_stats(job, registry: MetricsRegistry | None = None) -> FaultSt
         messages_duplicated=injector.messages_duplicated if injector else 0,
         messages_delayed=injector.messages_delayed if injector else 0,
         crash_drops=injector.crash_drops if injector else 0,
-        timeouts=timeouts,
-        retries=retries,
-        fallbacks=fallbacks,
-        duplicate_responses=dup_responses,
+        timeouts=sum(t.timeouts for t in wire),
+        retries=sum(t.retries for t in wire),
+        fallbacks=sum(t.fallbacks for t in wire),
+        duplicate_responses=sum(t.duplicate_responses for t in wire),
         duplicate_requests=dup_requests,
-        retry_seconds_charged=retry_seconds,
+        retry_seconds_charged=sum(
+            r.cost_model.retry_seconds_charged for r in runtimes
+        ),
     )
     if registry is not None:
         publish_fault_stats(stats, registry)
@@ -188,5 +184,7 @@ def publish_job_result(result, registry: MetricsRegistry | None = None) -> None:
     reg.counter("faults.timeouts").inc(result.timeouts)
     reg.counter("faults.retries").inc(result.retries)
     reg.counter("faults.fallbacks").inc(result.fallbacks)
+    for cause, count in result.flushes.items():
+        reg.counter(f"batching.flushes_{cause}").inc(count)
     reg.histogram("jobs.makespan").observe(result.makespan)
     reg.histogram("jobs.bytes_moved").observe(result.bytes_moved)

@@ -146,7 +146,7 @@ class SimBackend:
     n_data: int = 2
     strategy: str = "FO"
     batch_size: int = 16
-    max_wait: float = 0.005
+    max_wait: float | None = None
     seed: int = 0
     fault_schedule: FaultSchedule | None = None
     fault_tolerance: FaultTolerance | None = None

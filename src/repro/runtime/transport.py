@@ -299,10 +299,6 @@ class Transport:
                 )
         return rid
 
-    def pending_count(self) -> int:
-        """Live (unanswered, unabandoned) request batches."""
-        return len(self._pending)
-
     def pending_memory_keys(self, dst: int) -> list[Any]:
         """Keys of in-flight memory-routed fetches addressed to ``dst``.
 

@@ -126,7 +126,7 @@ class MuppetJoinSimulation:
     node_spec: NodeSpec | None = None
     memory_cache_bytes: float = 100e6
     batch_size: int = 64
-    max_wait: float = 0.02
+    max_wait: float | None = 0.02
     block_cache_bytes: float = 0.0
     #: Fault seam passthrough: the stream engine rides the same
     #: runtime kernel (repro.runtime.Transport) as the batch engine,

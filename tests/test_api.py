@@ -116,8 +116,13 @@ class TestOptionGroups:
     def test_batch_options_validation(self):
         with pytest.raises(ValueError, match="batch_size"):
             BatchOptions(batch_size=0)
-        with pytest.raises(ValueError, match="max_wait"):
-            BatchOptions(max_wait=-1.0)
+        # None (the ack clock alone) or a positive bound: a zero used
+        # to pass here and die inside BatchBuffer mid-run.
+        for bad in (-1.0, 0, 0.0):
+            with pytest.raises(ValueError, match="max_wait"):
+                BatchOptions(max_wait=bad)
+        assert BatchOptions().max_wait is None
+        assert BatchOptions(max_wait=0.02).max_wait == 0.02
         # The request path has one batch format; the knobs that used
         # to pick another are gone, not ignored.
         assert [f.name for f in dataclasses.fields(BatchOptions)] == [
@@ -156,7 +161,7 @@ class TestOptionGroups:
         config = RunConfig()
         tuned = config.with_batching(max_wait=0.25)
         assert tuned.batching.max_wait == 0.25
-        assert config.batching.max_wait == 0.005  # original untouched
+        assert config.batching.max_wait is None  # original untouched
         assert tuned.batching.batch_size == config.batching.batch_size
 
 

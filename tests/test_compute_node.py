@@ -4,6 +4,7 @@ import pytest
 
 from repro.perf.mode import REFERENCE_ENV
 from repro.placement.batch import BatchLoadBalancer, SizeProfile
+from repro.engine.batching import HOLD_DEPTH
 from repro.engine.compute_node import ComputeNodeRuntime
 from repro.engine.job import JoinJob
 from repro.engine.strategies import Strategy
@@ -18,7 +19,7 @@ from repro.workloads.synthetic import SyntheticWorkload
 
 
 def build_runtime(strategy, n_keys=40, value_size=1000.0, compute_cost=0.001,
-                  batch_size=4, **kwargs):
+                  batch_size=4, max_wait=0.005, **kwargs):
     cluster = Cluster.homogeneous(2)
     table = Table("t")
     for key in range(n_keys):
@@ -45,7 +46,7 @@ def build_runtime(strategy, n_keys=40, value_size=1000.0, compute_cost=0.001,
         on_complete=lambda tid, finish: completions.append((tid, finish)),
         memory_cache_bytes=1e6,
         batch_size=batch_size,
-        max_wait=0.005,
+        max_wait=max_wait,
         **kwargs,
     )
     return cluster, runtime, server, completions
@@ -154,6 +155,71 @@ class TestStatsSnapshot:
         assert end.pending_at_other_data_nodes == 0
 
 
+class TestAckClock:
+    """How the runtime drives its buffers' ack clock (``engine/batching.py``).
+    FD computes everything at data node 1, so each response completes
+    its tuples synchronously and one compute buffer does all the work."""
+
+    def build(self, batch_size):
+        cluster, runtime, server, completions = build_runtime(
+            Strategy.fd(), batch_size=batch_size, max_wait=None
+        )
+        return cluster, runtime, runtime._compute_buffers[1]
+
+    def test_ack_flushes_only_after_the_refill(self):
+        # A window of 4 over 16 tuples, batches of up to 8: each answer
+        # completes 4 tuples, each completion feeds the next tuple, and
+        # only then does the answer's ack release the partial — 4 tuples
+        # per request.  An ack taken before the refill would find the
+        # buffer empty and leave every batch to the idle flush.
+        cluster, runtime, buffer = self.build(batch_size=8)
+        feed = iter(range(16))
+
+        def submit_next(tuple_id=None, finish=None):
+            nxt = next(feed, None)
+            if nxt is not None:
+                runtime.submit(nxt, nxt)
+
+        runtime.on_complete = submit_next
+        for _ in range(4):
+            submit_next()
+        cluster.sim.run()
+        assert runtime.completed == 16
+        assert runtime.transport.requests_sent == 4
+        assert buffer.flush_counts["idle"] == 1  # the prime, nothing in flight
+        assert buffer.flush_counts["ack"] == 3
+        assert buffer.in_flight == 0
+
+    def test_partial_is_held_while_hold_depth_requests_are_out(self):
+        cluster, runtime, buffer = self.build(batch_size=2)
+        n = 2 * HOLD_DEPTH + 1
+        for i in range(n):
+            runtime.submit(i, i)
+        assert buffer.in_flight == HOLD_DEPTH  # size flushes
+        cluster.sim.run(until=1e-9)  # every zero-delay event has run
+        assert len(buffer) == 1  # held: the destination owes answers
+        cluster.sim.run()
+        assert runtime.completed == n
+        assert buffer.flush_counts["ack"] == 1
+        assert buffer.in_flight == 0
+
+    def test_abandon_flushes_the_held_partial(self):
+        cluster, runtime, buffer = self.build(batch_size=2)
+        n = 2 * HOLD_DEPTH + 1
+        for i in range(n):
+            runtime.submit(i, i)
+        assert len(buffer) == 1
+        # The transport gives up on one request (replica fallback): it
+        # no longer occupies the destination, so the partial goes.
+        rid, entry = next(iter(runtime.transport._pending.items()))
+        runtime.transport._fallback(rid, entry)
+        assert len(buffer) == 0
+        assert buffer.flush_counts["ack"] == 1
+        cluster.sim.run()
+        assert runtime.completed == n
+        assert [b.in_flight for b in runtime.buffers()] == [0, 0]
+
+
 def faulty_fo_job():
     """A 2+2 FO job under drops, duplicates and a mid-run crash: every
     path that adjusts the Appendix C counters runs (dispatch, retry,
@@ -226,6 +292,7 @@ class TestAppendixCCost:
         for runtime in job.runtimes.values():
             assert runtime._inflight_compute_total == 0
             assert set(runtime._inflight_compute.values()) == {0}
+            assert {b.in_flight for b in runtime.buffers()} == {0}
 
     def test_tcc_fallback_scan_stops_once_tcc_is_measured(self, monkeypatch):
         """Counting, not timing: the O(keys seen) fallback may only run

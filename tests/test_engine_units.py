@@ -1,9 +1,11 @@
 """Unit tests for batching, prefetching and strategy configuration."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.optimizer import Route
-from repro.engine.batching import BatchBuffer
+from repro.engine.batching import FLUSH_CAUSES, HOLD_DEPTH, BatchBuffer
 from repro.engine.prefetch import PreMapRunner, ResultHashMap
 from repro.engine.strategies import RoutingPolicy, Strategy, StrategyConfig
 from repro.store.messages import RequestItem, RequestKind
@@ -16,6 +18,17 @@ def item(key="k", tid=0):
     )
 
 
+def held_buffer(sim, flushed, **kwargs):
+    """A buffer whose destination owes HOLD_DEPTH answers: partials hold."""
+    buf = BatchBuffer(sim, on_flush=flushed.append, **kwargs)
+    buf.in_flight = HOLD_DEPTH
+    return buf
+
+
+def tids(flushed):
+    return [[it.tuple_id for it in batch] for batch in flushed]
+
+
 class TestBatchBuffer:
     def test_flushes_when_full(self):
         sim = Simulator()
@@ -23,9 +36,9 @@ class TestBatchBuffer:
         buf = BatchBuffer(sim, batch_size=3, on_flush=flushed.append)
         for i in range(3):
             buf.add(item(tid=i))
-        assert len(flushed) == 1
-        assert [it.tuple_id for it in flushed[0]] == [0, 1, 2]
+        assert tids(flushed) == [[0, 1, 2]]
         assert len(buf) == 0
+        assert buf.flush_counts["size"] == 1
 
     def test_manual_flush(self):
         sim = Simulator()
@@ -36,21 +49,91 @@ class TestBatchBuffer:
         assert len(flushed) == 1
         buf.flush()  # empty: no-op
         assert len(flushed) == 1
+        assert buf.flush_counts["end_of_input"] == 1
+
+    def test_burst_coalesces_into_one_idle_flush(self):
+        # Nothing in flight: the partial leaves at the end of the event
+        # that fed it, carrying the whole burst, without a clock tick.
+        sim = Simulator()
+        flushed = []
+        buf = BatchBuffer(sim, batch_size=10, on_flush=flushed.append)
+
+        def burst():
+            for i in range(7):
+                buf.add(item(tid=i))
+            assert flushed == []  # not before the event ends
+
+        sim.schedule_at(2.0, burst)
+        sim.run()
+        assert tids(flushed) == [list(range(7))]
+        assert buf.flush_counts == {**dict.fromkeys(FLUSH_CAUSES, 0), "idle": 1}
+        assert sim.now == 2.0
+
+    def test_partial_is_held_at_hold_depth(self):
+        sim = Simulator()
+        flushed = []
+        buf = held_buffer(sim, flushed, batch_size=10)
+        sim.schedule_at(0.0, lambda: buf.add(item(tid=0)))
+        sim.run()
+        assert flushed == [] and len(buf) == 1  # waits for an answer
+        # One below the depth the same item does not wait.
+        buf.request_done()
+        assert tids(flushed) == [[0]]
+        assert buf.flush_counts["ack"] == 1
+
+    def test_ack_above_hold_depth_keeps_holding(self):
+        sim = Simulator()
+        flushed = []
+        buf = held_buffer(sim, flushed, batch_size=10)
+        buf.in_flight += 1  # HOLD_DEPTH + 1 requests out
+        buf.add(item(tid=0))
+        buf.request_done()  # still HOLD_DEPTH owed
+        assert flushed == []
+        buf.request_done()
+        assert tids(flushed) == [[0]]
+
+    def test_stale_idle_event_after_size_flush_is_a_no_op(self):
+        sim = Simulator()
+        flushed = []
+        buf = BatchBuffer(sim, batch_size=2, on_flush=flushed.append)
+
+        def fill():
+            buf.add(item(tid=0))  # schedules the idle flush
+            buf.add(item(tid=1))  # size flush: that event is now stale
+            buf.in_flight = HOLD_DEPTH
+            buf.add(item(tid=2))  # a newer generation, held
+
+        sim.schedule_at(0.0, fill)
+        sim.run()
+        assert tids(flushed) == [[0, 1]]
+        assert len(buf) == 1
+        assert buf.flush_counts["idle"] == 0
 
     def test_max_wait_timeout_flushes(self):
+        # The streaming bound: however many answers the destination
+        # owes, a first item waits at most max_wait.
+        sim = Simulator()
+        flushed = []
+        buf = held_buffer(sim, flushed, batch_size=10, max_wait=1.0)
+        sim.schedule_at(0.0, lambda: buf.add(item()))
+        sim.run()
+        assert len(flushed) == 1
+        assert buf.flush_counts["timeout"] == 1
+        assert sim.now == pytest.approx(1.0)
+
+    def test_max_wait_is_not_armed_below_hold_depth(self):
         sim = Simulator()
         flushed = []
         buf = BatchBuffer(sim, batch_size=10, on_flush=flushed.append, max_wait=1.0)
         sim.schedule_at(0.0, lambda: buf.add(item()))
         sim.run()
-        assert len(flushed) == 1
-        assert buf.timeout_flushes == 1
-        assert sim.now == pytest.approx(1.0)
+        assert buf.flush_counts["idle"] == 1
+        assert sim.now == 0.0  # no timer was left behind
 
     def test_stale_timeout_does_not_double_flush(self):
         sim = Simulator()
         flushed = []
-        buf = BatchBuffer(sim, batch_size=2, on_flush=flushed.append, max_wait=1.0)
+        buf = held_buffer(sim, flushed, batch_size=2, max_wait=1.0)
 
         def fill():
             buf.add(item(tid=0))
@@ -59,7 +142,7 @@ class TestBatchBuffer:
         sim.schedule_at(0.0, fill)
         sim.run()
         assert len(flushed) == 1
-        assert buf.timeout_flushes == 0
+        assert buf.flush_counts["timeout"] == 0
 
     def test_timer_firing_on_emptied_buffer_does_not_double_send(self):
         # The max-wait edge: a size-triggered flush empties the buffer,
@@ -68,7 +151,7 @@ class TestBatchBuffer:
         # case may re-send.
         sim = Simulator()
         flushed = []
-        buf = BatchBuffer(sim, batch_size=2, on_flush=flushed.append, max_wait=1.0)
+        buf = held_buffer(sim, flushed, batch_size=2, max_wait=1.0)
 
         def fill():
             buf.add(item(tid=0))
@@ -80,22 +163,22 @@ class TestBatchBuffer:
         # buffer holding items it never guarded, and must not touch it.
         sim.schedule_at(1.0, lambda: buf.add(item(tid=2)))
         sim.run()
-        assert [[it.tuple_id for it in batch] for batch in flushed] == [[0, 1], [2]]
+        assert tids(flushed) == [[0, 1], [2]]
         # The first flush was by size, the second by the *new* timer
         # (armed at t=1.0, fired at t=2.0) — never the stale one.
-        assert buf.timeout_flushes == 1
+        assert buf.flush_counts["timeout"] == 1
         assert sim.now == pytest.approx(2.0)
 
     def test_timer_firing_on_empty_buffer_is_a_no_op(self):
         sim = Simulator()
         flushed = []
-        buf = BatchBuffer(sim, batch_size=2, on_flush=flushed.append, max_wait=1.0)
+        buf = held_buffer(sim, flushed, batch_size=2, max_wait=1.0)
         sim.schedule_at(0.0, lambda: buf.add(item(tid=0)))
         sim.schedule_at(0.5, buf.flush)  # manual flush empties the buffer
         sim.run()  # stale timer still fires at t=1.0
         assert len(flushed) == 1
-        assert buf.flushes == 1
-        assert buf.timeout_flushes == 0
+        assert sum(buf.flush_counts.values()) == 1
+        assert buf.flush_counts["timeout"] == 0
 
     def test_validation(self):
         sim = Simulator()
@@ -103,6 +186,53 @@ class TestBatchBuffer:
             BatchBuffer(sim, batch_size=0, on_flush=lambda items: None)
         with pytest.raises(ValueError):
             BatchBuffer(sim, batch_size=1, on_flush=lambda items: None, max_wait=0.0)
+
+
+class TestBatchBufferLiveness:
+    """Random add / ack / abandon interleavings on a Simulator."""
+
+    @given(
+        batch_size=st.integers(1, 6),
+        max_wait=st.none() | st.floats(0.01, 2.0),
+        steps=st.lists(
+            st.tuples(st.floats(0.0, 5.0), st.sampled_from(["add", "add", "done"])),
+            max_size=60,
+        ),
+    )
+    def test_every_item_flushes_exactly_once(self, batch_size, max_wait, steps):
+        sim = Simulator()
+        flushed = []
+        sent_at = []
+
+        def on_flush(items):
+            flushed.append(items)
+            sent_at.append(sim.now)
+            buf.in_flight += 1  # what ComputeNodeRuntime._on_dispatch does
+
+        buf = BatchBuffer(sim, batch_size, on_flush, max_wait=max_wait)
+        added = []
+
+        def add():
+            added.append(len(added))
+            buf.add(item(tid=added[-1]))
+
+        def done():
+            # A response or an abandon; only requests that exist return.
+            if buf.in_flight:
+                buf.request_done()
+
+        for at, op in steps:
+            sim.schedule_at(at, add if op == "add" else done)
+        sim.run()
+        # Whatever is still held is waiting on HOLD_DEPTH live requests:
+        # answer them all, as a terminating run does.
+        while buf.in_flight:
+            assert len(buf) == 0 or buf.in_flight >= HOLD_DEPTH
+            buf.request_done()
+        assert len(buf) == 0
+        assert sorted(t for batch in tids(flushed) for t in batch) == added
+        assert all(1 <= len(batch) <= batch_size for batch in flushed)
+        assert sum(buf.flush_counts.values()) == len(flushed)
 
 
 class TestResultHashMap:
