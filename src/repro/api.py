@@ -219,7 +219,7 @@ class RunConfig:
     #: stage-boundary re-planning.  ``MemoryOptions.off()`` (the
     #: default) wires nothing — the run is bit-identical to before.
     memory: MemoryOptions = field(default_factory=MemoryOptions)
-    #: Per-compute-node tiered cache budget.
+    #: Per-compute-node tiered cache budget (``sim`` only).
     memory_cache_bytes: float = 100e6
     #: Multi-tenant admission: per-tenant weighted-fair queueing with
     #: quotas and deadline sheds charged to the offending tenant
@@ -246,21 +246,26 @@ class RunConfig:
                 f"ignores engine={self.engine!r}; drop the engine argument "
                 "or use backend='sim' / backend='cluster'"
             )
-        if self.backend == "local":
-            # Real threads: nothing simulated to fault, fail over, move or
-            # spill.  Tenancy stays: the replay runner drives local windows.
+        if self.backend != "sim":
+            # Real backends have no batch timer and no sized cache tier;
+            # real threads have nothing simulated to fault, fail over, move
+            # or spill.  Tenancy stays: the replay runner drives local windows.
+            local = self.backend == "local"
             armed = {
-                "faults": self.faults is not None,
-                "fault_tolerance": self.fault_tolerance is not None,
-                "resilience": self.resilience.enabled,
-                "elastic": self.elastic.enabled,
-                "memory": self.memory.enabled,
+                "batching.max_wait": self.batching.max_wait is not None,
+                "memory_cache_bytes": self.memory_cache_bytes
+                != RunConfig.memory_cache_bytes,
+                "faults": local and self.faults is not None,
+                "fault_tolerance": local and self.fault_tolerance is not None,
+                "resilience": local and self.resilience.enabled,
+                "elastic": local and self.elastic.enabled,
+                "memory": local and self.memory.enabled,
             }
             dropped = [name for name, on in armed.items() if on]
             if dropped:
                 raise ValueError(
-                    f"backend='local' cannot honour {', '.join(dropped)}; "
-                    "use backend='sim' or backend='cluster'"
+                    f"backend={self.backend!r} cannot honour "
+                    f"{', '.join(dropped)}; use backend='sim'"
                 )
         if self.membership:
             if self.backend != "sim" or self.engine != "engine":

@@ -19,7 +19,6 @@ engine-side policy: what to send, and what to do with each response.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heapreplace
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator
 
 import numpy as np
@@ -665,21 +664,7 @@ class ComputeNodeRuntime:
             )
         at = sim.now
         cpu_time = info.compute_cost + 0.0
-        # Inlined Resource.acquire on the node CPU: peek the earliest
-        # free server, then heapreplace the root with the new finish
-        # (finish >= the popped min, so one sift-down call yields the
-        # same multiset as pop+push).  Accounting matches acquire().
-        cpu = self._node.cpu
-        free = cpu._free
-        earliest = free[0]
-        start = earliest if earliest > at else at
-        finish = start + cpu_time
-        heapreplace(free, finish)
-        cpu._requests += 1
-        cpu._busy_time += cpu_time
-        cpu._total_wait += start - at
-        if finish > cpu._last_finish:
-            cpu._last_finish = finish
+        _start, finish = self._node.cpu.acquire(at, cpu_time)
         apply_fn = self.udf.apply_fn
         if apply_fn is not None:
             self.outputs[tuple_id] = apply_fn(key, params, value)

@@ -1,17 +1,17 @@
 """Reference-mode switch for the hot-path optimizations (repro.perf).
 
-Five forks read this switch, each with a row of measurements in
+Four forks read this switch, each with a row of measurements in
 DESIGN.md §11: whether ``CostModel.costs`` consults the cost memo
 (``core/cost_model.py``), the fused ``_submit_fast`` /
 ``_execute_local_mem`` submit path (``engine/compute_node.py``), the
-feeder's fused completion callback (``engine/job.py``), the
-``_serve_batch_fast`` serving loop (``store/datanode.py``) and the event
+feeder's fused completion callback (``engine/job.py``) and the event
 queue's tombstone compaction (``sim/events.py``).  Each keeps the exact
 pre-optimization algorithm alive behind it — the reference
 implementation and one optimized implementation, nothing else;
-everything not listed (response merging, the cache's lazy heap, the
-cost model's ``observe``, the UDF loops of the shuffle engines and the
-cluster workers) has one implementation, which both modes run.  With
+everything not listed (data-node serving, response merging, the
+cache's lazy heap, the cost model's ``observe``, the UDF loops of the
+shuffle engines and the cluster workers) has one implementation, which
+both modes run.  With
 ``REPRO_PERF_REFERENCE=1`` in the environment, newly constructed
 components take the reference code paths verbatim, which is what the
 differential equivalence suite (``tests/test_perf_equivalence.py``)

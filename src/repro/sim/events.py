@@ -157,10 +157,11 @@ class Simulator:
         return self.schedule_at(self._now + delay, callback)
 
     def schedule_call(self, time: float, callback: Callable[[], Any]) -> None:
-        """Optimized-mode :meth:`schedule_at` for never-cancelled events.
+        """:meth:`schedule_at` for never-cancelled events, in either mode.
 
-        Queue ordering (time, then insertion sequence) is identical to
-        :meth:`schedule_at`; the per-event :class:`EventHandle` is
+        The data-node serve loop books its queue-counter decrements here
+        in both modes.  Queue ordering (time, then insertion sequence) is
+        identical to :meth:`schedule_at`; the per-event :class:`EventHandle` is
         replaced by a shared never-cancelled sentinel, so no token is
         returned.  Callers guarantee ``time`` is finite and not in the
         past (completion events computed as ``now + duration``).

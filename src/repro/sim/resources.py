@@ -79,10 +79,11 @@ class Resource:
         """
         if duration < 0:
             raise ValueError(f"duration must be non-negative, got {duration!r}")
-        earliest = heapq.heappop(self._free)
-        start = max(earliest, at)
+        earliest = self._free[0]
+        start = earliest if earliest > at else at
         finish = start + duration
-        heapq.heappush(self._free, finish)
+        # finish >= earliest: one sift leaves the multiset pop + push would.
+        heapq.heapreplace(self._free, finish)
         self._requests += 1
         self._busy_time += duration
         self._total_wait += start - at

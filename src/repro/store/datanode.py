@@ -21,11 +21,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from heapq import heapreplace
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.cost_model import CostParameters
-from repro.perf.mode import reference_mode
 from repro.core.smoothing import SmoothedValue
 from repro.placement.batch import (
     BatchLoadBalancer,
@@ -38,7 +36,6 @@ from repro.obs.tracer import NO_TRACER, Span, Tracer
 from repro.store.messages import (
     BatchRequest,
     BatchResponse,
-    RequestItem,
     ResponseItem,
     UDF,
 )
@@ -149,9 +146,6 @@ class DataNodeServer:
         # Straggler windows: (start, end, slowdown) factors scaling
         # every disk and CPU service time while active.
         self._slowdowns: list[tuple[float, float, float]] = []
-        # Optimized-mode serving loop (batch invariants hoisted out of
-        # the per-item body); reference mode keeps the per-item calls.
-        self._fast_serve = not reference_mode()
         # Memory-adaptive execution (opt-in via :meth:`arm_memory`):
         # a budget-governed spilling hybrid-hash build side standing in
         # front of the disk.  ``None`` keeps serving bit-identical.
@@ -360,37 +354,8 @@ class DataNodeServer:
         self._to_compute[src] += d
         self._to_compute_total += d
 
-        batched = len(batch) > 1
         response_items: list[ResponseItem] = []
-        if self._fast_serve:
-            ready_at = self._serve_batch_fast(
-                at, batch, d, src, n_compute, batched, response_items
-            )
-        else:
-            ready_at = at
-            done_kept, done_bounced, done_data = self._completion_callbacks(src)
-            for index, item in enumerate(batch.compute_items):
-                execute_here = index < d
-                finish, resp = self._serve_item(
-                    at, item, execute_here,
-                    short_seek=batched and index > 0,
-                )
-                response_items.append(resp)
-                if finish > ready_at:
-                    ready_at = finish
-                self.cluster.sim.schedule_at(
-                    finish, done_kept if execute_here else done_bounced
-                )
-            for index, item in enumerate(batch.data_items):
-                short = batched and (index > 0 or n_compute > 0)
-                finish, resp = self._serve_item(
-                    at, item, execute_here=False, short_seek=short,
-                )
-                response_items.append(resp)
-                if finish > ready_at:
-                    ready_at = finish
-                self.cluster.sim.schedule_at(finish, done_data)
-
+        ready_at = self._serve_items(at, batch, d, response_items)
         response = BatchResponse(
             src=self.node_id, dst=src, items=response_items,
             request_id=batch.request_id,
@@ -423,287 +388,138 @@ class DataNodeServer:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _serve_item(
-        self,
-        at: float,
-        item: RequestItem,
-        execute_here: bool,
-        short_seek: bool,
-    ) -> tuple[float, ResponseItem]:
-        key = item.key
-        row = self.kvstore.table.get_or_none(key)
-        if row is None:
-            raise KeyError(
-                f"key {key!r} not found in table {self.kvstore.table.name!r}"
-            )
-        spec = self._node.spec
-        # Straggler injection: a slowed node takes ``slow`` times longer
-        # for every disk and CPU operation while the window is active.
-        slow = self.speed_factor(at)
-        if key in self._block_cached:
-            # Block-cache hit: the row is already in server memory.
-            disk_time = 0.0
-            disk_done = at
-        else:
-            hybrid_step = (
-                self._hybrid_disk_arm(at, key, row.size, slow)
-                if self.hybrid is not None
-                else None
-            )
-            if hybrid_step is not None:
-                disk_time, disk_done = hybrid_step
-            else:
-                seek = spec.disk_seek * (
-                    self.batched_seek_factor if short_seek else 1.0
-                )
-                if self.block_cache_bytes > 0:
-                    # Rows much smaller than an HFile block share seeks:
-                    # only every Nth uncached read in a region positions
-                    # the head; the rest ride along in the same block.
-                    rows_per_block = max(
-                        int(self.block_bytes // max(row.size, 1.0)), 1
-                    )
-                    region = self.kvstore.region_map.region_of(key)
-                    reads = self._region_reads[region]
-                    self._region_reads[region] = reads + 1
-                    if reads % rows_per_block != 0:
-                        seek = 0.0
-                disk_time = (seek + row.size / spec.disk_bandwidth) * slow
-                _start, disk_done = self._node.disk.acquire(at, disk_time)
-                if self._block_cache_used + row.size <= self.block_cache_bytes:
-                    self._block_cached.add(key)
-                    self._block_cache_used += row.size
-                if self.hybrid is not None:
-                    disk_done = self._hybrid_admit(
-                        key, row.size, disk_done, slow
-                    )
-        service = self.udf.cost(row)
-        if execute_here:
-            # The coprocessor hydrates the stored bytes into a live
-            # object for every invocation — unlike a compute node's
-            # memory cache, nothing persists between calls.
-            cpu_time = (row.hydration_cost + service + self.per_item_overhead) * slow
-            _c, finish = self._node.cpu.acquire(disk_done, cpu_time)
-            self._udfs_executed += 1
-            # Runtime measurement: wall time per invocation, queueing
-            # included — the signal that reveals an overloaded node.
-            if cpu_time > 0:
-                self._sojourn_ratio.observe((finish - disk_done) / cpu_time)
-            payload = self.udf.result_size
-            if self.udf.apply_fn is not None:
-                # Real execution: the coprocessor computes f'(k, p, v).
-                value = self.udf.apply(key, item.params, row.value)
-            else:
-                value = row.value  # timing sim: carry the raw value through
-        else:
-            _c, finish = self._node.cpu.acquire(
-                disk_done, self.per_item_overhead * slow
-            )
-            payload = self.udf.key_size + row.size
-            value = row.value
-        ratio = max(self._sojourn_ratio.value, 1.0)
-        params = CostParameters(
-            key=key,
-            value_size=row.size,
-            compute_time=(service + row.hydration_cost) * ratio,
-            disk_time=max(disk_done - at, disk_time),
-            param_size=self.udf.param_size,
-            key_size=self.udf.key_size,
-            computed_size=self.udf.result_size,
-            node_id=self.node_id,
-            cpu_service_time=service,
-            hydration_time=row.hydration_cost,
-        )
-        response = ResponseItem(
-            key=key,
-            tuple_id=item.tuple_id,
-            route=item.route,
-            computed=execute_here,
-            value=value,
-            payload_size=payload,
-            cost_params=params,
-            updated_at=row.updated_at,
-            params=None if execute_here else item.params,
-        )
-        return finish, response
-
-    def _serve_batch_fast(
+    def _serve_items(
         self,
         at: float,
         batch: BatchRequest,
         d: int,
-        src: int,
-        n_compute: int,
-        batched: bool,
         response_items: list[ResponseItem],
     ) -> float:
-        """Optimized-mode serving loop.
+        """Serve every item of ``batch``; returns when the last one is done.
 
-        The :meth:`_serve_item` body with the batch invariants hoisted
-        out of the per-item path: the slowdown factor (every item sees
-        the same arrival time), resource/heap handles, UDF callables
-        and size constants.  Resource reservations use peek +
-        ``heapreplace`` (same multiset as pop+push), queue decrements
-        go through :meth:`Simulator.schedule_call` in identical event
-        order, and every simulated quantity is computed with the
-        reference expressions.
+        Every row is read off the disk; the first ``d`` compute items
+        then run the UDF here and every other item is answered with the
+        raw stored value.  Each item appends its response to
+        ``response_items`` and schedules its Appendix C queue-counter
+        decrement at its finish time.
         """
-        sim = self.cluster.sim
-        schedule = sim.schedule_call
         table = self.kvstore.table
-        table_get = table.get_or_none
         spec = self._node.spec
-        slow = self.speed_factor(at)
         udf = self.udf
-        cost_fn = udf.cost_fn
-        apply_fn = udf.apply_fn
-        overhead = self.per_item_overhead
-        disk = self._node.disk
-        cpu = self._node.cpu
-        disk_free = disk._free
-        cpu_free = cpu._free
-        sr = self._sojourn_ratio
-        sr_a = sr.alpha
-        sr_b = 1.0 - sr_a
-        bc_bytes = self.block_cache_bytes
-        bc_on = bc_bytes > 0
-        block_cached = self._block_cached
-        full_seek = spec.disk_seek
-        short_seek_time = full_seek * self.batched_seek_factor
-        disk_bw = spec.disk_bandwidth
-        done_kept, done_bounced, done_data = self._completion_callbacks(src)
-        node_id = self.node_id
-        key_size = udf.key_size
-        param_size = udf.param_size
-        result_size = udf.result_size
-        append = response_items.append
+        # Straggler injection: a slowed node takes ``slow`` times longer
+        # for every disk and CPU operation while the window is active
+        # (the whole batch arrives at ``at``).
+        slow = self.speed_factor(at)
+        disk_acquire = self._node.disk.acquire
+        cpu_acquire = self._node.cpu.acquire
+        schedule = self.cluster.sim.schedule_call
+        done_kept, done_bounced, done_data = self._completion_callbacks(batch.src)
+        n_compute = len(batch.compute_items)
         ready_at = at
-        udfs = 0
-
-        for compute_pass in (True, False):
-            items = batch.compute_items if compute_pass else batch.data_items
-            index = 0
-            for item in items:
+        for compute, items in ((True, batch.compute_items), (False, batch.data_items)):
+            # Position of ``items[0]`` in the batch: compute items go first.
+            first = 0 if compute else n_compute
+            for index, item in enumerate(items):
+                execute_here = compute and index < d
                 key = item.key
-                row = table_get(key)
+                row = table.get_or_none(key)
                 if row is None:
-                    raise KeyError(
-                        f"key {key!r} not found in table {table.name!r}"
-                    )
-                rsize = row.size
-                hybrid_step = None
-                if key in block_cached:
+                    raise KeyError(f"key {key!r} not found in table {table.name!r}")
+                if key in self._block_cached:
+                    # Block-cache hit: the row is already in server memory.
                     disk_time = 0.0
                     disk_done = at
-                elif self.hybrid is not None and (
-                    hybrid_step := self._hybrid_disk_arm(at, key, rsize, slow)
-                ) is not None:
-                    disk_time, disk_done = hybrid_step
                 else:
-                    if compute_pass:
-                        short = batched and index > 0
+                    hybrid_step = (
+                        self._hybrid_disk_arm(at, key, row.size, slow)
+                        if self.hybrid is not None
+                        else None
+                    )
+                    if hybrid_step is not None:
+                        disk_time, disk_done = hybrid_step
                     else:
-                        short = batched and (index > 0 or n_compute > 0)
-                    seek = short_seek_time if short else full_seek
-                    if bc_on:
-                        rows_per_block = max(
-                            int(self.block_bytes // max(rsize, 1.0)), 1
+                        # Every read after the batch's first seeks short.
+                        seek = spec.disk_seek * (
+                            self.batched_seek_factor if first + index > 0 else 1.0
                         )
-                        region = self.kvstore.region_map.region_of(key)
-                        reads = self._region_reads[region]
-                        self._region_reads[region] = reads + 1
-                        if reads % rows_per_block != 0:
-                            seek = 0.0
-                    disk_time = (seek + rsize / disk_bw) * slow
-                    earliest = disk_free[0]
-                    dstart = earliest if earliest > at else at
-                    disk_done = dstart + disk_time
-                    heapreplace(disk_free, disk_done)
-                    disk._requests += 1
-                    disk._busy_time += disk_time
-                    disk._total_wait += dstart - at
-                    if disk_done > disk._last_finish:
-                        disk._last_finish = disk_done
-                    if self._block_cache_used + rsize <= bc_bytes:
-                        block_cached.add(key)
-                        self._block_cache_used += rsize
-                    if self.hybrid is not None:
-                        disk_done = self._hybrid_admit(
-                            key, rsize, disk_done, slow
-                        )
-                service = cost_fn(row) if cost_fn is not None else row.compute_cost
-                if compute_pass and index < d:
-                    cpu_time = (row.hydration_cost + service + overhead) * slow
-                    earliest = cpu_free[0]
-                    cstart = earliest if earliest > disk_done else disk_done
-                    finish = cstart + cpu_time
-                    heapreplace(cpu_free, finish)
-                    cpu._requests += 1
-                    cpu._busy_time += cpu_time
-                    cpu._total_wait += cstart - disk_done
-                    if finish > cpu._last_finish:
-                        cpu._last_finish = finish
-                    udfs += 1
+                        if self.block_cache_bytes > 0:
+                            # Rows much smaller than an HFile block share
+                            # seeks: only every Nth uncached read in a
+                            # region positions the head; the rest ride
+                            # along in the same block.
+                            rows_per_block = max(
+                                int(self.block_bytes // max(row.size, 1.0)), 1
+                            )
+                            region = self.kvstore.region_map.region_of(key)
+                            reads = self._region_reads[region]
+                            self._region_reads[region] = reads + 1
+                            if reads % rows_per_block != 0:
+                                seek = 0.0
+                        disk_time = (seek + row.size / spec.disk_bandwidth) * slow
+                        _start, disk_done = disk_acquire(at, disk_time)
+                        if self._block_cache_used + row.size <= self.block_cache_bytes:
+                            self._block_cached.add(key)
+                            self._block_cache_used += row.size
+                        if self.hybrid is not None:
+                            disk_done = self._hybrid_admit(
+                                key, row.size, disk_done, slow
+                            )
+                service = udf.cost(row)
+                if execute_here:
+                    # The coprocessor hydrates the stored bytes into a
+                    # live object for every invocation — unlike a compute
+                    # node's memory cache, nothing persists between calls.
+                    cpu_time = (
+                        row.hydration_cost + service + self.per_item_overhead
+                    ) * slow
+                    _c, finish = cpu_acquire(disk_done, cpu_time)
+                    self._udfs_executed += 1
+                    # Runtime measurement: wall time per invocation,
+                    # queueing included — the signal that reveals an
+                    # overloaded node.
                     if cpu_time > 0:
-                        x = (finish - disk_done) / cpu_time
-                        sr._value = sr_a * x + sr_b * sr._value
-                        sr._observations += 1
-                    payload = result_size
-                    if apply_fn is not None:
-                        value = apply_fn(key, item.params, row.value)
+                        self._sojourn_ratio.observe((finish - disk_done) / cpu_time)
+                    payload = udf.result_size
+                    if udf.apply_fn is not None:
+                        # Real execution: the coprocessor computes f'(k, p, v).
+                        value = udf.apply(key, item.params, row.value)
                     else:
-                        value = row.value
-                    executed = True
+                        value = row.value  # timing sim: carry the raw value
+                    done = done_kept
                 else:
-                    cpu_time = overhead * slow
-                    earliest = cpu_free[0]
-                    cstart = earliest if earliest > disk_done else disk_done
-                    finish = cstart + cpu_time
-                    heapreplace(cpu_free, finish)
-                    cpu._requests += 1
-                    cpu._busy_time += cpu_time
-                    cpu._total_wait += cstart - disk_done
-                    if finish > cpu._last_finish:
-                        cpu._last_finish = finish
-                    payload = key_size + rsize
+                    _c, finish = cpu_acquire(disk_done, self.per_item_overhead * slow)
+                    payload = udf.key_size + row.size
                     value = row.value
-                    executed = False
-                srv = sr._value
-                ratio = srv if srv > 1.0 else 1.0
-                waited = disk_done - at
+                    done = done_bounced if compute else done_data
+                ratio = max(self._sojourn_ratio.value, 1.0)
                 params = CostParameters(
                     key=key,
-                    value_size=rsize,
+                    value_size=row.size,
                     compute_time=(service + row.hydration_cost) * ratio,
-                    disk_time=waited if waited >= disk_time else disk_time,
-                    param_size=param_size,
-                    key_size=key_size,
-                    computed_size=result_size,
-                    node_id=node_id,
+                    disk_time=max(disk_done - at, disk_time),
+                    param_size=udf.param_size,
+                    key_size=udf.key_size,
+                    computed_size=udf.result_size,
+                    node_id=self.node_id,
                     cpu_service_time=service,
                     hydration_time=row.hydration_cost,
                 )
-                append(
+                response_items.append(
                     ResponseItem(
                         key=key,
                         tuple_id=item.tuple_id,
                         route=item.route,
-                        computed=executed,
+                        computed=execute_here,
                         value=value,
                         payload_size=payload,
                         cost_params=params,
                         updated_at=row.updated_at,
-                        params=None if executed else item.params,
+                        params=None if execute_here else item.params,
                     )
                 )
                 if finish > ready_at:
                     ready_at = finish
-                if compute_pass:
-                    schedule(finish, done_kept if executed else done_bounced)
-                else:
-                    schedule(finish, done_data)
-                index += 1
-        self._udfs_executed += udfs
+                schedule(finish, done)
         return ready_at
 
     def _udf_time_estimate(self) -> float:

@@ -102,12 +102,33 @@ class TestRunConfig:
         "memory": MemoryOptions.on(budget_bytes=1e6),
     }
 
-    @pytest.mark.parametrize("group", sorted(ARMED))
+    #: Neither real backend has a batch timer or a sized cache tier.
+    SIM_ONLY = {
+        "batching": ("batching.max_wait", BatchOptions(max_wait=0.01)),
+        "memory_cache_bytes": ("memory_cache_bytes", 1e6),
+    }
+
+    @pytest.mark.parametrize("group", sorted(ARMED) + sorted(SIM_ONLY))
     def test_local_backend_rejects_what_it_would_drop(self, group):
-        with pytest.raises(ValueError, match=f"cannot honour {group}"):
-            RunConfig(backend="local", **{group: self.ARMED[group]})
+        name, value = self.SIM_ONLY.get(group, (group, self.ARMED.get(group)))
+        with pytest.raises(ValueError, match=f"cannot honour {name}"):
+            RunConfig(backend="local", **{group: value})
         # Tenancy stays: the replay runner drives local service windows.
         RunConfig(backend="local", tenancy=TenancyOptions.on(window=0.5))
+
+    @pytest.mark.parametrize("group", sorted(SIM_ONLY))
+    def test_cluster_backend_rejects_what_it_would_drop(self, group):
+        name, value = self.SIM_ONLY[group]
+        with pytest.raises(ValueError, match=f"backend='cluster' cannot honour {name}"):
+            RunConfig(backend="cluster", **{group: value})
+        # The defaults and the option groups the cluster wires stay.
+        RunConfig(
+            backend="cluster",
+            batching=BatchOptions(batch_size=4),
+            memory=MemoryOptions.on(budget_bytes=1e6),
+            faults=self.ARMED["faults"],
+        )
+        RunConfig(backend="sim", **{group: value})
 
 
 class TestOptionGroups:

@@ -1,7 +1,11 @@
 """Tests for the simulated data-node server."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.memory import MemoryOptions
+from repro.memory.budget import MemoryBudget
 from repro.perf.mode import REFERENCE_ENV
 from repro.placement.batch import (
     BatchLoadBalancer,
@@ -10,6 +14,7 @@ from repro.placement.batch import (
 )
 from repro.core.optimizer import Route
 from repro.sim.cluster import Cluster, NodeSpec
+from repro.sim.resources import ResourceStats
 from repro.store.datanode import DataNodeServer
 from repro.store.kvstore import KVStore
 from repro.store.messages import BatchRequest, RequestItem, RequestKind, UDF
@@ -194,7 +199,8 @@ class TestAppendixCCost:
     def test_running_totals_equal_the_sums_at_every_local_stats(
         self, monkeypatch, reference
     ):
-        # Both the optimized and the reference handlers adjust the totals.
+        # One serve loop adjusts the totals; the request paths that
+        # drive it still differ between the two modes.
         monkeypatch.setenv(REFERENCE_ENV, reference)
         calls = []
         inner = DataNodeServer.local_stats
@@ -244,3 +250,118 @@ class TestAppendixCCost:
         assert lookups == [1, 1]
         region_map.move_region(0, 1)
         assert server.local_stats(0, SIZES).compute_time == pytest.approx(0.01)
+
+
+class _KeepThree(BatchLoadBalancer):
+    """Keeps three compute items at the data node, bounces the rest."""
+
+    def choose(self, batch_size, comp, data, sizes):
+        return 3
+
+
+#: ``(key, computed, value, payload_size, compute_time, disk_time)`` per
+#: response item of the batch below.  Captured from the serve loop as it
+#: stood when the default and reference modes still ran separate
+#: implementations, which agreed on every value here.
+_GOLDEN_ITEMS = [
+    (0, True, "v0|p0", 64.0, 0.010000000000000002, 0.0024000000000000132),
+    (1, True, "v1|p1", 64.0, 0.02200000000000001, 0.0031134999999999913),
+    (2, True, "v2|p2", 64.0, 0.035816928046989736, 0.003827999999999998),
+    (3, False, "v3", 30608.0, 0.048458196769456695, 0.004845500000000003),
+    (4, False, "v4", 30808.0, 0.06109946549192366, 0.005715999999999999),
+    (0, False, "v0", 30008.0, 0.010534390602055804, 0.0),
+    (1, False, "v1", 30208.0, 0.023175659324522764, 0.0),
+    (9, False, "v9", 31808.0, 0.12430580910425848, 0.007158999999999971),
+    (2, False, "v2", 30408.0, 0.035816928046989736, 0.009202999999999961),
+    (6, False, "v6", 31208.0, 0.08638200293685759, 0.010077499999999961),
+    (3, False, "v3", 30608.0, 0.048458196769456695, 0.011099999999999943),
+    (0, False, "v0", 30008.0, 0.010534390602055804, 0.0),
+]
+
+
+class TestServeGoldenPin:
+    """One batch through every branch of the serve loop, pinned to the
+    float.  Both modes run this loop, so the differential suite cannot
+    see it drift; this case can."""
+
+    def test_every_branch_batch(self):
+        cluster = Cluster.homogeneous(2, NodeSpec(cores=2))
+        table = Table("t")
+        for i in range(12):
+            table.put(Row(
+                key=i, value=f"v{i}", size=30000.0 + 200.0 * i,
+                compute_cost=0.01 * (i + 1), hydration_cost=0.002 * i,
+                updated_at=0.5 * i,
+            ))
+        kvstore = KVStore(table, RegionMap.round_robin(HashPartitioner(4), [1]))
+        udf = UDF(
+            result_size=64.0, param_size=32.0, key_size=8.0,
+            apply_fn=lambda key, params, value: f"{value}|{params}",
+        )
+        # Room for one row in the block cache (key 0 hits it later) and
+        # two rows per HFile block (every other uncached read in a
+        # region skips its seek).
+        server = DataNodeServer(
+            cluster, node_id=1, kvstore=kvstore, udf=udf,
+            balancer=_KeepThree(), block_cache_bytes=40000.0,
+        )
+        # A hybrid build side small enough that the batch's inserts
+        # spill: key 1 comes back a hit, keys 2 and 3 need an unspill.
+        server.arm_memory(
+            MemoryBudget(100000.0, node_id=1),
+            MemoryOptions.on(join_partitions=2, max_recursion=0),
+        )
+        server.add_slowdown(0.1, 5.0, 1.5)
+        batch = BatchRequest(
+            src=0, dst=1,
+            compute_items=[
+                RequestItem(key=k, kind=RequestKind.COMPUTE,
+                            route=Route.COMPUTE_REQUEST, tuple_id=t,
+                            params=f"p{t}")
+                for t, k in enumerate([0, 1, 2, 3, 4, 0, 1])
+            ],
+            data_items=[data_item(k, 100 + t) for t, k in enumerate([9, 2, 6, 3, 0])],
+            comp_stats=stats(),
+        )
+        served = server.serve(0.25, batch, SIZES)
+
+        assert served.ready_at == 0.31855
+        assert served.kept_at_data_node == 3
+        assert [
+            (i.key, i.computed, i.value, i.payload_size,
+             i.cost_params.compute_time, i.cost_params.disk_time)
+            for i in served.response.items
+        ] == _GOLDEN_ITEMS
+        for item in served.response.items:
+            row = table.get(item.key)
+            assert item.cost_params == replace(
+                item.cost_params,
+                value_size=row.size, param_size=32.0, key_size=8.0,
+                computed_size=64.0, node_id=1,
+                cpu_service_time=row.compute_cost,
+                hydration_time=row.hydration_cost,
+            )
+        assert (server._pending_data, server._pending_compute_total,
+                server._to_compute_total) == (5, 7, 3)
+        cluster.sim.run()
+        node = cluster.node(1)
+        assert node.disk.stats() == ResourceStats(
+            name="disk[1]", capacity=1, requests=13,
+            busy_time=0.011099999999999999, total_wait=0.0463424999999999,
+            last_finish=0.26109999999999994,
+        )
+        assert node.cpu.stats() == ResourceStats(
+            name="cpu[1]", capacity=2, requests=12,
+            busy_time=0.09990000000000006, total_wait=0.2939425,
+            last_finish=0.31855,
+        )
+        assert (server._pending_data, server._pending_compute_total,
+                server._to_compute_total) == (0, 0, 0)
+        assert set(server._pending_compute.values()) == {0}
+        assert set(server._to_compute.values()) == {0}
+        assert (server.udfs_executed, server.items_served) == (3, 12)
+        assert server.memory_counters() == {
+            "spills": 2.0, "unspills": 1.0, "repartitions": 0.0,
+            "spill_bytes": 215000.0, "unspill_bytes": 92000.0,
+            "bnl_chunks": 1.0, "build_hits": 1, "build_unspill_reads": 2,
+        }

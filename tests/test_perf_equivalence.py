@@ -249,7 +249,6 @@ _GUARDED_MODULES = {
     "engine/compute_node.py",
     "engine/job.py",
     "sim/events.py",
-    "store/datanode.py",
 }
 
 

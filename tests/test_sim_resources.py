@@ -1,10 +1,12 @@
 """Tests for FCFS multi-server resources."""
 
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.resources import Resource
+from repro.sim.resources import Resource, ResourceStats
 
 
 class TestSingleServer:
@@ -99,3 +101,60 @@ def test_property_fcfs_conservation(durations, capacity):
     assert stats.busy_time == pytest.approx(sum(durations))
     # The makespan can never beat perfect parallel packing.
     assert max(finishes) >= sum(durations) / capacity - 1e-9
+
+
+class _PopPushResource:
+    """The textbook booking: pop the earliest free server, push its
+    new free time.  ``Resource.acquire`` must be indistinguishable."""
+
+    def __init__(self, capacity):
+        self.free = [0.0] * capacity
+        self.requests = 0
+        self.busy_time = 0.0
+        self.total_wait = 0.0
+        self.last_finish = 0.0
+
+    def acquire(self, at, duration):
+        earliest = heapq.heappop(self.free)
+        start = max(earliest, at)
+        finish = start + duration
+        heapq.heappush(self.free, finish)
+        self.requests += 1
+        self.busy_time += duration
+        self.total_wait += start - at
+        self.last_finish = max(self.last_finish, finish)
+        return start, finish
+
+
+_TIMES = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
+
+
+@given(
+    capacity=st.integers(min_value=1, max_value=8),
+    bookings=st.lists(
+        st.tuples(_TIMES, st.floats(min_value=-1.0, max_value=10.0, allow_nan=False)),
+        max_size=60,
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_property_acquire_matches_pop_push(capacity, bookings):
+    """Every ``(start, finish)``, the stats and the free-time multiset
+    equal the pop + push model's; negative durations change nothing."""
+    r = Resource("p", capacity=capacity)
+    model = _PopPushResource(capacity)
+    for at, duration in bookings:
+        if duration < 0:
+            with pytest.raises(ValueError):
+                r.acquire(at, duration)
+        else:
+            assert r.acquire(at, duration) == model.acquire(at, duration)
+        assert sorted(r._free) == sorted(model.free)
+        assert r.next_free(at) == max(model.free[0], at)
+    assert r.stats() == ResourceStats(
+        name="p",
+        capacity=capacity,
+        requests=model.requests,
+        busy_time=model.busy_time,
+        total_wait=model.total_wait,
+        last_finish=model.last_finish,
+    )
