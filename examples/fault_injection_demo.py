@@ -7,7 +7,8 @@ engine rides it out with timeouts, idempotent retries and replica
 fallback — and with :class:`ResilienceOptions` enabled, a heartbeat
 failure detector confirms the death and fails the node's regions over
 to its ring successor.  Every run's join output is compared bit-for-bit
-against the thread-pool backend (the differential oracle).
+against a single-node hash join of the same spec (the differential
+oracle).
 
 Everything goes through :func:`repro.api.run_join` — one call, any
 engine, no engine internals.
@@ -42,7 +43,11 @@ SCHEDULE = FaultSchedule(
 
 
 def main() -> None:
-    oracle = run_join(SPEC, RunConfig(backend="local")).outputs
+    values = {row.key: row.value for row in SPEC.table.rows()}
+    oracle = {
+        tuple_id: SPEC.udf.apply(key, None, values[key])
+        for tuple_id, key in enumerate(SPEC.keys)
+    }
 
     print("=== clean run ===")
     clean = run_join(SPEC, RunConfig(engine="engine", seed=11))
@@ -93,7 +98,7 @@ def main() -> None:
     assert resilient.outputs == oracle
 
     print(f"\noracle: all {len(oracle)} outputs identical to the "
-          "thread-pool join, in every run")
+          "single-node hash join, in every run")
 
 
 if __name__ == "__main__":

@@ -42,7 +42,6 @@ from repro.runtime.backend import (
     ENGINES,
     BackendRun,
     JoinWorkload,
-    LocalBackend,
     SimBackend,
 )
 from repro.store.messages import UDF
@@ -51,7 +50,7 @@ from repro.tenancy.options import TenancyOptions
 
 #: Backends :func:`run_join` can target.  ``cluster`` executes on real
 #: driver/worker processes over IPC (:mod:`repro.cluster`).
-BACKENDS = ("sim", "local", "cluster")
+BACKENDS = ("sim", "cluster")
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,7 @@ class BatchOptions:
 class ClusterRunOptions:
     """Cluster-backend process topology knobs.
 
-    Ignored by the sim and local backends.
+    Ignored by the sim backend.
     """
 
     #: ``split`` (dedicated compute and data processes) or
@@ -178,14 +177,14 @@ class RunConfig:
     Cross-cutting knobs are grouped into option dataclasses
     (``batching``, ``cluster``, ``resilience``, ``elastic``, ``memory``,
     ``tenancy``, ``obs``).  A combination the chosen engine and backend
-    cannot honour is rejected here, at construction.
+    cannot honour is rejected here, at construction; one that only a
+    :class:`JobSpec` reveals is rejected by :func:`run_join`.
     """
 
-    #: Execution layer (see :data:`repro.runtime.backend.ENGINES`);
-    #: the ``local`` backend has exactly one engine and rejects others.
+    #: Execution layer (see :data:`repro.runtime.backend.ENGINES`).
     engine: str = "engine"
-    #: ``sim`` (discrete-event simulator), ``local`` (real threads), or
-    #: ``cluster`` (real driver/worker processes over IPC).
+    #: ``sim`` (discrete-event simulator) or ``cluster`` (real
+    #: driver/worker processes over IPC).
     backend: str = "sim"
     n_compute: int = 2
     n_data: int = 2
@@ -223,8 +222,9 @@ class RunConfig:
     memory_cache_bytes: float = 100e6
     #: Multi-tenant admission: per-tenant weighted-fair queueing with
     #: quotas and deadline sheds charged to the offending tenant
-    #: (``engine`` on ``sim``; the tenancy replay adapter covers the
-    #: other engines and backends per service window).
+    #: (``engine`` on ``sim``; :func:`run_join` rejects it elsewhere, and
+    #: the tenancy replay adapter covers the other engines and backends
+    #: per service window).
     #: ``TenancyOptions.off()`` (the default) wires nothing — the run
     #: is bit-identical to a pre-tenancy build.
     tenancy: TenancyOptions = field(default_factory=TenancyOptions)
@@ -236,30 +236,16 @@ class RunConfig:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
             )
-        if self.backend in ("sim", "cluster") and self.engine not in ENGINES:
+        if self.engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
-        if self.backend == "local" and self.engine != "engine":
-            raise ValueError(
-                f"backend='local' runs a single thread-pool engine and "
-                f"ignores engine={self.engine!r}; drop the engine argument "
-                "or use backend='sim' / backend='cluster'"
-            )
-        if self.backend != "sim":
-            # Real backends have no batch timer and no sized cache tier;
-            # real threads have nothing simulated to fault, fail over, move
-            # or spill.  Tenancy stays: the replay runner drives local windows.
-            local = self.backend == "local"
+        if self.backend == "cluster":
+            # Real processes have no batch timer and no sized cache tier.
             armed = {
                 "batching.max_wait": self.batching.max_wait is not None,
                 "memory_cache_bytes": self.memory_cache_bytes
                 != RunConfig.memory_cache_bytes,
-                "faults": local and self.faults is not None,
-                "fault_tolerance": local and self.fault_tolerance is not None,
-                "resilience": local and self.resilience.enabled,
-                "elastic": local and self.elastic.enabled,
-                "memory": local and self.memory.enabled,
             }
             dropped = [name for name, on in armed.items() if on]
             if dropped:
@@ -286,12 +272,30 @@ class RunConfig:
 def run_join(spec: JobSpec, config: RunConfig | None = None) -> RunReport:
     """Run one join described by ``spec`` under ``config``.
 
-    The single entry point over all four simulated engines and the
-    thread-pool backend: builds the observability plumbing (tracer +
-    per-run registry), executes, optionally dumps the trace, and
-    returns the :class:`RunReport`.
+    The single entry point over the four engines, simulated or on real
+    processes: builds the observability plumbing (tracer + per-run
+    registry), executes, optionally dumps the trace, and returns the
+    :class:`RunReport`.
     """
     cfg = config if config is not None else RunConfig()
+    # RunConfig never sees the spec, so a setting that only some runners
+    # read is checked here, before any backend is built or process
+    # forked: SimBackend hands the strategy to engine and streaming, and
+    # per-tenant admission to engine (the tenancy runners strip it).
+    on_sim = cfg.backend == "sim"
+    ignored: list[str] = []
+    if spec.strategy != JobSpec.strategy and not (
+        on_sim and cfg.engine in ("engine", "streaming")
+    ):
+        ignored.append(f"strategy={spec.strategy!r}")
+    if cfg.tenancy.enabled and not (on_sim and cfg.engine == "engine"):
+        ignored.append("tenancy")
+    if ignored:
+        raise ValueError(
+            f"engine={cfg.engine!r} on backend={cfg.backend!r} would ignore "
+            f"{', '.join(ignored)}; a strategy needs engine or streaming on "
+            "sim, tenancy needs engine on sim or a tenancy runner"
+        )
     tracer = Tracer() if cfg.obs.tracing else NO_TRACER
     registry = MetricsRegistry()
     workload = spec.to_workload()
@@ -321,14 +325,6 @@ def _backend_for(
     registry: MetricsRegistry,
 ) -> Any:
     batching = cfg.batching
-    if cfg.backend == "local":
-        return LocalBackend(
-            max_workers=max(cfg.n_compute, 1),
-            batch_size=batching.batch_size,
-            tracer=tracer,
-            registry=registry,
-            tenancy=cfg.tenancy if cfg.tenancy.enabled else None,
-        )
     if cfg.backend == "cluster":
         # Imported here: repro.cluster pulls in multiprocessing
         # machinery that sim-only users should never pay for.
@@ -345,7 +341,6 @@ def _backend_for(
             resilience=cfg.resilience if cfg.resilience.enabled else None,
             elastic=cfg.elastic if cfg.elastic.enabled else None,
             memory=cfg.memory if cfg.memory.enabled else None,
-            tenancy=cfg.tenancy if cfg.tenancy.enabled else None,
             tracer=tracer,
             registry=registry,
             options=ClusterOptions(

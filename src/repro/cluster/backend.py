@@ -13,8 +13,8 @@ The knobs mirror ``SimBackend`` where the concept carries over
 (``n_compute``/``n_data``/``batch_size``/``seed``/``fault_schedule``/
 ``fault_tolerance``/``resilience``/``tracer``/``registry``);
 process-only concerns live in :class:`ClusterOptions`.  ``duration``
-in the returned :class:`BackendRun` is wall-clock seconds (like
-``LocalBackend``), never a simulated makespan.
+in the returned :class:`BackendRun` is wall-clock seconds, never a
+simulated makespan.
 """
 
 from __future__ import annotations
@@ -83,11 +83,6 @@ class ClusterBackend:
     #: Opt-in memory-adaptive execution: workers run budget-governed
     #: value caches and honour scheduled memory_pressure faults.
     memory: Any = None
-    #: Accepted for config symmetry with SimBackend: real worker
-    #: processes are driven per service window by the tenancy replay
-    #: adapter (repro.tenancy.runner), which applies fair queueing in
-    #: the harness; there is no per-tuple admission seam to wire here.
-    tenancy: Any = None
     tracer: Tracer = NO_TRACER
     registry: MetricsRegistry | None = None
     options: ClusterOptions = field(default_factory=ClusterOptions)

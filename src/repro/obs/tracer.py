@@ -19,8 +19,8 @@ Two invariants keep the tracer safe to thread through every engine:
   ``tests/test_obs.py``).
 
 Timestamps are whatever clock the call site lives in: simulated
-seconds inside the discrete-event engines, wall-clock offsets in
-``LocalBackend``.  One run sticks to one clock.
+seconds inside the discrete-event engines, wall-clock offsets on
+``ClusterBackend``.  One run sticks to one clock.
 """
 
 from __future__ import annotations

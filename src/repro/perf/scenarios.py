@@ -8,11 +8,10 @@ Two tiers:
   responsible module, not at "the simulator got slower".
 * **macro** — full ``run_join`` executions of the Figure 8 synthetic
   workload (data-heavy, skew z = 1.5, the paper's high-skew panel)
-  across the four simulated engines plus the thread-pool
-  ``LocalBackend`` and the real-process ``ClusterBackend`` (the
-  ``cluster`` family; outputs-only digests, since worker processes
-  make wall time nondeterministic), and one cold-key macro (20 000
-  keys, z = 0.5) where compute-request batches dominate.
+  across the four simulated engines plus the real-process
+  ``ClusterBackend`` (the ``cluster`` family; outputs-only digests, as
+  worker processes make wall time nondeterministic), and one cold-key
+  macro (20 000 keys, z = 0.5) where compute-request batches dominate.
 
 Every scenario is deterministic: inputs come from pinned seeds, and
 each run returns a digest of its observable results (join outputs,
@@ -282,7 +281,6 @@ def _micro_event_cancel(n_events: int) -> ScenarioRun:
 # ----------------------------------------------------------------------
 def _macro_run_join(
     engine: str,
-    backend: str,
     n_keys: int,
     n_tuples: int,
     skew: float,
@@ -293,14 +291,13 @@ def _macro_run_join(
     spec = JobSpec.synthetic(
         kind="data_heavy", n_keys=n_keys, n_tuples=n_tuples, skew=skew, seed=seed
     )
-    report = run_join(spec, RunConfig(engine=engine, backend=backend))
+    report = run_join(spec, RunConfig(engine=engine))
     parts = sorted(map(repr, report.outputs.items()))
-    if backend == "sim":
-        # The simulated makespan is part of the contract; the local
-        # backend's duration is wall-clock and never deterministic.
-        parts.append(repr(round(report.makespan, 12)))
-    sim_time = report.makespan if backend == "sim" else 0.0
-    return ScenarioRun(sim_time=sim_time, digest=_digest(parts), n_items=n_tuples)
+    # The simulated makespan is part of the contract.
+    parts.append(repr(round(report.makespan, 12)))
+    return ScenarioRun(
+        sim_time=report.makespan, digest=_digest(parts), n_items=n_tuples
+    )
 
 
 def _macro(engine: str, *, smoke: bool, headline: bool = False) -> Scenario:
@@ -317,7 +314,7 @@ def _macro(engine: str, *, smoke: bool, headline: bool = False) -> Scenario:
             f"{engine}, SimBackend, {n_tuples} tuples"
         ),
         runner=lambda: _macro_run_join(
-            engine, "sim", n_keys=n_keys, n_tuples=n_tuples, skew=skew, seed=7
+            engine, n_keys=n_keys, n_tuples=n_tuples, skew=skew, seed=7
         ),
         smoke=smoke,
         headline=headline,
@@ -339,7 +336,7 @@ def _macro_cold(*, smoke: bool) -> Scenario:
             f"engine on SimBackend, {n_tuples} tuples"
         ),
         runner=lambda: _macro_run_join(
-            "engine", "sim", n_keys=n_keys, n_tuples=n_tuples, skew=0.5, seed=7
+            "engine", n_keys=n_keys, n_tuples=n_tuples, skew=0.5, seed=7
         ),
         smoke=smoke,
         tags=("cold", "engine"),
@@ -513,19 +510,6 @@ SCENARIOS: tuple[Scenario, ...] = (
     _macro("streaming", smoke=True),
     _macro("mapreduce", smoke=True),
     _macro("sparklite", smoke=True),
-    # ... the LocalBackend macro (real threads; wall time only) ...
-    Scenario(
-        name="macro_fig8_local",
-        kind="macro",
-        description=(
-            "Figure 8 data-heavy synthetic (z=1.5) on LocalBackend "
-            "(thread pool), 2000 tuples"
-        ),
-        runner=lambda: _macro_run_join(
-            "engine", "local", n_keys=200, n_tuples=2000, skew=1.5, seed=7
-        ),
-        tags=("fig8", "local"),
-    ),
     # ... the ClusterBackend family (real processes; outputs-only digest,
     # exercised by the CI cluster-smoke job rather than the perf gate) ...
     _cluster("engine"),

@@ -12,8 +12,7 @@ Three seams (see DESIGN.md Section 3):
 * **Executor** (:mod:`repro.runtime.backend`) — :class:`Backend`
   implementations turning one :class:`JoinWorkload` into outputs:
   :class:`SimBackend` (discrete-event simulation through any of the
-  four engines), :class:`LocalBackend` (real ``concurrent.futures``
-  workers, wall-clock), and — re-exported lazily from
+  four engines) and — re-exported lazily from
   :mod:`repro.cluster` — ``ClusterBackend`` (real driver/worker
   processes over IPC).
 * **Metrics** (:mod:`repro.runtime.metrics`) — one aggregation point
@@ -26,7 +25,6 @@ from repro.runtime.backend import (
     Backend,
     BackendRun,
     JoinWorkload,
-    LocalBackend,
     SimBackend,
 )
 from repro.runtime.metrics import (
@@ -63,7 +61,6 @@ __all__ = [
     "BackendRun",
     "ClusterBackend",
     "JoinWorkload",
-    "LocalBackend",
     "SimBackend",
     "RuntimeMetrics",
     "ShuffleStats",

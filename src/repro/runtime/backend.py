@@ -12,10 +12,8 @@ and a :class:`Backend` turns it into outputs:
   ``mapreduce``, ``sparklite``).  Fault schedules and tolerance
   policies plug in uniformly because every engine dispatches through
   the kernel transports.
-* :class:`LocalBackend` — runs the same job graph on real
-  :mod:`concurrent.futures` workers with no simulation at all:
-  wall-clock correctness runs, the ground truth the simulated engines
-  are differentially tested against.
+* ``ClusterBackend`` (:mod:`repro.cluster`) — the same contract on
+  real driver/worker processes over IPC.
 
 Every backend returns the same ``tuple_id -> result`` mapping shape as
 :func:`tests.oracle.single_node_hash_join`, which is what lets one
@@ -24,8 +22,6 @@ parametrized suite assert all engines × backends agree bit-for-bit.
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Protocol, Sequence, runtime_checkable
 
@@ -105,7 +101,7 @@ class BackendRun:
     backend: str
     outputs: dict[int, Any]
     #: Simulated makespan (SimBackend) or wall-clock seconds
-    #: (LocalBackend).
+    #: (ClusterBackend).
     duration: float
     metrics: RuntimeMetrics | None = None
     #: The engine-native result value (``JobResult``, ``StreamResult``,
@@ -579,83 +575,3 @@ class _ShuffleMemory:
         if registry is not None:
             publish_memory_counters(registry, *sources)
 
-
-@dataclass
-class LocalBackend:
-    """Execute a workload on real threads — no simulation anywhere.
-
-    The job graph is the same as the simulated engines': partition the
-    probe stream by stable key hash (the kernel's routing hash), batch
-    each partition, apply the UDF against a snapshot of the stored
-    relation, merge.  ``duration`` is wall-clock seconds, making this
-    the backend for "does the real computation agree with the
-    simulated one" checks and for benchmarking actual UDFs.
-    """
-
-    max_workers: int = 4
-    batch_size: int = 64
-    tracer: Tracer = NO_TRACER
-    registry: MetricsRegistry | None = None
-    #: Inert here: the tenancy replay adapter drives this backend per
-    #: service window and applies fair queueing in the harness.
-    tenancy: Any = None
-
-    def __post_init__(self) -> None:
-        if self.max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-
-    def run_join(self, workload: JoinWorkload) -> BackendRun:
-        values = workload.stored_values()
-        partitions: list[list[int]] = [[] for _ in range(self.max_workers)]
-        for tuple_id, key in enumerate(workload.keys):
-            partitions[stable_hash(key) % self.max_workers].append(tuple_id)
-        start = time.perf_counter()
-        # Local spans live on the wall clock (offsets from job start),
-        # not simulated seconds — one run, one clock.
-        job_span = None
-        if self.tracer.enabled:
-            job_span = self.tracer.start(
-                "job", at=0.0, engine="local",
-                n_tuples=len(workload.keys), workers=self.max_workers,
-            )
-        outputs: dict[int, Any] = {}
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            futures = [
-                pool.submit(self._run_partition, workload, values, part)
-                for part in partitions
-                if part
-            ]
-            for future in futures:
-                outputs.update(future.result())
-        duration = time.perf_counter() - start
-        if job_span is not None:
-            self.tracer.end(job_span, at=duration)
-        if self.registry is not None:
-            self.registry.counter("jobs.runs").inc()
-            self.registry.counter("jobs.tuples").inc(len(workload.keys))
-            self.registry.histogram("jobs.makespan").observe(duration)
-        return BackendRun(
-            engine="local",
-            backend="local",
-            outputs=outputs,
-            duration=duration,
-        )
-
-    def _run_partition(
-        self,
-        workload: JoinWorkload,
-        values: dict[Hashable, Any],
-        tuple_ids: list[int],
-    ) -> dict[int, Any]:
-        udf = workload.udf
-        keys = workload.keys
-        params = workload.params
-        outputs: dict[int, Any] = {}
-        for at in range(0, len(tuple_ids), self.batch_size):
-            for tuple_id in tuple_ids[at : at + self.batch_size]:
-                key = keys[tuple_id]
-                p = params[tuple_id] if params is not None else None
-                outputs[tuple_id] = udf.apply(key, p, values[key])
-        return outputs

@@ -17,7 +17,7 @@ from typing import Hashable, Sequence
 
 
 # stable_hash is a pure function on the key's repr, and the hot paths
-# (per-tuple key routing, LocalBackend partitioning) call it with a
+# (per-tuple key routing, shuffle partitioning) call it with a
 # small working set of keys over and over — memoize it.  The cap
 # bounds worst-case memory on adversarial key streams; on overflow the
 # memo is dropped wholesale (a rebuild costs less than tracking LRU

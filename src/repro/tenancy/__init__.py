@@ -1,7 +1,7 @@
 """repro.tenancy — multi-tenant open-loop traffic over the join stack.
 
 ROADMAP item 5: drive the full system (router, placement, memory
-arbiter, all three backends) with many tenants at once — each with its
+arbiter, both backends) with many tenants at once — each with its
 own seeded arrival process, Zipf key slice, request-size mix and SLO —
 and prove per-tenant SLO attainment under contention.
 

@@ -11,7 +11,7 @@ The port is :class:`TrafficRunner` — ``run(mix, trace) ->``
   latency is exact simulated arrival-to-completion.
 * :class:`ReplayRunner` — the portable adapter.  Replays the same
   trace in fixed service windows against :func:`repro.api.run_join`,
-  so the identical tenant mix drives **SimBackend, LocalBackend and
+  so the identical tenant mix drives **every engine on SimBackend and
   ClusterBackend unchanged**: the fair queueing (stride scheduling
   over per-tenant FIFOs, quotas, deadline sheds charged to the
   offending tenant) happens in the harness, and each window is one
@@ -347,22 +347,15 @@ def make_runner(
     config: RunConfig,
     workload: SyntheticWorkload | None = None,
     registry: MetricsRegistry | None = None,
-    mode: str = "auto",
 ) -> TrafficRunner:
     """The router: pick the adapter for this configuration.
 
-    ``mode='engine'`` forces the open-loop :class:`SimRunner`,
-    ``mode='replay'`` forces the :class:`ReplayRunner`; ``'auto'``
-    uses the open-loop adapter exactly when the configuration can
-    support it (``engine`` on ``sim``) and replay otherwise — so one
-    call site drives all three backends unchanged.
+    The open-loop :class:`SimRunner` exactly when the configuration can
+    support it (``engine`` on ``sim``), the :class:`ReplayRunner`
+    otherwise — so one call site drives every engine on both backends
+    unchanged.  Construct either adapter directly to force it.
     """
-    if mode not in ("auto", "engine", "replay"):
-        raise ValueError(
-            f"unknown mode {mode!r}; expected 'auto', 'engine' or 'replay'"
-        )
-    engine_capable = config.backend == "sim" and config.engine == "engine"
-    if mode == "engine" or (mode == "auto" and engine_capable):
+    if config.backend == "sim" and config.engine == "engine":
         return SimRunner(
             config=config, workload=workload, registry=registry
         )

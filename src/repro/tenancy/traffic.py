@@ -2,8 +2,8 @@
 
 The paper evaluates join-location decisions under streaming arrival
 rates; this module generates those arrivals as *values* — a list of
-timestamps — so the same trace can drive the simulated engines, the
-thread-pool backend and the real-process cluster unchanged.
+timestamps — so the same trace can drive the simulated engines and the
+real-process cluster unchanged.
 
 The base process is Poisson (exponential inter-arrivals).  Two
 modulations compose multiplicatively on top:

@@ -19,15 +19,13 @@ from repro.api import (
     BACKENDS,
     BatchOptions,
     ClusterRunOptions,
-    ElasticOptions,
     JobSpec,
     MemoryOptions,
-    ResilienceOptions,
     RunConfig,
     TenancyOptions,
     run_join,
 )
-from repro.faults import FaultSchedule, FaultTolerance
+from repro.faults import FaultSchedule
 from repro.obs import ObsOptions
 from repro.runtime import ENGINES
 from tests.oracle import assert_oracle_equal, single_node_hash_join
@@ -78,9 +76,10 @@ class TestRunConfig:
     def test_rejects_unknown_engine_and_backend(self):
         with pytest.raises(ValueError, match="unknown engine"):
             RunConfig(engine="warp")
-        with pytest.raises(ValueError, match="unknown backend"):
-            RunConfig(backend="cloud")
-        assert set(BACKENDS) == {"sim", "local", "cluster"}
+        for backend in ("cloud", "local"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                RunConfig(backend=backend)
+        assert BACKENDS == ("sim", "cluster")
 
     def test_with_obs_copies(self):
         config = RunConfig()
@@ -88,33 +87,11 @@ class TestRunConfig:
         assert traced.obs.tracing is True
         assert config.obs.tracing is False  # original untouched
 
-    def test_local_backend_rejects_non_default_engine(self):
-        with pytest.raises(ValueError, match="local"):
-            RunConfig(backend="local", engine="mapreduce")
-        # The default engine stays accepted.
-        assert RunConfig(backend="local").engine == "engine"
-
-    ARMED = {
-        "faults": FaultSchedule(seed=1),
-        "fault_tolerance": FaultTolerance(request_timeout=0.05),
-        "resilience": ResilienceOptions.on(),
-        "elastic": ElasticOptions.on(),
-        "memory": MemoryOptions.on(budget_bytes=1e6),
-    }
-
-    #: Neither real backend has a batch timer or a sized cache tier.
+    #: The cluster has no batch timer and no sized cache tier.
     SIM_ONLY = {
         "batching": ("batching.max_wait", BatchOptions(max_wait=0.01)),
         "memory_cache_bytes": ("memory_cache_bytes", 1e6),
     }
-
-    @pytest.mark.parametrize("group", sorted(ARMED) + sorted(SIM_ONLY))
-    def test_local_backend_rejects_what_it_would_drop(self, group):
-        name, value = self.SIM_ONLY.get(group, (group, self.ARMED.get(group)))
-        with pytest.raises(ValueError, match=f"cannot honour {name}"):
-            RunConfig(backend="local", **{group: value})
-        # Tenancy stays: the replay runner drives local service windows.
-        RunConfig(backend="local", tenancy=TenancyOptions.on(window=0.5))
 
     @pytest.mark.parametrize("group", sorted(SIM_ONLY))
     def test_cluster_backend_rejects_what_it_would_drop(self, group):
@@ -126,7 +103,9 @@ class TestRunConfig:
             backend="cluster",
             batching=BatchOptions(batch_size=4),
             memory=MemoryOptions.on(budget_bytes=1e6),
-            faults=self.ARMED["faults"],
+            faults=FaultSchedule(seed=1),
+            # Per-window runs strip it; run_join rejects it unstripped.
+            tenancy=TenancyOptions.on(window=0.5),
         )
         RunConfig(backend="sim", **{group: value})
 
@@ -223,10 +202,34 @@ class TestRunJoin:
         assert report.snapshot["counters"]["jobs.runs"] == 1.0
         assert_oracle_equal(report.outputs, oracle)
 
-    def test_local_backend(self, spec, oracle):
-        report = run_join(spec, RunConfig(backend="local", n_compute=3))
-        assert report.backend == "local"
-        assert_oracle_equal(report.outputs, oracle)
+    @pytest.mark.parametrize(
+        "engine, backend, strategy, tenancy",
+        [
+            ("engine", "cluster", "FD", False),
+            ("mapreduce", "sim", "FD", False),
+            ("sparklite", "sim", "NO", False),
+            ("streaming", "sim", "FO", True),
+        ],
+    )
+    def test_rejects_what_the_runner_would_ignore(
+        self, spec, monkeypatch, engine, backend, strategy, tenancy
+    ):
+        class Built(Exception):
+            pass
+
+        def build(*args):
+            raise Built
+
+        monkeypatch.setattr("repro.api._backend_for", build)
+        spec = dataclasses.replace(spec, strategy=strategy)
+        admission = TenancyOptions.on() if tenancy else TenancyOptions.off()
+        with pytest.raises(ValueError, match="would ignore"):
+            run_join(spec, RunConfig(
+                engine=engine, backend=backend, tenancy=admission,
+            ))
+        # The sim engine runner reads both, so it gets a backend.
+        with pytest.raises(Built):
+            run_join(spec, RunConfig(engine="engine", tenancy=admission))
 
     def test_default_config(self, spec):
         report = run_join(spec)

@@ -1,6 +1,6 @@
 """Cross-engine differential suite for the runtime kernel.
 
-One small DH workload, four engines, two backends, one oracle: every
+One small DH workload, four engines, one oracle: every simulated
 execution path the kernel offers must produce bit-for-bit the same
 ``tuple_id -> result`` mapping as the naive single-node hash join —
 healthy, and under a fault schedule injected at the transport seam.
@@ -13,7 +13,7 @@ import pytest
 from repro.faults.policy import FaultTolerance
 from repro.faults.schedule import FaultSchedule, MessageChaos
 from repro.obs import MetricsRegistry
-from repro.runtime import ENGINES, JoinWorkload, LocalBackend, SimBackend
+from repro.runtime import ENGINES, JoinWorkload, SimBackend
 from repro.workloads.synthetic import SyntheticWorkload
 from tests.oracle import assert_oracle_equal, single_node_hash_join
 
@@ -136,29 +136,6 @@ class TestSimBackend:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             SimBackend(engine="spark")
-
-
-class TestLocalBackend:
-    def test_matches_the_oracle(self, workload, oracle):
-        run = LocalBackend(max_workers=3, batch_size=16).run_join(workload)
-        assert run.backend == "local"
-        assert run.duration > 0
-        assert_oracle_equal(run.outputs, oracle)
-
-    def test_agrees_with_the_simulated_engines(self, workload):
-        local = LocalBackend().run_join(workload)
-        simulated = SimBackend(engine="engine", seed=5).run_join(workload)
-        assert local.outputs == simulated.outputs
-
-    def test_single_worker_degenerate_case(self, workload, oracle):
-        run = LocalBackend(max_workers=1, batch_size=1).run_join(workload)
-        assert_oracle_equal(run.outputs, oracle)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LocalBackend(max_workers=0)
-        with pytest.raises(ValueError):
-            LocalBackend(batch_size=0)
 
 
 class TestJoinWorkload:

@@ -15,8 +15,8 @@ Four layers of coverage:
   tenant's p99 past its SLO (and side-effecting work still executes
   exactly once even when shed);
 * the Runner/Router seam — the same tenant mix drives the open-loop
-  ``SimRunner`` and the windowed ``ReplayRunner`` on the sim, local
-  and cluster backends unchanged.
+  ``SimRunner`` and the windowed ``ReplayRunner`` on the sim and
+  cluster backends unchanged.
 """
 
 import numpy as np
@@ -618,7 +618,7 @@ class TestShedExactlyOnce:
 
 
 # ----------------------------------------------------------------------
-# Runner/Router seam: one mix, three backends
+# Runner/Router seam: one mix, two backends
 # ----------------------------------------------------------------------
 def small_mix():
     specs = (
@@ -641,21 +641,17 @@ class TestRunnerSeam:
     def test_router_picks_the_adapter(self):
         sim_engine = RunConfig(engine="engine", backend="sim")
         assert isinstance(make_runner(sim_engine), SimRunner)
-        assert isinstance(
-            make_runner(sim_engine, mode="replay"), ReplayRunner
-        )
+        # Forcing the replay adapter is constructing it.
+        assert ReplayRunner(config=sim_engine).config is sim_engine
         assert isinstance(
             make_runner(RunConfig(engine="streaming", backend="sim")),
             ReplayRunner,
         )
-        assert isinstance(
-            make_runner(RunConfig(engine="engine", backend="local")),
-            ReplayRunner,
-        )
+        # Builds without forking: processes start only in run_join.
+        cluster_engine = RunConfig(engine="engine", backend="cluster")
+        assert isinstance(make_runner(cluster_engine), ReplayRunner)
         with pytest.raises(ValueError):
-            make_runner(sim_engine, mode="bogus")
-        with pytest.raises(ValueError):
-            SimRunner(config=RunConfig(engine="engine", backend="local"))
+            SimRunner(config=cluster_engine)
 
     def test_sim_runner_serves_the_whole_trace(self):
         mix = small_mix()
@@ -683,18 +679,6 @@ class TestRunnerSeam:
         for index, output in result.outputs.items():
             key = trace.keys[index]
             assert output == f"{key}|None|value-{key}"
-
-    def test_replay_runner_on_the_local_backend(self):
-        mix = small_mix()
-        trace = mix.trace(horizon=1.0, seed=5)
-        config = RunConfig(
-            engine="engine", backend="local", n_compute=2, n_data=2, seed=5,
-            tenancy=TenancyOptions.on(window=0.5, window_capacity=128),
-        )
-        result = make_runner(config).run(mix, trace)
-        assert result.backend == "local"
-        assert_serves_everything(result, trace)
-        assert result.duration > 0
 
     def test_replay_runner_unfair_mode_is_global_fifo(self):
         mix = small_mix()
