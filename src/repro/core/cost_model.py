@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from repro.core.smoothing import SmoothedValue
-from repro.perf.mode import reference_mode
 
 
 # Not frozen: one per response item (see repro.store.messages).
@@ -87,18 +86,22 @@ class RequestCosts:
 
 
 class _KeyEstimates:
-    """Per-key smoothed value size and UDF compute times.
+    """Per-key smoothed value size and UDF compute times, as plain floats.
 
-    ``compute_time`` is the measured (load-inclusive) remote cost;
-    ``service_time`` is the pure per-invocation UDF cost.
+    Created from the key's first observation; later observations fold
+    with :meth:`SmoothedValue.observe`'s expression.  ``compute_time``
+    is the measured (load-inclusive) remote cost; ``service_time`` is
+    the pure per-invocation UDF cost.
     """
 
     __slots__ = ("value_size", "compute_time", "service_time")
 
-    def __init__(self, alpha: float) -> None:
-        self.value_size = SmoothedValue(alpha=alpha)
-        self.compute_time = SmoothedValue(alpha=alpha)
-        self.service_time = SmoothedValue(alpha=alpha)
+    def __init__(
+        self, value_size: float, compute_time: float, service_time: float
+    ) -> None:
+        self.value_size = value_size
+        self.compute_time = compute_time
+        self.service_time = service_time
 
 
 class CostModel:
@@ -156,88 +159,42 @@ class CostModel:
         self._spill_count = 0
         self._spill_bytes = 0.0
         self._spill_seconds = 0.0
-        # Memoized cost formulas, keyed on smoothed-stat epochs.  Only
-        # the *remote* terms (tCompute, tFetch) are memoized: they read
-        # three disjoint groups of estimates — global sizes, per key,
-        # and per data node — each carrying its own epoch, so an entry
-        # stays valid until one of *its* groups changes.  The local
-        # recurring costs are deliberately excluded: ``tc_i`` folds a
-        # queueing-dependent wall time on every local execution and
-        # would invalidate the memo constantly, while recomputing it is
-        # two attribute reads.  Epochs only advance when an observation
-        # actually moves a smoothed value, so a hit always returns the
-        # exact floats the formulas would have produced.  Epochs advance
-        # in both modes; in reference mode ``costs()`` evaluates the
-        # formulas every time instead of consulting the memo.
-        self._epoch = 0
-        self._key_epoch: dict[Hashable, int] = {}
-        self._node_epoch: dict[int, int] = {}
-        self._memo: dict[
-            tuple[Hashable, int], tuple[int, int, int, float, float]
-        ] = {}
-        self._memo_enabled = not reference_mode()
-        # Last placement epoch observed from the region map; a change
-        # (migration, split, replica grant) invalidates every memoized
-        # remote cost, since a key's serving node may have moved.
-        self._placement_epoch = 0
-
-    def observe_placement_epoch(self, epoch: int) -> None:
-        """Note the placement epoch; invalidate memos when it advances.
-
-        With a static map the epoch never moves and this is a single
-        integer compare; under elastic placement each mutation bumps it
-        exactly once per compute node.
-        """
-        if epoch != self._placement_epoch:
-            self._placement_epoch = epoch
-            self._epoch += 1
 
     # ------------------------------------------------------------------
     # Observation side: fold measured parameters into the estimates.
     # ------------------------------------------------------------------
     def observe(self, params: CostParameters) -> None:
-        """Fold a data node's reported parameters into the estimates.
-
-        An epoch advances only when an observation actually moved one
-        of its group's estimates — in both modes, so an entry
-        :meth:`costs4` memoized expires whichever mode built the model.
-        """
-        sk, sp, scv = self._key_size, self._param_size, self._computed_size
-        was_sk, was_sp, was_scv = sk._value, sp._value, scv._value
-        sk.observe(params.key_size)
-        sp.observe(params.param_size)
+        """Fold a data node's reported parameters into the estimates."""
+        self._key_size.observe(params.key_size)
+        self._param_size.observe(params.param_size)
         if params.computed_size > 0:
-            scv.observe(params.computed_size)
-        if sk._value != was_sk or sp._value != was_sp or scv._value != was_scv:
-            self._epoch += 1
+            self._computed_size.observe(params.computed_size)
         self._observe_disk(params.node_id, params.disk_time)
-        key = params.key
-        per_key = self._per_key.get(key)
+        per_key = self._per_key.get(params.key)
         if per_key is None:
-            per_key = self._per_key[key] = _KeyEstimates(self._alpha)
-        sv, tc, ts = per_key.value_size, per_key.compute_time, per_key.service_time
-        was_sv, was_tc, was_ts = sv._value, tc._value, ts._value
-        sv.observe(params.value_size)
-        tc.observe(params.compute_time)
-        ts.observe(params.service_time)
-        if sv._value != was_sv or tc._value != was_tc or ts._value != was_ts:
-            self._key_epoch[key] = self._key_epoch.get(key, 0) + 1
+            self._per_key[params.key] = _KeyEstimates(
+                params.value_size, params.compute_time, params.service_time
+            )
+            return
+        # SmoothedValue.observe's expression, on the flat record.
+        a = self._alpha
+        per_key.value_size = a * params.value_size + (1.0 - a) * per_key.value_size
+        per_key.compute_time = (
+            a * params.compute_time + (1.0 - a) * per_key.compute_time
+        )
+        per_key.service_time = (
+            a * params.service_time + (1.0 - a) * per_key.service_time
+        )
 
     def _observe_disk(self, data_node: int, seconds: float) -> None:
-        """Fold ``seconds`` into ``tDisk_j``; bump the node's epoch if it moved."""
+        """Fold ``seconds`` into ``tDisk_j``."""
         node_disk = self._remote_disk.get(data_node)
         if node_disk is None:
             node_disk = self._remote_disk[data_node] = SmoothedValue(alpha=self._alpha)
-        before = node_disk._value
-        if node_disk.observe(seconds) != before:
-            self._node_epoch[data_node] = self._node_epoch.get(data_node, 0) + 1
+        node_disk.observe(seconds)
 
     def observe_local_compute(self, seconds: float) -> None:
-        """Record a locally measured UDF execution time (``tc_i``).
-
-        No epoch bookkeeping: ``tc_i`` is outside the memoized remote
-        terms, so this stays a plain fold in both modes.
-        """
+        """Record a locally measured UDF execution time (``tc_i``)."""
         self._local_compute.observe(seconds)
 
     def observe_timeout(self, data_node: int, waited: float) -> None:
@@ -292,7 +249,6 @@ class CostModel:
     def forget_key(self, key: Hashable) -> None:
         """Drop per-key estimates (e.g. after a data-store update)."""
         self._per_key.pop(key, None)
-        self._key_epoch[key] = self._key_epoch.get(key, 0) + 1
 
     # ------------------------------------------------------------------
     # Query side.
@@ -308,9 +264,9 @@ class CostModel:
     def value_size(self, key: Hashable) -> float:
         """Best estimate of the stored value size ``sv`` for ``key``."""
         per_key = self._per_key.get(key)
-        if per_key is not None and per_key.value_size.initialized:
-            return per_key.value_size.value
-        raise KeyError(f"no size estimate for key {key!r}")
+        if per_key is None:
+            raise KeyError(f"no size estimate for key {key!r}")
+        return per_key.value_size
 
     def bandwidth_to(self, data_node: int) -> float:
         """Effective bandwidth ``netBw_ij`` to ``data_node``."""
@@ -325,93 +281,46 @@ class CostModel:
         Requires per-key parameters; callers should check
         :meth:`knows_key` first and issue a compute request when false.
         """
-        per_key = self._per_key.get(key)
-        if per_key is None:
-            raise KeyError(f"no cost parameters yet for key {key!r}")
-        if self._memo_enabled:
-            t_compute, t_fetch = self._remote_costs(key, data_node, per_key)
-        else:
-            t_compute, t_fetch = self._remote_formulas(data_node, per_key)
-        # Local UDF time: prefer a locally measured value; fall back to
-        # the key's *pure service* cost — an idle local CPU would take
-        # about that long (falling back to the load-inflated remote
-        # measurement would make r <= br and freeze buying forever).
-        tc_local = self._local_compute.value_or(per_key.service_time.value)
-        return RequestCosts(
-            t_compute=t_compute,
-            t_fetch=t_fetch,
-            t_rec_mem=tc_local,
-            t_rec_disk=max(tc_local, self._local_disk_time),
-        )
-
-    def _remote_formulas(
-        self, data_node: int, per_key: _KeyEstimates
-    ) -> tuple[float, float]:
-        """``(tCompute, tFetch)`` from the current estimates."""
-        bw = self.bandwidth_to(data_node)
-        sk = self._key_size.value_or(8.0)
-        sp = self._param_size.value_or(0.0)
-        scv = self._computed_size.value_or(0.0)
-        sv = per_key.value_size.value
-        node_disk = self._remote_disk.get(data_node)
-        t_disk_remote = node_disk.value_or(0.0) if node_disk is not None else 0.0
-        tc_remote = per_key.compute_time.value
-        t_compute = max(t_disk_remote, (sk + sp + scv) / bw, tc_remote)
-        t_fetch = max(t_disk_remote, (sk + sv) / bw)
-        return t_compute, t_fetch
-
-    def _remote_costs(
-        self, key: Hashable, data_node: int, per_key: _KeyEstimates
-    ) -> tuple[float, float]:
-        """Memoized :meth:`_remote_formulas`.
-
-        A hit returns the floats computed under identical estimate
-        values, so results are bit-equal either way.
-        """
-        k_ep = self._key_epoch.get(key, 0)
-        n_ep = self._node_epoch.get(data_node, 0)
-        memo_key = (key, data_node)
-        entry = self._memo.get(memo_key)
-        if (
-            entry is not None
-            and entry[0] == self._epoch
-            and entry[1] == k_ep
-            and entry[2] == n_ep
-        ):
-            return entry[3], entry[4]
-        t_compute, t_fetch = self._remote_formulas(data_node, per_key)
-        self._memo[memo_key] = (self._epoch, k_ep, n_ep, t_compute, t_fetch)
-        return t_compute, t_fetch
+        return RequestCosts(*self.costs4(key, data_node))
 
     def costs4(self, key: Hashable, data_node: int) -> tuple[float, float, float, float]:
         """``(tCompute, tFetch, tRecMem, tRecDisk)`` as a plain tuple.
 
-        Optimized-mode hot-path variant of :meth:`costs`: same values,
-        no :class:`RequestCosts` allocation and no property dispatch
-        for ``rent``/``buy`` on the caller side.  Raises ``KeyError``
-        exactly when :meth:`costs` would (unknown key or bandwidth).
+        The one copy of the Section 4.3 formulas, read straight off the
+        current estimates; :meth:`costs` wraps the same four floats.
+        Raises ``KeyError`` for an unknown key or a data node without a
+        bandwidth estimate.
         """
         per_key = self._per_key.get(key)
         if per_key is None:
             raise KeyError(f"no cost parameters yet for key {key!r}")
-        entry = self._memo.get((key, data_node))
-        if (
-            entry is not None
-            and entry[0] == self._epoch
-            and entry[1] == self._key_epoch.get(key, 0)
-            and entry[2] == self._node_epoch.get(data_node, 0)
-        ):
-            t_compute = entry[3]
-            t_fetch = entry[4]
-        else:
-            t_compute, t_fetch = self._remote_costs(key, data_node, per_key)
+        bw = self._bandwidth.get(data_node)
+        if bw is None:
+            raise KeyError(f"no bandwidth estimate for node {data_node}")
+        sk = self._key_size._value
+        if sk is None:
+            sk = 8.0
+        sp = self._param_size._value
+        if sp is None:
+            sp = 0.0
+        scv = self._computed_size._value
+        if scv is None:
+            scv = 0.0
+        node_disk = self._remote_disk.get(data_node)
+        t_disk = node_disk._value if node_disk is not None else None
+        if t_disk is None:
+            t_disk = 0.0
+        # Local UDF time: prefer a locally measured value; fall back to
+        # the key's *pure service* cost — an idle local CPU would take
+        # about that long (falling back to the load-inflated remote
+        # measurement would make r <= br and freeze buying forever).
         tc_local = self._local_compute._value
         if tc_local is None:
-            tc_local = per_key.service_time.value
+            tc_local = per_key.service_time
         ldt = self._local_disk_time
         return (
-            t_compute,
-            t_fetch,
+            max(t_disk, (sk + sp + scv) / bw, per_key.compute_time),
+            max(t_disk, (sk + per_key.value_size) / bw),
             tc_local,
             tc_local if tc_local >= ldt else ldt,
         )

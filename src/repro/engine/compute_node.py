@@ -328,10 +328,6 @@ class ComputeNodeRuntime:
         if region_map.generation != self._dst_gen:
             self._dst_cache.clear()
             self._dst_gen = region_map.generation
-            # Placement epoch advanced (migration/split/replica): the
-            # cost model's memoized route costs key on it, so stale
-            # entries invalidate on the next lookup.
-            self.cost_model.observe_placement_epoch(region_map.generation)
             dst = None
         else:
             dst = self._dst_cache.get(key)
@@ -418,7 +414,6 @@ class ComputeNodeRuntime:
         if region_map.generation != self._dst_gen:
             self._dst_cache.clear()
             self._dst_gen = region_map.generation
-            self.cost_model.observe_placement_epoch(region_map.generation)
         dst = self._dst_cache.get(key)
         if dst is None:
             if getattr(region_map, "elastic_active", False):

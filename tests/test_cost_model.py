@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cost_model import CostModel, CostParameters
-from repro.perf.mode import REFERENCE_ENV
+from repro.core.smoothing import SmoothedValue
 
 
 def params(key="k", node=1, **overrides):
@@ -65,13 +65,9 @@ class TestObservation:
         cm.forget_key("k")
         assert not cm.knows_key("k")
 
-    @pytest.mark.parametrize("reference", ["0", "1"])
-    def test_costs4_follows_costs_after_an_estimate_moves(
-        self, reference, monkeypatch
-    ):
-        # The optimized accessor must not serve a cost computed before
-        # the last observation, whichever mode built the model.
-        monkeypatch.setenv(REFERENCE_ENV, reference)
+    def test_costs4_follows_costs_after_an_estimate_moves(self):
+        # The accessor must not serve a cost computed before the last
+        # observation.
         cm = model()
         cm.observe(params())
         first = cm.costs4("k", 1)
@@ -81,73 +77,217 @@ class TestObservation:
         assert cm.costs4("k", 1) != first
 
 
-# Few distinct values, so repeats leave an estimate where it was (no
-# epoch bump) as often as they move it.
+class _Oracle:
+    """The Section 4.3 formulas over the test's own ``SmoothedValue``s.
+
+    Fed the same steps as a :class:`CostModel`, independently of how the
+    model stores its estimates.
+    """
+
+    def __init__(self, bandwidth, local_disk_time, alpha=0.3):
+        self.bandwidth = bandwidth
+        self.local_disk_time = local_disk_time
+        self.alpha = alpha
+        self.sk = SmoothedValue(alpha, initial=8.0)
+        self.sp = SmoothedValue(alpha)
+        self.scv = SmoothedValue(alpha)
+        self.tc_local = SmoothedValue(alpha)
+        self.disk = {}
+        self.per_key = {}
+
+    def observe(self, p):
+        self.sk.observe(p.key_size)
+        self.sp.observe(p.param_size)
+        if p.computed_size > 0:
+            self.scv.observe(p.computed_size)
+        self._disk(p.node_id).observe(p.disk_time)
+        sv, tc, ts = self.per_key.setdefault(
+            p.key, tuple(SmoothedValue(self.alpha) for _ in range(3))
+        )
+        sv.observe(p.value_size)
+        tc.observe(p.compute_time)
+        ts.observe(p.service_time)
+
+    def _disk(self, node):
+        return self.disk.setdefault(node, SmoothedValue(self.alpha))
+
+    def observe_timeout(self, node, waited):
+        self._disk(node).observe(waited)
+
+    def observe_local_compute(self, seconds):
+        self.tc_local.observe(seconds)
+
+    def forget_key(self, key):
+        self.per_key.pop(key, None)
+
+    def costs4(self, key, node):
+        sv, tc, ts = self.per_key[key]
+        bw = self.bandwidth[node]
+        disk = self.disk[node].value if node in self.disk else 0.0
+        sk, sp, scv = self.sk.value, self.sp.value_or(0.0), self.scv.value_or(0.0)
+        local = self.tc_local.value_or(ts.value)
+        return (
+            max(disk, (sk + sp + scv) / bw, tc.value),
+            max(disk, (sk + sv.value) / bw),
+            local,
+            max(local, self.local_disk_time),
+        )
+
+
+def _apply(target, step):
+    name, *args = step
+    if name == "observe":
+        target.observe(params(**args[0]))
+    else:
+        getattr(target, name)(*args)
+
+
+# Few distinct values, so repeats leave an estimate where it was as
+# often as they move it.
 _KEYS = st.sampled_from(["a", "b", "c"])
 _NODES = st.sampled_from([1, 2])
 _SECONDS = st.sampled_from([0.0, 0.002, 0.01, 0.5])
 _STEP = st.one_of(
-    st.tuples(
-        st.just("observe"), _KEYS, _NODES, st.sampled_from([10.0, 1e5, 5e6]),
-        _SECONDS, _SECONDS, st.sampled_from([0.0, 128.0, 4096.0]),
-    ),
+    st.tuples(st.just("observe"), st.fixed_dictionaries(dict(
+        key=_KEYS, node=_NODES, value_size=st.sampled_from([10.0, 1e5, 5e6]),
+        compute_time=_SECONDS, disk_time=_SECONDS,
+        computed_size=st.sampled_from([0.0, 128.0, 4096.0]),
+        cpu_service_time=st.sampled_from([None, 0.002, 0.01]),
+    ))),
     st.tuples(st.just("observe_timeout"), _NODES, _SECONDS),
     st.tuples(st.just("forget_key"), _KEYS),
-    st.tuples(st.just("observe_placement_epoch"), st.integers(0, 3)),
     st.tuples(st.just("observe_local_compute"), _SECONDS),
 )
 
 
-def _estimates_and_epochs(cm: CostModel):
-    def smoothed(s):
-        return s._value, s.observations
-
-    return (
-        [smoothed(s) for s in (cm._key_size, cm._param_size,
-                               cm._computed_size, cm._local_compute)],
-        {node: smoothed(s) for node, s in cm._remote_disk.items()},
-        {
-            key: [smoothed(s) for s in (pk.value_size, pk.compute_time,
-                                        pk.service_time)]
-            for key, pk in cm._per_key.items()
-        },
-        (cm._epoch, cm._key_epoch, cm._node_epoch, cm._placement_epoch),
-    )
-
-
 @given(steps=st.lists(_STEP, min_size=1, max_size=40))
 @settings(max_examples=80, deadline=None)
-def test_property_modes_hold_equal_estimates_and_epochs(steps):
-    """A default-mode and a reference-mode model fed one sequence agree
-    on every estimate and every epoch, and in both ``costs4`` is
-    ``costs`` after every step."""
-    models = []
-    with pytest.MonkeyPatch.context() as mp:
-        for reference in ("0", "1"):
-            mp.setenv(REFERENCE_ENV, reference)
-            models.append(model())
-    default, reference = models
-    assert default._memo_enabled and not reference._memo_enabled
-    for name, *args in steps:
-        for cm in models:
-            if name == "observe":
-                key, node, value_size, compute_time, disk_time, computed = args
-                cm.observe(params(
-                    key=key, node=node, value_size=value_size,
-                    compute_time=compute_time, disk_time=disk_time,
-                    computed_size=computed,
-                ))
-            else:
-                getattr(cm, name)(*args)
-        assert _estimates_and_epochs(default) == _estimates_and_epochs(reference)
-        for key in default._per_key:
+def test_property_costs4_is_costs_and_the_formulas(steps):
+    """After every step ``costs4`` equals the fields of ``costs`` and
+    the formulas evaluated over independently smoothed estimates."""
+    cm = model()
+    oracle = _Oracle({1: 1e8, 2: 5e7}, 0.001)
+    for step in steps:
+        _apply(cm, step)
+        _apply(oracle, step)
+        for key in ("a", "b", "c"):
+            assert cm.knows_key(key) == (key in oracle.per_key)
+            if not cm.knows_key(key):
+                with pytest.raises(KeyError):
+                    cm.costs4(key, 1)
+                continue
+            assert cm.value_size(key) == oracle.per_key[key][0].value
             for node in (1, 2):
-                c = reference.costs(key, node)
-                assert default.costs(key, node) == c
-                for cm in models:
-                    assert cm.costs4(key, node) == (
-                        c.t_compute, c.t_fetch, c.t_rec_mem, c.t_rec_disk
-                    )
+                c = cm.costs(key, node)
+                c4 = cm.costs4(key, node)
+                assert c4 == (c.t_compute, c.t_fetch, c.t_rec_mem, c.t_rec_disk)
+                assert c4 == oracle.costs4(key, node)
+
+
+def _obs(key, node, value_size, compute_time, disk_time, computed_size, **kw):
+    return ("observe", dict(
+        key=key, node=node, value_size=value_size, compute_time=compute_time,
+        disk_time=disk_time, computed_size=computed_size, **kw,
+    ))
+
+
+class TestCostGoldenPin:
+    """One fixed sequence through every estimate, pinned to the float.
+
+    The cost model has one implementation, which both modes run, so the
+    differential suite cannot see it drift; this case can.  Every term
+    of every maximum wins at least once, ``tRecMem`` is read both from
+    the service-time fallback and from local measurements, keys are
+    forgotten and re-learnt, and the global sizes are chosen so that
+    summing ``sk + sp + scv`` in another order moves a pinned float.
+    """
+
+    STEPS = [
+        _obs("a", 1, 100_000.0, 0.01, 0.002, 128.0),
+        _obs("b", 2, 4096.0, 0.03, 0.004, 0.0, cpu_service_time=0.005),
+        _obs("a", 1, 200_000.0, 0.012, 0.003, 256.0, param_size=48.0),
+        ("observe_timeout", 1, 0.03),
+        _obs("c", 1, 5e6, 0.2, 0.001, 4096.0, cpu_service_time=0.05,
+             key_size=20.0),
+        _obs("b", 2, 4000.0, 0.025, 0.0035, 64.0),
+        _obs("a", 2, 150_000.0, 0.011, 0.002, 0.0),
+        _obs("c", 1, 4.8e6, 0.22, 0.0012, 4000.0, cpu_service_time=0.06),
+        ("forget_key", "b"),
+        _obs("b", 1, 10.0, 0.001, 0.0001, 8.0),
+        ("observe_timeout", 2, 0.02),
+        _obs("a", 1, 100_000.0, 0.009, 0.0025, 128.0, cpu_service_time=0.008),
+        _obs("c", 2, 5.1e6, 0.19, 0.0009, 2e6, param_size=128.0),
+        _obs("b", 1, 12.0, 0.0012, 0.00011, 0.0),
+        _obs("a", 3, 100_000.0, 0.01, 0.7, 128.0),
+        _obs("c", 1, 5e6, 0.21, 0.001, 4096.0, key_size=12.0),
+        _obs("b", 2, 11.0, 0.0011, 0.0002, 16.0, cpu_service_time=0.0009),
+        _obs("a", 1, 110_000.0, 0.0105, 0.0021, 130.0),
+    ]
+    MID = {
+        ("a", 1): (0.010249959999999997, 0.0020902020229999997,
+                   0.010102959999999998, 0.010102959999999998),
+        ("a", 2): (0.010249959999999997, 0.004319185,
+                   0.010102959999999998, 0.010102959999999998),
+        ("b", 1): (0.0020902020229999997, 0.0020902020229999997,
+                   0.0010119999999999999, 0.002),
+        ("b", 2): (0.004319185, 0.004319185,
+                   0.0010119999999999999, 0.002),
+        ("c", 1): (0.20384, 0.04991608659183763,
+                   0.12886999999999998, 0.12886999999999998),
+        ("c", 2): (0.20384, 0.09983217318367527,
+                   0.12886999999999998, 0.12886999999999998),
+    }
+    MORE_STEPS = [
+        ("observe_local_compute", 0.015),
+        _obs("c", 1, 4.9e6, 0.205, 0.0011, 4090.0),
+        ("observe_timeout", 1, 0.0),
+        _obs("b", 1, 9.0, 0.0013, 0.0001, 8.0),
+        ("observe_local_compute", 0.0004),
+        _obs("a", 2, 120_000.0, 0.0099, 0.0019, 0.0, cpu_service_time=0.007),
+        _obs("d", 1, 64.0, 0.5, 0.01, 32.0),
+        ("forget_key", "a"),
+        _obs("a", 1, 90_000.0, 0.02, 0.0022, 120.0, param_size=48.0),
+        _obs("c", 2, 5.2e6, 0.18, 0.0008, 3e6, param_size=56.0),
+        ("observe_timeout", 2, 0.05),
+        _obs("b", 2, 13.0, 0.0014, 0.0003, 24.0),
+        ("observe_local_compute", 0.0006),
+        _obs("a", 1, 95_000.0, 0.018, 0.0021, 124.0),
+        _obs("d", 2, 70.0, 0.45, 0.012, 0.0),
+        ("forget_key", "d"),
+        _obs("c", 1, 5.05e6, 0.215, 0.00105, 4095.0, cpu_service_time=0.055),
+    ]
+    END = {
+        ("a", 1): (0.019399999999999997, 0.002326564294462748,
+                   0.007613999999999998, 0.007613999999999998),
+        ("a", 2): (0.019399999999999997, 0.01195810242295,
+                   0.007613999999999998, 0.007613999999999998),
+        ("b", 1): (0.0031849234396281747, 0.002326564294462748,
+                   0.007613999999999998, 0.007613999999999998),
+        ("b", 2): (0.01195810242295, 0.01195810242295,
+                   0.007613999999999998, 0.007613999999999998),
+        ("c", 1): (0.20235211999999997, 0.050394268186203094,
+                   0.007613999999999998, 0.007613999999999998),
+        ("c", 2): (0.20235211999999997, 0.10078853637240619,
+                   0.007613999999999998, 0.007613999999999998),
+    }
+    END_SIZES = {"a": 91500.0, "b": 11.042799999999998, "c": 5039418.8}
+
+    @staticmethod
+    def _costs4(cm):
+        return {(k, n): cm.costs4(k, n) for k in "abc" for n in (1, 2)}
+
+    def test_costs4_floats_are_pinned(self):
+        cm = model(local_disk_time=0.002)
+        for step in self.STEPS:
+            _apply(cm, step)
+        assert self._costs4(cm) == self.MID
+        for step in self.MORE_STEPS:
+            _apply(cm, step)
+        assert self._costs4(cm) == self.END
+        assert {k: cm.value_size(k) for k in "abc"} == self.END_SIZES
+        assert not cm.knows_key("d")
+        with pytest.raises(KeyError):
+            cm.costs4("a", 3)
 
 
 class TestCostFormulas:

@@ -245,7 +245,6 @@ def test_property_run_join_equivalence(kind, n_keys, n_tuples, skew, seed, engin
 #: The forks DESIGN.md §11 keeps, one row of evidence each ("Two tiers
 #: where they pay").  A new ``reference_mode()`` fork needs its row first.
 _GUARDED_MODULES = {
-    "core/cost_model.py",
     "engine/compute_node.py",
     "engine/job.py",
     "sim/events.py",
