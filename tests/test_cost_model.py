@@ -65,13 +65,21 @@ class TestObservation:
         cm.forget_key("k")
         assert not cm.knows_key("k")
 
-    def test_costs4_follows_costs_after_an_estimate_moves(self):
+    # The ways an estimate behind costs4 can move: the key's own
+    # estimates, or only the data node's disk time (a timeout).
+    _MOVES = (
+        lambda cm: cm.observe(params(value_size=5e6, compute_time=0.5, disk_time=0.2)),
+        lambda cm: cm.observe_timeout(1, 0.5),
+    )
+
+    @pytest.mark.parametrize("move", range(len(_MOVES)))
+    def test_costs4_follows_costs_after_an_estimate_moves(self, move):
         # The accessor must not serve a cost computed before the last
         # observation.
         cm = model()
         cm.observe(params())
         first = cm.costs4("k", 1)
-        cm.observe(params(value_size=5e6, compute_time=0.5, disk_time=0.2))
+        self._MOVES[move](cm)
         c = cm.costs("k", 1)
         assert cm.costs4("k", 1) == (c.rent, c.buy, c.t_rec_mem, c.t_rec_disk)
         assert cm.costs4("k", 1) != first
