@@ -151,7 +151,8 @@ class BatchOptions:
 class ClusterRunOptions:
     """Cluster-backend process topology knobs.
 
-    Ignored by the sim backend.
+    A non-default group on the sim backend is rejected by
+    :class:`RunConfig`.
     """
 
     #: ``split`` (dedicated compute and data processes) or
@@ -189,9 +190,9 @@ class RunConfig:
     n_compute: int = 2
     n_data: int = 2
     seed: int = 0
-    #: Batching + vectorization knobs.
+    #: Request batching knobs.
     batching: BatchOptions = field(default_factory=BatchOptions)
-    #: Cluster-backend process topology; ignored elsewhere.
+    #: Cluster-backend process topology (``cluster`` only).
     cluster: ClusterRunOptions = field(default_factory=ClusterRunOptions)
     #: Deterministic fault plan, armed on whichever engine runs.
     faults: FaultSchedule | None = None
@@ -240,19 +241,24 @@ class RunConfig:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
+        # Real processes have no batch timer and no sized cache tier;
+        # the simulator has no process topology.
         if self.backend == "cluster":
-            # Real processes have no batch timer and no sized cache tier.
             armed = {
                 "batching.max_wait": self.batching.max_wait is not None,
                 "memory_cache_bytes": self.memory_cache_bytes
                 != RunConfig.memory_cache_bytes,
             }
-            dropped = [name for name, on in armed.items() if on]
-            if dropped:
-                raise ValueError(
-                    f"backend={self.backend!r} cannot honour "
-                    f"{', '.join(dropped)}; use backend='sim'"
-                )
+            other = "sim"
+        else:
+            armed = {"cluster": self.cluster != ClusterRunOptions()}
+            other = "cluster"
+        dropped = [name for name, on in armed.items() if on]
+        if dropped:
+            raise ValueError(
+                f"backend={self.backend!r} cannot honour "
+                f"{', '.join(dropped)}; use backend={other!r}"
+            )
         if self.membership:
             if self.backend != "sim" or self.engine != "engine":
                 raise ValueError(

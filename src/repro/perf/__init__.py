@@ -1,45 +1,14 @@
-"""repro.perf — deterministic performance harness and regression gate.
+"""repro.perf — the reference-mode switch for the hot-path optimizations.
 
-* :func:`reference_mode` / :data:`REFERENCE_ENV` — the switch that
-  routes hot paths through their pre-optimization reference
-  implementations (see :mod:`repro.perf.mode`).
-* :mod:`repro.perf.scenarios` — pinned-seed micro and macro workloads.
-* :mod:`repro.perf.harness` — runs scenarios (median-of-5 + MAD,
-  memory pass, differential verification) into ``BENCH_perf.json``.
-* :mod:`repro.perf.compare` — the >10% regression gate between two
-  ``BENCH_perf.json`` files.
-
-Run ``python -m repro.perf`` for the CLI.  Heavy submodules are
-imported lazily so that core packages can import the mode switch
-without dragging the harness (and its :mod:`repro.api` dependency)
-into every process.
+:func:`reference_mode` / :data:`REFERENCE_ENV` route the hot paths
+through their pre-optimization reference implementations (see
+:mod:`repro.perf.mode`).  Wall-clock measurement lives in
+``benchmarks/joinbench``; the simulated results of pinned runs are held
+by ``tests/test_perf_equivalence.py::TestGoldenRuns``.
 """
 
 from __future__ import annotations
 
 from repro.perf.mode import REFERENCE_ENV, reference_mode
 
-__all__ = [
-    "REFERENCE_ENV",
-    "reference_mode",
-    "compare_benchmarks",
-    "run_scenarios",
-    "write_bench",
-    "SCENARIOS",
-]
-
-
-def __getattr__(name: str):
-    if name in ("run_scenarios", "write_bench"):
-        from repro.perf import harness
-
-        return getattr(harness, name)
-    if name == "compare_benchmarks":
-        from repro.perf.compare import compare_benchmarks
-
-        return compare_benchmarks
-    if name == "SCENARIOS":
-        from repro.perf.scenarios import SCENARIOS
-
-        return SCENARIOS
-    raise AttributeError(f"module 'repro.perf' has no attribute {name!r}")
+__all__ = ["REFERENCE_ENV", "reference_mode"]

@@ -1,4 +1,4 @@
-"""Reference-mode switch for the hot-path optimizations (repro.perf).
+"""Reference-mode switch for the hot-path optimizations.
 
 Three forks read this switch, each with a row of measurements in
 DESIGN.md §11: the fused ``_submit_fast`` / ``_execute_local_mem``
@@ -13,8 +13,9 @@ which both modes run.  With
 ``REPRO_PERF_REFERENCE=1`` in the environment, newly constructed
 components take the reference code paths verbatim, which is what the
 differential equivalence suite (``tests/test_perf_equivalence.py``)
-and the harness's verification stage compare against: both paths must
-produce byte-identical join outputs, simulated costs, and span trees.
+compares against: both paths must produce byte-identical join outputs,
+simulated costs, and span trees.  The same suite's golden pin holds
+the digests and makespans of pinned runs in either mode.
 
 The flag is read at *component construction time* (one ``os.environ``
 lookup per simulator / runtime / job, never per event), so tests

@@ -17,7 +17,8 @@ rebuild is paid for by the >= n/2 cancels that triggered it, keeping
 handle is already cancelled — live ``(time, seq, callback, handle)``
 tuples are preserved verbatim — so the execution order of surviving
 events is bit-identical to the lazy-skip reference path (selectable at
-construction via ``REPRO_PERF_REFERENCE=1``, see :mod:`repro.perf.mode`).
+construction via ``REPRO_PERF_REFERENCE=1``, see :mod:`repro.perf.mode`;
+``tests/test_sim_events.py::TestCancellationStorm`` compares the two).
 """
 
 from __future__ import annotations

@@ -45,7 +45,7 @@ _CHAOS = FaultSchedule(
 _FT = FaultTolerance(request_timeout=0.05, max_retries=1)
 
 #: name -> (RunConfig options, counters proving the path was taken).
-SCENARIOS = {
+_CASES = {
     # Drops, duplicates and a crashed data node: timeouts, same-id
     # retries, then abandon + replica fallback.
     "chaos-fallback": (
@@ -88,11 +88,11 @@ def _oracle(spec):
 
 
 @pytest.mark.parametrize("reference", ["0", "1"])
-@pytest.mark.parametrize("scenario", list(SCENARIOS))
+@pytest.mark.parametrize("scenario", list(_CASES))
 @pytest.mark.parametrize("strategy", ["FO", "NO", "FR"])
 def test_oracle_equal_without_max_wait(strategy, scenario, reference, monkeypatch):
     monkeypatch.setenv(REFERENCE_ENV, reference)
-    options, exercised = SCENARIOS[scenario]
+    options, exercised = _CASES[scenario]
     spec = dataclasses.replace(SPEC, strategy=strategy)
     config = RunConfig(seed=11, **options)
     assert config.batching.max_wait is None
@@ -104,12 +104,12 @@ def test_oracle_equal_without_max_wait(strategy, scenario, reference, monkeypatc
 
 
 @pytest.mark.parametrize("reference", ["0", "1"])
-@pytest.mark.parametrize("scenario", list(SCENARIOS))
+@pytest.mark.parametrize("scenario", list(_CASES))
 def test_side_effects_happen_exactly_once(scenario, reference, monkeypatch):
     """The ledger: with a side-effecting UDF every tuple is a compute
     request at the row's owner, held and released by the same clock."""
     monkeypatch.setenv(REFERENCE_ENV, reference)
-    options, _ = SCENARIOS[scenario]
+    options, _ = _CASES[scenario]
     if "fault_tolerance" in options:
         # Degrading to a replica fetch would re-run the effect.
         options = dict(options, fault_tolerance=dataclasses.replace(

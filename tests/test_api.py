@@ -87,17 +87,22 @@ class TestRunConfig:
         assert traced.obs.tracing is True
         assert config.obs.tracing is False  # original untouched
 
-    #: The cluster has no batch timer and no sized cache tier.
-    SIM_ONLY = {
-        "batching": ("batching.max_wait", BatchOptions(max_wait=0.01)),
-        "memory_cache_bytes": ("memory_cache_bytes", 1e6),
+    #: group -> (the backend that would drop it, its name, a value).  The
+    #: cluster has no batch timer and no sized cache tier; the simulator
+    #: has no process topology.
+    DROPPED = {
+        "batching": ("cluster", "batching.max_wait", BatchOptions(max_wait=0.01)),
+        "memory_cache_bytes": ("cluster", "memory_cache_bytes", 1e6),
+        "cluster": ("sim", "cluster", ClusterRunOptions(placement="colocated")),
     }
 
-    @pytest.mark.parametrize("group", sorted(SIM_ONLY))
+    @pytest.mark.parametrize("group", sorted(DROPPED))
     def test_cluster_backend_rejects_what_it_would_drop(self, group):
-        name, value = self.SIM_ONLY[group]
-        with pytest.raises(ValueError, match=f"backend='cluster' cannot honour {name}"):
-            RunConfig(backend="cluster", **{group: value})
+        backend, name, value = self.DROPPED[group]
+        with pytest.raises(ValueError, match=f"backend='{backend}' cannot honour {name}"):
+            RunConfig(backend=backend, **{group: value})
+        other = "sim" if backend == "cluster" else "cluster"
+        RunConfig(backend=other, **{group: value})
         # The defaults and the option groups the cluster wires stay.
         RunConfig(
             backend="cluster",
@@ -107,7 +112,6 @@ class TestRunConfig:
             # Per-window runs strip it; run_join rejects it unstripped.
             tenancy=TenancyOptions.on(window=0.5),
         )
-        RunConfig(backend="sim", **{group: value})
 
 
 class TestOptionGroups:
@@ -136,12 +140,16 @@ class TestOptionGroups:
             ClusterRunOptions(startup_timeout=0.0)
 
     def test_groups_accepted_directly(self):
+        config = RunConfig(batching=BatchOptions(batch_size=8, max_wait=0.02))
+        assert config.batching.batch_size == 8
+        assert config.batching.max_wait == 0.02
+        # Construction only: nothing forks until run_join.
         config = RunConfig(
-            batching=BatchOptions(batch_size=8, max_wait=0.02),
+            backend="cluster",
+            batching=BatchOptions(batch_size=8),
             cluster=ClusterRunOptions(placement="colocated"),
         )
         assert config.batching.batch_size == 8
-        assert config.batching.max_wait == 0.02
         assert config.cluster.placement == "colocated"
 
     def test_run_config_fields_are_pinned(self):

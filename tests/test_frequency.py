@@ -131,7 +131,7 @@ def test_property_summary_stays_compact(stream):
 
 
 # ----------------------------------------------------------------------
-# Structured-stream properties (repro.perf satellite): the Manku-Motwani
+# Structured-stream properties: the Manku-Motwani
 # guarantees must hold on the stream shapes the router actually sees —
 # Zipf-skewed steady state and bursty arrival fronts — not just on
 # uniform random lists.

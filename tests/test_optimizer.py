@@ -1,10 +1,12 @@
 """Tests for Algorithm 1 — the skiRentalCaching request router."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cache.tiered import TieredCache
 from repro.core.cost_model import CostModel, CostParameters
-from repro.core.frequency import ExactCounter
+from repro.core.frequency import ExactCounter, LossyCounter
 from repro.core.optimizer import JoinLocationOptimizer, Route
 
 
@@ -150,3 +152,111 @@ class TestStats:
         assert stats.data_requests_memory == 1
         assert stats.local_memory == 1
         assert stats.total == 3
+
+
+# ----------------------------------------------------------------------
+# route_fast vs a route twin
+# ----------------------------------------------------------------------
+_N_KEYS = 4
+_KEYS = st.integers(min_value=0, max_value=_N_KEYS - 1)
+_ROUTE = st.tuples(st.just("route"), _KEYS, st.integers(1, 2), st.booleans())
+
+#: One step, applied to both twins alike:
+#: ``("route", key, data node, settle now)`` — route, and complete a data
+#: route's fetch now or leave it pending;
+#: ``("respond", key, value size, compute time, row timestamp)`` — fold
+#: a compute response, whose timestamp may rise past or trail the last
+#: one seen;
+#: ``("complete", row timestamp)`` — complete the oldest pending fetch.
+#: Routes are drawn three times as often as either of the others.
+_STEPS = st.lists(
+    st.one_of(
+        _ROUTE,
+        _ROUTE,
+        _ROUTE,
+        st.tuples(
+            st.just("respond"),
+            _KEYS,
+            st.sampled_from([300.0, 2_000.0, 4_000.0, 8_000.0]),
+            st.sampled_from([0.0005, 0.003, 0.02]),
+            st.integers(0, 3),
+        ),
+        st.tuples(st.just("complete"), st.integers(0, 3)),
+    ),
+    min_size=10,
+    max_size=80,
+)
+
+
+def _twin(fixed_threshold):
+    cm = CostModel(node_id=0, bandwidth={1: 1e8, 2: 5e7}, local_disk_time=0.001)
+    cache = TieredCache(memory_bytes=5_000.0, disk_bytes=20_000.0)
+    # epsilon 0.05: a 20-access bucket, so pruning runs inside a case.
+    return JoinLocationOptimizer(
+        cm, cache, counter=LossyCounter(epsilon=0.05),
+        fixed_threshold=fixed_threshold,
+    )
+
+
+#: Key 1 is bought to disk while key 0 fills the memory tier; key 0's
+#: row then changes, which frees the tier, and key 1's next disk hit is
+#: promoted.  Random steps rarely line this up.
+_PROMOTION = [
+    ("respond", 0, 4_000.0, 0.02, 0),
+    *[("route", 0, 1, True)] * 5,
+    ("respond", 1, 4_000.0, 0.02, 0),
+    *[("route", 1, 1, True)] * 3,
+    ("respond", 0, 4_000.0, 0.02, 1),
+    *[("route", 1, 1, True)] * 2,
+]
+
+
+@pytest.mark.parametrize("fixed_threshold", [None, 2.0])
+@given(steps=_STEPS)
+@example(steps=_PROMOTION)
+@settings(max_examples=100, deadline=None)
+def test_property_route_fast_matches_route(fixed_threshold, steps):
+    """``route_fast`` is ``route`` without the decision object: the same
+    route and value, and the same counters, cache and access counts
+    after every step."""
+    fast, ref = _twin(fixed_threshold), _twin(fixed_threshold)
+    pending = []
+
+    def complete(key, route, stamp):
+        for opt in (fast, ref):
+            opt.complete_fetch(key, ("v", key), route, updated_at=float(stamp))
+
+    for step in steps:
+        if step[0] == "route":
+            _, key, dst, settle = step
+            route, value = fast.route_fast(key, dst)
+            decision = ref.route(key, dst)
+            assert (route, value) == (decision.route, decision.value)
+            if route.is_data_request:
+                if settle:
+                    complete(key, route, 0)
+                else:
+                    pending.append((key, route))
+        elif step[0] == "respond":
+            _, key, size, compute, stamp = step
+            for opt in (fast, ref):
+                opt.observe_response(
+                    CostParameters(
+                        key=key,
+                        value_size=size,
+                        compute_time=compute,
+                        disk_time=0.002,
+                        node_id=1,
+                        cpu_service_time=0.0001,
+                    ),
+                    updated_at=float(stamp),
+                )
+        elif pending:
+            complete(*pending.pop(0), step[1])
+        assert fast.stats() == ref.stats()
+        assert fast.cache.stats() == ref.cache.stats()
+        assert fast.cache.memory_keys == ref.cache.memory_keys
+        assert fast.cache.disk_keys == ref.cache.disk_keys
+        for key in range(_N_KEYS):
+            assert fast.cache.policy.benefit(key) == ref.cache.policy.benefit(key)
+        assert sorted(fast.counter.items()) == sorted(ref.counter.items())

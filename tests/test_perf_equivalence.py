@@ -1,16 +1,19 @@
 """Differential equivalence: optimized hot paths vs the reference path.
 
-The performance pass (``repro.perf``) keeps every pre-optimization
-algorithm alive behind ``REPRO_PERF_REFERENCE=1``.  These tests are
-the contract that makes the optimizations admissible: for the same
-spec, both modes must produce byte-identical join outputs, identical
-simulated makespans and metric snapshots (the "cost totals"), and —
-with tracing on — identical span trees.  Any divergence means an
-optimization changed behaviour, not just speed.
+Every optimized hot path keeps its pre-optimization algorithm alive
+behind ``REPRO_PERF_REFERENCE=1``.  These tests are the contract that
+makes the optimizations admissible: for the same spec, both modes must
+produce byte-identical join outputs, identical simulated makespans and
+metric snapshots (the "cost totals"), and — with tracing on — identical
+span trees.  Any divergence means an optimization changed behaviour,
+not just speed.  :class:`TestGoldenRuns` pins what neither mode may
+move: the outputs and makespans of eight runs, in whichever mode the
+suite runs.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pathlib
 
@@ -23,9 +26,7 @@ from repro.api import BatchOptions, JobSpec, MembershipEvent, RunConfig, run_joi
 from repro.faults.policy import FaultTolerance
 from repro.faults.schedule import CrashFault, FaultSchedule, MessageChaos
 from repro.memory import MemoryOptions
-from repro.perf.harness import verify_scenario
 from repro.perf.mode import REFERENCE_ENV
-from repro.perf.scenarios import SCENARIOS
 from repro.placement import ElasticOptions
 from repro.runtime.backend import ENGINES
 
@@ -261,23 +262,88 @@ def test_reference_mode_forks_are_the_ones_design_keeps():
     assert guarded == _GUARDED_MODULES
 
 
-class TestScenarioVerification:
-    """The harness's own differential check holds for every scenario
-    cheap enough to run twice under pytest."""
+def _digest(parts: list[str]) -> str:
+    """blake2b-16 over NUL-terminated parts (the pinned digests' recipe)."""
+    h = hashlib.blake2b(digest_size=16)
+    for part in parts:
+        h.update(part.encode())
+        h.update(b"\x00")
+    return h.hexdigest()
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "micro_route",
-            "micro_route_batch",
-            "micro_lossy_counter",
-            "micro_cache_churn",
-            "micro_event_cancel",
-            "macro_fig8_engine",
-            "macro_cold_keys_smoke",
-        ],
-    )
-    def test_scenario_identical_across_modes(self, name):
-        scenario = next(s for s in SCENARIOS if s.name == name)
-        verified, ref, opt = verify_scenario(scenario)
-        assert verified, f"{name}: ref={ref.digest} opt={opt.digest}"
+
+#: Figure 8's data-heavy shape at z = 1.5 (the paper's high-skew panel).
+_FIG8 = dict(n_keys=200, n_tuples=2000, skew=1.5, seed=7)
+
+#: name -> (data-heavy spec shape, config, digest, simulated makespan).
+_GOLDEN = {
+    "fig8_engine": (
+        _FIG8, RunConfig(engine="engine"),
+        "55c12c8d669237fd2a01f418e34f7fc9", 0.4345240640000007,
+    ),
+    "fig8_streaming": (
+        _FIG8, RunConfig(engine="streaming"),
+        "55c12c8d669237fd2a01f418e34f7fc9", 0.4345240640000007,
+    ),
+    "fig8_mapreduce": (
+        _FIG8, RunConfig(engine="mapreduce"),
+        "3223a04cd71dfd57f6797b1a5b9e797a", 0.010684479999999816,
+    ),
+    "fig8_sparklite": (
+        _FIG8, RunConfig(engine="sparklite"),
+        "f6a30ce96b83de7a755e58f8c82c5c54", 0.1552624,
+    ),
+    "fig8_engine_full": (
+        dict(n_keys=400, n_tuples=8000, skew=1.5, seed=7), RunConfig(),
+        "e2a0e0c31fa61d69dacf746262aa33ca", 0.6663845359999957,
+    ),
+    # Cold keys: most tuples are first contacts, so compute-request
+    # batches (and the Appendix C statistics riding on them) dominate.
+    "cold_keys_smoke": (
+        dict(n_keys=5_000, n_tuples=2000, skew=0.5, seed=7), RunConfig(),
+        "115577ffea24417018515a27a913c2ea", 0.9846383119999834,
+    ),
+    "cold_keys": (
+        dict(n_keys=20_000, n_tuples=8000, skew=0.5, seed=7), RunConfig(),
+        "c8d741f1a59168f62055c36a620224c2", 3.7636345360002075,
+    ),
+    # A hot spot elastic placement splits, migrates and replicates away
+    # mid-run.
+    "skew_migration": (
+        dict(n_keys=400, n_tuples=4000, skew=1.5, seed=21),
+        RunConfig(
+            n_compute=4,
+            n_data=4,
+            seed=21,
+            memory_cache_bytes=2e5,
+            elastic=ElasticOptions.on(
+                check_interval=0.05,
+                min_observations=16,
+                split_factor=1.5,
+                hot_key_fraction=0.05,
+            ),
+        ),
+        "35777aa226b61bc28f9e7f4b13aa8c4e", 0.5752092799999998,
+    ),
+}
+
+#: Rows whose digest covers the join outputs alone.
+_OUTPUTS_ONLY = {"skew_migration"}
+
+
+class TestGoldenRuns:
+    """Pinned runs keep their outputs and simulated makespan to the bit.
+
+    The digest is taken over the sorted ``repr`` of the outputs plus
+    ``repr(round(makespan, 12))``.  A change that moves any simulated
+    float moves these, and must say so and regenerate them.
+    """
+
+    @pytest.mark.parametrize("name", list(_GOLDEN))
+    def test_run_keeps_its_digest_and_makespan(self, name):
+        shape, cfg, digest, makespan = _GOLDEN[name]
+        report = run_join(JobSpec.synthetic(kind="data_heavy", **shape), cfg)
+        parts = sorted(map(repr, report.outputs.items()))
+        if name not in _OUTPUTS_ONLY:
+            parts.append(repr(round(report.makespan, 12)))
+        assert _digest(parts) == digest
+        assert report.makespan == makespan

@@ -138,7 +138,7 @@ class TestRunControls:
 
 
 class TestCancellationStorm:
-    """Regression tests for tombstone compaction (repro.perf).
+    """Regression tests for tombstone compaction.
 
     Timeout timers cancel far more events than ever fire; the queue
     must absorb a 10k-event / 90%-cancel storm without unbounded
