@@ -429,10 +429,28 @@ class TieredCache:
         return False
 
     def _admit_variable(self, key: Hashable, size: float) -> bool:
-        """Algorithm 3: displace a least-benefit set, keep what fits."""
-        prelim: list[tuple[float, Hashable]] = []
-        collected: set[Hashable] = {key}
-        freed = self._mem_free()
+        """Algorithm 3: displace a least-benefit set, keep what fits.
+
+        When the least-benefit resident alone frees enough room, decide
+        inline with the general loop's heap pushes, in its order.
+        """
+        entry = self._pop_valid_min(exclude={key})
+        if entry is None:
+            return False
+        benefit, victim = entry
+        victim_size = self._memory[victim].size
+        freed = self._mem_free() + victim_size
+        if freed >= size:
+            if self.policy.benefit(key) < benefit:
+                self._push_heap(victim, benefit)
+                return False
+            if victim_size <= freed - size:
+                self._push_heap(victim, benefit)
+            else:
+                self._evict_to_disk(victim)
+            return True
+        prelim: list[tuple[float, Hashable]] = [(benefit, victim)]
+        collected: set[Hashable] = {key, victim}
         while freed < size:
             entry = self._pop_valid_min(exclude=collected)
             if entry is None:

@@ -199,7 +199,7 @@ class ComputeNodeRuntime:
         # cores (a modest 2x here), but each thread still stalls for
         # its full fetch round trip — the inefficiency batching and
         # prefetching remove.
-        self._input_queue: deque[tuple[int, Hashable]] = deque()
+        self._input_queue: deque[tuple[int, Hashable, Any]] = deque()
         self._free_workers = self._node.spec.cores * 2
         # Figure 9 freeze.
         self._submitted = 0
@@ -344,10 +344,9 @@ class ComputeNodeRuntime:
         if self._recording:
             self._record(tuple_id, key, route.value)
         if route is Route.LOCAL_MEMORY:
-            self._execute_local_mem(tuple_id, key, value, params)
+            self._execute_local(tuple_id, key, value, params, False, False)
         elif route is Route.LOCAL_DISK:
-            self._execute_local(tuple_id, key, CacheTier.DISK,
-                                value=value, params=params)
+            self._execute_local(tuple_id, key, value, params, True, True)
         elif route is Route.COMPUTE_REQUEST:
             if self.admission is None:
                 self._compute_buffers[dst].add(
@@ -445,11 +444,11 @@ class ComputeNodeRuntime:
                 cached = self.cache.lookup(key)
                 if cached is not None:
                     value, tier = cached
+                    disk = tier is CacheTier.DISK
                     self._record(tuple_id, key,
-                                 "local-memory" if tier is CacheTier.MEMORY
-                                 else "local-disk")
-                    self._execute_local(tuple_id, key, tier,
-                                        value=value, params=params)
+                                 "local-disk" if disk else "local-memory")
+                    self._execute_local(tuple_id, key, value, params,
+                                        disk=disk, hydrate=disk)
                 else:
                     self._record(tuple_id, key, Route.COMPUTE_REQUEST.value)
                     self._enqueue(dst, tuple_id, key, RequestKind.COMPUTE,
@@ -458,13 +457,9 @@ class ComputeNodeRuntime:
             decision = self.optimizer.route(key, dst)
             self._record(tuple_id, key, decision.route.value)
             if decision.route.is_local:
-                tier = (
-                    CacheTier.MEMORY
-                    if decision.route is Route.LOCAL_MEMORY
-                    else CacheTier.DISK
-                )
-                self._execute_local(tuple_id, key, tier,
-                                    value=decision.value, params=params)
+                disk = decision.route is Route.LOCAL_DISK
+                self._execute_local(tuple_id, key, decision.value, params,
+                                    disk=disk, hydrate=disk)
             elif decision.route is Route.COMPUTE_REQUEST:
                 self._enqueue(dst, tuple_id, key, RequestKind.COMPUTE,
                               decision.route, params)
@@ -575,80 +570,21 @@ class ComputeNodeRuntime:
     # Local execution
     # ------------------------------------------------------------------
     def _execute_local(
-        self,
-        tuple_id: int,
-        key: Hashable,
-        tier: CacheTier | None,
-        ready_at: float | None = None,
-        hydrate: bool | None = None,
-        value: Any = None,
-        params: Any = None,
+        self, tuple_id: int, key: Hashable, value: Any, params: Any,
+        disk: bool, hydrate: bool,
     ) -> None:
         """Run the UDF locally for one tuple.
 
-        ``tier`` is where the value lives: DISK charges a local disk
-        read before the CPU work; None means the value just arrived
-        over the network (no storage access needed).  ``hydrate``
-        forces/forgoes the deserialization cost; by default anything
-        not already a live object in the memory cache hydrates.
-        ``value``/``params`` enable real UDF execution when the UDF
-        defines ``apply_fn``.
+        ``disk`` charges a local disk read before the CPU work (a
+        disk-tier hit); ``hydrate`` adds the deserialization cost of a
+        value that is not a live object in the memory cache.
         """
-        if tuple_id in self._settled:
+        settled = self._settled
+        if tuple_id in settled:
             # Exactly-once: this tuple already completed (or is being
             # computed) through another path — e.g. its fetch-waiter
             # entry was served by a fallback response before the
             # original fetch landed.
-            return
-        self._settled.add(tuple_id)
-        sim = self.cluster.sim
-        at = sim.now if ready_at is None else ready_at
-        info = self._row_info.get(key)
-        if info is None:
-            raise KeyError(
-                f"local execution for {key!r} before its parameters are known"
-            )
-        start = at
-        if tier is CacheTier.DISK:
-            _s, start = self._node.disk.acquire(
-                at, self._node.spec.cache_disk_time(info.size)
-            )
-        if hydrate is None:
-            hydrate = tier is not CacheTier.MEMORY
-        cpu_time = info.compute_cost + (info.hydration_cost if hydrate else 0.0)
-        cpu_start, finish = self._node.cpu.acquire(start, cpu_time)
-        if self.udf.apply_fn is not None:
-            self.outputs[tuple_id] = self.udf.apply(key, params, value)
-        self._pending_local += 1
-        self._tcc.observe(cpu_time)
-        # The local recurring-cost estimate is the *measured* wall time
-        # per invocation (queueing included), matching how the remote
-        # side reports its costs — both sides of the ski-rental
-        # comparison see load the same way.
-        self.cost_model.observe_local_compute(finish - start)
-
-        def complete() -> None:
-            self._pending_local -= 1
-            self._completed += 1
-            self._admission_release(tuple_id)
-            self.on_complete(tuple_id, finish)
-            self._release_worker()
-
-        sim.schedule_at(finish, complete)
-
-    def _execute_local_mem(
-        self, tuple_id: int, key: Hashable, value: Any, params: Any
-    ) -> None:
-        """Fused memory-hit variant of :meth:`_execute_local`.
-
-        Only reachable through :meth:`_submit_fast` (non-blocking,
-        side-effect-free), so the worker-release hook is statically a
-        no-op and the disk/hydration branches fall away; the simulated
-        reservation, observations and completion sequence are the ones
-        the general path would perform for ``tier=MEMORY``.
-        """
-        settled = self._settled
-        if tuple_id in settled:
             return
         settled.add(tuple_id)
         sim = self.cluster.sim
@@ -657,17 +593,23 @@ class ComputeNodeRuntime:
             raise KeyError(
                 f"local execution for {key!r} before its parameters are known"
             )
-        at = sim.now
-        cpu_time = info.compute_cost + 0.0
-        _start, finish = self._node.cpu.acquire(at, cpu_time)
+        node = self._node
+        start = sim.now
+        if disk:
+            _s, start = node.disk.acquire(start, node.spec.cache_disk_time(info.size))
+        cpu_time = info.compute_cost + (info.hydration_cost if hydrate else 0.0)
+        _start, finish = node.cpu.acquire(start, cpu_time)
         apply_fn = self.udf.apply_fn
         if apply_fn is not None:
             self.outputs[tuple_id] = apply_fn(key, params, value)
         self._pending_local += 1
         self._tcc.observe(cpu_time)
-        self.cost_model.observe_local_compute(finish - at)
-        admission = self.admission
-        if admission is None:
+        # The local recurring-cost estimate is the *measured* wall time
+        # per invocation (queueing included), matching how the remote
+        # side reports its costs — both sides of the ski-rental
+        # comparison see load the same way.
+        self.cost_model.observe_local_compute(finish - start)
+        if self.admission is None and not self.config.blocking:
             def complete() -> None:
                 self._pending_local -= 1
                 self._completed += 1
@@ -676,8 +618,9 @@ class ComputeNodeRuntime:
             def complete() -> None:
                 self._pending_local -= 1
                 self._completed += 1
-                admission.release(tuple_id)
+                self._admission_release(tuple_id)
                 self.on_complete(tuple_id, finish)
+                self._release_worker()
 
         sim.schedule_call(finish, complete)
 
@@ -762,10 +705,8 @@ class ComputeNodeRuntime:
             else:
                 # Compute request bounced back by load balancing: the
                 # value arrived uncomputed; run the UDF locally.
-                self._execute_local(
-                    item.tuple_id, item.key, tier=None,
-                    value=item.value, params=item.params,
-                )
+                self._execute_local(item.tuple_id, item.key, item.value,
+                                    item.params, disk=False, hydrate=True)
         # The ack clock ticks last, once the completions above have refilled.
         compute = response.items[-1].route is Route.COMPUTE_REQUEST
         buffers = self._compute_buffers if compute else self._data_buffers
@@ -800,8 +741,8 @@ class ComputeNodeRuntime:
             # compute from memory regardless of the cache tier chosen.
             # Hydration happens once per fetch — the first waiter
             # deserializes; the live object serves the rest.
-            self._execute_local(tuple_id, key, tier=None, hydrate=index == 0,
-                                value=item.value, params=params)
+            self._execute_local(tuple_id, key, item.value, params,
+                                disk=False, hydrate=index == 0)
 
     def _on_update_notification(self, key: Hashable, updated_at: float) -> None:
         """Targeted invalidation pushed by a data node (Section 4.2.3)."""

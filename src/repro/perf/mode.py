@@ -1,8 +1,9 @@
 """Reference-mode switch for the hot-path optimizations.
 
 Three forks read this switch, each with a row of measurements in
-DESIGN.md §11: the fused ``_submit_fast`` / ``_execute_local_mem``
-submit path (``engine/compute_node.py``), the feeder's fused completion
+DESIGN.md §11: the fused ``_submit_fast`` submit path
+(``engine/compute_node.py``; both submit paths share one
+``_execute_local``), the feeder's fused completion
 callback (``engine/job.py``) and the event queue's tombstone compaction
 (``sim/events.py``).  Each keeps the exact pre-optimization algorithm
 alive behind it — the reference implementation and one optimized

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.perf.mode import REFERENCE_ENV
+from repro.core.cost_model import CostParameters
+from repro.core.optimizer import Route
 from repro.placement.batch import BatchLoadBalancer, SizeProfile
 from repro.engine.batching import HOLD_DEPTH
 from repro.engine.compute_node import ComputeNodeRuntime
@@ -12,7 +14,7 @@ from repro.faults import CrashFault, FaultSchedule, FaultTolerance, MessageChaos
 from repro.sim.cluster import Cluster
 from repro.store.datanode import DataNodeServer
 from repro.store.kvstore import KVStore
-from repro.store.messages import UDF
+from repro.store.messages import UDF, BatchResponse, ResponseItem
 from repro.store.partitioner import HashPartitioner, RegionMap
 from repro.store.table import Row, Table
 from repro.workloads.synthetic import SyntheticWorkload
@@ -246,6 +248,129 @@ def faulty_fo_job():
         seed=3,
     )
     return job, workload.keys()
+
+
+def _drive_local_shapes():
+    """Every call shape of local execution, in one queued-up node.
+
+    The node's CPU cores and disk are pre-booked so each shape queues
+    behind earlier work, then (all at time 0): a load-balancer bounce of
+    key 3 (tuple 0), a disk fetch of key 5 serving two waiters (tuples 1
+    and 2), a disk-tier hit on key 5 (tuple 3, which promotes it) and a
+    memory-tier hit on key 5 (tuple 4).  Returns, per tuple, the node's
+    CPU and disk bookings ``(resource, at, duration, start, finish)``
+    made since the previous local execution, the value that execution
+    fed to ``observe_local_compute``, and its completion ``(finish,
+    event time)``.
+    """
+    cluster, runtime, _server, _ = build_runtime(Strategy.fo(), max_wait=None)
+    node = runtime._node
+    for core in range(node.spec.cores):
+        node.cpu.acquire(0.0, 0.0031 + 0.0007 * core)
+    node.disk.acquire(0.0, 0.0023)
+    segments, bookings, done = [], [], {}
+
+    def recorded(resource):
+        inner = resource.acquire
+
+        def acquire(at, duration):
+            start, finish = inner(at, duration)
+            bookings.append((resource.name, at, duration, start, finish))
+            return start, finish
+
+        return acquire
+
+    node.cpu.acquire = recorded(node.cpu)
+    node.disk.acquire = recorded(node.disk)
+    observe = runtime.cost_model.observe_local_compute
+
+    def observe_local_compute(elapsed):
+        segments.append((list(bookings), elapsed))
+        bookings.clear()
+        observe(elapsed)
+
+    runtime.cost_model.observe_local_compute = observe_local_compute
+    runtime.on_complete = lambda tid, finish: done.__setitem__(
+        tid, (finish, cluster.sim.now)
+    )
+    sent = []
+
+    def send(dst, kind, items, span_parent=None):
+        sent.extend(items)
+        runtime._on_dispatch(dst, kind, items)
+
+    runtime.transport.send = send
+
+    def respond(request, value):
+        params = CostParameters(
+            key=request.key, value_size=1000.0, compute_time=0.0013,
+            disk_time=0.0009, cpu_service_time=0.0011, hydration_time=0.00029,
+        )
+        runtime._on_batch_response(BatchResponse(src=1, dst=0, items=[
+            ResponseItem(
+                key=request.key, tuple_id=request.tuple_id,
+                route=request.route, computed=False, value=value,
+                payload_size=1000.0, cost_params=params, updated_at=0.0,
+                params=request.params,
+            )
+        ]))
+
+    runtime.submit(0, 3, "p0")  # first contact: a compute request
+    runtime.finish_input()
+    respond(sent.pop(), "v3")  # bounced back uncomputed
+    runtime._enqueue_fetch(1, 1, 5, Route.DATA_REQUEST_DISK, "p1")
+    runtime._enqueue_fetch(1, 2, 5, Route.DATA_REQUEST_DISK, "p2")
+    runtime.finish_input()
+    respond(sent.pop(), "v5")  # serves both waiters
+    runtime.submit(3, 5, "p3")
+    runtime.submit(4, 5, "p4")
+    assert not sent and not bookings
+    cluster.sim.run()
+    stats = runtime.optimizer.stats()
+    assert (stats.local_disk, stats.local_memory) == (1, 1)
+    return {
+        tid: (*segment, done[tid]) for tid, segment in enumerate(segments)
+    }
+
+
+#: Per shape, values captured before local execution became one routine:
+#: ``(tuple id, bookings, observed local compute, (finish, event time))``.
+#: A bounce and the first waiter hydrate (1.1 ms UDF + 0.29 ms); the
+#: later waiter and the memory hit do not.  The first waiter's bookings
+#: open with the fetch's cache write to disk.  A disk hit reads the
+#: value off disk first and observes from the end of that read.
+_LOCAL_SHAPES = {
+    "bounced": (0, [
+        ("cpu[0]", 0.0, 0.0013900000000000002, 0.0031, 0.00449),
+    ], 0.00449, (0.00449, 0.00449)),
+    "first_waiter": (1, [
+        ("disk[0]", 0.0, 0.00010333333333333334, 0.0023, 0.0024033333333333333),
+        ("cpu[0]", 0.0, 0.0013900000000000002, 0.0038, 0.00519),
+    ], 0.00519, (0.00519, 0.00519)),
+    "later_waiter": (2, [
+        ("cpu[0]", 0.0, 0.0011, 0.00449, 0.00559),
+    ], 0.00559, (0.00559, 0.00559)),
+    "disk_hit": (3, [
+        ("disk[0]", 0.0, 0.00010333333333333334, 0.0024033333333333333,
+         0.0025066666666666666),
+        ("cpu[0]", 0.0025066666666666666, 0.0013900000000000002, 0.0045,
+         0.005889999999999999),
+    ], 0.003383333333333333, (0.005889999999999999, 0.005889999999999999)),
+    "memory_hit": (4, [
+        ("cpu[0]", 0.0, 0.0011, 0.00519, 0.0062900000000000005),
+    ], 0.0062900000000000005, (0.0062900000000000005, 0.0062900000000000005)),
+}
+
+
+class TestLocalExecutionGoldenPin:
+    @pytest.mark.parametrize("reference", ["0", "1"])
+    @pytest.mark.parametrize("shape", sorted(_LOCAL_SHAPES))
+    def test_call_shape_keeps_its_bookings(self, monkeypatch, shape, reference):
+        monkeypatch.setenv(REFERENCE_ENV, reference)
+        tuple_id, *pinned = _LOCAL_SHAPES[shape]
+        shapes = _drive_local_shapes()
+        assert len(shapes) == len(_LOCAL_SHAPES)
+        assert list(shapes[tuple_id]) == pinned
 
 
 class TestAppendixCCost:

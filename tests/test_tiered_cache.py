@@ -1,7 +1,10 @@
 """Tests for the two-tier cache and condCacheInMemory (Algorithms 2-3)."""
 
+import math
+from typing import Hashable
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.tiered import CacheTier, TieredCache
@@ -307,3 +310,110 @@ def test_benefit_ordering_survives_compaction_churn():
         cache.update_benefit(key, weight=0.5)
         cache.cond_cache_in_memory(key, f"v{key}", 10.0)
     assert cache.lookup("vip") == ("VIP", CacheTier.MEMORY)
+
+
+# ----------------------------------------------------------------------
+# Algorithm 3's single-victim path against the general algorithm.  The
+# twin keeps the general loop verbatim; the single-victim path must
+# push the same heap entries in the same order, so every heap ``seq``
+# tie-break, tier and counter stays the same.
+# ----------------------------------------------------------------------
+class _GeneralAlgorithm3(TieredCache):
+    """:class:`TieredCache` with the general Algorithm 3 loop only."""
+
+    def _admit_variable(self, key: Hashable, size: float) -> bool:
+        prelim: list[tuple[float, Hashable]] = []
+        collected: set[Hashable] = {key}
+        freed = self._mem_free()
+        while freed < size:
+            entry = self._pop_valid_min(exclude=collected)
+            if entry is None:
+                break
+            benefit, victim = entry
+            prelim.append((benefit, victim))
+            collected.add(victim)
+            freed += self._memory[victim].size
+        if freed < size:
+            for benefit, victim in prelim:
+                self._push_heap(victim, benefit)
+            return False
+        prelim_benefit = sum(benefit for benefit, _ in prelim)
+        if self.policy.benefit(key) < prelim_benefit:
+            for benefit, victim in prelim:
+                self._push_heap(victim, benefit)
+            return False
+        spare = freed - size
+        keep: list[tuple[float, Hashable]] = []
+        for benefit, victim in sorted(prelim, key=lambda e: -e[0]):
+            victim_size = self._memory[victim].size
+            if victim_size <= spare:
+                keep.append((benefit, victim))
+                spare -= victim_size
+        kept = {victim for _, victim in keep}
+        for benefit, victim in prelim:
+            if victim in kept:
+                self._push_heap(victim, benefit)
+            else:
+                self._evict_to_disk(victim)
+        return True
+
+
+_TWIN_OP = st.tuples(
+    # op code; 5 gives an unseen key a size one ulp above free memory,
+    # where Algorithm 3's keep test can go either way on rounding
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=9),  # key
+    st.floats(min_value=1.0, max_value=60.0),  # size (first use of the key)
+    st.floats(min_value=0.25, max_value=8.0),  # benefit weight
+)
+
+
+def _twin_step(cache: TieredCache, op: int, key: int, size: float,
+               weight: float):
+    """One access / admission / invalidation step; returns its answer."""
+    if op == 0:
+        return cache.access_fast(key, weight)
+    if op == 1:
+        return cache.lookup(key)
+    if op in (2, 5):
+        cache.update_benefit(key, weight=weight)
+        return cache.cond_cache_in_memory(key, f"v{key}", size)
+    if op == 3:
+        cache.update_benefit(key, weight=weight)
+        already = key in cache.memory_keys
+        admitted = cache.cond_cache_in_memory(key, None, size)
+        if admitted and not already:
+            cache.fulfill(key, f"f{key}")
+        return admitted
+    return cache.invalidate(key)
+
+
+@given(ops=st.lists(_TWIN_OP, min_size=1, max_size=120))
+# Memory free is 31.0 and the newcomer one ulp larger: the lone victim
+# (60 bytes) is kept, because ``91.0 - 31.000000000000004`` rounds to 60.
+@example(ops=[(2, 0, 9.0, 4.0), (2, 1, 60.0, 1.0),
+              (2, 2, math.nextafter(31.0, math.inf), 2.0)])
+# The lone victim frees exactly the newcomer's size: it is evicted.
+@example(ops=[(2, 0, 40.0, 4.0), (2, 1, 20.0, 1.0), (2, 2, 60.0, 2.0)])
+# A newcomer with less benefit than the lone victim is rejected.
+@example(ops=[(2, 0, 50.0, 4.0), (2, 1, 40.0, 3.0), (2, 2, 20.0, 1.0)])
+@settings(max_examples=100, deadline=None)
+def test_property_single_victim_path_matches_the_general_algorithm(ops):
+    """Every step leaves both caches with the same heap (benefit, seq,
+    key), sequence counter, tier key sets, memory use and counters."""
+    fast = TieredCache(memory_bytes=100.0, disk_bytes=300.0)
+    general = _GeneralAlgorithm3(memory_bytes=100.0, disk_bytes=300.0)
+    sizes: dict[int, float] = {}
+    for op, key, size, weight in ops:
+        if op == 5:
+            free = max(fast.memory_bytes - fast.memory_used, 0.0)
+            size = math.nextafter(free, 100.0)
+        size = sizes.setdefault(key, size)
+        answer = _twin_step(fast, op, key, size, weight)
+        assert answer == _twin_step(general, op, key, size, weight)
+        assert fast._mem_heap == general._mem_heap
+        assert fast._seq == general._seq
+        assert fast.memory_keys == general.memory_keys
+        assert fast.disk_keys == general.disk_keys
+        assert fast.memory_used == general.memory_used
+        assert fast.stats() == general.stats()
