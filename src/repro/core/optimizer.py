@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Hashable, Sequence
+from typing import Any, Hashable, NamedTuple, Sequence
 
 from repro.cache.tiered import CacheTier, TieredCache
 from repro.core.cost_model import CostModel, CostParameters, RequestCosts
 from repro.core.frequency import ExactCounter, LossyCounter
 from repro.core.update_tracker import UpdateTracker
-from repro.vector.kernels import ski_rental_lanes
-from repro.vector.lanes import RouteLanes
 
 #: Benefit weights must stay positive even when rent barely beats the
 #: recurring cost; this floor keeps LFU-DA well defined.
@@ -65,6 +63,13 @@ class RoutingDecision:
     route: Route
     value: Any = None
     costs: RequestCosts | None = None
+
+
+class RouteBatch(NamedTuple):
+    """Per-input ``(route, value)`` columns of ``route_batch``."""
+
+    routes: list[Route]
+    values: list[Any]
 
 
 @dataclass(frozen=True)
@@ -257,140 +262,15 @@ class JoinLocationOptimizer:
 
     def route_batch(
         self, keys: Sequence[Hashable], data_nodes: Sequence[int]
-    ) -> RouteLanes:
-        """Route a whole column of requests in one sweep.
-
-        Element-wise identical to calling :meth:`route_fast` on each
-        ``(key, data_node)`` pair in order — same routes, values,
-        counters and cache/frequency side effects.  Routing performs
-        no cost-model observations, so per-(key, node) cost lookups,
-        benefit weights and ski-rental thresholds are frozen for the
-        whole batch: they are computed once per *distinct* pair (the
-        threshold arithmetic columnar via
-        :func:`repro.vector.kernels.ski_rental_lanes`), and the
-        per-tuple sweep only touches the state that genuinely moves
-        under it (cache residency, LFU-DA age, access counts).
-        """
-        n = len(keys)
-        model = self.cost_model
-        costs4 = model.costs4
-        fixed = self.fixed_threshold
-        # Pass 1 — distinct-pair precompute.  ``records`` maps a
-        # (key, data_node) pair to (weight, knows, has_costs,
-        # mem_threshold, disk_threshold, item_size); pairs with usable
-        # costs are first collected into columns for the threshold
-        # kernel.
-        records: dict[tuple[Hashable, int], Any] = {}
-        slots: list[tuple[tuple[Hashable, int], float]] = []
-        rents: list[float] = []
-        buys: list[float] = []
-        rec_mems: list[float] = []
-        rec_disks: list[float] = []
-        for i in range(n):
-            pair = (keys[i], data_nodes[i])
-            if pair in records:
-                continue
-            key, dst = pair
-            try:
-                c4 = costs4(key, dst)
-            except KeyError:
-                # Unknown key, or known key with unusable costs (e.g.
-                # missing bandwidth) — the sweep re-raises the latter
-                # at the exact point the scalar path would.
-                records[pair] = (
-                    1.0, model.knows_key(key), False, 0.0, 0.0,
-                    self._item_size(key),
-                )
-                continue
-            records[pair] = None  # placeholder; filled from the kernel
-            slots.append((pair, self._item_size(key)))
-            rents.append(c4[0])
-            buys.append(c4[1])
-            rec_mems.append(c4[2])
-            rec_disks.append(c4[3])
-        if slots:
-            weights, mem_ts, disk_ts = ski_rental_lanes(
-                rents, buys, rec_mems, rec_disks, _MIN_WEIGHT
-            )
-            for s, (pair, size) in enumerate(slots):
-                if fixed is not None:
-                    records[pair] = (weights[s], True, True, fixed, fixed, size)
-                else:
-                    records[pair] = (
-                        weights[s], True, True, mem_ts[s], disk_ts[s], size
-                    )
-        # Pass 2 — sequential decision sweep.  Counter adds, cache
-        # probes and conditional admissions mutate shared state
-        # (frequencies, LFU-DA age, residency), so this stays a strict
-        # in-order fold; the win is that all cost arithmetic is gone.
-        routes: list[Any] = []
+    ) -> RouteBatch:
+        """:meth:`route_fast` on each ``(key, data_node)`` pair, in order."""
+        routes: list[Route] = []
         values: list[Any] = []
-        append_route = routes.append
-        append_value = values.append
-        cache = self.cache
-        access_fast = cache.access_fast
-        cond_cache = cache.cond_cache_in_memory
-        counter_add = self.counter.add
-        n_local_mem = n_local_disk = n_compute = 0
-        n_data_mem = n_data_disk = n_first = 0
-        try:
-            for i in range(n):
-                key = keys[i]
-                weight, knows, has_costs, mem_t, disk_t, size = records[
-                    (key, data_nodes[i])
-                ]
-                cached = access_fast(key, weight)
-                count = counter_add(key)
-                if cached is not None:
-                    value, tier = cached
-                    if tier is CacheTier.MEMORY:
-                        n_local_mem += 1
-                        append_route(Route.LOCAL_MEMORY)
-                        append_value(value)
-                        continue
-                    n_local_disk += 1
-                    cond_cache(key, value, size)
-                    append_route(Route.LOCAL_DISK)
-                    append_value(value)
-                    continue
-                if not knows:
-                    n_first += 1
-                    n_compute += 1
-                    append_route(Route.COMPUTE_REQUEST)
-                    append_value(None)
-                    continue
-                if not has_costs:
-                    # knows_key but costs raised during precompute:
-                    # surface the KeyError here, as route_fast would.
-                    costs4(key, data_nodes[i])
-                if count <= mem_t:
-                    n_compute += 1
-                    append_route(Route.COMPUTE_REQUEST)
-                    append_value(None)
-                    continue
-                if cond_cache(key, None, size):
-                    n_data_mem += 1
-                    append_route(Route.DATA_REQUEST_MEMORY)
-                    append_value(None)
-                    continue
-                if count <= disk_t:
-                    n_compute += 1
-                    append_route(Route.COMPUTE_REQUEST)
-                    append_value(None)
-                    continue
-                n_data_disk += 1
-                append_route(Route.DATA_REQUEST_DISK)
-                append_value(None)
-        finally:
-            # Counter write-back also on the KeyError path, matching
-            # the scalar loop's per-tuple increments.
-            self._n_local_mem += n_local_mem
-            self._n_local_disk += n_local_disk
-            self._n_compute += n_compute
-            self._n_data_mem += n_data_mem
-            self._n_data_disk += n_data_disk
-            self._n_first += n_first
-        return RouteLanes(routes=routes, values=values)
+        for key, data_node in zip(keys, data_nodes, strict=True):
+            route, value = self.route_fast(key, data_node)
+            routes.append(route)
+            values.append(value)
+        return RouteBatch(routes, values)
 
     # ------------------------------------------------------------------
     # Completion callbacks

@@ -324,21 +324,7 @@ class ComputeNodeRuntime:
     ) -> None:
         """Fused optimized-mode :meth:`submit` (see wiring above)."""
         self._submitted += 1
-        region_map = self.kvstore.region_map
-        if region_map.generation != self._dst_gen:
-            self._dst_cache.clear()
-            self._dst_gen = region_map.generation
-            dst = None
-        else:
-            dst = self._dst_cache.get(key)
-        if dst is None:
-            if getattr(region_map, "elastic_active", False):
-                # Hot-key read fan-in: readers spread across the
-                # owner + replicas deterministically by node id.
-                dst = region_map.route_for_key(key, self.node_id)
-            else:
-                dst = region_map.node_for_key(key)
-            self._dst_cache[key] = dst
+        dst = self._dst_for(key)
         assert self.optimizer is not None
         route, value = self.optimizer.route_fast(key, dst)
         if self._recording:

@@ -21,19 +21,23 @@ from repro.workloads.synthetic import SyntheticWorkload
 
 
 def build_runtime(strategy, n_keys=40, value_size=1000.0, compute_cost=0.001,
-                  batch_size=4, max_wait=0.005, **kwargs):
-    cluster = Cluster.homogeneous(2)
+                  batch_size=4, max_wait=0.005, data_nodes=(1,), **kwargs):
+    """Compute node 0 over ``data_nodes``; returns the first one's server."""
+    cluster = Cluster.homogeneous(1 + len(data_nodes))
     table = Table("t")
     for key in range(n_keys):
         table.put(Row(key=key, value=f"v{key}", size=value_size,
                       compute_cost=compute_cost))
-    region_map = RegionMap.round_robin(HashPartitioner(4), [1])
+    region_map = RegionMap.round_robin(HashPartitioner(4), list(data_nodes))
     kvstore = KVStore(table, region_map)
     udf = UDF(result_size=64.0, param_size=64.0, key_size=8.0)
-    server = DataNodeServer(
-        cluster, 1, kvstore, udf,
-        balancer=BatchLoadBalancer(enabled=strategy.load_balancing),
-    )
+    servers = {
+        dn: DataNodeServer(
+            cluster, dn, kvstore, udf,
+            balancer=BatchLoadBalancer(enabled=strategy.load_balancing),
+        )
+        for dn in data_nodes
+    }
     sizes = SizeProfile(key_size=8.0, param_size=64.0, value_size=value_size,
                         computed_size=64.0)
     completions = []
@@ -41,7 +45,7 @@ def build_runtime(strategy, n_keys=40, value_size=1000.0, compute_cost=0.001,
         cluster=cluster,
         node_id=0,
         kvstore=kvstore,
-        servers={1: server},
+        servers=servers,
         udf=udf,
         config=strategy,
         sizes=sizes,
@@ -51,7 +55,7 @@ def build_runtime(strategy, n_keys=40, value_size=1000.0, compute_cost=0.001,
         max_wait=max_wait,
         **kwargs,
     )
-    return cluster, runtime, server, completions
+    return cluster, runtime, servers[data_nodes[0]], completions
 
 
 def drain(cluster, runtime, n):
@@ -88,6 +92,26 @@ class TestRoutingDispatch:
         runtime.submit(0, 7)
         drain(cluster, runtime, 1)
         assert runtime.optimizer.stats().first_contact == 1
+
+    def test_submit_follows_a_moved_region(self, monkeypatch):
+        # The fused submit caches each key's serving node per placement
+        # generation; a region move must send the next read of the key
+        # to the region's new owner.
+        monkeypatch.setenv(REFERENCE_ENV, "0")
+        _, runtime, _, _ = build_runtime(
+            Strategy.fo(), batch_size=8, data_nodes=(1, 2)
+        )
+        assert runtime.submit == runtime._submit_fast
+        region_map = runtime.kvstore.region_map
+        key = 7
+        old = region_map.node_for_key(key)
+        new = 2 if old == 1 else 1
+        runtime.submit(0, key)  # first contact: a compute request
+        region_map.move_region(region_map.region_of(key), new)
+        runtime.submit(1, key)  # still unknown costs: rents again
+        buffers = runtime._compute_buffers
+        assert [item.tuple_id for item in buffers[old]._items] == [0]
+        assert [item.tuple_id for item in buffers[new]._items] == [1]
 
 
 class TestFetchDeduplication:

@@ -1,20 +1,11 @@
-"""Property tests for the columnar kernels in ``repro.vector``.
+"""``route_batch``: the batch routing entry point that joinbench drives.
 
-Two layers:
-
-1. Direct kernel differential — ``ski_rental_lanes`` against its
-   scalar fold, with column lengths chosen on both sides of
-   ``_NUMPY_MIN`` so the numpy path and the pure-python fallback are
-   both exercised.
-2. Twin-instance sweep — ``JoinLocationOptimizer.route_batch``
-   against a scalar twin driven through ``route_fast`` on identical
-   state, over hypothesis-generated key columns, skews and cache
-   contents.  The batch result must equal the scalar replay
-   element-wise, and every counter and policy table must land in the
-   same place.
+``route_batch`` is an in-order loop over ``route_fast``.  A twin
+instance driven through ``route_fast`` one pair at a time, on identical
+state, must return the same routes and values element-wise, over
+hypothesis-generated key columns, skews and cache contents, and every
+counter and policy table must land in the same place.
 """
-
-import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,55 +14,8 @@ from repro.cache import TieredCache
 from repro.core.cost_model import CostModel, CostParameters
 from repro.core.frequency import ExactCounter
 from repro.core.optimizer import JoinLocationOptimizer, Route
-from repro.vector import ski_rental_lanes
-from repro.vector.kernels import _NUMPY_MIN
-
-# Column lengths straddling the numpy cutover: the scalar fallback
-# (below _NUMPY_MIN) and the numpy path (at and above it).
-_SIZES = st.integers(min_value=0, max_value=2 * _NUMPY_MIN)
-
-_FINITE = st.floats(
-    min_value=1e-9, max_value=1e6, allow_nan=False, allow_infinity=False
-)
 
 
-# ----------------------------------------------------------------------
-# Direct kernel differential
-# ----------------------------------------------------------------------
-@given(
-    rows=st.lists(
-        st.tuples(_FINITE, _FINITE, _FINITE, _FINITE),
-        max_size=2 * _NUMPY_MIN,
-    ),
-    min_weight=st.floats(min_value=1e-9, max_value=10.0),
-)
-@settings(max_examples=80, deadline=None)
-def test_property_ski_rental_lanes_matches_scalar(rows, min_weight):
-    rents = [r[0] for r in rows]
-    buys = [r[1] for r in rows]
-    rec_mems = [r[2] for r in rows]
-    rec_disks = [r[3] for r in rows]
-    weights, mem_ts, disk_ts = ski_rental_lanes(
-        rents, buys, rec_mems, rec_disks, min_weight
-    )
-    for i, (rent, buy, rec_mem, rec_disk) in enumerate(rows):
-        w = rent - rec_mem
-        if not w > min_weight:
-            w = max(w, min_weight)
-        assert weights[i] == w
-        if rent <= rec_mem:
-            assert mem_ts[i] == math.inf
-        else:
-            assert mem_ts[i] == buy / (rent - rec_mem)
-        if rent <= rec_disk:
-            assert disk_ts[i] == math.inf
-        else:
-            assert disk_ts[i] == buy / (rent - rec_disk)
-
-
-# ----------------------------------------------------------------------
-# route_batch vs a scalar route_fast twin
-# ----------------------------------------------------------------------
 @st.composite
 def routing_workloads(draw):
     """Warm-up accesses plus a batch column over a small key universe."""
@@ -137,16 +81,11 @@ def test_property_route_batch_matches_scalar_route_fast(workload):
 
     keys = [k for k, _ in batch]
     dsts = [d for _, d in batch]
-    lanes = batch_opt.route_batch(keys, dsts)
+    routed = batch_opt.route_batch(keys, dsts)
     scalar = [scalar_opt.route_fast(k, d) for k, d in batch]
 
-    assert len(lanes) == len(batch)
-    assert lanes.routes == [r for r, _ in scalar]
-    assert lanes.values == [v for _, v in scalar]
-    for route in Route:
-        assert lanes.lane(route) == [
-            i for i, (r, _) in enumerate(scalar) if r is route
-        ]
+    assert routed.routes == [r for r, _ in scalar]
+    assert routed.values == [v for _, v in scalar]
 
     # Counters, cache state and frequency tables move identically.
     assert batch_opt.stats() == scalar_opt.stats()
