@@ -183,7 +183,7 @@ class JoinLocationOptimizer:
         return RoutingDecision(key=key, route=Route.DATA_REQUEST_DISK, costs=costs)
 
     def route_fast(self, key: Hashable, data_node: int) -> tuple[Route, Any]:
-        """Optimized-mode :meth:`route` body returning ``(route, value)``.
+        """Fused :meth:`route` body returning ``(route, value)``.
 
         Same decision sequence and side effects as :meth:`route`, but
         the cost formulas are evaluated once up front (the benefit

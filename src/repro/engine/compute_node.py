@@ -36,7 +36,6 @@ from repro.engine.requests import (
     RequestKind,
     UDF,
 )
-from repro.perf.mode import reference_mode
 from repro.engine.strategies import RoutingPolicy, StrategyConfig
 from repro.faults.policy import FaultTolerance
 from repro.obs.tracer import NO_TRACER, Span, Tracer
@@ -300,19 +299,18 @@ class ComputeNodeRuntime:
                     park_capacity=tenancy.park_capacity,
                 )
         # ------------------------------------------------------------------
-        # Optimized-mode fused submit: when the steady-state
-        # configuration holds (ski-rental routing, non-blocking, no
-        # adaptive freeze, side-effect-free UDF), per-tuple dispatch
-        # skips the submit -> _route_and_dispatch -> node_for_key frame
-        # chain.  The decision sequence and all side effects are
-        # identical to the reference path.
+        # Fused submit: when the steady-state configuration holds
+        # (ski-rental routing, non-blocking, no adaptive freeze,
+        # side-effect-free UDF), per-tuple dispatch skips the submit ->
+        # _route_and_dispatch -> route frame chain.  The decision
+        # sequence and all side effects are identical to that chain,
+        # which the differential suite holds it to.
         # ------------------------------------------------------------------
         self._recording = tracer.enabled
         self._dst_cache: dict[Hashable, int] = {}
         self._dst_gen = -1
         if (
-            not reference_mode()
-            and self.optimizer is not None
+            self.optimizer is not None
             and not config.blocking
             and self._freeze_after is None
             and udf.side_effect_free
@@ -322,7 +320,7 @@ class ComputeNodeRuntime:
     def _submit_fast(
         self, tuple_id: int, key: Hashable, params: Any = None
     ) -> None:
-        """Fused optimized-mode :meth:`submit` (see wiring above)."""
+        """Fused :meth:`submit` (see wiring above)."""
         self._submitted += 1
         dst = self._dst_for(key)
         assert self.optimizer is not None

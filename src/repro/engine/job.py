@@ -41,7 +41,6 @@ from repro.memory.options import MemoryOptions
 from repro.obs.registry import MetricsRegistry, ambient_registry
 from repro.obs.tracer import NO_TRACER, Span, Tracer
 from repro.obs.usage import publish_job_result
-from repro.perf.mode import reference_mode
 from repro.placement import ElasticCoordinator, ElasticOptions, PlacementService
 from repro.resilience.admission import TenantShare
 from repro.resilience.manager import ResilienceManager
@@ -428,9 +427,9 @@ class JoinJob:
             on_complete(tuple_id, finish)
             finish_times.append(finish)
 
-        # Optimized mode fuses a static run's per-tuple callback; the
-        # shared queue keeps the plain chain (it is not a hot path).
-        fused = not reference_mode() and not self.membership
+        # A static run fuses its per-tuple callback; the shared queue
+        # keeps the plain chain (it is not a hot path).
+        fused = not self.membership
 
         def chain(feeder: _Feeder) -> None:
             """Chain feeding onto completions so the pipeline window holds."""
@@ -440,7 +439,7 @@ class JoinJob:
             if fused:
                 # Inline the job counters and the feeder decrement into
                 # one callback — this runs once per tuple.  Same
-                # statement order as the chained reference closure below.
+                # statement order as the chained closure below.
                 def chained_fast(
                     tuple_id: int, finish: float, _f=feeder, _j=self
                 ) -> None:
@@ -448,7 +447,7 @@ class JoinJob:
                     if finish > _j._last_finish:
                         _j._last_finish = finish
                     _f._outstanding -= 1
-                    _f.feed_fast()
+                    _f._feed()
 
                 runtime.on_complete = chained_fast
                 return
@@ -882,17 +881,7 @@ class _Feeder:
         self._feed()
 
     def _feed(self) -> None:
-        while self._next < len(self.items) and self._outstanding < self.window:
-            tuple_id, key, params = self.items[self._next]
-            self._next += 1
-            self._outstanding += 1
-            self.runtime.submit(tuple_id, key, params)
-        if self._next >= len(self.items) and not self._finished_input:
-            self._finished_input = True
-            self.runtime.finish_input()
-
-    def feed_fast(self) -> None:
-        """Optimized-mode :meth:`_feed`: counters held in locals.
+        """Top the window up; counters are held in locals.
 
         ``submit`` never re-enters the feeder synchronously (all
         completions arrive through scheduled events), so the cursor and

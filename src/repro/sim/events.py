@@ -16,17 +16,14 @@ rebuild is paid for by the >= n/2 cancels that triggered it, keeping
 ``cancel`` O(1) amortized.  Rebuilding only ever drops entries whose
 handle is already cancelled — live ``(time, seq, callback, handle)``
 tuples are preserved verbatim — so the execution order of surviving
-events is bit-identical to the lazy-skip reference path (selectable at
-construction via ``REPRO_PERF_REFERENCE=1``, see :mod:`repro.perf.mode`;
-``tests/test_sim_events.py::TestCancellationStorm`` compares the two).
+events is bit-identical to a queue that never compacts
+(``tests/test_sim_events.py::TestCancellationStorm`` compares the two).
 """
 
 from __future__ import annotations
 
 import heapq
 from typing import Any, Callable
-
-from repro.perf.mode import reference_mode
 
 _INF = float("inf")
 _NEG_INF = float("-inf")
@@ -52,10 +49,10 @@ class EventHandle:
 
     __slots__ = ("cancelled", "_sim")
 
-    def __init__(self, sim: "Simulator | None" = None) -> None:
+    def __init__(self, sim: "Simulator | None") -> None:
         self.cancelled = False
-        # Back-reference for tombstone accounting; ``None`` in reference
-        # mode, where cancel degrades to the pre-optimization flag set.
+        # Back-reference for tombstone accounting; ``None`` only for the
+        # never-cancelled sentinel below.
         self._sim = sim
 
     def cancel(self) -> None:
@@ -100,7 +97,6 @@ class Simulator:
         # notifies), which at worst triggers one harmless early
         # compaction; it is reset to exact zero by every rebuild.
         self._tombstones = 0
-        self._handle_sim: Simulator | None = None if reference_mode() else self
 
     @property
     def now(self) -> float:
@@ -146,7 +142,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time:.9f}; clock is already at {self._now:.9f}"
             )
-        handle = EventHandle(self._handle_sim)
+        handle = EventHandle(self)
         heapq.heappush(self._queue, (time, self._seq, callback, handle))
         self._seq += 1
         return handle
@@ -158,10 +154,11 @@ class Simulator:
         return self.schedule_at(self._now + delay, callback)
 
     def schedule_call(self, time: float, callback: Callable[[], Any]) -> None:
-        """:meth:`schedule_at` for never-cancelled events, in either mode.
+        """:meth:`schedule_at` for never-cancelled events.
 
-        The data-node serve loop books its queue-counter decrements here
-        in both modes.  Queue ordering (time, then insertion sequence) is
+        The data-node serve loop books its queue-counter decrements here,
+        local execution its completions and the batch buffers their idle
+        flushes.  Queue ordering (time, then insertion sequence) is
         identical to :meth:`schedule_at`; the per-event :class:`EventHandle` is
         replaced by a shared never-cancelled sentinel, so no token is
         returned.  Callers guarantee ``time`` is finite and not in the

@@ -6,8 +6,9 @@ a hole in the liveness invariant would show as a stall, and a hole in
 the in-flight accounting as a lost or doubled tuple: every fault path
 that abandons a request (replica fallback, failover, ``WrongRegion``
 redirect) and every way a node's buffers go away mid-run (leave,
-rejoin) is driven for FO / NO / FR in both ``REPRO_PERF_REFERENCE``
-modes and compared with the single-node hash join.
+rejoin) is driven for FO / NO / FR, on the fast paths and on the
+reference paths of :mod:`tests.reference_paths`, and compared with the
+single-node hash join.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from repro.api import (
 from repro.engine.job import JoinJob
 from repro.engine.strategies import Strategy
 from repro.faults import CrashFault, FaultSchedule, FaultTolerance, MessageChaos
-from repro.perf.mode import REFERENCE_ENV
 from repro.sim.cluster import Cluster
 from repro.workloads.synthetic import SyntheticWorkload
 
 from tests.oracle import assert_oracle_equal, single_node_hash_join
+from tests.reference_paths import use_reference_paths
 
 SPEC = JobSpec.synthetic(
     "data_heavy", n_keys=120, n_tuples=600, skew=1.2, seed=11
@@ -91,7 +92,7 @@ def _oracle(spec):
 @pytest.mark.parametrize("scenario", list(_CASES))
 @pytest.mark.parametrize("strategy", ["FO", "NO", "FR"])
 def test_oracle_equal_without_max_wait(strategy, scenario, reference, monkeypatch):
-    monkeypatch.setenv(REFERENCE_ENV, reference)
+    runs = use_reference_paths(monkeypatch) if reference == "1" else None
     options, exercised = _CASES[scenario]
     spec = dataclasses.replace(SPEC, strategy=strategy)
     config = RunConfig(seed=11, **options)
@@ -101,6 +102,7 @@ def test_oracle_equal_without_max_wait(strategy, scenario, reference, monkeypatc
     counters = report.snapshot["counters"]
     for name in exercised:
         assert counters.get(name, 0) > 0, f"{scenario} never hit {name}"
+    assert runs is None or runs.submits
 
 
 @pytest.mark.parametrize("reference", ["0", "1"])
@@ -108,7 +110,7 @@ def test_oracle_equal_without_max_wait(strategy, scenario, reference, monkeypatc
 def test_side_effects_happen_exactly_once(scenario, reference, monkeypatch):
     """The ledger: with a side-effecting UDF every tuple is a compute
     request at the row's owner, held and released by the same clock."""
-    monkeypatch.setenv(REFERENCE_ENV, reference)
+    runs = use_reference_paths(monkeypatch) if reference == "1" else None
     options, _ = _CASES[scenario]
     if "fault_tolerance" in options:
         # Degrading to a replica fetch would re-run the effect.
@@ -127,6 +129,7 @@ def test_side_effects_happen_exactly_once(scenario, reference, monkeypatch):
     report = run_join(spec, RunConfig(seed=11, **options))
     assert_oracle_equal(report.outputs, _oracle(SPEC))
     assert sorted(ledger) == sorted(SPEC.keys)
+    assert runs is None or runs.submits
 
 
 def test_open_loop_trace_terminates_without_max_wait():

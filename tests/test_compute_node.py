@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.perf.mode import REFERENCE_ENV
 from repro.core.cost_model import CostParameters
 from repro.core.optimizer import Route
 from repro.placement.batch import BatchLoadBalancer, SizeProfile
@@ -18,6 +17,8 @@ from repro.store.messages import UDF, BatchResponse, ResponseItem
 from repro.store.partitioner import HashPartitioner, RegionMap
 from repro.store.table import Row, Table
 from repro.workloads.synthetic import SyntheticWorkload
+
+from tests.reference_paths import use_reference_paths
 
 
 def build_runtime(strategy, n_keys=40, value_size=1000.0, compute_cost=0.001,
@@ -93,11 +94,10 @@ class TestRoutingDispatch:
         drain(cluster, runtime, 1)
         assert runtime.optimizer.stats().first_contact == 1
 
-    def test_submit_follows_a_moved_region(self, monkeypatch):
+    def test_submit_follows_a_moved_region(self):
         # The fused submit caches each key's serving node per placement
         # generation; a region move must send the next read of the key
         # to the region's new owner.
-        monkeypatch.setenv(REFERENCE_ENV, "0")
         _, runtime, _, _ = build_runtime(
             Strategy.fo(), batch_size=8, data_nodes=(1, 2)
         )
@@ -390,11 +390,12 @@ class TestLocalExecutionGoldenPin:
     @pytest.mark.parametrize("reference", ["0", "1"])
     @pytest.mark.parametrize("shape", sorted(_LOCAL_SHAPES))
     def test_call_shape_keeps_its_bookings(self, monkeypatch, shape, reference):
-        monkeypatch.setenv(REFERENCE_ENV, reference)
+        runs = use_reference_paths(monkeypatch) if reference == "1" else None
         tuple_id, *pinned = _LOCAL_SHAPES[shape]
         shapes = _drive_local_shapes()
         assert len(shapes) == len(_LOCAL_SHAPES)
         assert list(shapes[tuple_id]) == pinned
+        assert runs is None or runs.submits
 
 
 class TestAppendixCCost:
@@ -402,8 +403,8 @@ class TestAppendixCCost:
     def test_running_total_equals_the_sums_at_every_snapshot(
         self, monkeypatch, reference
     ):
-        # Both the optimized and the reference handlers adjust the totals.
-        monkeypatch.setenv(REFERENCE_ENV, reference)
+        # Both the fused and the reference submit feed the totals.
+        runs = use_reference_paths(monkeypatch) if reference == "1" else None
         snapshots = []
         inner = ComputeNodeRuntime._snapshot_stats
 
@@ -442,6 +443,7 @@ class TestAppendixCCost:
             assert runtime._inflight_compute_total == 0
             assert set(runtime._inflight_compute.values()) == {0}
             assert {b.in_flight for b in runtime.buffers()} == {0}
+        assert runs is None or runs.submits
 
     def test_tcc_fallback_scan_stops_once_tcc_is_measured(self, monkeypatch):
         """Counting, not timing: the O(keys seen) fallback may only run

@@ -6,7 +6,6 @@ import pytest
 
 from repro.memory import MemoryOptions
 from repro.memory.budget import MemoryBudget
-from repro.perf.mode import REFERENCE_ENV
 from repro.placement.batch import (
     BatchLoadBalancer,
     ComputeNodeStats,
@@ -21,6 +20,7 @@ from repro.store.messages import BatchRequest, RequestItem, RequestKind, UDF
 from repro.store.partitioner import HashPartitioner, RegionMap
 from repro.store.table import Row, Table
 
+from tests.reference_paths import use_reference_paths
 from tests.test_compute_node import faulty_fo_job
 
 
@@ -199,9 +199,9 @@ class TestAppendixCCost:
     def test_running_totals_equal_the_sums_at_every_local_stats(
         self, monkeypatch, reference
     ):
-        # One serve loop adjusts the totals; the request paths that
-        # drive it still differ between the two modes.
-        monkeypatch.setenv(REFERENCE_ENV, reference)
+        # One serve loop adjusts the totals; the fused and the reference
+        # submit drive it.
+        runs = use_reference_paths(monkeypatch) if reference == "1" else None
         calls = []
         inner = DataNodeServer.local_stats
 
@@ -225,6 +225,7 @@ class TestAppendixCCost:
             assert server._pending_compute_total == 0
             assert server._to_compute_total == 0
             assert set(server._pending_compute.values()) <= {0}
+        assert runs is None or runs.submits
 
     def test_has_regions_is_looked_up_once_per_placement_generation(
         self, monkeypatch

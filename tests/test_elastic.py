@@ -16,11 +16,11 @@ from repro.engine.job import JoinJob, MembershipEvent, replay_membership
 from repro.engine.strategies import Strategy
 from repro.faults import CrashFault, FaultSchedule, FaultTolerance, MessageChaos
 from repro.obs import ObsOptions
-from repro.perf.mode import REFERENCE_ENV
 from repro.sim.cluster import Cluster
 from repro.workloads.synthetic import SyntheticWorkload
 
 from tests.oracle import assert_oracle_equal, single_node_hash_join
+from tests.reference_paths import use_reference_paths
 
 
 def make_job(events=(), compute=(0,), seed=31, n_tuples=2400, strategy=None):
@@ -132,10 +132,10 @@ class TestElasticRuns:
             result.throughput_in(0.0, 1.0)
 
 
-#: Shared-queue makespans for the configurations above, identical under
-#: the default engine and ``REPRO_PERF_REFERENCE=1`` (the second static
-#: configuration, two nodes and no events, is a plain round-robin run
-#: and has no shared-queue float to hold).
+#: Shared-queue makespans for the configurations above, identical on the
+#: fast paths and on the reference paths of :mod:`tests.reference_paths`
+#: (the second static configuration, two nodes and no events, is a plain
+#: round-robin run and has no shared-queue float to hold).
 PINNED = {
     "static-one-node": (dict(compute=(0,)), 11.542062042666643, {0: 2400}),
     "add-one": (
@@ -162,14 +162,16 @@ PINNED = {
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_bare_membership_runs_keep_their_floats(name, monkeypatch):
+def test_bare_membership_runs_keep_their_floats(name):
     kwargs, makespan, completed = PINNED[name]
-    for mode in ("0", "1"):
-        monkeypatch.setenv(REFERENCE_ENV, mode)
-        workload, job = make_job(**kwargs)
-        result = job.run(workload.keys())
-        assert result.makespan == makespan, f"{REFERENCE_ENV}={mode}"
-        assert result.completed_per_node == completed, f"{REFERENCE_ENV}={mode}"
+    for side in ("fast", "reference"):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            runs = use_reference_paths(monkeypatch) if side == "reference" else None
+            workload, job = make_job(**kwargs)
+            result = job.run(workload.keys())
+        assert result.makespan == makespan, side
+        assert result.completed_per_node == completed, side
+        assert runs is None or runs.submits
 
 
 class TestScheduleValidation:

@@ -1,46 +1,41 @@
-"""Differential equivalence: optimized hot paths vs the reference path.
+"""Differential equivalence: the fast hot paths vs their references.
 
-Every optimized hot path keeps its pre-optimization algorithm alive
-behind ``REPRO_PERF_REFERENCE=1``.  These tests are the contract that
-makes the optimizations admissible: for the same spec, both modes must
-produce byte-identical join outputs, identical simulated makespans and
-metric snapshots (the "cost totals"), and — with tracing on — identical
-span trees.  Any divergence means an optimization changed behaviour,
-not just speed.  :class:`TestGoldenRuns` pins what neither mode may
-move: the outputs and makespans of eight runs, in whichever mode the
-suite runs.
+Two hot paths run a fast twin unconditionally: the fused submit and the
+event queue's tombstone compaction.  Their references are held by
+:mod:`tests.reference_paths`.  These tests are the contract that makes
+the twins admissible: for the same spec, both sides must produce
+byte-identical join outputs, identical simulated makespans and metric
+snapshots (the "cost totals"), and — with tracing on — identical span
+trees.  Any divergence means a twin changed behaviour, not just speed.
+:class:`TestGoldenRuns` pins what neither side may move: the outputs
+and makespans of ten runs, two of them at the benchmark's own shapes.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import pathlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro.api import BatchOptions, JobSpec, MembershipEvent, RunConfig, run_join
 from repro.faults.policy import FaultTolerance
 from repro.faults.schedule import CrashFault, FaultSchedule, MessageChaos
 from repro.memory import MemoryOptions
-from repro.perf.mode import REFERENCE_ENV
 from repro.placement import ElasticOptions
 from repro.runtime.backend import ENGINES
 
+from tests.reference_paths import use_reference_paths
+
 
 def _run(mode: str, spec_kwargs: dict, cfg: RunConfig):
-    saved = os.environ.get(REFERENCE_ENV)
-    os.environ[REFERENCE_ENV] = mode
-    try:
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        runs = use_reference_paths(monkeypatch) if mode == "1" else None
         report = run_join(JobSpec.synthetic(**spec_kwargs), cfg)
-    finally:
-        if saved is None:
-            os.environ.pop(REFERENCE_ENV, None)
-        else:
-            os.environ[REFERENCE_ENV] = saved
+    if runs is not None and cfg.engine in ("engine", "streaming"):
+        # The shuffle engines route no tuple through a compute node.
+        assert runs.submits, "the reference submit never ran"
     spans = None
     if report.tracer is not None:
         spans = [
@@ -59,7 +54,7 @@ def _run(mode: str, spec_kwargs: dict, cfg: RunConfig):
 
 
 def _assert_equivalent(spec_kwargs: dict, cfg: RunConfig) -> dict:
-    """Both modes agree on every observable; returns the counters."""
+    """Both sides agree on every observable; returns the counters."""
     ref = _run("1", spec_kwargs, cfg)
     opt = _run("0", spec_kwargs, cfg)
     assert ref[0] == opt[0], "join outputs diverged"
@@ -97,6 +92,13 @@ _ENGINE_CASES = {
         ),
         {},
         ("memory.build_hits", "memory.build_unspill_reads", "memory.spills"),
+    ),
+    # A working set larger than the memory tier: disk-tier hits read
+    # the value off disk before the UDF runs.
+    "engine-disk-tier": (
+        dict(engine="engine", memory_cache_bytes=2e5),
+        dict(n_keys=400, n_tuples=3000, skew=0.8, seed=3),
+        ("cache.disk_hits",),
     ),
     # NO: blocking workers, one unbatched request in flight per thread.
     "engine-blocking": (dict(engine="engine"), dict(strategy="NO"), ()),
@@ -189,28 +191,6 @@ class TestEngineEquivalence:
             RunConfig(),
         )
 
-    @pytest.mark.parametrize(
-        "shape, cache_bytes",
-        [
-            # sim_rent: cold keys, ~70 % compute requests.
-            (dict(n_keys=20_000, skew=0.5, n_tuples=30_000), 100e6),
-            # sim_churn: working set 20x the memory tier.
-            (dict(n_keys=2_000, skew=0.8, n_tuples=60_000), 15e6),
-        ],
-        ids=["sim_rent", "sim_churn"],
-    )
-    def test_joinbench_shape_matches_reference(self, shape, cache_bytes):
-        # Mode equality at the benchmark's scale, not only at 3 000
-        # tuples: what ROADMAP 2(ii) asks for before the reference goes.
-        _assert_equivalent(
-            dict(kind="data_heavy", seed=3, **shape),
-            RunConfig(
-                seed=3,
-                batching=BatchOptions(batch_size=16),
-                memory_cache_bytes=cache_bytes,
-            ),
-        )
-
     def test_fixed_threshold_strategy_matches_reference(self):
         # FC exercises the fixed-threshold branch of the router.
         _assert_equivalent(
@@ -236,30 +216,11 @@ class TestEngineEquivalence:
 )
 @settings(max_examples=12, deadline=None)
 def test_property_run_join_equivalence(kind, n_keys, n_tuples, skew, seed, engine):
-    """Random workloads: both modes agree on every observable."""
+    """Random workloads: both sides agree on every observable."""
     _assert_equivalent(
         dict(kind=kind, n_keys=n_keys, n_tuples=n_tuples, skew=skew, seed=seed),
         RunConfig(engine=engine).with_obs(tracing=True),
     )
-
-
-#: The forks DESIGN.md §11 keeps, one row of evidence each ("Two tiers
-#: where they pay").  A new ``reference_mode()`` fork needs its row first.
-_GUARDED_MODULES = {
-    "engine/compute_node.py",
-    "engine/job.py",
-    "sim/events.py",
-}
-
-
-def test_reference_mode_forks_are_the_ones_design_keeps():
-    root = pathlib.Path(repro.__file__).parent
-    guarded = {
-        path.relative_to(root).as_posix()
-        for path in root.rglob("*.py")
-        if path.parent.name != "perf" and "reference_mode" in path.read_text()
-    }
-    assert guarded == _GUARDED_MODULES
 
 
 def _digest(parts: list[str]) -> str:
@@ -323,6 +284,20 @@ _GOLDEN = {
             ),
         ),
         "35777aa226b61bc28f9e7f4b13aa8c4e", 0.5752092799999998,
+    ),
+    # joinbench's seed-3 shapes: cold keys with ~70 % compute requests,
+    # and a working set 20x the memory tier.
+    "sim_rent": (
+        dict(n_keys=20_000, n_tuples=30_000, skew=0.5, seed=3),
+        RunConfig(seed=3, batching=BatchOptions(batch_size=16),
+                  memory_cache_bytes=100e6),
+        "b452211bee1a32885dfd42882cd02e12", 12.495918880002094,
+    ),
+    "sim_churn": (
+        dict(n_keys=2_000, n_tuples=60_000, skew=0.8, seed=3),
+        RunConfig(seed=3, batching=BatchOptions(batch_size=16),
+                  memory_cache_bytes=15e6),
+        "97fd16c1309bb7455e0a9ea739a16c36", 12.265319456005003,
     ),
 }
 

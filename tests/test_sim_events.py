@@ -137,6 +137,14 @@ class TestRunControls:
         assert "pending=0" in text
 
 
+class _LazySimulator(Simulator):
+    """The reference queue: it never compacts, so a cancelled entry
+    stays in the heap until the run loop pops and skips it."""
+
+    def _note_cancel(self) -> None:
+        pass
+
+
 class TestCancellationStorm:
     """Regression tests for tombstone compaction.
 
@@ -146,20 +154,9 @@ class TestCancellationStorm:
     """
 
     def _storm(self, reference: bool, n_events: int = 10_000):
-        import os
         import random
 
-        from repro.perf.mode import REFERENCE_ENV
-
-        saved = os.environ.get(REFERENCE_ENV)
-        os.environ[REFERENCE_ENV] = "1" if reference else "0"
-        try:
-            sim = Simulator()
-        finally:
-            if saved is None:
-                os.environ.pop(REFERENCE_ENV, None)
-            else:
-                os.environ[REFERENCE_ENV] = saved
+        sim = _LazySimulator() if reference else Simulator()
         rng = random.Random(99)
         fired: list[int] = []
         handles = []
@@ -200,8 +197,8 @@ class TestCancellationStorm:
 
     def test_reference_mode_keeps_lazy_behaviour(self):
         """The reference queue holds tombstones until popped — the
-        pre-optimization behaviour the equivalence suite compares
-        against (and the baseline this regression test guards)."""
+        lazy queue the equivalence suite compares against (and the
+        baseline this regression test guards)."""
         sim, fired, after_storm = self._storm(reference=True, n_events=2_000)
         assert len(fired) == 200
         # No compaction: every cancelled entry stays queued until the
