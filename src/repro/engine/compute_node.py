@@ -206,8 +206,9 @@ class ComputeNodeRuntime:
         if expected_inputs is not None and config.adaptive_fraction < 1.0:
             self._freeze_after = int(expected_inputs * config.adaptive_fraction)
         self._completed = 0
-        #: Real UDF results by tuple id (populated when the UDF has an
-        #: ``apply_fn``; empty in pure-timing runs).
+        #: Real UDF results by tuple id (when the UDF has an ``apply_fn``).
+        #: ``JoinJob`` points every runtime of a run at its one live dict:
+        #: copy it before mutating it.  The later write of a tuple wins.
         self.outputs: dict[int, Any] = {}
         # ------------------------------------------------------------------
         # Wire traffic is the runtime kernel's job: the transport owns
@@ -233,9 +234,10 @@ class ComputeNodeRuntime:
             fault_tolerance=fault_tolerance,
             tracer=tracer,
         )
-        # Exactly-once dispatch guard: under fallback, one tuple can be
-        # reachable through two live paths (e.g. a fetch-waiter list
-        # and a fallback response); the first dispatch wins.
+        # Exactly-once guard: under fallback, one tuple can reach two
+        # response paths (e.g. a fetch-waiter list and a fallback
+        # response); the first wins.  It holds only tuples that reached a
+        # response path: one executed locally at submit was never sent.
         self._settled: set[int] = set()
         # ------------------------------------------------------------------
         # Resilience (opt-in; None wires nothing and stays bit-identical
@@ -557,20 +559,11 @@ class ComputeNodeRuntime:
         self, tuple_id: int, key: Hashable, value: Any, params: Any,
         disk: bool, hydrate: bool,
     ) -> None:
-        """Run the UDF locally for one tuple.
-
-        ``disk`` charges a local disk read before the CPU work (a
-        disk-tier hit); ``hydrate`` adds the deserialization cost of a
-        value that is not a live object in the memory cache.
+        """Run the UDF locally for one tuple (a response path checks
+        ``_settled`` first).  ``disk`` charges a local disk read before
+        the CPU work (a disk-tier hit); ``hydrate`` adds the cost of
+        deserializing a value that is not a live object in memory.
         """
-        settled = self._settled
-        if tuple_id in settled:
-            # Exactly-once: this tuple already completed (or is being
-            # computed) through another path — e.g. its fetch-waiter
-            # entry was served by a fallback response before the
-            # original fetch landed.
-            return
-        settled.add(tuple_id)
         sim = self.cluster.sim
         info = self._row_info.get(key)
         if info is None:
@@ -659,6 +652,7 @@ class ComputeNodeRuntime:
     def _on_batch_response(self, response: BatchResponse) -> None:
         """Process one matched response batch (transport already
         dropped duplicates and cancelled the retry timer)."""
+        settled = self._settled
         for item in response.items:
             self._row_info[item.key] = _RowInfo(
                 size=item.cost_params.value_size,
@@ -674,9 +668,9 @@ class ComputeNodeRuntime:
             if self.optimizer is not None:
                 self.optimizer.observe_response(item.cost_params, item.updated_at)
             if item.computed:
-                if item.tuple_id in self._settled:
-                    continue  # exactly-once guard (see _execute_local)
-                self._settled.add(item.tuple_id)
+                if item.tuple_id in settled:
+                    continue
+                settled.add(item.tuple_id)
                 if self.udf.apply_fn is not None:
                     self.outputs[item.tuple_id] = item.value
                 self._completed += 1
@@ -686,9 +680,10 @@ class ComputeNodeRuntime:
                 continue
             if item.route.is_data_request:
                 self._complete_fetch(item)
-            else:
+            elif item.tuple_id not in settled:
                 # Compute request bounced back by load balancing: the
                 # value arrived uncomputed; run the UDF locally.
+                settled.add(item.tuple_id)
                 self._execute_local(item.tuple_id, item.key, item.value,
                                     item.params, disk=False, hydrate=True)
         # The ack clock ticks last, once the completions above have refilled.
@@ -714,17 +709,20 @@ class ComputeNodeRuntime:
                     subscriber_id=self.node_id,
                     listener=self._on_update_notification,
                 )
-        waiters = self._fetch_waiters.pop(key, [(item.tuple_id, item.params)])
-        if all(tuple_id != item.tuple_id for tuple_id, _ in waiters):
-            # A fallback fetch for a tuple that was never a fetch
-            # waiter (it started life as a compute request): the value
-            # serves the waiters *and* the fallback tuple itself.
-            waiters = waiters + [(item.tuple_id, item.params)]
+        # The fetched tuple rides last: a fallback fetch for a tuple that
+        # was never a waiter (it started life as a compute request) is
+        # served too, and a waiter's repeat is skipped as settled.
+        waiters = self._fetch_waiters.pop(key, [])
+        waiters.append((item.tuple_id, item.params))
+        settled = self._settled
         for index, (tuple_id, params) in enumerate(waiters):
             # The value is in a network buffer right now; waiters
             # compute from memory regardless of the cache tier chosen.
             # Hydration happens once per fetch — the first waiter
             # deserializes; the live object serves the rest.
+            if tuple_id in settled:
+                continue
+            settled.add(tuple_id)
             self._execute_local(tuple_id, key, item.value, params,
                                 disk=False, hydrate=index == 0)
 

@@ -320,6 +320,8 @@ class JoinJob:
     #: leaves and rejoins gets a fresh runtime, and its first
     #: incarnation's outputs and counters still count.
     incarnations: list[ComputeNodeRuntime] = field(init=False, default_factory=list)
+    #: The latest run's results by tuple id; every incarnation writes here.
+    outputs: dict[int, Any] = field(init=False, default_factory=dict)
     budgets: dict[int, MemoryBudget] = field(init=False, default_factory=dict)
     injector: FaultInjector | None = field(init=False, default=None)
     resilience_manager: ResilienceManager | None = field(init=False, default=None)
@@ -391,7 +393,7 @@ class JoinJob:
         ``apply_fn``, real results become available through
         :meth:`collected_outputs`.
         """
-        key_list = list(keys)
+        key_list = keys if isinstance(keys, Sequence) else list(keys)
         n_tuples = len(key_list)
         if params is not None and len(params) != n_tuples:
             raise ValueError("params must align one-to-one with keys")
@@ -406,6 +408,7 @@ class JoinJob:
         self._completions = 0
         self._last_finish = 0.0
         self.incarnations = []
+        self.outputs = {}
         sim = self.cluster.sim
         job_span = None
         if self.tracer.enabled:
@@ -422,57 +425,23 @@ class JoinJob:
             self._last_finish = max(self._last_finish, finish)
 
         finish_times: list[float] = []
-
-        def on_member_complete(tuple_id: int, finish: float) -> None:
-            on_complete(tuple_id, finish)
-            finish_times.append(finish)
-
-        # A static run fuses its per-tuple callback; the shared queue
-        # keeps the plain chain (it is not a hot path).
-        fused = not self.membership
-
-        def chain(feeder: _Feeder) -> None:
-            """Chain feeding onto completions so the pipeline window holds."""
-            runtime = feeder.runtime
-            original = runtime.on_complete
-
-            if fused:
-                # Inline the job counters and the feeder decrement into
-                # one callback — this runs once per tuple.  Same
-                # statement order as the chained closure below.
-                def chained_fast(
-                    tuple_id: int, finish: float, _f=feeder, _j=self
-                ) -> None:
-                    _j._completions += 1
-                    if finish > _j._last_finish:
-                        _j._last_finish = finish
-                    _f._outstanding -= 1
-                    _f._feed()
-
-                runtime.on_complete = chained_fast
-                return
-
-            def chained(tuple_id: int, finish: float, _f=feeder, _o=original) -> None:
-                _o(tuple_id, finish)
-                _f.on_completion()
-
-            runtime.on_complete = chained
-
-        items = [
-            (tuple_id, key, params[tuple_id] if params is not None else None)
-            for tuple_id, key in enumerate(key_list)
-        ]
         feeders: list[_Feeder] = []
         if self.membership:
             # One shared queue: whoever is active pulls the next tuple.
-            shared = deque(items)
+            shared = deque(range(n_tuples))
             active: dict[int, _QueueFeeder] = {}
 
             def join(cn: int) -> _QueueFeeder:
+                def on_member_complete(tuple_id: int, finish: float) -> None:
+                    on_complete(tuple_id, finish)
+                    finish_times.append(finish)
+                    feeder.on_completion()
+
                 runtime = self._make_runtime(cn, on_member_complete, job_span)
-                active[cn] = _QueueFeeder(runtime, shared, self.pipeline_window)
-                chain(active[cn])
-                return active[cn]
+                feeder = active[cn] = _QueueFeeder(
+                    runtime, key_list, params, shared, self.pipeline_window
+                )
+                return feeder
 
             def apply_membership(event: MembershipEvent) -> None:
                 if event.action == "remove":
@@ -492,12 +461,27 @@ class JoinJob:
             # framework assumes the source balances compute-node load
             # (Section 3.1).
             for index, cn in enumerate(self.compute_nodes):
-                share = items[index::len(self.compute_nodes)]
+                share = range(index, n_tuples, len(self.compute_nodes))
                 runtime = self._make_runtime(
                     cn, on_complete, job_span, expected_inputs=len(share)
                 )
-                feeders.append(_Feeder(runtime, share, self.pipeline_window))
-                chain(feeders[-1])
+                feeder = _Feeder(
+                    runtime, key_list, params, share, self.pipeline_window
+                )
+                feeders.append(feeder)
+
+                # This runs once per tuple, so the job counters (as in
+                # on_complete) and the window refill are one callback.
+                def fused(
+                    tuple_id: int, finish: float, _f=feeder, _j=self
+                ) -> None:
+                    _j._completions += 1
+                    if finish > _j._last_finish:
+                        _j._last_finish = finish
+                    _f._outstanding -= 1
+                    _f._feed()
+
+                runtime.on_complete = fused
 
         for time, key, new_value in updates or ():
             def apply_update(k=key, v=new_value, t=time) -> None:
@@ -602,6 +586,7 @@ class JoinJob:
             # seq 0 would be answered with its first incarnation's
             # responses.  Each incarnation gets its own id range.
             runtime.transport._rid_seq = rejoins << 32
+        runtime.outputs = self.outputs
         self.runtimes[cn] = runtime
         self.incarnations.append(runtime)
         return runtime
@@ -687,6 +672,7 @@ class JoinJob:
         latencies: list[float] = [0.0] * n_tuples
         last_finish = 0.0
         completions = 0
+        self.outputs = {}
 
         def on_complete(tuple_id: int, finish: float) -> None:
             nonlocal last_finish, completions
@@ -746,12 +732,11 @@ class JoinJob:
         Because the function is side-effect free, the result for a
         tuple is identical whether it executed at a compute node, at a
         data node, or from cache — the locational-transparency
-        invariant the tests verify.
+        invariant the tests verify.  This is the job's live dict: copy
+        it before mutating it.  If two incarnations of a node complete
+        one tuple, the write later in simulated time wins.
         """
-        merged: dict[int, Any] = {}
-        for runtime in self.incarnations:
-            merged.update(runtime.outputs)
-        return merged
+        return self.outputs
 
     # ------------------------------------------------------------------
     # Metrics
@@ -856,18 +841,24 @@ class JoinJob:
 
 
 class _Feeder:
-    """Bounded-window input feeder for one compute node."""
+    """Bounded-window feeder of one compute node's share of tuple ids
+    (keys and ``params`` are looked up per submit, never copied)."""
 
     def __init__(
         self,
         runtime: ComputeNodeRuntime,
-        items: list[tuple[int, Hashable, Any]],
+        keys: Sequence[Hashable],
+        params: Sequence[Any] | None,
+        share: range,
         window: int,
     ) -> None:
         self.runtime = runtime
-        self.items = items
+        self.keys = keys
+        self.params = params
+        self.share = share
         self.window = window
-        self._next = 0
+        #: The next tuple id to submit (``share`` walked by its step).
+        self._next = share.start
         self._outstanding = 0
         self._finished_input = False
 
@@ -887,20 +878,22 @@ class _Feeder:
         completions arrive through scheduled events), so the cursor and
         window count can be written back once after the loop.
         """
-        items = self.items
-        n = len(items)
-        nxt = self._next
+        keys = self.keys
+        params = self.params
+        stop = self.share.stop
+        step = self.share.step
+        tuple_id = self._next
         out = self._outstanding
         window = self.window
         submit = self.runtime.submit
-        while nxt < n and out < window:
-            tuple_id, key, params = items[nxt]
-            nxt += 1
+        while tuple_id < stop and out < window:
             out += 1
-            submit(tuple_id, key, params)
-        self._next = nxt
+            submit(tuple_id, keys[tuple_id],
+                   None if params is None else params[tuple_id])
+            tuple_id += step
+        self._next = tuple_id
         self._outstanding = out
-        if nxt >= n and not self._finished_input:
+        if tuple_id >= stop and not self._finished_input:
             self._finished_input = True
             self.runtime.finish_input()
 
@@ -911,10 +904,12 @@ class _QueueFeeder(_Feeder):
     def __init__(
         self,
         runtime: ComputeNodeRuntime,
-        pending: deque[tuple[int, Hashable, Any]],
+        keys: Sequence[Hashable],
+        params: Sequence[Any] | None,
+        pending: deque[int],
         window: int,
     ) -> None:
-        super().__init__(runtime, [], window)
+        super().__init__(runtime, keys, params, range(0), window)
         self.pending = pending
         self._retired = False
 
@@ -927,10 +922,12 @@ class _QueueFeeder(_Feeder):
         if self._retired:
             return
         pending = self.pending
+        params = self.params
         while pending and self._outstanding < self.window:
-            tuple_id, key, params = pending.popleft()
+            tuple_id = pending.popleft()
             self._outstanding += 1
-            self.runtime.submit(tuple_id, key, params)
+            self.runtime.submit(tuple_id, self.keys[tuple_id],
+                                None if params is None else params[tuple_id])
         if not pending and not self._finished_input:
             self._finished_input = True
             self.runtime.finish_input()

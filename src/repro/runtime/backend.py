@@ -239,7 +239,7 @@ class SimBackend:
             tenant_shares=self.tenant_shares,
             seed=self.seed,
         )
-        result = job.run(list(workload.keys), params=workload.params)
+        result = job.run(workload.keys, params=workload.params)
         return BackendRun(
             engine="engine",
             backend="sim",
@@ -279,7 +279,7 @@ class SimBackend:
             memory=self.memory,
             seed=self.seed,
         )
-        result = sim.run(self.strategy, list(workload.keys))
+        result = sim.run(self.strategy, workload.keys)
         job = sim.last_job
         assert job is not None
         return BackendRun(

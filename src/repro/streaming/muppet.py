@@ -183,7 +183,7 @@ class MuppetJoinSimulation:
         self, strategy: StrategyConfig | str, stream: Sequence[Hashable]
     ) -> StreamResult:
         """Run the stream under ``strategy``; returns throughput."""
-        return self._build_job(strategy).run_streaming(list(stream))
+        return self._build_job(strategy).run_streaming(stream)
 
     def run_at_rate(
         self,

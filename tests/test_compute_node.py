@@ -1,19 +1,21 @@
 """Unit-level tests of the compute-node runtime internals."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.cost_model import CostParameters
 from repro.core.optimizer import Route
 from repro.placement.batch import BatchLoadBalancer, SizeProfile
 from repro.engine.batching import HOLD_DEPTH
-from repro.engine.compute_node import ComputeNodeRuntime
+from repro.engine.compute_node import ComputeNodeRuntime, _RowInfo
 from repro.engine.job import JoinJob
 from repro.engine.strategies import Strategy
 from repro.faults import CrashFault, FaultSchedule, FaultTolerance, MessageChaos
 from repro.sim.cluster import Cluster
 from repro.store.datanode import DataNodeServer
 from repro.store.kvstore import KVStore
-from repro.store.messages import UDF, BatchResponse, ResponseItem
+from repro.store.messages import UDF, BatchResponse, RequestItem, ResponseItem
 from repro.store.partitioner import HashPartitioner, RegionMap
 from repro.store.table import Row, Table
 from repro.workloads.synthetic import SyntheticWorkload
@@ -396,6 +398,105 @@ class TestLocalExecutionGoldenPin:
         assert len(shapes) == len(_LOCAL_SHAPES)
         assert list(shapes[tuple_id]) == pinned
         assert runs is None or runs.submits
+
+
+def _guarded_runtime():
+    """FO node 0 whose sends are captured and whose local executions
+    and completions are counted per tuple."""
+    cluster, runtime, _server, completions = build_runtime(
+        Strategy.fo(), max_wait=None
+    )
+    sent, executed = [], Counter()
+
+    def send(dst, kind, items, span_parent=None):
+        sent.extend(items)
+
+    runtime.transport.send = send
+    inner = runtime._execute_local
+
+    def execute_local(tuple_id, *args, **kwargs):
+        executed[tuple_id] += 1
+        inner(tuple_id, *args, **kwargs)
+
+    runtime._execute_local = execute_local
+    return cluster, runtime, sent, executed, completions
+
+
+def _deliver(runtime, request, computed, value="v"):
+    """One response for ``request``, as a replayed or fallback copy
+    would arrive: dispatched, then answered."""
+    runtime._on_dispatch(1, request.kind, [request])
+    params = CostParameters(
+        key=request.key, value_size=1000.0, compute_time=0.0013,
+        disk_time=0.0009, cpu_service_time=0.0011,
+    )
+    runtime._on_batch_response(BatchResponse(src=1, dst=0, items=[
+        ResponseItem(
+            key=request.key, tuple_id=request.tuple_id, route=request.route,
+            computed=computed, value=value, payload_size=1000.0,
+            cost_params=params, updated_at=0.0, params=request.params,
+        )
+    ]))
+
+
+class TestExactlyOnceResponsePaths:
+    """A tuple that reaches a response path twice runs once: the
+    ``_settled`` guard sits on each of the three paths that can deliver
+    it again, and a tuple executed at submit never enters the set."""
+
+    def test_computed_response_delivered_twice(self):
+        cluster, runtime, sent, executed, completions = _guarded_runtime()
+        runtime.submit(0, 3)  # first contact: a compute request
+        runtime.finish_input()
+        (request,) = sent
+        _deliver(runtime, request, computed=True)
+        _deliver(runtime, request, computed=True)
+        cluster.sim.run()
+        assert [tid for tid, _ in completions] == [0]
+        assert not executed
+        assert runtime.completed == 1
+
+    def test_bounced_compute_item_delivered_twice(self):
+        cluster, runtime, sent, executed, completions = _guarded_runtime()
+        runtime.submit(0, 3)
+        runtime.finish_input()
+        (request,) = sent
+        _deliver(runtime, request, computed=False)
+        _deliver(runtime, request, computed=False)
+        cluster.sim.run()
+        assert executed == {0: 1}
+        assert [tid for tid, _ in completions] == [0]
+
+    def test_fetch_waiter_also_served_by_a_fallback_response(self):
+        cluster, runtime, sent, executed, completions = _guarded_runtime()
+        runtime._enqueue_fetch(1, 1, 5, Route.DATA_REQUEST_DISK, "p1")
+        runtime._enqueue_fetch(1, 2, 5, Route.DATA_REQUEST_DISK, "p2")
+        runtime.finish_input()
+        (request,) = sent  # one wire request, two waiters
+        # A fallback copy answering waiter 2 lands first and serves
+        # both waiters; the original fetch for tuple 1 lands after.
+        fallback = RequestItem(key=5, kind=request.kind, route=request.route,
+                               tuple_id=2, params="p2")
+        _deliver(runtime, fallback, computed=False)
+        _deliver(runtime, request, computed=False)
+        cluster.sim.run()
+        assert executed == {1: 1, 2: 1}
+        assert sorted(tid for tid, _ in completions) == [1, 2]
+
+    def test_memory_hits_leave_the_settled_set_empty(self):
+        cluster, runtime, sent, executed, completions = _guarded_runtime()
+        keys = range(8)
+        for key in keys:
+            runtime._row_info[key] = _RowInfo(1000.0, 0.001)
+            assert runtime.cache.cond_cache_in_memory(key, f"v{key}", 1000.0)
+        for tuple_id in range(40):
+            runtime.submit(tuple_id, tuple_id % 8)
+        drain(cluster, runtime, 40)
+        assert not sent
+        assert runtime.optimizer.stats().local_memory == 40
+        assert executed == {tid: 1 for tid in range(40)}
+        assert sorted(tid for tid, _ in completions) == list(range(40))
+        assert runtime._settled == set()
 
 
 class TestAppendixCCost:

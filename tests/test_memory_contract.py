@@ -1,0 +1,84 @@
+"""What a static ``run_join`` on ``sim`` holds per tuple.
+
+A compute node works over a stream with bounded per-key state, so at
+the end of the event loop the only per-tuple memory left is the join
+output itself: the job's one output dict, keyed by tuple id.  No copy
+of the key stream, no per-node slice of it, no merged copy of the
+outputs and no per-tuple exactly-once entry for a tuple that was never
+sent.
+"""
+
+from __future__ import annotations
+
+import linecache
+import tracemalloc
+
+from repro.api import JobSpec, RunConfig, run_join
+from repro.engine import compute_node, job as job_module
+from repro.engine.job import JoinJob
+from repro.sim.events import Simulator
+
+from tests.oracle import single_node_hash_join
+
+N_TUPLES = 40_000
+MB = 1_000_000
+
+
+def _run_traced(monkeypatch):
+    """``run_join`` under tracemalloc; returns the spec, the report, the
+    job, the snapshot taken at the end of ``Simulator.run`` and where
+    the output's largest tuple id was allocated."""
+    spec = JobSpec.synthetic(n_keys=400, n_tuples=N_TUPLES, skew=1.5, seed=3)
+    config = RunConfig(engine="engine", backend="sim", n_compute=4, n_data=4,
+                       seed=3)
+    jobs, snapshots, id_frames = [], [], []
+    job_run, sim_run = JoinJob.run, Simulator.run
+
+    def run_job(self, *args, **kwargs):
+        jobs.append(self)
+        return job_run(self, *args, **kwargs)
+
+    def run_sim(self, *args, **kwargs):
+        sim_run(self, *args, **kwargs)
+        snapshots.append(tracemalloc.take_snapshot())
+        largest = max(jobs[0].outputs)
+        id_frames.append(tracemalloc.get_object_traceback(largest)[0])
+
+    monkeypatch.setattr(JoinJob, "run", run_job)
+    monkeypatch.setattr(Simulator, "run", run_sim)
+    tracemalloc.start()
+    try:
+        report = run_join(spec, config)
+    finally:
+        tracemalloc.stop()
+    (job,) = jobs
+    (snapshot,) = snapshots
+    (id_frame,) = id_frames
+    return spec, report, job, snapshot, id_frame
+
+
+def test_a_static_run_holds_each_tuple_once(monkeypatch):
+    spec, report, job, snapshot, id_frame = _run_traced(monkeypatch)
+    outputs = job.collected_outputs()
+    assert all(outputs is runtime.outputs for runtime in job.incarnations)
+    assert report.outputs is outputs
+    values = {row.key: row.value for row in spec.table.rows()}
+    assert outputs == single_node_hash_join(spec.keys, spec.udf, values)
+
+    # The tuple ids are the output's keys: the feeder allocates them,
+    # one each, and the output holds them.
+    held = {}
+    for stat in snapshot.statistics("lineno"):
+        frame = stat.traceback[0]
+        if frame.filename in (job_module.__file__, compute_node.__file__):
+            held[(frame.filename, frame.lineno)] = stat
+    assert id_frame.filename == job_module.__file__
+    assert held[(id_frame.filename, id_frame.lineno)].count <= N_TUPLES
+
+    for (filename, lineno), stat in held.items():
+        if (filename, lineno) == (id_frame.filename, id_frame.lineno):
+            continue
+        source = linecache.getline(filename, lineno)
+        if filename == compute_node.__file__ and "self.outputs[" in source:
+            continue  # the output write
+        assert stat.size < MB, f"{filename}:{lineno} holds {stat.size} B"
