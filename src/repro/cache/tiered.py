@@ -21,6 +21,14 @@ so concurrent in-flight fetches cannot over-commit memory; the caller
 completes the reservation with :meth:`TieredCache.fulfill` when the
 value arrives (or :meth:`TieredCache.cancel_reservation` if it never
 does, e.g. the row was updated meanwhile).
+
+Victims come off a lazy min-heap holding one live ``(benefit, seq, key)``
+entry per memory resident: the victim is the resident with the least
+``(benefit, seq of its last benefit change)``.  A live entry's benefit may
+lag the key's but never exceeds it, so a hit (LFU-DA's ``w·F + L`` rises
+unless the weight fell) pushes only when the benefit falls, and a pop
+re-queues a lagging entry.  Dead entries are filtered out once the heap
+exceeds ``2 × residents + 64``.
 """
 
 from __future__ import annotations
@@ -47,6 +55,10 @@ class _Resident:
     value: Any
     size: float
     reserved: bool = False
+    # Memory tier only: the ``seq`` of the last benefit change, and the
+    # one live heap entry (its benefit may lag, never lead, the key's).
+    seq: int = -1
+    entry: tuple[float, int, Hashable] | None = None
 
 
 @dataclass(frozen=True)
@@ -113,7 +125,8 @@ class TieredCache:
         self._disk: dict[Hashable, _Resident] = {}
         self._mem_used = 0.0
         self._disk_used = 0.0
-        # Lazy min-heap over memory residents: (benefit, seq, key).
+        # Lazy min-heap over memory residents: (benefit, seq, key), one
+        # live entry per resident plus dead ones awaiting a pop.
         self._mem_heap: list[tuple[float, int, Hashable]] = []
         self._seq = 0
         self._memory_hits = 0
@@ -160,17 +173,22 @@ class TieredCache:
     def update_benefit(self, key: Hashable, weight: float = 1.0) -> float:
         """Record an access to ``key`` for benefit accounting."""
         benefit = self.policy.on_access(key, weight=weight)
-        if key in self._memory:
-            self._push_heap(key, benefit)
+        resident = self._memory.get(key)
+        if resident is not None:
+            if benefit < resident.entry[0]:
+                self._push_heap(key, benefit)
+            else:
+                resident.seq = self._seq
+                self._seq += 1
         return benefit
 
     def access_fast(
         self, key: Hashable, weight: float
     ) -> tuple[Any, CacheTier] | None:
-        """Fused :meth:`update_benefit` + :meth:`lookup` (opt mode).
+        """Fused :meth:`update_benefit` + :meth:`lookup`.
 
         One memory-dict probe serves both the residency check of the
-        benefit push and the hit test; counters, heap pushes and the
+        benefit change and the hit test; counters, heap entries and the
         returned tier match the two separate calls exactly.  Callers
         guarantee ``weight > 0``.
         """
@@ -182,7 +200,12 @@ class TieredCache:
         policy._benefit[key] = benefit
         resident = self._memory.get(key)
         if resident is not None:
-            self._push_heap(key, benefit)
+            # A hit stamps ``seq``; only a falling benefit needs a push.
+            if benefit < resident.entry[0]:
+                self._push_heap(key, benefit)
+            else:
+                resident.seq = self._seq
+                self._seq += 1
             if not resident.reserved:
                 self._memory_hits += 1
                 return resident.value, CacheTier.MEMORY
@@ -241,10 +264,7 @@ class TieredCache:
         """Drop a reservation (e.g. the fetch was abandoned)."""
         resident = self._memory.get(key)
         if resident is not None and resident.reserved:
-            del self._memory[key]
-            self._mem_used -= resident.size
-            if self._budget is not None:
-                self._budget.release(self._budget_owner, resident.size)
+            self._leave_memory(key)
 
     # ------------------------------------------------------------------
     # Disk tier
@@ -277,13 +297,9 @@ class TieredCache:
         history is forgotten *without* aging — an invalidation is not
         an eviction decision.
         """
-        found = False
-        resident = self._memory.pop(key, None)
-        if resident is not None:
-            self._mem_used -= resident.size
-            if self._budget is not None:
-                self._budget.release(self._budget_owner, resident.size)
-            found = True
+        found = key in self._memory
+        if found:
+            self._leave_memory(key)
         resident = self._disk.pop(key, None)
         if resident is not None:
             self._disk_used -= resident.size
@@ -375,8 +391,34 @@ class TieredCache:
         return self.memory_bytes - self._mem_used
 
     def _push_heap(self, key: Hashable, benefit: float) -> None:
-        heapq.heappush(self._mem_heap, (benefit, self._seq, key))
+        """Stamp a benefit change of resident ``key`` with a new live entry."""
+        resident = self._memory[key]
+        resident.seq = seq = self._seq
         self._seq += 1
+        resident.entry = entry = (benefit, seq, key)
+        heapq.heappush(self._mem_heap, entry)
+        if len(self._mem_heap) > 2 * len(self._memory) + 64:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop dead entries; filters the heap itself, so a victim popped
+        inside Algorithm 3 and not yet re-pushed stays out of it."""
+        heap, memory = self._mem_heap, self._memory
+        heap[:] = [
+            e for e in heap
+            if (r := memory.get(e[2])) is not None and r.entry is e
+        ]
+        heapq.heapify(heap)
+
+    def _leave_memory(self, key: Hashable) -> _Resident:
+        """Remove ``key`` from the memory tier and release its bytes."""
+        resident = self._memory.pop(key)
+        self._mem_used -= resident.size
+        if self._budget is not None:
+            self._budget.release(self._budget_owner, resident.size)
+        if len(self._mem_heap) > 2 * len(self._memory) + 64:
+            self._compact()
+        return resident
 
     def _admit(self, key: Hashable, value: Any | None, size: float) -> None:
         was_on_disk = key in self._disk
@@ -394,26 +436,30 @@ class TieredCache:
     def _pop_valid_min(
         self, exclude: set[Hashable] | None = None
     ) -> tuple[float, Hashable] | None:
-        """Pop the memory resident with the smallest current benefit.
+        """Pop the resident with the least ``(benefit, seq)``.
 
-        The heap is lazy: entries whose recorded benefit is stale (the
-        key was accessed again, evicted, or invalidated) are discarded
-        or refreshed on the way out.  ``exclude`` skips keys already
-        collected by the caller — duplicate heap entries for one key
-        are legal (each benefit update pushes a new entry).
+        Entries other than their resident's live one are discarded.  A
+        live entry whose key was hit since its push lags: it is
+        re-queued as ``(current benefit, resident.seq, key)``, consuming
+        no ``seq``.  The first live, current entry is the victim (its
+        resident keeps pointing at it until re-pushed or evicted).
+        ``exclude`` skips keys the caller already holds.
         """
-        while self._mem_heap:
-            benefit, _seq, key = heapq.heappop(self._mem_heap)
+        heap, memory = self._mem_heap, self._memory
+        while heap:
+            entry = heapq.heappop(heap)
+            key = entry[2]
             if exclude is not None and key in exclude:
                 continue
-            resident = self._memory.get(key)
-            if resident is None:
+            resident = memory.get(key)
+            if resident is None or resident.entry is not entry:
                 continue
-            current = self.policy.benefit(key)
-            if current != benefit:
-                self._push_heap(key, current)
+            if entry[1] != resident.seq:
+                entry = (self.policy.benefit(key), resident.seq, key)
+                resident.entry = entry
+                heapq.heappush(heap, entry)
                 continue
-            return benefit, key
+            return entry[0], key
         return None
 
     def _admit_uniform(self, key: Hashable, size: float) -> bool:
@@ -487,10 +533,7 @@ class TieredCache:
         return True
 
     def _evict_to_disk(self, key: Hashable) -> None:
-        resident = self._memory.pop(key)
-        self._mem_used -= resident.size
-        if self._budget is not None:
-            self._budget.release(self._budget_owner, resident.size)
+        resident = self._leave_memory(key)
         self._mem_to_disk += 1
         self.policy.on_evict(key)
         if resident.reserved:

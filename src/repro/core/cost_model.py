@@ -153,12 +153,6 @@ class CostModel:
         # and surfaced as counters for the metrics layer.
         self._timeouts_per_node: dict[int, int] = {}
         self._retry_seconds = 0.0
-        # Spill charging (memory-adaptive execution): counts and bytes
-        # of build-side spill/unspill traffic, surfaced as ``memory.*``
-        # counters.  Zero (and untouched) when memory adaptation is off.
-        self._spill_count = 0
-        self._spill_bytes = 0.0
-        self._spill_seconds = 0.0
 
     # ------------------------------------------------------------------
     # Observation side: fold measured parameters into the estimates.
@@ -213,28 +207,6 @@ class CostModel:
         )
         self._retry_seconds += waited
         self._observe_disk(data_node, waited)
-
-    def observe_spill(self, nbytes: float, seconds: float) -> None:
-        """Charge one spill (or unspill) of ``nbytes`` taking ``seconds``.
-
-        Memory-adaptive execution pushes build-side partitions through
-        the modeled disk tier under budget pressure; the wall time is
-        already paid on the disk arm where the spill happened, so this
-        is pure bookkeeping — a running tally the metrics layer
-        publishes under ``memory.*``.  Estimates are deliberately left
-        untouched: the priced I/O already flows through the observed
-        disk times, and double-folding would bias ski-rental.
-        """
-        if nbytes < 0 or seconds < 0:
-            raise ValueError("spill bytes and seconds must be non-negative")
-        self._spill_count += 1
-        self._spill_bytes += nbytes
-        self._spill_seconds += seconds
-
-    @property
-    def spills_charged(self) -> tuple[int, float, float]:
-        """``(count, bytes, seconds)`` of spill traffic charged so far."""
-        return self._spill_count, self._spill_bytes, self._spill_seconds
 
     @property
     def timeouts_charged(self) -> int:

@@ -829,14 +829,6 @@ class JoinJob:
         )
         if cache_spills:
             sources.append({"cache_spills": float(cache_spills)})
-        for runtime in self.incarnations:
-            count, nbytes, seconds = runtime.cost_model.spills_charged
-            if count:
-                sources.append({
-                    "spills": float(count),
-                    "spill_bytes": nbytes,
-                    "spill_seconds": seconds,
-                })
         return sources
 
 

@@ -313,16 +313,6 @@ class MultiJoinJob:
         cache_spills = sum(rt.cache.budget_spills for rt in all_runtimes)
         if cache_spills:
             sources.append({"cache_spills": float(cache_spills)})
-        for rt in all_runtimes:
-            count, nbytes, seconds = rt.cost_model.spills_charged
-            if count:
-                sources.append(
-                    {
-                        "spills": float(count),
-                        "spill_bytes": nbytes,
-                        "spill_seconds": seconds,
-                    }
-                )
         if self.replan_decisions:
             sources.append(
                 {

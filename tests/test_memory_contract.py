@@ -5,7 +5,8 @@ the end of the event loop the only per-tuple memory left is the join
 output itself: the job's one output dict, keyed by tuple id.  No copy
 of the key stream, no per-node slice of it, no merged copy of the
 outputs and no per-tuple exactly-once entry for a tuple that was never
-sent.
+sent.  The tiered cache's victim heap holds one live entry per
+resident, so it too is bounded by the keys, not by the stream.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ from __future__ import annotations
 import linecache
 import tracemalloc
 
+import pytest
+
 from repro.api import JobSpec, RunConfig, run_join
+from repro.cache import tiered
 from repro.engine import compute_node, job as job_module
 from repro.engine.job import JoinJob
 from repro.sim.events import Simulator
@@ -57,8 +61,14 @@ def _run_traced(monkeypatch):
     return spec, report, job, snapshot, id_frame
 
 
-def test_a_static_run_holds_each_tuple_once(monkeypatch):
-    spec, report, job, snapshot, id_frame = _run_traced(monkeypatch)
+@pytest.fixture(scope="module")
+def traced_run():
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return _run_traced(monkeypatch)
+
+
+def test_a_static_run_holds_each_tuple_once(traced_run):
+    spec, report, job, snapshot, id_frame = traced_run
     outputs = job.collected_outputs()
     assert all(outputs is runtime.outputs for runtime in job.incarnations)
     assert report.outputs is outputs
@@ -82,3 +92,15 @@ def test_a_static_run_holds_each_tuple_once(monkeypatch):
         if filename == compute_node.__file__ and "self.outputs[" in source:
             continue  # the output write
         assert stat.size < MB, f"{filename}:{lineno} holds {stat.size} B"
+
+
+def test_the_cache_heap_holds_one_entry_per_resident(traced_run):
+    """A memory hit pushes no heap entry unless the key's benefit fell,
+    so the cache's sites hold per-key state only: at most 400 keys on
+    each of four nodes, not an entry per hit."""
+    snapshot = traced_run[3]
+    held = sum(
+        stat.size for stat in snapshot.statistics("lineno")
+        if stat.traceback[0].filename == tiered.__file__
+    )
+    assert held < MB, f"cache/tiered.py holds {held} B"

@@ -1,5 +1,6 @@
 """Tests for the two-tier cache and condCacheInMemory (Algorithms 2-3)."""
 
+import heapq
 import math
 from typing import Hashable
 
@@ -417,3 +418,148 @@ def test_property_single_victim_path_matches_the_general_algorithm(ops):
         assert fast.disk_keys == general.disk_keys
         assert fast.memory_used == general.memory_used
         assert fast.stats() == general.stats()
+
+
+# ----------------------------------------------------------------------
+# One live heap entry per resident against an eager heap.  The eager
+# reference pushes on every benefit change of a resident, validates
+# entries by ``seq`` and never compacts; the cache pushes only when a
+# benefit falls, re-queues lagging entries when popped and compacts.
+# Both must pick the same victims, so every answer, tier, counter and
+# ``seq`` matches.
+# ----------------------------------------------------------------------
+class _EagerHeap(TieredCache):
+    """:class:`TieredCache` with a push on every benefit change."""
+
+    def update_benefit(self, key, weight=1.0):
+        benefit = self.policy.on_access(key, weight=weight)
+        if key in self._memory:
+            self._push_heap(key, benefit)
+        return benefit
+
+    def access_fast(self, key, weight):
+        self.update_benefit(key, weight=weight)
+        return self.lookup(key)
+
+    def _compact(self):
+        pass
+
+    def _pop_valid_min(self, exclude=None):
+        while self._mem_heap:
+            benefit, seq, key = heapq.heappop(self._mem_heap)
+            if exclude is not None and key in exclude:
+                continue
+            resident = self._memory.get(key)
+            if resident is not None and resident.seq == seq:
+                return benefit, key
+        return None
+
+
+def _assert_one_live_entry(cache: TieredCache) -> None:
+    """The heap stays bounded, and every resident's live entry is in it
+    with a benefit that never exceeds the key's."""
+    heap = cache._mem_heap
+    assert len(heap) <= 2 * len(cache._memory) + 64
+    in_heap = {id(entry) for entry in heap}
+    for key, resident in cache._memory.items():
+        assert id(resident.entry) in in_heap
+        assert resident.entry[0] <= cache.policy.benefit(key)
+
+
+_LIVE_OP = st.tuples(
+    st.integers(min_value=0, max_value=8),  # op code
+    st.integers(min_value=0, max_value=9),  # key
+    st.floats(min_value=1.0, max_value=60.0),  # size (first use of the key)
+    st.floats(min_value=0.25, max_value=8.0),  # benefit weight
+)
+
+
+def _live_step(cache: TieredCache, op: int, key: int, size: float,
+               weight: float):
+    """One hit / admission / reservation / weight decrease /
+    invalidation / reclaim step; returns its answer."""
+    if op == 0:
+        return cache.access_fast(key, weight)
+    if op == 1:
+        cache.update_benefit(key, weight=weight)
+        return cache.lookup(key)
+    if op == 2:
+        cache.update_benefit(key, weight=weight)
+        return cache.cond_cache_in_memory(key, f"v{key}", size)
+    if op in (3, 4):
+        cache.update_benefit(key, weight=weight)
+        already = key in cache.memory_keys
+        admitted = cache.cond_cache_in_memory(key, None, size)
+        if op == 3 and admitted and not already:
+            cache.fulfill(key, f"f{key}")
+        return admitted
+    if op == 5:
+        return cache.cancel_reservation(key)
+    if op == 6:
+        # Eight hits on one resident, its weight cut each time.
+        residents = sorted(cache.memory_keys)
+        if not residents:
+            return None
+        target = residents[key % len(residents)]
+        answers = []
+        for _ in range(8):
+            cut = cache.policy._weight.get(target, 1.0) * weight / 8.5
+            answers.append(cache.access_fast(target, cut))
+        return answers
+    if op == 7:
+        return cache.invalidate(key)
+    return cache.reclaim(size)
+
+
+#: 69 hits with a falling benefit on the one high-benefit resident leave
+#: the heap at exactly ``2 × 5 + 64`` entries.  Admitting key 5 (55
+#: bytes) then pops keys 0-3, evicts 0 and 1, and compacts on key 2's
+#: re-push while key 3, popped but not yet evicted, still points at its
+#: popped entry.
+_COMPACTION_IN_ALGORITHM_3 = (
+    [(2, 0, 10.0, 1.0), (2, 1, 10.0, 2.0), (2, 2, 10.0, 3.0),
+     (2, 3, 40.0, 4.0), (2, 4, 30.0, 100.0)]
+    + [(0, 4, 30.0, (100.0 - n) / n) for n in range(2, 71)]
+    + [(2, 5, 55.0, 20.0)]
+)
+
+#: 67 hits with a falling benefit on key 1 overflow ``2 × 2 + 64`` and
+#: compact on the push; 66 more fill the heap to the bound again, and
+#: invalidating key 0 lowers the bound under it: compact on removal.
+_COMPACTION_ON_PUSH_AND_REMOVAL = (
+    [(2, 0, 10.0, 1.0), (2, 1, 10.0, 200.0)]
+    + [(0, 1, 10.0, (200.0 - n) / n) for n in range(2, 135)]
+    + [(7, 0, 10.0, 1.0)]
+)
+
+
+@given(ops=st.lists(_LIVE_OP, min_size=1, max_size=150))
+# A rising benefit pushes nothing: key 0's entry lags at 1.0 while its
+# benefit is 2.0, so the pop re-queues it and key 1 (1.0) is rejected.
+@example(ops=[(2, 0, 47.0, 1.0), (0, 0, 1.0, 1.0), (2, 1, 54.0, 1.0)])
+# A weight decrease drops key 0 below key 1: key 0 is the victim.
+@example(ops=[(2, 0, 40.0, 4.0), (2, 1, 40.0, 1.0), (0, 0, 40.0, 0.25),
+              (2, 2, 40.0, 2.0)])
+@example(ops=_COMPACTION_IN_ALGORITHM_3)
+@example(ops=_COMPACTION_ON_PUSH_AND_REMOVAL)
+@settings(max_examples=100, deadline=None)
+def test_property_one_live_entry_matches_an_eager_heap(ops):
+    """Every step leaves both caches with the same answers, tiers,
+    memory use, counters, ``seq`` stamps and sequence counter, and the
+    cache's heap within its bound."""
+    lazy = TieredCache(memory_bytes=100.0, disk_bytes=300.0)
+    eager = _EagerHeap(memory_bytes=100.0, disk_bytes=300.0)
+    sizes: dict[int, float] = {}
+    for op, key, size, weight in ops:
+        size = sizes.setdefault(key, size)
+        answer = _live_step(lazy, op, key, size, weight)
+        assert answer == _live_step(eager, op, key, size, weight)
+        assert lazy.memory_keys == eager.memory_keys
+        assert lazy.disk_keys == eager.disk_keys
+        assert lazy.memory_used == eager.memory_used
+        assert lazy.stats() == eager.stats()
+        assert lazy._seq == eager._seq
+        assert {k: r.seq for k, r in lazy._memory.items()} == {
+            k: r.seq for k, r in eager._memory.items()
+        }
+        _assert_one_live_entry(lazy)
