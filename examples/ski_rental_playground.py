@@ -70,16 +70,16 @@ def demo_optimizer() -> None:
     optimizer = JoinLocationOptimizer(cost_model, TieredCache(memory_bytes=1e6))
     routes = []
     for access in range(6):
-        decision = optimizer.route("token", data_node=1)
-        routes.append(decision.route.value)
-        if decision.route is Route.COMPUTE_REQUEST:
+        route, _value = optimizer.route_fast("token", data_node=1)
+        routes.append(route.value)
+        if route is Route.COMPUTE_REQUEST:
             # The data node replies with measured costs.
             optimizer.observe_response(CostParameters(
                 key="token", value_size=200_000.0, compute_time=0.02,
                 disk_time=0.002, cpu_service_time=0.004, node_id=1,
             ))
-        elif decision.route.is_data_request:
-            optimizer.complete_fetch("token", "MODEL-BYTES", decision.route)
+        elif route.is_data_request:
+            optimizer.complete_fetch("token", "MODEL-BYTES", route)
     print("  access-by-access routing:", routes)
     assert routes[0] == "compute-request"  # first contact always rents
     assert routes[-1] == "local-memory"  # ends up cached

@@ -40,7 +40,6 @@ from repro.core import (
     CostParameters,
     JoinLocationOptimizer,
     Route,
-    RoutingDecision,
     SizeProfile,
     SkiRental,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "ObsOptions",
     "ResilienceOptions",
     "Route",
-    "RoutingDecision",
     "RunConfig",
     "RunReport",
     "SizeProfile",

@@ -28,7 +28,6 @@ from repro.core.frequency import LossyCounter, ExactCounter
 from repro.core.optimizer import (
     JoinLocationOptimizer,
     Route,
-    RoutingDecision,
 )
 from repro.placement.batch import (
     BatchLoadBalancer,
@@ -59,7 +58,6 @@ __all__ = [
     "ExactCounter",
     "JoinLocationOptimizer",
     "Route",
-    "RoutingDecision",
     "BatchLoadBalancer",
     "ComputeNodeStats",
     "DataNodeStats",

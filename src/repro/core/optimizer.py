@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable, NamedTuple, Sequence
 
 from repro.cache.tiered import CacheTier, TieredCache
-from repro.core.cost_model import CostModel, CostParameters, RequestCosts
+from repro.core.cost_model import CostModel, CostParameters
 from repro.core.frequency import ExactCounter, LossyCounter
 from repro.core.update_tracker import UpdateTracker
 
@@ -53,16 +53,6 @@ class Route(enum.Enum):
     def is_data_request(self) -> bool:
         """True when the stored value will be fetched and cached."""
         return self in (Route.DATA_REQUEST_MEMORY, Route.DATA_REQUEST_DISK)
-
-
-@dataclass(frozen=True)
-class RoutingDecision:
-    """Outcome of routing one request."""
-
-    key: Hashable
-    route: Route
-    value: Any = None
-    costs: RequestCosts | None = None
 
 
 class RouteBatch(NamedTuple):
@@ -137,67 +127,20 @@ class JoinLocationOptimizer:
     # ------------------------------------------------------------------
     # Algorithm 1 body
     # ------------------------------------------------------------------
-    def route(self, key: Hashable, data_node: int) -> RoutingDecision:
-        """Route one request for ``key`` served by ``data_node``."""
-        self.cache.update_benefit(key, weight=self._benefit_weight(key, data_node))
-        count = self.counter.add(key)
-
-        cached = self.cache.lookup(key)
-        if cached is not None:
-            value, tier = cached
-            if tier is CacheTier.MEMORY:
-                self._n_local_mem += 1
-                return RoutingDecision(key=key, route=Route.LOCAL_MEMORY, value=value)
-            # Disk hit: Algorithm 1 lines 6-9 — serve it and consider
-            # promoting the item to memory for future accesses.
-            self._n_local_disk += 1
-            size = self._item_size(key)
-            self.cache.cond_cache_in_memory(key, value, size)
-            return RoutingDecision(key=key, route=Route.LOCAL_DISK, value=value)
-
-        if not self.cost_model.knows_key(key):
-            # First contact: costs unknown, must rent (Section 4.3).
-            self._n_first += 1
-            self._n_compute += 1
-            return RoutingDecision(key=key, route=Route.COMPUTE_REQUEST)
-
-        costs = self.cost_model.costs(key, data_node)
-        mem_threshold = self._threshold(costs.rent, costs.buy, costs.t_rec_mem)
-        if count <= mem_threshold:
-            self._n_compute += 1
-            return RoutingDecision(key=key, route=Route.COMPUTE_REQUEST, costs=costs)
-
-        size = self._item_size(key)
-        if self.cache.cond_cache_in_memory(key, None, size):
-            self._n_data_mem += 1
-            return RoutingDecision(
-                key=key, route=Route.DATA_REQUEST_MEMORY, costs=costs
-            )
-
-        disk_threshold = self._threshold(costs.rent, costs.buy, costs.t_rec_disk)
-        if count <= disk_threshold:
-            self._n_compute += 1
-            return RoutingDecision(key=key, route=Route.COMPUTE_REQUEST, costs=costs)
-
-        self._n_data_disk += 1
-        return RoutingDecision(key=key, route=Route.DATA_REQUEST_DISK, costs=costs)
-
     def route_fast(self, key: Hashable, data_node: int) -> tuple[Route, Any]:
-        """Fused :meth:`route` body returning ``(route, value)``.
+        """Route one request for ``key`` served by ``data_node``.
 
-        Same decision sequence and side effects as :meth:`route`, but
-        the cost formulas are evaluated once up front (the benefit
-        weight and the ski-rental thresholds read the same
-        :class:`RequestCosts`) and no :class:`RoutingDecision` is
-        allocated.  Dispatch paths that do not need the costs attached
-        to the decision call this instead of :meth:`route`.
+        Returns ``(route, value)``; ``value`` is the cached value on a
+        local route and ``None`` otherwise.  The four costs are read
+        once up front: the benefit weight (weighted LFU-DA: a memory
+        resident saves ``rent - tRecMem`` per access, unknown keys weigh
+        1) and the two ski-rental thresholds share them.
         """
         model = self.cost_model
         try:
             c4 = model.costs4(key, data_node)
         except KeyError:
-            # Unknown key or missing bandwidth: same weight fallback as
-            # the reference `_benefit_weight`.
+            # Unknown key or missing bandwidth: weight 1.
             c4 = None
         if c4 is not None:
             weight = c4[0] - c4[2]
@@ -216,19 +159,22 @@ class JoinLocationOptimizer:
             if tier is CacheTier.MEMORY:
                 self._n_local_mem += 1
                 return Route.LOCAL_MEMORY, value
+            # Disk hit: Algorithm 1 lines 6-9 — serve it and consider
+            # promoting the item to memory for future accesses.
             self._n_local_disk += 1
             size = self._item_size(key)
             self.cache.cond_cache_in_memory(key, value, size)
             return Route.LOCAL_DISK, value
 
         if not model.knows_key(key):
+            # First contact: costs unknown, must rent (Section 4.3).
             self._n_first += 1
             self._n_compute += 1
             return Route.COMPUTE_REQUEST, None
 
         if c4 is None:
             # knows_key but no usable costs (e.g. missing bandwidth):
-            # raise exactly where the reference path would.
+            # the costs are needed now, so let the lookup raise.
             c4 = model.costs4(key, data_node)
         rent, buy, rec_mem, rec_disk = c4
         fixed = self.fixed_threshold
@@ -321,28 +267,6 @@ class JoinLocationOptimizer:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _threshold(self, rent: float, buy: float, recurring: float) -> float:
-        if self.fixed_threshold is not None:
-            return self.fixed_threshold
-        if rent <= recurring:
-            return float("inf")
-        return buy / (rent - recurring)
-
-    def _benefit_weight(self, key: Hashable, data_node: int) -> float:
-        """Weighted LFU-DA: weight by per-access savings of caching.
-
-        A memory-cached item saves ``rent - tRecMem`` per access; items
-        with bigger savings deserve residency over small savers of the
-        same frequency.  Unknown keys get weight 1.
-        """
-        if not self.cost_model.knows_key(key):
-            return 1.0
-        try:
-            costs = self.cost_model.costs(key, data_node)
-        except KeyError:
-            return 1.0
-        return max(costs.rent - costs.t_rec_mem, _MIN_WEIGHT)
-
     def _item_size(self, key: Hashable) -> float:
         try:
             return self.cost_model.value_size(key)

@@ -1,14 +1,17 @@
 """Simulated compute node: routing, batching, prefetching, local UDFs.
 
 One :class:`ComputeNodeRuntime` models everything Figure 4 shows on the
-compute side: the optimizer routing each tuple (Algorithm 1 or a fixed
-strategy policy), per-data-node batch buffers, in-flight bookkeeping
-(which doubles as the Appendix C statistics piggybacked on batches),
-the local compute queue, and the tiered cache.
+compute side: the router deciding where each tuple goes, per-data-node
+batch buffers, in-flight bookkeeping (which doubles as the Appendix C
+statistics piggybacked on batches), the local compute queue, and the
+tiered cache.  Strategies differ only in their router, ``(key, dst) ->
+(route, value)``: Algorithm 1 (``JoinLocationOptimizer.route_fast``) or
+a fixed policy, chosen once per runtime.
 
 The runtime is event-driven: the job driver calls :meth:`submit` for
-each input tuple (scheduled on the simulator), responses re-enter via
-scheduled callbacks, and every completed tuple fires ``on_complete``.
+each input tuple (scheduled on the simulator), one body that calls the
+router and acts on its route; responses re-enter via scheduled
+callbacks, and every completed tuple fires ``on_complete``.
 
 All wire traffic — transmission, delivery faults, timeouts, retries
 and replica fallback — goes through the shared runtime kernel
@@ -67,6 +70,16 @@ class _RowInfo:
         self.size = size
         self.compute_cost = compute_cost
         self.hydration_cost = hydration_cost
+
+
+def _always_compute(key: Hashable, dst: int) -> tuple[Route, Any]:
+    """FD, LO and side-effecting UDFs: ship the function to the data node."""
+    return Route.COMPUTE_REQUEST, None
+
+
+def _always_fetch(key: Hashable, dst: int) -> tuple[Route, Any]:
+    """NO and FC: fetch the value and compute here."""
+    return Route.DATA_REQUEST_DISK, None
 
 
 class ComputeNodeRuntime:
@@ -200,7 +213,7 @@ class ComputeNodeRuntime:
         # prefetching remove.
         self._input_queue: deque[tuple[int, Hashable, Any]] = deque()
         self._free_workers = self._node.spec.cores * 2
-        # Figure 9 freeze.
+        # Figure 9 freeze: tuples routed so far.
         self._submitted = 0
         self._freeze_after: int | None = None
         if expected_inputs is not None and config.adaptive_fraction < 1.0:
@@ -234,6 +247,10 @@ class ComputeNodeRuntime:
             fault_tolerance=fault_tolerance,
             tracer=tracer,
         )
+        # Failover replay and replica fallback are exactly-once only for
+        # idempotent requests; side-effecting UDFs ride out a dead
+        # primary on same-id retries against its idempotency cache.
+        self.transport.replay_on_failover = udf.side_effect_free
         # Exactly-once guard: under fallback, one tuple can reach two
         # response paths (e.g. a fetch-waiter list and a fallback
         # response); the first wins.  It holds only tuples that reached a
@@ -246,10 +263,6 @@ class ComputeNodeRuntime:
         self.resilience = resilience
         self.admission: AdmissionController | None = None
         if resilience is not None and resilience.enabled:
-            # Failover replay is exactly-once only for idempotent
-            # requests; side-effecting UDFs ride out a dead primary on
-            # same-id retries against its idempotency cache instead.
-            self.transport.replay_on_failover = udf.side_effect_free
             if (
                 resilience.hedging
                 and udf.side_effect_free
@@ -301,32 +314,47 @@ class ComputeNodeRuntime:
                     park_capacity=tenancy.park_capacity,
                 )
         # ------------------------------------------------------------------
-        # Fused submit: when the steady-state configuration holds
-        # (ski-rental routing, non-blocking, no adaptive freeze,
-        # side-effect-free UDF), per-tuple dispatch skips the submit ->
-        # _route_and_dispatch -> route frame chain.  The decision
-        # sequence and all side effects are identical to that chain,
-        # which the differential suite holds it to.
+        # Routing: each strategy is one router ``(key, dst) -> (route,
+        # value)``, chosen here once; :meth:`submit` acts on its route.
         # ------------------------------------------------------------------
         self._recording = tracer.enabled
         self._dst_cache: dict[Hashable, int] = {}
         self._dst_gen = -1
-        if (
-            self.optimizer is not None
-            and not config.blocking
-            and self._freeze_after is None
-            and udf.side_effect_free
-        ):
-            self.submit = self._submit_fast  # type: ignore[method-assign]
+        self._dst_of: Callable[[Hashable], int] = self._dst_for
+        if not udf.side_effect_free:
+            # Side-effecting UDFs must run exactly once at the row's
+            # owner: always a compute request, never cached, never
+            # bounced (the batch omits the statistics the balancer
+            # would need, so the data node executes everything) and
+            # never served by a hot-key replica.
+            self._dst_of = kvstore.node_for_key
+            self._router = _always_compute
+        elif self.optimizer is None:
+            self._router = {
+                RoutingPolicy.ALWAYS_COMPUTE: _always_compute,
+                RoutingPolicy.ALWAYS_DATA: _always_fetch,
+                RoutingPolicy.RANDOM: self._coin,
+            }[config.routing]
+        elif self._freeze_after is not None:
+            self._router = self._route_until_frozen
+        else:
+            self._router = self.optimizer.route_fast
+        if config.blocking:
+            self.submit = self._submit_blocking  # type: ignore[method-assign]
 
-    def _submit_fast(
-        self, tuple_id: int, key: Hashable, params: Any = None
-    ) -> None:
-        """Fused :meth:`submit` (see wiring above)."""
+    # ------------------------------------------------------------------
+    # Input
+    # ------------------------------------------------------------------
+    def submit(self, tuple_id: int, key: Hashable, params: Any = None) -> None:
+        """Feed one input tuple (called at its arrival event).
+
+        ``params`` is the tuple's extra UDF argument ``p``; it rides
+        along on compute requests and is used for real UDF execution
+        when the UDF defines ``apply_fn``.
+        """
         self._submitted += 1
-        dst = self._dst_for(key)
-        assert self.optimizer is not None
-        route, value = self.optimizer.route_fast(key, dst)
+        dst = self._dst_of(key)
+        route, value = self._router(key, dst)
         if self._recording:
             self._record(tuple_id, key, route.value)
         if route is Route.LOCAL_MEMORY:
@@ -342,25 +370,12 @@ class ComputeNodeRuntime:
             else:
                 self._enqueue(dst, tuple_id, key, RequestKind.COMPUTE,
                               route, params)
+        elif self.optimizer is None:
+            # Nothing is cached without an optimizer, so fetches for
+            # the same key do not coalesce: one wire item per tuple.
+            self._enqueue(dst, tuple_id, key, RequestKind.DATA, route, params)
         else:
             self._enqueue_fetch(dst, tuple_id, key, route, params)
-
-    # ------------------------------------------------------------------
-    # Input
-    # ------------------------------------------------------------------
-    def submit(self, tuple_id: int, key: Hashable, params: Any = None) -> None:
-        """Feed one input tuple (called at its arrival event).
-
-        ``params`` is the tuple's extra UDF argument ``p``; it rides
-        along on compute requests and is used for real UDF execution
-        when the UDF defines ``apply_fn``.
-        """
-        self._submitted += 1
-        if self.config.blocking:
-            self._input_queue.append((tuple_id, key, params))
-            self._dispatch_blocking()
-            return
-        self._route_and_dispatch(tuple_id, key, params)
 
     def buffers(self) -> Iterator[BatchBuffer]:
         """Every batch buffer of this node, compute queues first."""
@@ -408,67 +423,24 @@ class ComputeNodeRuntime:
             self._dst_cache[key] = dst
         return dst
 
-    def _route_and_dispatch(
-        self, tuple_id: int, key: Hashable, params: Any = None
-    ) -> None:
-        if not self.udf.side_effect_free:
-            # Side-effecting UDFs must run exactly once at the row's
-            # owner: always a compute request, never cached, never
-            # bounced (the batch omits the statistics the balancer
-            # would need, so the data node executes everything) and
-            # never served by a hot-key replica.
-            dst = self.kvstore.node_for_key(key)
-            self._record(tuple_id, key, Route.COMPUTE_REQUEST.value)
-            self._enqueue(dst, tuple_id, key, RequestKind.COMPUTE,
-                          Route.COMPUTE_REQUEST, params)
-            return
-        dst = self._dst_for(key)
-        policy = self.config.routing
-        if policy is RoutingPolicy.SKI_RENTAL:
-            assert self.optimizer is not None
-            if self._frozen():
-                cached = self.cache.lookup(key)
-                if cached is not None:
-                    value, tier = cached
-                    disk = tier is CacheTier.DISK
-                    self._record(tuple_id, key,
-                                 "local-disk" if disk else "local-memory")
-                    self._execute_local(tuple_id, key, value, params,
-                                        disk=disk, hydrate=disk)
-                else:
-                    self._record(tuple_id, key, Route.COMPUTE_REQUEST.value)
-                    self._enqueue(dst, tuple_id, key, RequestKind.COMPUTE,
-                                  Route.COMPUTE_REQUEST, params)
-                return
-            decision = self.optimizer.route(key, dst)
-            self._record(tuple_id, key, decision.route.value)
-            if decision.route.is_local:
-                disk = decision.route is Route.LOCAL_DISK
-                self._execute_local(tuple_id, key, decision.value, params,
-                                    disk=disk, hydrate=disk)
-            elif decision.route is Route.COMPUTE_REQUEST:
-                self._enqueue(dst, tuple_id, key, RequestKind.COMPUTE,
-                              decision.route, params)
-            else:
-                self._enqueue_fetch(dst, tuple_id, key, decision.route, params)
-            return
-        if policy is RoutingPolicy.ALWAYS_COMPUTE:
-            self._record(tuple_id, key, Route.COMPUTE_REQUEST.value)
-            self._enqueue(dst, tuple_id, key, RequestKind.COMPUTE,
-                          Route.COMPUTE_REQUEST, params)
-        elif policy is RoutingPolicy.ALWAYS_DATA:
-            self._record(tuple_id, key, Route.DATA_REQUEST_DISK.value)
-            self._enqueue(dst, tuple_id, key, RequestKind.DATA,
-                          Route.DATA_REQUEST_DISK, params)
-        else:  # RANDOM (FR): fair coin per request.
-            if self._rng.random() < 0.5:
-                self._record(tuple_id, key, Route.COMPUTE_REQUEST.value)
-                self._enqueue(dst, tuple_id, key, RequestKind.COMPUTE,
-                              Route.COMPUTE_REQUEST, params)
-            else:
-                self._record(tuple_id, key, Route.DATA_REQUEST_DISK.value)
-                self._enqueue(dst, tuple_id, key, RequestKind.DATA,
-                              Route.DATA_REQUEST_DISK, params)
+    def _coin(self, key: Hashable, dst: int) -> tuple[Route, Any]:
+        """FR: a fair coin per request."""
+        if self._rng.random() < 0.5:
+            return Route.COMPUTE_REQUEST, None
+        return Route.DATA_REQUEST_DISK, None
+
+    def _route_until_frozen(self, key: Hashable, dst: int) -> tuple[Route, Any]:
+        """Figure 9's FO-NA: Algorithm 1 for the adaptive prefix, then
+        only what the cache already holds; a miss rents."""
+        if not self._frozen():
+            return self.optimizer.route_fast(key, dst)  # type: ignore[union-attr]
+        cached = self.cache.lookup(key)
+        if cached is None:
+            return Route.COMPUTE_REQUEST, None
+        value, tier = cached
+        if tier is CacheTier.DISK:
+            return Route.LOCAL_DISK, value
+        return Route.LOCAL_MEMORY, value
 
     def _frozen(self) -> bool:
         return self._freeze_after is not None and self._submitted > self._freeze_after
@@ -541,11 +513,18 @@ class ComputeNodeRuntime:
     # ------------------------------------------------------------------
     # Blocking (NO) mode
     # ------------------------------------------------------------------
+    def _submit_blocking(
+        self, tuple_id: int, key: Hashable, params: Any = None
+    ) -> None:
+        """NO's :meth:`submit`: queue the tuple for a free worker thread."""
+        self._input_queue.append((tuple_id, key, params))
+        self._dispatch_blocking()
+
     def _dispatch_blocking(self) -> None:
         while self._free_workers > 0 and self._input_queue:
             self._free_workers -= 1
-            tuple_id, key, params = self._input_queue.popleft()
-            self._route_and_dispatch(tuple_id, key, params)
+            # The one submit body (``self.submit`` is the queue's entry).
+            ComputeNodeRuntime.submit(self, *self._input_queue.popleft())
 
     def _release_worker(self) -> None:
         if self.config.blocking:

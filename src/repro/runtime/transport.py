@@ -238,9 +238,11 @@ class Transport:
         #: latencies, ``delay() -> float | None``).  ``None`` keeps the
         #: transport bit-identical to its pre-resilience behaviour.
         self.hedge_policy: Any | None = None
-        #: Whether :meth:`fail_node` may replay pending batches at a new
-        #: owner.  Replay is exactly-once only for idempotent requests,
-        #: so callers clear this for side-effecting UDFs.
+        #: Whether a batch may leave its primary: :meth:`fail_node`
+        #: replays it at a new owner, and retry exhaustion degrades it to
+        #: a replica fetch.  Both are exactly-once only for idempotent
+        #: requests, so callers clear this for side-effecting UDFs, whose
+        #: batches then retry the primary until it answers.
         self.replay_on_failover = True
         self.hedges_armed = 0
         self.hedges_issued = 0
@@ -541,7 +543,8 @@ class Transport:
             if entry.attempt_span is not None:
                 self.tracer.end(entry.attempt_span, at=now, status="timeout")
                 entry.attempt_span = None
-        if entry.attempt < ft.max_retries or not ft.fallback_to_replica:
+        may_leave = ft.fallback_to_replica and self.replay_on_failover
+        if entry.attempt < ft.max_retries or not may_leave:
             entry.attempt += 1
             self.retries += 1
             if self.tracer.enabled:

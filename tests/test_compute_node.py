@@ -97,13 +97,13 @@ class TestRoutingDispatch:
         assert runtime.optimizer.stats().first_contact == 1
 
     def test_submit_follows_a_moved_region(self):
-        # The fused submit caches each key's serving node per placement
+        # The submit body caches each key's serving node per placement
         # generation; a region move must send the next read of the key
         # to the region's new owner.
         _, runtime, _, _ = build_runtime(
             Strategy.fo(), batch_size=8, data_nodes=(1, 2)
         )
-        assert runtime.submit == runtime._submit_fast
+        assert runtime.submit.__func__ is ComputeNodeRuntime.submit
         region_map = runtime.kvstore.region_map
         key = 7
         old = region_map.node_for_key(key)

@@ -9,6 +9,8 @@ from repro.core.cost_model import CostModel, CostParameters
 from repro.core.frequency import ExactCounter, LossyCounter
 from repro.core.optimizer import JoinLocationOptimizer, Route
 
+from tests.reference_paths import route as route_reference
+
 
 def make_optimizer(memory_bytes=1e6, local_disk_time=0.001, bandwidth=1e8):
     cm = CostModel(node_id=0, bandwidth={1: bandwidth}, local_disk_time=local_disk_time)
@@ -36,75 +38,76 @@ def teach(opt, key="k", value_size=100_000.0, compute_time=0.002,
 class TestFirstContact:
     def test_unknown_key_rents(self):
         opt = make_optimizer()
-        decision = opt.route("new", 1)
-        assert decision.route is Route.COMPUTE_REQUEST
+        route, _ = opt.route_fast("new", 1)
+        assert route is Route.COMPUTE_REQUEST
         assert opt.stats().first_contact == 1
 
     def test_known_key_uses_costs(self):
         opt = make_optimizer()
-        opt.route("k", 1)
+        opt.route_fast("k", 1)
         teach(opt, compute_time=0.01, service=0.0001)
-        decision = opt.route("k", 1)
-        assert decision.costs is not None
+        opt.route_fast("k", 1)
+        # The second request was decided on the learned costs, not as
+        # another first contact.
+        assert opt.stats().first_contact == 1
+        assert opt.stats().total == 2
 
 
 class TestSkiRentalRouting:
     def test_buys_after_threshold(self):
         opt = make_optimizer()
-        opt.route("k", 1)
+        opt.route_fast("k", 1)
         # rent=0.01 (compute), buy ~ 0.002 (fetch): threshold < 1.
         teach(opt, compute_time=0.01, service=0.0001, value_size=10_000.0)
-        decision = opt.route("k", 1)
-        assert decision.route is Route.DATA_REQUEST_MEMORY
+        route, _ = opt.route_fast("k", 1)
+        assert route is Route.DATA_REQUEST_MEMORY
 
     def test_keeps_renting_below_threshold(self):
         opt = make_optimizer()
-        opt.route("k", 1)
+        opt.route_fast("k", 1)
         # buy much more expensive than rent: high threshold.
         teach(opt, compute_time=0.002, service=0.0001, value_size=10_000_000.0,
               disk_time=0.0001)
         for _ in range(3):
-            assert opt.route("k", 1).route is Route.COMPUTE_REQUEST
+            assert opt.route_fast("k", 1)[0] is Route.COMPUTE_REQUEST
 
     def test_never_buys_when_rent_below_recurring(self):
         opt = make_optimizer()
-        opt.route("k", 1)
+        opt.route_fast("k", 1)
         # Remote compute == local service: r <= br, always rent.
         teach(opt, compute_time=0.1, service=0.1, value_size=100.0)
         for _ in range(100):
-            assert opt.route("k", 1).route is Route.COMPUTE_REQUEST
+            assert opt.route_fast("k", 1)[0] is Route.COMPUTE_REQUEST
 
     def test_local_hits_after_fetch(self):
         opt = make_optimizer()
-        opt.route("k", 1)
+        opt.route_fast("k", 1)
         teach(opt, compute_time=0.01, service=0.0001, value_size=10_000.0)
-        decision = opt.route("k", 1)
-        assert decision.route is Route.DATA_REQUEST_MEMORY
-        opt.complete_fetch("k", "VALUE", decision.route)
-        hit = opt.route("k", 1)
-        assert hit.route is Route.LOCAL_MEMORY
-        assert hit.value == "VALUE"
+        route, _ = opt.route_fast("k", 1)
+        assert route is Route.DATA_REQUEST_MEMORY
+        opt.complete_fetch("k", "VALUE", route)
+        assert opt.route_fast("k", 1) == (Route.LOCAL_MEMORY, "VALUE")
 
     def test_disk_route_when_memory_refuses(self):
         """A value too big for the memory tier can still be bought to
         disk if the disk-recurring threshold is crossed."""
         opt = make_optimizer(memory_bytes=1_000.0, local_disk_time=0.0005)
-        opt.route("big", 1)
+        opt.route_fast("big", 1)
         teach(opt, key="big", compute_time=0.01, service=0.0001,
               value_size=50_000.0)
-        decision = opt.route("big", 1)
-        assert decision.route is Route.DATA_REQUEST_DISK
-        opt.complete_fetch("big", "V", decision.route)
-        assert opt.route("big", 1).route is Route.LOCAL_DISK
+        route, _ = opt.route_fast("big", 1)
+        assert route is Route.DATA_REQUEST_DISK
+        opt.complete_fetch("big", "V", route)
+        assert opt.route_fast("big", 1)[0] is Route.LOCAL_DISK
 
     def test_fetch_fallback_to_disk_when_reservation_lost(self):
         opt = make_optimizer()
-        opt.route("k", 1)
+        opt.route_fast("k", 1)
         teach(opt, compute_time=0.01, service=0.0001, value_size=10_000.0)
-        decision = opt.route("k", 1)
+        route, _ = opt.route_fast("k", 1)
         opt.cache.cancel_reservation("k")
-        opt.complete_fetch("k", "V", decision.route)
-        assert opt.route("k", 1).route is Route.LOCAL_DISK
+        opt.complete_fetch("k", "V", route)
+        assert opt.route_fast("k", 1)[0] is Route.LOCAL_DISK
 
     def test_complete_fetch_rejects_non_fetch_routes(self):
         opt = make_optimizer()
@@ -115,11 +118,11 @@ class TestSkiRentalRouting:
 class TestUpdates:
     def test_timestamp_bump_invalidates_and_resets(self):
         opt = make_optimizer()
-        opt.route("k", 1)
+        opt.route_fast("k", 1)
         teach(opt, compute_time=0.01, service=0.0001, value_size=10_000.0)
-        decision = opt.route("k", 1)
-        opt.complete_fetch("k", "V", decision.route, updated_at=0.0)
-        assert opt.route("k", 1).route is Route.LOCAL_MEMORY
+        route, _ = opt.route_fast("k", 1)
+        opt.complete_fetch("k", "V", route, updated_at=0.0)
+        assert opt.route_fast("k", 1)[0] is Route.LOCAL_MEMORY
         # A compute response reveals the row changed at t=5.
         opt.observe_response(
             CostParameters(key="k", value_size=10_000.0, compute_time=0.01,
@@ -128,11 +131,11 @@ class TestUpdates:
         )
         # Cache gone, counter reset: next route is a first-contact rent.
         assert opt.counter.count("k") == 0
-        assert opt.route("k", 1).route is Route.COMPUTE_REQUEST
+        assert opt.route_fast("k", 1)[0] is Route.COMPUTE_REQUEST
 
     def test_same_timestamp_is_not_stale(self):
         opt = make_optimizer()
-        opt.route("k", 1)
+        opt.route_fast("k", 1)
         teach(opt)
         opt.updates.observe_timestamp("k", 3.0)
         assert not opt.updates.observe_timestamp("k", 3.0)
@@ -142,11 +145,11 @@ class TestUpdates:
 class TestStats:
     def test_routing_counters(self):
         opt = make_optimizer()
-        opt.route("a", 1)
+        opt.route_fast("a", 1)
         teach(opt, key="a", compute_time=0.01, service=0.0001, value_size=1000.0)
-        d = opt.route("a", 1)
-        opt.complete_fetch("a", "V", d.route)
-        opt.route("a", 1)
+        route, _ = opt.route_fast("a", 1)
+        opt.complete_fetch("a", "V", route)
+        opt.route_fast("a", 1)
         stats = opt.stats()
         assert stats.compute_requests == 1
         assert stats.data_requests_memory == 1
@@ -216,7 +219,8 @@ _PROMOTION = [
 @example(steps=_PROMOTION)
 @settings(max_examples=100, deadline=None)
 def test_property_route_fast_matches_route(fixed_threshold, steps):
-    """``route_fast`` is ``route`` without the decision object: the same
+    """``route_fast`` is the reference ``route`` of
+    ``tests/reference_paths.py`` without the decision object: the same
     route and value, and the same counters, cache and access counts
     after every step."""
     fast, ref = _twin(fixed_threshold), _twin(fixed_threshold)
@@ -230,7 +234,7 @@ def test_property_route_fast_matches_route(fixed_threshold, steps):
         if step[0] == "route":
             _, key, dst, settle = step
             route, value = fast.route_fast(key, dst)
-            decision = ref.route(key, dst)
+            decision = route_reference(ref, key, dst)
             assert (route, value) == (decision.route, decision.value)
             if route.is_data_request:
                 if settle:

@@ -1,42 +1,61 @@
 """Differential equivalence: the fast hot paths vs their references.
 
-Two hot paths run a fast twin unconditionally: the fused submit and the
-event queue's tombstone compaction.  Their references are held by
-:mod:`tests.reference_paths`.  These tests are the contract that makes
-the twins admissible: for the same spec, both sides must produce
-byte-identical join outputs, identical simulated makespans and metric
-snapshots (the "cost totals"), and — with tracing on — identical span
-trees.  Any divergence means a twin changed behaviour, not just speed.
+Two hot paths run a lean form unconditionally: the one submit body with
+its per-strategy routers, and the event queue's tombstone compaction.
+Their references are held by :mod:`tests.reference_paths`.  These tests
+are the contract that makes the lean forms admissible: for the same
+spec, both sides must produce byte-identical join outputs, identical
+simulated makespans and metric snapshots (the "cost totals"), and —
+with tracing on — identical span trees and events.  Any divergence
+means a lean form changed behaviour, not just speed.
 :class:`TestGoldenRuns` pins what neither side may move: the outputs
 and makespans of ten runs, two of them at the benchmark's own shapes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import BatchOptions, JobSpec, MembershipEvent, RunConfig, run_join
+from repro.engine.job import JoinJob
+from repro.engine.strategies import Strategy
 from repro.faults.policy import FaultTolerance
 from repro.faults.schedule import CrashFault, FaultSchedule, MessageChaos
 from repro.memory import MemoryOptions
 from repro.placement import ElasticOptions
 from repro.runtime.backend import ENGINES
+from repro.sim.cluster import Cluster
+from repro.workloads.synthetic import SyntheticWorkload
 
 from tests.reference_paths import use_reference_paths
+
+
+def _spec(spec_kwargs: dict) -> JobSpec:
+    """A synthetic spec; ``side_effect_free=False`` flips its UDF."""
+    kwargs = dict(spec_kwargs)
+    side_effect_free = kwargs.pop("side_effect_free", True)
+    spec = JobSpec.synthetic(**kwargs)
+    if side_effect_free:
+        return spec
+    udf = dataclasses.replace(spec.udf, side_effect_free=False)
+    return dataclasses.replace(spec, udf=udf)
 
 
 def _run(mode: str, spec_kwargs: dict, cfg: RunConfig):
     with pytest.MonkeyPatch.context() as monkeypatch:
         runs = use_reference_paths(monkeypatch) if mode == "1" else None
-        report = run_join(JobSpec.synthetic(**spec_kwargs), cfg)
+        report = run_join(_spec(spec_kwargs), cfg)
     if runs is not None and cfg.engine in ("engine", "streaming"):
         # The shuffle engines route no tuple through a compute node.
         assert runs.submits, "the reference submit never ran"
     spans = None
+    routes: Counter[str] = Counter()
     if report.tracer is not None:
         spans = [
             (
@@ -50,18 +69,27 @@ def _run(mode: str, spec_kwargs: dict, cfg: RunConfig):
             )
             for s in report.tracer.spans
         ]
-    return report.outputs, report.makespan, report.snapshot, spans
+        spans += [
+            (e.name, e.time, e.parent_id, repr(sorted(e.attrs.items())))
+            for e in report.tracer.events
+        ]
+        routes.update(
+            f"route.{e.attrs['route']}"
+            for e in report.tracer.events if e.name == "route"
+        )
+    return report.outputs, report.makespan, report.snapshot, spans, routes
 
 
 def _assert_equivalent(spec_kwargs: dict, cfg: RunConfig) -> dict:
-    """Both sides agree on every observable; returns the counters."""
+    """Both sides agree on every observable; returns the counters, with
+    a ``route.<route>`` count per traced routing decision."""
     ref = _run("1", spec_kwargs, cfg)
     opt = _run("0", spec_kwargs, cfg)
     assert ref[0] == opt[0], "join outputs diverged"
     assert ref[1] == opt[1], "simulated makespan diverged"
     assert ref[2] == opt[2], "metrics snapshot diverged"
     assert ref[3] == opt[3], "span trees diverged"
-    return opt[2].get("counters", {})
+    return {**opt[2].get("counters", {}), **opt[4]}
 
 
 _CHAOS = FaultSchedule(
@@ -76,12 +104,14 @@ _CHAOS = FaultSchedule(
 )
 _FT = FaultTolerance(request_timeout=0.05, max_retries=1)
 
-#: One plain case per engine, then the branches of the one optimized
-#: request path that a plain run never takes: (config, spec overrides,
-#: counters that must be non-zero so the case keeps exercising what it
-#: claims to).
+#: One plain case per engine, then each strategy's router and the
+#: branches of the one submit body that a plain run never takes:
+#: (config, spec overrides, counters that must be non-zero so the case
+#: keeps exercising what it claims to, and the exact set of routes its
+#: tuples take or ``None``).  ``route.<route>`` counts the traced
+#: routing decisions.
 _ENGINE_CASES = {
-    **{engine: (dict(engine=engine), {}, ()) for engine in ENGINES},
+    **{engine: (dict(engine=engine), {}, (), None) for engine in ENGINES},
     # Hybrid build side armed at the data nodes: hits skip the disk,
     # spilled partitions pay an unspill, inserts can force a spill.
     "engine-memory": (
@@ -92,6 +122,7 @@ _ENGINE_CASES = {
         ),
         {},
         ("memory.build_hits", "memory.build_unspill_reads", "memory.spills"),
+        None,
     ),
     # A working set larger than the memory tier: disk-tier hits read
     # the value off disk before the UDF runs.
@@ -99,13 +130,47 @@ _ENGINE_CASES = {
         dict(engine="engine", memory_cache_bytes=2e5),
         dict(n_keys=400, n_tuples=3000, skew=0.8, seed=3),
         ("cache.disk_hits",),
+        None,
     ),
-    # NO: blocking workers, one unbatched request in flight per thread.
-    "engine-blocking": (dict(engine="engine"), dict(strategy="NO"), ()),
-    # FO-NA: the adaptive prefix (first 10 % per node) goes through
-    # _route_and_dispatch, the frozen rest through its cache-only branch.
+    # NO: blocking workers, one unbatched fetch in flight per thread.
+    "engine-blocking": (
+        dict(engine="engine"), dict(strategy="NO"), (),
+        {"route.data-request-disk"},
+    ),
+    # FD and LO always ship the function to the data node (LO's data
+    # nodes may bounce some of it back).
+    "engine-fd": (
+        dict(engine="engine"), dict(strategy="FD"),
+        ("jobs.udfs_at_data_nodes",), {"route.compute-request"},
+    ),
+    "engine-lo": (
+        dict(engine="engine"), dict(strategy="LO"),
+        ("jobs.udfs_at_data_nodes",), {"route.compute-request"},
+    ),
+    # FR: a fair coin per tuple, so both kinds of request.
+    "engine-fr": (
+        dict(engine="engine"), dict(strategy="FR"),
+        ("jobs.udfs_at_data_nodes", "jobs.udfs_at_compute_nodes"),
+        {"route.compute-request", "route.data-request-disk"},
+    ),
+    # CO: ski-rental caching without load balancing; enough tuples that
+    # hot keys are bought and then served from the memory tier.
+    "engine-co": (
+        dict(engine="engine"), dict(strategy="CO", n_tuples=2000),
+        ("cache.memory_hits", "route.local-memory"), None,
+    ),
+    # FO-NA: the adaptive prefix (first 10 % per node) runs Algorithm 1,
+    # the frozen rest only looks the key up in the cache.  In this shape
+    # the prefix only rents, so every frozen lookup misses.
     "engine-fo-na": (
-        dict(engine="engine"), dict(strategy="FO-NA", n_tuples=2000), ()
+        dict(engine="engine"), dict(strategy="FO-NA", n_tuples=2000), (),
+        None,
+    ),
+    # A side-effecting UDF under FO: every tuple is a compute request at
+    # the row's owner, never cached.
+    "engine-side-effects": (
+        dict(engine="engine"), dict(side_effect_free=False),
+        ("jobs.udfs_at_data_nodes",), {"route.compute-request"},
     ),
     # Drops, duplicates and a crashed data node: same-id retries,
     # idempotent replays, and replica fallback (routes rewritten to
@@ -117,6 +182,7 @@ _ENGINE_CASES = {
             "transport.retries", "transport.fallbacks",
             "transport.duplicate_responses",
         ),
+        None,
     ),
     # The same chaos while elastic placement moves regions under the
     # in-flight batches: WrongRegion refusals regroup and resend.
@@ -137,6 +203,7 @@ _ENGINE_CASES = {
         ),
         dict(skew=1.5),
         ("placement.redirects", "transport.retries", "transport.fallbacks"),
+        None,
     ),
     # A node joins and another leaves mid-run: the shared input queue
     # replaces the per-node feeders, under the same chaos.
@@ -157,6 +224,7 @@ _ENGINE_CASES = {
         ),
         {},
         ("transport.retries", "transport.duplicate_responses"),
+        None,
     ),
 }
 
@@ -166,7 +234,7 @@ class TestEngineEquivalence:
 
     @pytest.mark.parametrize("case", list(_ENGINE_CASES))
     def test_engine_matches_reference(self, case):
-        cfg_kwargs, spec_kwargs, exercised = _ENGINE_CASES[case]
+        cfg_kwargs, spec_kwargs, exercised, routes = _ENGINE_CASES[case]
         spec = dict(kind="data_heavy", n_keys=60, n_tuples=300, skew=1.2, seed=11)
         counters = _assert_equivalent(
             {**spec, **spec_kwargs},
@@ -174,6 +242,9 @@ class TestEngineEquivalence:
         )
         for name in exercised:
             assert counters.get(name, 0) > 0, f"{case} never hit {name}"
+        if routes is not None:
+            taken = {name for name in counters if name.startswith("route.")}
+            assert taken == routes
 
     def test_compute_heavy_matches_reference(self):
         _assert_equivalent(
@@ -192,7 +263,9 @@ class TestEngineEquivalence:
         )
 
     def test_fixed_threshold_strategy_matches_reference(self):
-        # FC exercises the fixed-threshold branch of the router.
+        # FC always fetches and builds no optimizer, so no threshold
+        # reaches either side: this is the batched always-fetch
+        # differential (the fixed-threshold one follows).
         _assert_equivalent(
             dict(
                 kind="data_heavy",
@@ -204,6 +277,44 @@ class TestEngineEquivalence:
             ),
             RunConfig(engine="engine").with_obs(tracing=True),
         )
+
+
+def _threshold_run(mode: str, fixed_threshold: float | None):
+    """FO under a fixed ski-rental threshold, in the ablation bench's
+    shape (``benchmarks/bench_ablation_threshold.py``), scaled down."""
+    workload = SyntheticWorkload.data_heavy(
+        n_keys=400, n_tuples=2000, skew=1.2, seed=11
+    )
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        runs = use_reference_paths(monkeypatch) if mode == "1" else None
+        job = JoinJob(
+            cluster=Cluster.homogeneous(6),
+            compute_nodes=[0, 1, 2],
+            data_nodes=[3, 4, 5],
+            table=workload.build_table(),
+            udf=workload.udf,
+            strategy=Strategy.fo(),
+            sizes=workload.sizes,
+            memory_cache_bytes=10e6,
+            fixed_threshold=fixed_threshold,
+            seed=11,
+        )
+        result = job.run(workload.keys())
+    assert runs is None or runs.submits, "the reference submit never ran"
+    for runtime in job.runtimes.values():
+        assert runtime.optimizer.fixed_threshold == fixed_threshold
+    return result, job.collected_outputs()
+
+
+def test_fixed_threshold_matches_reference():
+    """``fixed_threshold`` reaches both routers, and they agree."""
+    ref, ref_outputs = _threshold_run("1", 2.0)
+    opt, opt_outputs = _threshold_run("0", 2.0)
+    assert ref_outputs == opt_outputs
+    assert ref == opt
+    # The knob is live: the cost-based thresholds route differently.
+    adaptive, _ = _threshold_run("0", None)
+    assert adaptive.data_requests != opt.data_requests
 
 
 @given(

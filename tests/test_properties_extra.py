@@ -46,13 +46,13 @@ def test_property_optimizer_never_serves_stale_values(events):
             # The data node would notify / piggyback; use notification.
             opt.updates.notify_update(key, clock)
             continue
-        decision = opt.route(key, 1)
+        route, value = opt.route_fast(key, 1)
         current = version.get(key, 0)
         stamp = float(current)  # the row's own last-update time
-        if decision.route.is_local:
+        if route.is_local:
             # A local hit must carry the current version.
-            assert decision.value == ("v", key, current)
-        elif decision.route is Route.COMPUTE_REQUEST:
+            assert value == ("v", key, current)
+        elif route is Route.COMPUTE_REQUEST:
             opt.observe_response(
                 CostParameters(
                     key=key, value_size=1000.0, compute_time=0.01,
@@ -61,7 +61,7 @@ def test_property_optimizer_never_serves_stale_values(events):
                 updated_at=stamp,
             )
         else:
-            opt.complete_fetch(key, ("v", key, current), decision.route,
+            opt.complete_fetch(key, ("v", key, current), route,
                                updated_at=stamp)
 
 
@@ -82,18 +82,18 @@ def test_property_counter_resets_on_every_update(events):
             opt.updates.notify_update(key, clock)
             true_count_since_update[key] = 0
         else:
-            decision = opt.route(key, 1)
+            route, _ = opt.route_fast(key, 1)
             true_count_since_update[key] = true_count_since_update.get(key, 0) + 1
             stamp = row_updated_at.get(key, 0.0)
-            if decision.route is Route.COMPUTE_REQUEST:
+            if route is Route.COMPUTE_REQUEST:
                 opt.observe_response(
                     CostParameters(key=key, value_size=100.0, compute_time=0.01,
                                    disk_time=0.001, cpu_service_time=0.0001,
                                    node_id=1),
                     updated_at=stamp,
                 )
-            elif decision.route.is_data_request:
-                opt.complete_fetch(key, "v", decision.route, updated_at=stamp)
+            elif route.is_data_request:
+                opt.complete_fetch(key, "v", route, updated_at=stamp)
             assert opt.counter.count(key) == true_count_since_update[key]
 
 

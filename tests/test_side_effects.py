@@ -111,3 +111,26 @@ class TestSideEffectsUnderFailover:
         assert manager.recovery.requests_replayed == 0
         for runtime in job.runtimes.values():
             assert runtime.transport.replay_on_failover is False
+
+    def test_no_replica_fallback_with_the_default_policy(self):
+        # The default policy falls back to a replica once the retries
+        # run out; a replica fetch would run the UDF at the compute
+        # node, a second time for a tuple the primary already ran.
+        # Side-effecting batches keep retrying the primary instead.
+        healthy, _, _ = run_with_side_effects("FO")
+        makespan = healthy.makespan
+        faults = FaultSchedule(crashes=(
+            CrashFault(node_id=2, at=0.5 * makespan, duration=makespan),
+        ))
+        result, invocations, job = run_with_side_effects(
+            "FO",
+            fault_schedule=faults,
+            fault_tolerance=FaultTolerance(
+                request_timeout=makespan / 20, max_retries=1
+            ),
+        )
+        assert FaultTolerance().fallback_to_replica  # the premise
+        assert len(invocations) == 400
+        assert result.udfs_at_compute_nodes == 0
+        assert len(job.collected_outputs()) == 400
+        assert result.retries > 0 and result.fallbacks == 0
