@@ -26,7 +26,7 @@ answer" and "why did it cost what it cost".
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Hashable
+from typing import Any, Callable, Hashable, TypeVar
 
 from repro.placement.batch import SizeProfile
 from repro.placement.options import ElasticOptions
@@ -51,6 +51,8 @@ from repro.tenancy.options import TenancyOptions
 #: Backends :func:`run_join` can target.  ``cluster`` executes on real
 #: driver/worker processes over IPC (:mod:`repro.cluster`).
 BACKENDS = ("sim", "cluster")
+
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -302,13 +304,14 @@ def run_join(spec: JobSpec, config: RunConfig | None = None) -> RunReport:
             f"{', '.join(ignored)}; a strategy needs engine or streaming on "
             "sim, tenancy needs engine on sim or a tenancy runner"
         )
-    tracer = Tracer() if cfg.obs.tracing else NO_TRACER
     registry = MetricsRegistry()
     workload = spec.to_workload()
-    run = _backend_for(spec, cfg, tracer, registry).run_join(workload)
-    trace_path: str | None = None
-    if cfg.obs.trace_path is not None and tracer.enabled:
-        trace_path = str(write_trace_jsonl(tracer, cfg.obs.trace_path))
+    run, tracer, trace_path = _traced(
+        cfg,
+        lambda tracer: _backend_for(spec, cfg, tracer, registry).run_join(
+            workload
+        ),
+    )
     return RunReport(
         engine=run.engine,
         backend=run.backend,
@@ -319,16 +322,32 @@ def run_join(spec: JobSpec, config: RunConfig | None = None) -> RunReport:
         result=run,
         metrics=run.metrics,
         snapshot=registry.snapshot(),
-        tracer=tracer if tracer.enabled else None,
+        tracer=tracer,
         trace_path=trace_path,
     )
+
+
+def _traced(
+    cfg: RunConfig, body: Callable[[Tracer], R]
+) -> tuple[R, Tracer | None, str | None]:
+    """Run ``body`` under ``cfg.obs``'s tracer and dump the trace if
+    ``obs.trace_path`` asks; returns the body's result, the tracer (or
+    ``None`` when tracing is off) and the path written."""
+    tracer = Tracer() if cfg.obs.tracing else NO_TRACER
+    result = body(tracer)
+    if not tracer.enabled:
+        return result, None, None
+    trace_path: str | None = None
+    if cfg.obs.trace_path is not None:
+        trace_path = str(write_trace_jsonl(tracer, cfg.obs.trace_path))
+    return result, tracer, trace_path
 
 
 def _backend_for(
     spec: JobSpec,
     cfg: RunConfig,
     tracer: Tracer,
-    registry: MetricsRegistry,
+    registry: MetricsRegistry | None,
 ) -> Any:
     batching = cfg.batching
     if cfg.backend == "cluster":

@@ -2,15 +2,17 @@
 
 :class:`JoinJob` wires together the store side (regions + data-node
 servers) and the compute side (one :class:`ComputeNodeRuntime` per
-compute node), feeds the input with a bounded pipeline window (the Map
-queue of Figure 4 is finite — routing decisions interleave with
-responses, which is what lets ski-rental observe access counts), and
-reports completion time / throughput plus rich per-component metrics.
+compute node) and runs one body, whose input is either *pulled* or
+*pushed*.  Pull (:meth:`JoinJob.run`) feeds each node through a bounded
+pipeline window (the Map queue of Figure 4 is finite — routing
+decisions interleave with responses, which is what lets ski-rental
+observe access counts).  Push (:meth:`JoinJob.run_trace`) submits each
+tuple at its arrival time, open loop.  Both report per-component metrics.
 
 Batch jobs (Hadoop-style, Figure 5/8) report the **makespan**;
 streaming jobs (Muppet-style, Figures 6/11) report **throughput** —
 the paper's "number of input tuples processed per unit time" under
-saturation feeding.
+saturation feeding — or, pushed at a rate, per-tuple latency.
 
 Compute nodes hold no join state — only transiently cached data — so
 they can join or leave a running job (Section 1, contribution 3).  A
@@ -394,10 +396,31 @@ class JoinJob:
         :meth:`collected_outputs`.
         """
         key_list = keys if isinstance(keys, Sequence) else list(keys)
+        return self._execute(key_list, params, updates)
+
+    def _execute(
+        self,
+        key_list: Sequence[Hashable],
+        params: Sequence[Any] | None,
+        updates: Sequence[tuple[float, Hashable, Any]] | None,
+        arrivals: Sequence[float] | None = None,
+        latencies: list[float] | None = None,
+        **span_attrs: Any,
+    ) -> JobResult:
+        """The one run body.  The input is *pulled* through a bounded
+        window per node (``arrivals`` is ``None``) or *pushed*: tuple
+        ``i`` is submitted at ``arrivals[i]`` at its round-robin node,
+        and its arrival-to-completion time lands in ``latencies[i]``.
+        """
         n_tuples = len(key_list)
         if params is not None and len(params) != n_tuples:
             raise ValueError("params must align one-to-one with keys")
         if self.membership:
+            if arrivals is not None:
+                raise ValueError(
+                    "a membership schedule needs the pull-mode input of "
+                    "run(); timed arrivals are pushed at fixed nodes"
+                )
             if self.strategy.adaptive_fraction < 1.0:
                 raise ValueError(
                     "a membership schedule feeds one shared queue; the "
@@ -418,14 +441,18 @@ class JoinJob:
                 engine="engine",
                 strategy=self.strategy.name,
                 n_tuples=n_tuples,
+                **span_attrs,
             )
 
         def on_complete(tuple_id: int, finish: float) -> None:
             self._completions += 1
             self._last_finish = max(self._last_finish, finish)
+            if latencies is not None:
+                latencies[tuple_id] = finish - arrivals[tuple_id]
 
         finish_times: list[float] = []
         feeders: list[_Feeder] = []
+        pushed: list[ComputeNodeRuntime] = []
         if self.membership:
             # One shared queue: whoever is active pulls the next tuple.
             shared = deque(range(n_tuples))
@@ -459,12 +486,15 @@ class JoinJob:
         else:
             # Round-robin input distribution across compute nodes — the
             # framework assumes the source balances compute-node load
-            # (Section 3.1).
+            # (Section 3.1).  Pushed tuples go to the same nodes.
             for index, cn in enumerate(self.compute_nodes):
                 share = range(index, n_tuples, len(self.compute_nodes))
                 runtime = self._make_runtime(
                     cn, on_complete, job_span, expected_inputs=len(share)
                 )
+                if arrivals is not None:
+                    pushed.append(runtime)
+                    continue
                 feeder = _Feeder(
                     runtime, key_list, params, share, self.pipeline_window
                 )
@@ -525,6 +555,22 @@ class JoinJob:
 
         for feeder in feeders:
             feeder.prime()
+        if arrivals is not None:
+            for tuple_id, key in enumerate(key_list):
+                target = pushed[tuple_id % len(pushed)]
+                p = params[tuple_id] if params is not None else None
+                sim.schedule_at(
+                    arrivals[tuple_id],
+                    lambda tid=tuple_id, k=key, rt=target, pp=p: (
+                        rt.submit(tid, k, pp)
+                    ),
+                )
+            if n_tuples:
+                def flush_all() -> None:
+                    for runtime in pushed:
+                        runtime.finish_input()
+
+                sim.schedule_at(arrivals[-1], flush_all)
         sim.run()
 
         if self._completions != n_tuples:
@@ -632,89 +678,30 @@ class JoinJob:
     ) -> RateRunResult:
         """Open-loop run: tuple ``i`` arrives at ``arrivals[i]`` seconds.
 
-        The general form of :meth:`run_at_rate` (which delegates here
-        with evenly spaced arrivals): an explicit non-decreasing
-        arrival-time sequence — e.g. a multi-tenant Poisson trace from
-        ``repro.tenancy`` — optional per-tuple ``params``, and optional
-        mid-run data-store ``updates`` as in :meth:`run`.  Latency is
-        arrival to completion per tuple; there is no pipeline window
-        and no backpressure on the source (open loop), which is exactly
-        what admission control is for.
+        The push mode of :meth:`run`'s body, and the general form of
+        :meth:`run_at_rate` (which delegates here with evenly spaced
+        arrivals): an explicit non-decreasing arrival-time sequence —
+        e.g. a multi-tenant Poisson trace from ``repro.tenancy`` —
+        optional per-tuple ``params``, and optional mid-run data-store
+        ``updates`` as in :meth:`run`.  Latency is arrival to completion
+        per tuple; there is no pipeline window and no backpressure on
+        the source (open loop), which is exactly what admission control
+        is for.
         """
-        if self.membership:
-            raise ValueError(
-                "a membership schedule needs the pull-mode input of run(); "
-                "timed arrivals are pushed at fixed nodes"
-            )
         key_list = list(keys)
         n_tuples = len(key_list)
         if len(arrivals) != n_tuples:
             raise ValueError("arrivals must align one-to-one with keys")
-        if params is not None and len(params) != n_tuples:
-            raise ValueError("params must align one-to-one with keys")
         arrival_time = [float(t) for t in arrivals]
         if any(b < a for a, b in zip(arrival_time, arrival_time[1:])):
             raise ValueError("arrivals must be non-decreasing")
         if arrival_time and arrival_time[0] < 0:
             raise ValueError("arrivals must be non-negative")
-        job_span = None
-        if self.tracer.enabled:
-            span_attrs: dict[str, Any] = dict(
-                engine="engine",
-                strategy=self.strategy.name,
-                n_tuples=n_tuples,
-            )
-            if arrival_rate is not None:
-                span_attrs["arrival_rate"] = arrival_rate
-            job_span = self.tracer.start(
-                "job", at=self.cluster.sim.now, **span_attrs
-            )
         latencies: list[float] = [0.0] * n_tuples
-        last_finish = 0.0
-        completions = 0
-        self.outputs = {}
-
-        def on_complete(tuple_id: int, finish: float) -> None:
-            nonlocal last_finish, completions
-            completions += 1
-            last_finish = max(last_finish, finish)
-            latencies[tuple_id] = finish - arrival_time[tuple_id]
-
-        self.incarnations = []
-        runtimes = {
-            cn: self._make_runtime(cn, on_complete, job_span)
-            for cn in self.compute_nodes
-        }
-        sim = self.cluster.sim
-        for time, key, new_value in updates or ():
-            def apply_update(k=key, v=new_value, t=time) -> None:
-                self.kvstore.update_value(k, v, at_time=t)
-
-            sim.schedule_at(time, apply_update)
-        for tuple_id, key in enumerate(key_list):
-            target = self.compute_nodes[tuple_id % len(self.compute_nodes)]
-            p = params[tuple_id] if params is not None else None
-            sim.schedule_at(
-                arrival_time[tuple_id],
-                lambda tid=tuple_id, k=key, cn=target, pp=p: (
-                    runtimes[cn].submit(tid, k, pp)
-                ),
-            )
-        if n_tuples:
-            last_arrival = arrival_time[-1]
-
-            def flush_all() -> None:
-                for runtime in runtimes.values():
-                    runtime.finish_input()
-
-            sim.schedule_at(last_arrival, flush_all)
-        sim.run()
-        if completions != n_tuples:
-            raise RuntimeError(
-                f"rate run stalled: {completions}/{n_tuples} tuples completed"
-            )
-        if job_span is not None:
-            self.tracer.end(job_span, at=last_finish)
+        span_attrs = {} if arrival_rate is None else {"arrival_rate": arrival_rate}
+        result = self._execute(
+            key_list, params, updates, arrival_time, latencies, **span_attrs
+        )
         if arrival_rate is None:
             horizon = arrival_time[-1] if arrival_time else 0.0
             arrival_rate = n_tuples / horizon if horizon > 0 else 0.0
@@ -722,7 +709,7 @@ class JoinJob:
             strategy=self.strategy.name,
             n_tuples=n_tuples,
             arrival_rate=arrival_rate,
-            duration=last_finish,
+            duration=result.makespan,
             latencies=latencies,
         )
 

@@ -40,6 +40,7 @@ from repro.store.partitioner import stable_hash
 from repro.store.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.job import JoinJob
     from repro.workloads.synthetic import SyntheticWorkload
 
 #: Engines the simulated backend can drive.
@@ -171,15 +172,14 @@ class SimBackend:
     memory: MemoryOptions | None = None
     memory_cache_bytes: float = 100e6
     #: Opt-in multi-tenant admission
-    #: (:class:`repro.tenancy.TenancyOptions`).  The ``engine`` runner
+    #: (:class:`repro.tenancy.TenancyOptions`).  :meth:`build_job`
     #: wires per-tenant weighted-fair admission into every compute
-    #: node; the streaming and analytic shuffle engines have no
-    #: per-tuple admission seam, so the tenancy replay adapter
-    #: (:mod:`repro.tenancy.runner`) applies fair queueing in the
-    #: harness for them instead.
+    #: node; the analytic shuffle engines have no per-tuple admission
+    #: seam, so the tenancy replay adapter (:mod:`repro.tenancy.runner`)
+    #: applies fair queueing in the harness for them instead.
     tenancy: Any = None
     #: ``tuple_id -> tenant`` map and per-tenant shares for fair
-    #: admission (supplied by the tenancy runners).
+    #: admission (supplied by the tenancy ``SimRunner``).
     tenant_of: Any = None
     tenant_shares: Any = None
     #: Observability: span tracer threaded through whichever engine
@@ -203,13 +203,15 @@ class SimBackend:
     # ------------------------------------------------------------------
     # engine / streaming: the adaptive request/response engines
     # ------------------------------------------------------------------
-    def _run_engine(self, workload: JoinWorkload) -> BackendRun:
+    def build_job(self, workload: JoinWorkload) -> "JoinJob":
+        """The one ``JoinJob`` builder: the ``engine`` and ``streaming``
+        runners and the tenancy :class:`~repro.tenancy.SimRunner` run
+        what it returns, so every option above reaches all three."""
         from repro.engine.job import JoinJob
         from repro.engine.strategies import Strategy
 
-        cluster = self._cluster()
-        job = JoinJob(
-            cluster=cluster,
+        return JoinJob(
+            cluster=self._cluster(),
             compute_nodes=list(range(self.n_compute)),
             data_nodes=list(
                 range(self.n_compute, self.n_compute + self.n_data)
@@ -239,14 +241,28 @@ class SimBackend:
             tenant_shares=self.tenant_shares,
             seed=self.seed,
         )
-        result = job.run(workload.keys, params=workload.params)
+
+    def _run_engine(self, workload: JoinWorkload) -> BackendRun:
+        job = self.build_job(workload)
+        result: Any
+        if self.engine == "streaming":
+            if workload.params is not None:
+                raise ValueError(
+                    "the streaming engine feeds bare key streams; "
+                    "per-tuple params are not expressible"
+                )
+            result = job.run_streaming(workload.keys)
+            duration = result.duration
+        else:
+            result = job.run(workload.keys, params=workload.params)
+            duration = result.makespan
         return BackendRun(
-            engine="engine",
+            engine=self.engine,
             backend="sim",
             outputs=job.collected_outputs(),
-            duration=result.makespan,
+            duration=duration,
             metrics=collect_runtime_metrics(
-                cluster,
+                job.cluster,
                 transports=[r.transport for r in job.incarnations],
                 injector=job.injector,
                 registry=self.registry,
@@ -254,47 +270,7 @@ class SimBackend:
             native=result,
         )
 
-    def _run_streaming(self, workload: JoinWorkload) -> BackendRun:
-        from repro.streaming.muppet import MuppetJoinSimulation
-
-        if workload.params is not None:
-            raise ValueError(
-                "the streaming engine feeds bare key streams; "
-                "per-tuple params are not expressible"
-            )
-        sim = MuppetJoinSimulation(
-            table=workload.table,
-            udf=workload.udf,
-            sizes=workload.sizes,
-            n_compute_nodes=self.n_compute,
-            n_data_nodes=self.n_data,
-            batch_size=self.batch_size,
-            max_wait=self.max_wait,
-            fault_schedule=self.fault_schedule,
-            fault_tolerance=self.fault_tolerance,
-            tracer=self.tracer,
-            registry=self.registry,
-            resilience=self.resilience,
-            elastic=self.elastic,
-            memory=self.memory,
-            seed=self.seed,
-        )
-        result = sim.run(self.strategy, workload.keys)
-        job = sim.last_job
-        assert job is not None
-        return BackendRun(
-            engine="streaming",
-            backend="sim",
-            outputs=job.collected_outputs(),
-            duration=result.duration,
-            metrics=collect_runtime_metrics(
-                job.cluster,
-                transports=[r.transport for r in job.runtimes.values()],
-                injector=job.injector,
-                registry=self.registry,
-            ),
-            native=result,
-        )
+    _run_streaming = _run_engine
 
     # ------------------------------------------------------------------
     # mapreduce / sparklite: the shuffle engines

@@ -24,10 +24,6 @@ from repro.engine.job import JoinJob, RateRunResult, StreamResult
 from repro.engine.prefetch import PreMapRunner
 from repro.engine.strategies import Strategy, StrategyConfig
 from repro.placement.batch import SizeProfile
-from repro.faults.policy import FaultTolerance
-from repro.faults.schedule import FaultSchedule
-from repro.obs.registry import MetricsRegistry
-from repro.obs.tracer import NO_TRACER, Tracer
 from repro.sim.cluster import Cluster, NodeSpec
 from repro.store.messages import UDF
 from repro.store.table import Table
@@ -128,25 +124,7 @@ class MuppetJoinSimulation:
     batch_size: int = 64
     max_wait: float | None = 0.02
     block_cache_bytes: float = 0.0
-    #: Fault seam passthrough: the stream engine rides the same
-    #: runtime kernel (repro.runtime.Transport) as the batch engine,
-    #: so schedules and tolerance policies plug in identically.
-    fault_schedule: FaultSchedule | None = None
-    fault_tolerance: FaultTolerance | None = None
-    #: Resilience options passthrough (repro.resilience); opt-in.
-    resilience: Any = None
-    #: Elastic placement passthrough (repro.placement); opt-in.
-    elastic: Any = None
-    #: Memory-adaptive execution passthrough (repro.memory); opt-in.
-    memory: Any = None
-    #: Span tracer and metrics registry passed through to the
-    #: underlying JoinJob.
-    tracer: Tracer = NO_TRACER
-    registry: MetricsRegistry | None = None
     seed: int = 0
-    #: The most recent underlying :class:`JoinJob` (real UDF outputs
-    #: are reachable via ``last_job.collected_outputs()``).
-    last_job: JoinJob | None = None
 
     def _build_job(self, strategy: StrategyConfig | str) -> JoinJob:
         config = (
@@ -154,9 +132,8 @@ class MuppetJoinSimulation:
         )
         n_nodes = self.n_compute_nodes + self.n_data_nodes
         spec = self.node_spec if self.node_spec is not None else NodeSpec()
-        cluster = Cluster.homogeneous(n_nodes, spec)
-        job = JoinJob(
-            cluster=cluster,
+        return JoinJob(
+            cluster=Cluster.homogeneous(n_nodes, spec),
             compute_nodes=list(range(self.n_compute_nodes)),
             data_nodes=list(range(self.n_compute_nodes, n_nodes)),
             table=self.table,
@@ -167,17 +144,8 @@ class MuppetJoinSimulation:
             max_wait=self.max_wait,
             memory_cache_bytes=self.memory_cache_bytes,
             block_cache_bytes=self.block_cache_bytes,
-            fault_schedule=self.fault_schedule,
-            fault_tolerance=self.fault_tolerance,
-            tracer=self.tracer,
-            registry=self.registry,
-            resilience=self.resilience,
-            elastic=self.elastic,
-            memory=self.memory,
             seed=self.seed,
         )
-        self.last_job = job
-        return job
 
     def run(
         self, strategy: StrategyConfig | str, stream: Sequence[Hashable]

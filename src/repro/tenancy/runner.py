@@ -3,10 +3,14 @@
 The port is :class:`TrafficRunner` — ``run(mix, trace) ->``
 :class:`TenancyResult` — and two adapters implement it:
 
-* :class:`SimRunner` — the true open-loop adapter.  Drives the
-  ``engine`` runner on the discrete-event simulator through
-  ``JoinJob.run_trace``: every tuple arrives at its trace timestamp,
-  per-tenant weighted-fair admission runs *inside* each compute node
+* :class:`SimRunner` — the true open-loop adapter.  Runs the job that
+  :meth:`SimBackend.build_job <repro.runtime.backend.SimBackend.build_job>`
+  builds from the same ``RunConfig`` mapping :func:`repro.api.run_join`
+  uses, so every option group is honoured (a ``membership`` schedule,
+  which needs pull-mode input, is rejected), through
+  ``JoinJob.run_trace``, the push mode of the job's one run body: every
+  tuple arrives at its trace timestamp, per-tenant weighted-fair
+  admission runs *inside* each compute node
   (:class:`~repro.resilience.WeightedFairAdmission`), and per-request
   latency is exact simulated arrival-to-completion.
 * :class:`ReplayRunner` — the portable adapter.  Replays the same
@@ -34,8 +38,10 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Protocol, runtime_checkable
 
-from repro.api import JobSpec, RunConfig, run_join
+from repro.api import JobSpec, RunConfig, _backend_for, _traced, run_join
+from repro.engine.job import JoinJob, RateRunResult
 from repro.obs.registry import MetricsRegistry, ambient_registry
+from repro.obs.tracer import Tracer
 from repro.resilience.admission import WeightedFairAdmission
 from repro.runtime.backend import JoinWorkload
 from repro.tenancy.options import TenancyOptions
@@ -61,8 +67,7 @@ class TenancyResult:
     latencies_by_tenant: dict[str, list[float]] = field(repr=False)
     shed_by_tenant: dict[str, int] = field(repr=False)
     total_shed: int = 0
-    #: Merged real outputs by global tuple index (replay adapter only;
-    #: the open-loop adapter runs the timing UDF).
+    #: Real outputs by global tuple index (trace position).
     outputs: dict[int, Any] = field(repr=False, default_factory=dict)
 
 
@@ -93,6 +98,17 @@ def mix_workload(
     )
 
 
+def _mix_spec(
+    mix: TenantMix, workload: SyntheticWorkload | None, seed: int
+) -> JobSpec:
+    """The real-output spec both adapters run a mix's trace against."""
+    if workload is None:
+        workload = mix_workload(mix, seed=seed)
+    if workload.n_keys < mix.n_keys:
+        raise ValueError("workload key universe smaller than the mix's")
+    return JobSpec.from_workload(JoinWorkload.from_synthetic(workload))
+
+
 @dataclass
 class SimRunner:
     """Open-loop adapter: ``engine`` on the simulator, per-tuple arrivals."""
@@ -109,44 +125,23 @@ class SimRunner:
             )
 
     def run(self, mix: TenantMix, trace: TrafficTrace) -> TenancyResult:
-        from repro.engine.job import JoinJob
-        from repro.engine.strategies import Strategy
-        from repro.sim.cluster import Cluster
-
         cfg = self.config
-        tenancy = cfg.tenancy if cfg.tenancy.enabled else None
-        workload = (
-            self.workload
-            if self.workload is not None
-            else mix_workload(mix, seed=cfg.seed)
-        )
-        if workload.n_keys < mix.n_keys:
-            raise ValueError("workload key universe smaller than the mix's")
-        cluster = Cluster.homogeneous(cfg.n_compute + cfg.n_data)
-        job = JoinJob(
-            cluster=cluster,
-            compute_nodes=list(range(cfg.n_compute)),
-            data_nodes=list(
-                range(cfg.n_compute, cfg.n_compute + cfg.n_data)
-            ),
-            table=workload.build_table(),
-            udf=workload.udf,
-            strategy=Strategy.by_name("FO"),
-            sizes=workload.sizes,
-            batch_size=cfg.batching.batch_size,
-            max_wait=cfg.batching.max_wait,
-            memory_cache_bytes=cfg.memory_cache_bytes,
-            resilience=cfg.resilience if cfg.resilience.enabled else None,
-            tenancy=tenancy,
-            tenant_of=trace.tenant_of if tenancy is not None else None,
-            tenant_shares=mix.shares() if tenancy is not None else None,
-            seed=cfg.seed,
-        )
-        result = job.run_trace(
-            list(trace.keys),
-            list(trace.arrivals),
-            updates=list(trace.updates) or None,
-        )
+        spec = _mix_spec(mix, self.workload, cfg.seed)
+
+        def body(tracer: Tracer) -> tuple[JoinJob, RateRunResult]:
+            backend = replace(
+                _backend_for(spec, cfg, tracer, self.registry),
+                tenant_of=trace.tenant_of,
+                tenant_shares=mix.shares(),
+            )
+            job = backend.build_job(spec.to_workload())
+            return job, job.run_trace(
+                list(trace.keys),
+                list(trace.arrivals),
+                updates=list(trace.updates) or None,
+            )
+
+        (job, result), _, _ = _traced(cfg, body)
         latencies: dict[str, list[float]] = defaultdict(list)
         for index, tenant in enumerate(trace.tenants):
             latencies[tenant].append(result.latencies[index])
@@ -169,12 +164,13 @@ class SimRunner:
         return TenancyResult(
             backend="sim",
             engine="engine",
-            fair=tenancy is not None and tenancy.fair,
+            fair=cfg.tenancy.enabled and cfg.tenancy.fair,
             duration=result.duration,
             report=report,
             latencies_by_tenant=dict(latencies),
             shed_by_tenant=dict(shed_by_tenant),
             total_shed=total_shed,
+            outputs=job.collected_outputs(),
         )
 
 
@@ -197,21 +193,11 @@ class ReplayRunner:
     workload: SyntheticWorkload | None = None
     registry: MetricsRegistry | None = None
 
-    def _base_spec(self, mix: TenantMix) -> JobSpec:
-        workload = (
-            self.workload
-            if self.workload is not None
-            else mix_workload(mix, seed=self.config.seed)
-        )
-        if workload.n_keys < mix.n_keys:
-            raise ValueError("workload key universe smaller than the mix's")
-        return JobSpec.from_workload(JoinWorkload.from_synthetic(workload))
-
     def run(self, mix: TenantMix, trace: TrafficTrace) -> TenancyResult:
         cfg = self.config
         tenancy = cfg.tenancy if cfg.tenancy.enabled else TenancyOptions.on()
         fair = tenancy.fair
-        base_spec = self._base_spec(mix)
+        base_spec = _mix_spec(mix, self.workload, cfg.seed)
         # Per-window runs must not re-apply tenancy inside the backend:
         # the harness owns admission here.
         window_cfg = replace(cfg, tenancy=TenancyOptions.off())

@@ -239,6 +239,18 @@ class TestRunJoin:
         with pytest.raises(Built):
             run_join(spec, RunConfig(engine="engine", tenancy=admission))
 
+    def test_streaming_honours_memory_cache_bytes(self):
+        # The streaming runner builds its job through the one SimBackend
+        # builder, so the cache budget reaches its compute nodes.
+        spec = JobSpec.synthetic(n_keys=500, n_tuples=3000, skew=1.0, seed=3)
+        makespans = {
+            cache: run_join(spec, RunConfig(
+                engine="streaming", seed=3, memory_cache_bytes=cache,
+            )).makespan
+            for cache in (100e6, 20e3)
+        }
+        assert makespans[20e3] != makespans[100e6]
+
     def test_default_config(self, spec):
         report = run_join(spec)
         assert report.engine == "engine"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.job import JoinJob
+from repro.engine.job import JoinJob, MembershipEvent
 from repro.engine.strategies import Strategy
 from repro.sim.cluster import Cluster
 from repro.workloads.synthetic import SyntheticWorkload
@@ -67,3 +67,25 @@ class TestJobEdges:
         result = make_job().run_at_rate([], arrivals_per_second=10.0)
         assert result.n_tuples == 0
         assert result.throughput == 0.0
+
+
+class TestPushMode:
+    """``run_trace`` is the push mode of ``run``'s body."""
+
+    def test_run_trace_freezes_like_run(self):
+        # Figure 9's FO-NA freezes after a fraction of each node's
+        # round-robin share; pushed tuples land on the same shares.
+        keys = [i % 20 for i in range(300)]
+        pulled = make_job(strategy=Strategy.fo_non_adaptive(0.1))
+        pulled.run(keys)
+        pushed = make_job(strategy=Strategy.fo_non_adaptive(0.1))
+        pushed.run_trace(keys, [i * 0.001 for i in range(300)])
+        want = {cn: rt._freeze_after for cn, rt in pulled.runtimes.items()}
+        assert want == {0: 15, 1: 15}
+        assert {cn: rt._freeze_after for cn, rt in pushed.runtimes.items()} == want
+
+    def test_run_trace_rejects_a_membership_schedule(self):
+        job = make_job(membership=[MembershipEvent(0.1, "add", 1)])
+        with pytest.raises(ValueError, match="membership"):
+            job.run_trace([1, 2, 3], [0.0, 0.1, 0.2])
+        assert job.cluster.sim.events_processed == 0

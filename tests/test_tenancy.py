@@ -19,17 +19,27 @@ Four layers of coverage:
   cluster backends unchanged.
 """
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import JobSpec, RunConfig, run_join
-from repro.engine.job import JoinJob
+from repro.engine.job import JoinJob, MembershipEvent
 from repro.engine.strategies import Strategy
+from repro.faults.policy import FaultTolerance
+from repro.faults.schedule import FaultSchedule, StragglerFault
+from repro.memory.options import MemoryOptions
+from repro.obs.registry import MetricsRegistry
 from repro.placement.batch import SizeProfile
+from repro.placement.options import ElasticOptions
 from repro.resilience.admission import TenantShare, WeightedFairAdmission
+from repro.resilience.options import ResilienceOptions
 from repro.runtime import ENGINES
+from repro.runtime.backend import JoinWorkload
 from repro.sim.cluster import Cluster
 from repro.sim.events import Simulator
 from repro.sim.rng import make_rng
@@ -50,6 +60,7 @@ from repro.tenancy import (
     mix_workload,
 )
 from repro.workloads.zipf import sliced_zipf_keys
+from tests.oracle import assert_oracle_equal, single_node_hash_join
 
 
 # ----------------------------------------------------------------------
@@ -542,6 +553,19 @@ class TestFlashCrowdRegression:
             0.9 * unfair.report.aggregate_throughput
         )
 
+    def test_outputs_match_the_oracle(self, contended):
+        # SimRunner's job carries from_synthetic's apply_fn, so the
+        # open-loop adapter returns real outputs like the replay one.
+        mix, trace, fair, unfair = self.unpack(contended)
+        workload = JoinWorkload.from_synthetic(mix_workload(
+            mix, value_size=20_000.0, compute_cost=0.05, seed=11
+        ))
+        expected = single_node_hash_join(
+            trace.keys, workload.udf, workload.stored_values()
+        )
+        for result in (fair, unfair):
+            assert_oracle_equal(result.outputs, expected)
+
     @staticmethod
     def unpack(contended):
         return contended
@@ -733,3 +757,73 @@ class TestRunnerSeam:
         for index, output in result.outputs.items():
             key = trace.keys[index]
             assert output == f"{key}|None|value-{key}"
+
+
+# ----------------------------------------------------------------------
+# SimRunner drops no option group (it builds its job like run_join)
+# ----------------------------------------------------------------------
+class TestSimRunnerHonoursEveryGroup:
+    """Each ``RunConfig`` group armed on a ``SimRunner`` changes the
+    ``TenancyResult`` or the run's registry snapshot, or raises."""
+
+    ARMED = {
+        "faults": dict(
+            faults=FaultSchedule(stragglers=(
+                StragglerFault(node_id=2, at=0.2, duration=1.0, slowdown=8.0),
+            )),
+            fault_tolerance=FaultTolerance(),
+        ),
+        "resilience": dict(resilience=ResilienceOptions.on()),
+        "elastic": dict(elastic=ElasticOptions.on()),
+        "memory": dict(memory=MemoryOptions.on(budget_bytes=2e5)),
+        "memory_cache_bytes": dict(memory_cache_bytes=2e4),
+    }
+
+    @staticmethod
+    def run(config, mix, trace):
+        registry = MetricsRegistry()
+        result = SimRunner(config=config, registry=registry).run(mix, trace)
+        observed = (
+            result.latencies_by_tenant, result.shed_by_tenant, result.outputs
+        )
+        return observed, registry.snapshot()
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        specs = tuple(
+            TenantSpec(name, ArrivalProcess(rate=150.0), quota=4,
+                       slo=SLO(deadline=0.5))
+            for name in ("a", "b")
+        )
+        mix = TenantMix.even_split(specs, n_keys=256)
+        trace = mix.trace(horizon=2.0, seed=5)
+        config = RunConfig(
+            engine="engine", backend="sim", n_compute=2, n_data=2, seed=5,
+            tenancy=TenancyOptions.on(queue_bound=16),
+        )
+        return mix, trace, config, self.run(config, mix, trace)
+
+    @pytest.mark.parametrize("group", sorted(ARMED))
+    def test_group_changes_the_run(self, scenario, group):
+        mix, trace, config, (plain, plain_snapshot) = scenario
+        armed = dataclasses.replace(config, **self.ARMED[group])
+        observed, snapshot = self.run(armed, mix, trace)
+        assert observed != plain or snapshot != plain_snapshot
+
+    def test_membership_is_rejected(self, scenario):
+        mix, trace, config, _ = scenario
+        armed = dataclasses.replace(
+            config, membership=(MembershipEvent(0.5, "remove", 1),)
+        )
+        with pytest.raises(ValueError, match="membership"):
+            SimRunner(config=armed).run(mix, trace)
+
+    def test_obs_writes_the_trace(self, scenario, tmp_path):
+        mix, trace, config, _ = scenario
+        path = tmp_path / "tenancy.jsonl"
+        armed = config.with_obs(tracing=True, trace_path=path)
+        SimRunner(config=armed).run(mix, trace)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert any(
+            r["type"] == "span" and r["name"] == "job" for r in records
+        )
