@@ -790,7 +790,9 @@ class JoinJob:
         # Every finished job lands in the ambient obs pipeline — this
         # is what lets the benchmark JSON hook attach routing and fault
         # counters without any per-tuple instrumentation.
-        sources = self._memory_counter_sources() if self.budgets else None
+        sources = memory_counter_sources(
+            self.budgets.values(), self.servers.values(), self.incarnations
+        )
         for registry in (ambient_registry(), self.registry):
             if registry is None:
                 continue
@@ -798,25 +800,27 @@ class JoinJob:
             for loop in (self.resilience_manager, self.elastic_coordinator):
                 if loop is not None:
                     loop.publish(registry)
-            if sources is not None:
-                publish_memory_counters(registry, *sources)
+            publish_memory_counters(registry, *sources)
         return result
 
-    def _memory_counter_sources(self) -> list[dict[str, float]]:
-        """Per-component memory-adaptation counters to merge."""
-        sources: list[dict[str, float]] = [
-            budget.counters() for budget in self.budgets.values()
-        ]
-        for server in self.servers.values():
-            counts = server.memory_counters()
-            if counts:
-                sources.append(counts)
-        cache_spills = sum(
-            runtime.cache.budget_spills for runtime in self.incarnations
-        )
-        if cache_spills:
-            sources.append({"cache_spills": float(cache_spills)})
-        return sources
+
+def memory_counter_sources(
+    budgets: Iterable[MemoryBudget],
+    servers: Iterable[DataNodeServer],
+    runtimes: Iterable[ComputeNodeRuntime],
+) -> list[dict[str, float]]:
+    """Per-component memory-adaptation counters to merge: every budget,
+    every data-node server with any, and the compute caches' spills
+    (none of them without memory adaptation)."""
+    sources = [budget.counters() for budget in budgets]
+    for server in servers:
+        counts = server.memory_counters()
+        if counts:
+            sources.append(counts)
+    cache_spills = sum(runtime.cache.budget_spills for runtime in runtimes)
+    if cache_spills:
+        sources.append({"cache_spills": float(cache_spills)})
+    return sources
 
 
 class _Feeder:

@@ -19,9 +19,10 @@ The port is :class:`TrafficRunner` — ``run(mix, trace) ->``
   ClusterBackend unchanged**: the fair queueing (stride scheduling
   over per-tenant FIFOs, quotas, deadline sheds charged to the
   offending tenant) happens in the harness, and each window is one
-  ordinary ``run_join`` call.  A window that takes longer than its
-  width pushes the clock — overload queues, exactly like a real
-  ingest pipeline behind a slow executor.
+  ordinary ``run_join`` call (so a ``membership`` schedule, which
+  each window would replay from t = 0, is rejected).  A window that
+  takes longer than its width pushes the clock — overload queues,
+  exactly like a real ingest pipeline behind a slow executor.
 
 Both adapters account sheds the engine way: shed work is *served
 degraded, never dropped*, so completions always equal offered load and
@@ -192,6 +193,13 @@ class ReplayRunner:
     config: RunConfig
     workload: SyntheticWorkload | None = None
     registry: MetricsRegistry | None = None
+
+    def __post_init__(self) -> None:
+        if self.config.membership:
+            raise ValueError(
+                "ReplayRunner runs each window from t = 0, where a "
+                "membership schedule has no meaning"
+            )
 
     def run(self, mix: TenantMix, trace: TrafficTrace) -> TenancyResult:
         cfg = self.config

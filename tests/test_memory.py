@@ -474,6 +474,21 @@ class TestStageBoundaryReplan:
         off = _multi_join_job(seed=9, memory=MemoryOptions.off()).run(keys)
         assert off.makespan == plain.makespan
         assert off.events == plain.events
+        # Re-planning armed, but no stage reaches its checkpoint: the
+        # plan stays left-deep and the run is the replan=False run.
+        never = _multi_join_job(
+            seed=9, memory=MemoryOptions.on(replan=False)
+        ).run(keys)
+        job = _multi_join_job(
+            seed=9,
+            memory=MemoryOptions.on(
+                replan=True, replan_min_observations=len(keys) + 1
+            ),
+        )
+        armed = job.run(keys)
+        assert job.replan_decisions == []
+        assert armed.makespan == never.makespan
+        assert armed.events == never.events
 
     def test_accurate_estimates_do_not_switch(self):
         job = _multi_join_job(

@@ -704,6 +704,16 @@ class TestRunnerSeam:
             key = trace.keys[index]
             assert output == f"{key}|None|value-{key}"
 
+    def test_replay_runner_rejects_membership(self):
+        config = RunConfig(
+            engine="engine", backend="sim", n_compute=2, n_data=2, seed=5,
+            membership=(MembershipEvent(5.0, "remove", 1),),
+        )
+        with pytest.raises(ValueError, match="membership"):
+            ReplayRunner(config=config)
+        with pytest.raises(ValueError, match="membership"):
+            make_runner(dataclasses.replace(config, backend="cluster"))
+
     def test_replay_runner_unfair_mode_is_global_fifo(self):
         mix = small_mix()
         trace = mix.trace(horizon=1.0, seed=5)
