@@ -18,7 +18,12 @@ Run:  PYTHONPATH=src python examples/entity_annotation.py
 from dataclasses import replace
 
 from repro import JobSpec, RunConfig, run_join
-from repro.mapreduce import CSAWPartitioner, KeyStatistics, ReduceSideJoinJob
+from repro.mapreduce import (
+    CSAWPartitioner,
+    KeyStatistics,
+    SimulatedMapReduce,
+    reduce_side_join,
+)
 from repro.sim import Cluster
 from repro.workloads.annotation import AnnotationWorkload
 
@@ -35,23 +40,23 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Reduce-side baselines (all 8 nodes).
     # ------------------------------------------------------------------
-    naive = ReduceSideJoinJob(
-        Cluster.homogeneous(8),
-        workload.model_sizes,
-        workload.model_costs,
-        model_hydration=workload.model_hydration,
-    ).run(workload.documents)
+    def reduce_side(partitioner=None):
+        spec, costs = reduce_side_join(
+            workload.model_sizes,
+            workload.model_costs,
+            workload.model_hydration,
+            partitioner,
+        )
+        return SimulatedMapReduce(Cluster.homogeneous(8), costs=costs).run(
+            spec, enumerate(workload.documents)
+        )
+
+    naive = reduce_side()
     print(f"\nNaive Hadoop reduce-side:   {naive.makespan:7.2f}s "
           f"(straggler ratio {naive.straggler_ratio:.1f})")
 
     stats = KeyStatistics.from_stream(spots, costs=workload.model_costs)
-    csaw = ReduceSideJoinJob(
-        Cluster.homogeneous(8),
-        workload.model_sizes,
-        workload.model_costs,
-        partitioner=CSAWPartitioner(stats, 8, seed=5),
-        model_hydration=workload.model_hydration,
-    ).run(workload.documents)
+    csaw = reduce_side(CSAWPartitioner(stats, 8, seed=5))
     print(f"CSAW (needs statistics):    {csaw.makespan:7.2f}s "
           f"(straggler ratio {csaw.straggler_ratio:.1f}, "
           f"{len(stats.frequencies)} keys profiled up front)")

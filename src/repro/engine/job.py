@@ -730,7 +730,7 @@ class JoinJob:
     # ------------------------------------------------------------------
     def _collect(self, n_tuples: int, finish_times: list[float]) -> JobResult:
         udfs_data = sum(server.udfs_executed for server in self.servers.values())
-        mem_hits = disk_hits = compute_reqs = data_reqs = 0
+        mem_hits = disk_hits = 0
         completed: dict[int, int] = {}
         for runtime in self.incarnations:
             completed[runtime.node_id] = (
@@ -739,21 +739,13 @@ class JoinJob:
             stats = runtime.cache.stats()
             mem_hits += stats.memory_hits
             disk_hits += stats.disk_hits
-            if runtime.optimizer is not None:
-                ostats = runtime.optimizer.stats()
-                compute_reqs += ostats.compute_requests
-                data_reqs += (
-                    ostats.data_requests_memory + ostats.data_requests_disk
-                )
         # Failover can execute one tuple at two servers (the dead owner
         # ran it, then the replay ran it at the successor), so the
         # derived compute-side count must not go negative.
         udfs_compute = max(0, n_tuples - udfs_data)
-        kept = [
-            server.balancer.mean_kept_fraction
-            for server in self.servers.values()
-            if server.balancer.decisions > 0
-        ]
+        compute_reqs, data_reqs, lb_kept = routing_sums(
+            self.incarnations, self.servers.values()
+        )
         wire = transport_stats(r.transport for r in self.incarnations)
         dup_requests = sum(
             server.duplicate_requests for server in self.servers.values()
@@ -773,7 +765,7 @@ class JoinJob:
             cache_disk_hits=disk_hits,
             compute_requests=compute_reqs,
             data_requests=data_reqs,
-            lb_kept_fraction=sum(kept) / len(kept) if kept else 0.0,
+            lb_kept_fraction=lb_kept,
             events=self.cluster.sim.events_processed,
             timeouts=wire.timeouts,
             retries=wire.retries,
@@ -802,6 +794,26 @@ class JoinJob:
                     loop.publish(registry)
             publish_memory_counters(registry, *sources)
         return result
+
+
+def routing_sums(
+    runtimes: Iterable[ComputeNodeRuntime], servers: Iterable[DataNodeServer]
+) -> tuple[int, int, float]:
+    """``(compute requests, data requests, mean kept fraction)``: the
+    optimizers' request counts (fixed strategies have none) and the
+    mean of the balancers that decided anything."""
+    compute_reqs = data_reqs = 0
+    for runtime in runtimes:
+        if runtime.optimizer is not None:
+            ostats = runtime.optimizer.stats()
+            compute_reqs += ostats.compute_requests
+            data_reqs += ostats.data_requests_memory + ostats.data_requests_disk
+    kept = [
+        server.balancer.mean_kept_fraction
+        for server in servers
+        if server.balancer.decisions > 0
+    ]
+    return compute_reqs, data_reqs, sum(kept) / len(kept) if kept else 0.0
 
 
 def memory_counter_sources(

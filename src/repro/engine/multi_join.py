@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.frequency import LossyCounter
 from repro.placement.batch import BatchLoadBalancer, SizeProfile
 from repro.engine.compute_node import ComputeNodeRuntime
-from repro.engine.job import JobResult, memory_counter_sources
+from repro.engine.job import JobResult, memory_counter_sources, routing_sums
 from repro.engine.requests import UDF
 from repro.engine.strategies import StrategyConfig
 from repro.faults.policy import FaultTolerance
@@ -41,6 +41,7 @@ from repro.memory.replan import (
 )
 from repro.obs.registry import MetricsRegistry, ambient_registry
 from repro.obs.tracer import NO_TRACER, Tracer
+from repro.obs.usage import publish_job_result
 from repro.sim.cluster import Cluster
 from repro.sim.rng import derive_seed
 from repro.store.datanode import DataNodeServer
@@ -346,10 +347,8 @@ class MultiJoinJob:
                     "replan_checkpoints": float(len(self.replan_decisions)),
                 }
             )
-        publish_memory_counters(ambient_registry(), *sources)
-        if self.registry is not None:
-            publish_memory_counters(self.registry, *sources)
-        return JobResult(
+        compute_reqs, data_reqs, lb_kept = routing_sums(all_runtimes, all_servers)
+        result = JobResult(
             strategy=self.strategy.name,
             n_tuples=n_tuples,
             makespan=last_finish,
@@ -358,11 +357,16 @@ class MultiJoinJob:
             udfs_at_compute_nodes=total_udfs - udfs_data,
             cache_memory_hits=sum(rt.cache.stats().memory_hits for rt in all_runtimes),
             cache_disk_hits=sum(rt.cache.stats().disk_hits for rt in all_runtimes),
-            compute_requests=0,
-            data_requests=0,
-            lb_kept_fraction=0.0,
+            compute_requests=compute_reqs,
+            data_requests=data_reqs,
+            lb_kept_fraction=lb_kept,
             events=sim.events_processed,
         )
+        for registry in (ambient_registry(), self.registry):
+            if registry is not None:
+                publish_job_result(result, registry)
+                publish_memory_counters(registry, *sources)
+        return result
 
 
 def _with_masks(plan: Plan) -> list[tuple[int, tuple[int, ...]]]:

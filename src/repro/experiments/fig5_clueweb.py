@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.engine.job import JoinJob
 from repro.engine.strategies import Strategy
-from repro.mapreduce.engine import ReduceSideJoinJob
+from repro.mapreduce.simulated import SimulatedMapReduce, reduce_side_join
 from repro.mapreduce.skew_partitioners import (
     CSAWPartitioner,
     FlowJoinLBPartitioner,
@@ -77,14 +77,16 @@ def _reduce_side_minutes(
             partitioner = FlowJoinLBPartitioner(stats, scale.n_nodes, seed=seed)
         else:
             raise ValueError(f"unknown reduce-side technique {technique!r}")
-    job = ReduceSideJoinJob(
-        cluster=cluster,
-        model_sizes=workload.model_sizes,
-        model_costs=workload.model_costs,
-        partitioner=partitioner,
-        model_hydration=workload.model_hydration,
+    spec, costs = reduce_side_join(
+        workload.model_sizes,
+        workload.model_costs,
+        workload.model_hydration,
+        partitioner,
     )
-    return job.run(workload.documents).makespan / 60.0
+    result = SimulatedMapReduce(cluster, costs=costs).run(
+        spec, enumerate(workload.documents)
+    )
+    return result.makespan / 60.0
 
 
 def _framework_minutes(

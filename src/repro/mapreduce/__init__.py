@@ -9,20 +9,22 @@ FlowJoin, which samples).  This package provides:
 * :class:`LocalMapReduce` — a real, in-memory map/shuffle/reduce
   executor used for correctness tests and examples,
 * :class:`SimulatedMapReduce` — the same dataflow executed against the
-  cluster simulator with per-record costs, producing the makespans of
-  the Figure 5 bars (stragglers emerge naturally from skewed
-  partitions),
+  cluster simulator with per-record costs (stragglers emerge naturally
+  from skewed partitions),
+* :func:`reduce_side_join` — the annotation job's spec and costs;
+  run on :class:`SimulatedMapReduce` it produces the makespans of the
+  Figure 5 bars,
 * :mod:`repro.mapreduce.skew_partitioners` — the CSAW and FlowJoinLB
   partitioners.
 """
 
 from repro.mapreduce.api import MapReduceSpec, Partitioner, hash_partition
 from repro.mapreduce.local import LocalMapReduce
-from repro.mapreduce.engine import ReduceSideJoinJob, ReduceSideCosts
 from repro.mapreduce.simulated import (
     MapReduceCosts,
     SimulatedMapReduce,
     SimulatedMapReduceResult,
+    reduce_side_join,
 )
 from repro.mapreduce.skew_partitioners import (
     CSAWPartitioner,
@@ -35,11 +37,10 @@ __all__ = [
     "Partitioner",
     "hash_partition",
     "LocalMapReduce",
-    "ReduceSideJoinJob",
-    "ReduceSideCosts",
     "MapReduceCosts",
     "SimulatedMapReduce",
     "SimulatedMapReduceResult",
+    "reduce_side_join",
     "CSAWPartitioner",
     "FlowJoinLBPartitioner",
     "KeyStatistics",

@@ -12,8 +12,15 @@ phases to the simulated cluster:
   per-record CPU at the reducer's node.
 
 Costs are supplied as callables so any job — word count, annotation,
-CloudBurst — can be timed without engine changes.  Stragglers emerge
-naturally from skewed partitions, exactly like the Figure 5 baselines.
+CloudBurst — can be timed without engine changes.
+:func:`reduce_side_join` builds the entity-annotation job of Section
+2.1, the Figure 5 baselines: each spot is mapped to its token, pairs
+are shuffled to the reducer the partitioner (hash / CSAW / FlowJoinLB)
+picks, and a reducer loads each token's stored model from local disk
+once per key group, then pays its classification CPU per pair.
+Stragglers emerge naturally from skewed partitions: a reducer that
+receives a heavy-hitter token (or expensive models) finishes late,
+which is the effect CSAW and FlowJoinLB mitigate.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable
 
-from repro.mapreduce.api import MapReduceSpec
+from repro.mapreduce.api import MapReduceSpec, Partitioner
 from repro.obs.tracer import NO_TRACER, Span, Tracer
 from repro.runtime.transport import ShuffleChannel
 from repro.sim.cluster import Cluster
@@ -37,6 +44,44 @@ class MapReduceCosts:
     reduce_setup: Callable[[Hashable], tuple[float, float]] = lambda key: (0.0, 0.0)
     """Per key group at a reducer: ``(disk_bytes, cpu_seconds)``."""
     reduce_cpu: Callable[[Hashable, Any], float] = lambda key, value: 1e-5
+
+
+#: Map CPU seconds to extract one spot from a document.
+MAP_CPU_PER_SPOT = 0.0002
+#: Shuffled bytes per ``(token, context)`` pair.
+CONTEXT_BYTES = 512.0
+
+
+def reduce_side_join(
+    model_sizes: dict[Hashable, float],
+    model_costs: dict[Hashable, float],
+    model_hydration: dict[Hashable, float] | None = None,
+    partitioner: Partitioner | None = None,
+) -> tuple[MapReduceSpec, MapReduceCosts]:
+    """The reduce-side annotation join over ``(doc_id, spots)`` inputs.
+
+    ``model_sizes`` / ``model_costs`` are each token's stored model
+    bytes and per-spot classification seconds; ``model_hydration`` is
+    the CPU to deserialize a model once per key group.  The reduce
+    outputs ``(token, spot count)``.  A partitioner that replicates a
+    key (CSAW / FlowJoinLB) makes every reducer it reaches load it.
+    """
+    hydration = model_hydration or {}
+    spec = MapReduceSpec(
+        map_fn=lambda _doc, spots: [(spot, None) for spot in spots],
+        reduce_fn=lambda key, counts: [(key, sum(counts))],
+        partitioner=partitioner,
+        combiner=lambda _key, values: [len(values)],
+    )
+    costs = MapReduceCosts(
+        map_cpu=lambda _doc, spots: MAP_CPU_PER_SPOT * len(spots),
+        record_bytes=lambda _key, _value: CONTEXT_BYTES,
+        reduce_setup=lambda key: (
+            model_sizes.get(key, 0.0), hydration.get(key, 0.0)
+        ),
+        reduce_cpu=lambda key, count: count * model_costs.get(key, 0.0),
+    )
+    return spec, costs
 
 
 @dataclass(frozen=True)
@@ -166,8 +211,8 @@ class SimulatedMapReduce:
             node = cluster.node(reducer % n_nodes)
             start = arrival[reducer]
             finish = start
-            for key in sorted(partition, key=repr):
-                values = partition[key]
+            # First-arrival order: the disk -> CPU makespan depends on it.
+            for key, values in partition.items():
                 if spec.combiner is not None:
                     values = spec.combiner(key, values)
                 disk_bytes, setup_cpu = costs.reduce_setup(key)

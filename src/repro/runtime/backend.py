@@ -313,44 +313,30 @@ class SimBackend:
             value_size=workload.sizes.value_size,
         )
 
-    def _run_mapreduce(self, workload: JoinWorkload) -> BackendRun:
-        from repro.mapreduce.api import MapReduceSpec
-        from repro.mapreduce.simulated import SimulatedMapReduce
-
+    def _run_shuffle(
+        self,
+        workload: JoinWorkload,
+        step: Callable[
+            [Cluster, ShuffleChannel, "_ShuffleMemory | None", Any],
+            tuple[dict[int, Any], Any],
+        ],
+    ) -> BackendRun:
+        """The one shuffle-engine body: cluster, shadow memory, faults,
+        budgeted channel and job span around ``step(cluster, channel,
+        mem, job_span) -> (outputs, native result)``, then the
+        detection replay, spill seconds and metrics."""
         cluster = self._cluster()
         mem = self._arm_shuffle_memory(cluster, workload)
-        injector = self._install_faults(
-            cluster, budgets=mem.budgets if mem is not None else None
-        )
-        values = workload.stored_values()
-        udf = workload.udf
-        params = workload.params
-
-        def map_fn(tuple_id: int, key: Hashable):
-            p = params[tuple_id] if params is not None else None
-            return [(key, (tuple_id, p))]
-
-        def reduce_fn(key: Hashable, pairs: list[tuple[int, Any]]):
-            stored = mem.lookup(key) if mem is not None else values[key]
-            return [(tid, udf.apply(key, p, stored)) for tid, p in pairs]
-
-        channel = ShuffleChannel(
-            cluster,
-            tracer=self.tracer,
-            budgets=mem.budgets if mem is not None else None,
-        )
-        engine = SimulatedMapReduce(cluster, shuffle=channel, tracer=self.tracer)
+        budgets = mem.budgets if mem is not None else None
+        injector = self._install_faults(cluster, budgets=budgets)
+        channel = ShuffleChannel(cluster, tracer=self.tracer, budgets=budgets)
         job_span = None
         if self.tracer.enabled:
             job_span = self.tracer.start(
-                "job", at=0.0, engine="mapreduce",
+                "job", at=0.0, engine=self.engine,
                 n_tuples=len(workload.keys),
             )
-        result = engine.run(
-            MapReduceSpec(map_fn=map_fn, reduce_fn=reduce_fn),
-            list(enumerate(workload.keys)),
-            span_parent=job_span,
-        )
+        outputs, result = step(cluster, channel, mem, job_span)
         if job_span is not None:
             self.tracer.end(job_span, at=result.makespan)
         self._replay_resilience(cluster, result.makespan)
@@ -359,9 +345,9 @@ class SimBackend:
             duration += mem.io_seconds
             mem.publish(channel, self.registry)
         return BackendRun(
-            engine="mapreduce",
+            engine=self.engine,
             backend="sim",
-            outputs=dict(result.outputs),
+            outputs=outputs,
             duration=duration,
             metrics=collect_runtime_metrics(
                 cluster, channels=[channel], injector=injector,
@@ -370,17 +356,39 @@ class SimBackend:
             native=result,
         )
 
+    def _run_mapreduce(self, workload: JoinWorkload) -> BackendRun:
+        from repro.mapreduce.api import MapReduceSpec
+        from repro.mapreduce.simulated import SimulatedMapReduce
+
+        values = workload.stored_values()
+        udf = workload.udf
+        params = workload.params
+
+        def step(cluster, channel, mem, job_span):
+            def map_fn(tuple_id: int, key: Hashable):
+                p = params[tuple_id] if params is not None else None
+                return [(key, (tuple_id, p))]
+
+            def reduce_fn(key: Hashable, pairs: list[tuple[int, Any]]):
+                stored = mem.lookup(key) if mem is not None else values[key]
+                return [(tid, udf.apply(key, p, stored)) for tid, p in pairs]
+
+            result = SimulatedMapReduce(
+                cluster, shuffle=channel, tracer=self.tracer
+            ).run(
+                MapReduceSpec(map_fn=map_fn, reduce_fn=reduce_fn),
+                list(enumerate(workload.keys)),
+                span_parent=job_span,
+            )
+            return dict(result.outputs), result
+
+        return self._run_shuffle(workload, step)
+
     def _run_sparklite(self, workload: JoinWorkload) -> BackendRun:
         from repro.sparklite.query import DimensionJoin, StarQuery
         from repro.sparklite.relation import Relation, Schema
         from repro.sparklite.shuffle_exec import ShuffleExecutor
 
-        cluster = self._cluster()
-        mem = self._arm_shuffle_memory(cluster, workload)
-        injector = self._install_faults(
-            cluster, budgets=mem.budgets if mem is not None else None
-        )
-        values = workload.stored_values()
         # The probe stream is the fact side; the stored relation is a
         # single dimension.  Grouping by tuple id with a max aggregate
         # is the identity on the (unique) joined value, so the query
@@ -391,7 +399,7 @@ class SimBackend:
             list(enumerate(workload.keys)),
         )
         dimension = Relation(
-            "stored", Schema(("k", "v")), list(values.items())
+            "stored", Schema(("k", "v")), list(workload.stored_values().items())
         )
         query = StarQuery(
             name="kernel-join",
@@ -402,50 +410,26 @@ class SimBackend:
             group_by=("tid",),
             aggregates=(("max", "v", "v"),),
         )
-        channel = ShuffleChannel(
-            cluster,
-            tracer=self.tracer,
-            budgets=mem.budgets if mem is not None else None,
-        )
-        job_span = None
-        if self.tracer.enabled:
-            job_span = self.tracer.start(
-                "job", at=0.0, engine="sparklite",
-                n_tuples=len(workload.keys),
-            )
-        result = ShuffleExecutor(
-            cluster, shuffle=channel, tracer=self.tracer
-        ).run(query, span_parent=job_span)
-        if job_span is not None:
-            self.tracer.end(job_span, at=result.makespan)
-        columns = result.result.schema.columns
-        tid_at = columns.index("tid")
-        value_at = columns.index("v")
         udf = workload.udf
         params = workload.params
-        outputs: dict[int, Any] = {}
-        for row in result.result.rows:
-            tid = row[tid_at]
-            p = params[tid] if params is not None else None
-            key = workload.keys[tid]
-            stored = mem.lookup(key) if mem is not None else row[value_at]
-            outputs[tid] = udf.apply(key, p, stored)
-        self._replay_resilience(cluster, result.makespan)
-        duration = result.makespan
-        if mem is not None:
-            duration += mem.io_seconds
-            mem.publish(channel, self.registry)
-        return BackendRun(
-            engine="sparklite",
-            backend="sim",
-            outputs=outputs,
-            duration=duration,
-            metrics=collect_runtime_metrics(
-                cluster, channels=[channel], injector=injector,
-                registry=self.registry,
-            ),
-            native=result,
-        )
+
+        def step(cluster, channel, mem, job_span):
+            result = ShuffleExecutor(
+                cluster, shuffle=channel, tracer=self.tracer
+            ).run(query, span_parent=job_span)
+            columns = result.result.schema.columns
+            tid_at = columns.index("tid")
+            value_at = columns.index("v")
+            outputs: dict[int, Any] = {}
+            for row in result.result.rows:
+                tid = row[tid_at]
+                p = params[tid] if params is not None else None
+                key = workload.keys[tid]
+                stored = mem.lookup(key) if mem is not None else row[value_at]
+                outputs[tid] = udf.apply(key, p, stored)
+            return outputs, result
+
+        return self._run_shuffle(workload, step)
 
     def _replay_resilience(self, cluster: Cluster, horizon: float) -> None:
         """Analytic detection pass for the closed-form shuffle engines."""

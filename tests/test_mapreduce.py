@@ -3,8 +3,12 @@
 import pytest
 
 from repro.mapreduce.api import MapReduceSpec, hash_partition
-from repro.mapreduce.engine import ReduceSideCosts, ReduceSideJoinJob
 from repro.mapreduce.local import LocalMapReduce
+from repro.mapreduce.simulated import (
+    MapReduceCosts,
+    SimulatedMapReduce,
+    reduce_side_join,
+)
 from repro.mapreduce.skew_partitioners import (
     CSAWPartitioner,
     FlowJoinLBPartitioner,
@@ -134,51 +138,43 @@ class TestCSAW:
         assert p.partition("never-seen", 8) == hash_partition("never-seen", 8)
 
 
-class TestReduceSideJoinJob:
+class TestReduceSideJoin:
+    #: The naive job's makespan on this workload, pinned to the float.
+    NAIVE_MAKESPAN = 1.7125348679441068
+
     def make_workload(self):
         return AnnotationWorkload(n_tokens=300, n_docs=60, seed=3)
 
+    def run_join(self, wl, partitioner=None, n_nodes=4):
+        spec, costs = reduce_side_join(
+            wl.model_sizes, wl.model_costs, wl.model_hydration, partitioner
+        )
+        return SimulatedMapReduce(
+            Cluster.homogeneous(n_nodes), costs=costs
+        ).run(spec, enumerate(wl.documents))
+
     def test_runs_to_completion(self):
         wl = self.make_workload()
-        cluster = Cluster.homogeneous(4)
-        job = ReduceSideJoinJob(
-            cluster, wl.model_sizes, wl.model_costs,
-            model_hydration=wl.model_hydration,
-        )
-        result = job.run(wl.documents)
-        assert result.makespan > 0
-        assert result.n_pairs == wl.n_spots
+        result = self.run_join(wl)
+        assert result.makespan == self.NAIVE_MAKESPAN
+        assert sum(count for _token, count in result.outputs) == wl.n_spots
         assert result.map_finish <= result.shuffle_finish <= result.makespan
 
     def test_skew_mitigation_beats_naive(self):
         wl = self.make_workload()
-        naive_cluster = Cluster.homogeneous(4)
-        naive = ReduceSideJoinJob(
-            naive_cluster, wl.model_sizes, wl.model_costs,
-            model_hydration=wl.model_hydration,
-        ).run(wl.documents)
+        naive = self.run_join(wl)
         stats = KeyStatistics.from_stream(wl.spot_stream(), costs=wl.model_costs)
-        csaw_cluster = Cluster.homogeneous(4)
-        csaw = ReduceSideJoinJob(
-            csaw_cluster, wl.model_sizes, wl.model_costs,
-            partitioner=CSAWPartitioner(stats, 4, seed=1),
-            model_hydration=wl.model_hydration,
-        ).run(wl.documents)
+        csaw = self.run_join(wl, CSAWPartitioner(stats, 4, seed=1))
         assert csaw.makespan < naive.makespan
         assert csaw.straggler_ratio < naive.straggler_ratio
 
     def test_empty_input(self):
-        cluster = Cluster.homogeneous(2)
-        job = ReduceSideJoinJob(cluster, {}, {})
-        result = job.run([])
+        spec, costs = reduce_side_join({}, {})
+        result = SimulatedMapReduce(Cluster.homogeneous(2), costs=costs).run(
+            spec, []
+        )
         assert result.makespan == 0.0
-        assert result.n_pairs == 0
-
-    def test_costs_validation(self):
-        with pytest.raises(ValueError):
-            ReduceSideCosts(map_cpu_per_spot=-1.0)
-        with pytest.raises(ValueError):
-            ReduceSideJoinJob(Cluster.homogeneous(2), {}, {}, reducers_per_node=0)
+        assert result.outputs == []
 
 
 class TestSimulatedMapReduce:
@@ -190,8 +186,6 @@ class TestSimulatedMapReduce:
         )
 
     def test_outputs_match_local_engine(self):
-        from repro.mapreduce.simulated import SimulatedMapReduce
-
         inputs = [(i, f"w{i % 5} w{i % 3} common") for i in range(40)]
         spec = self.make_wordcount()
         local = LocalMapReduce(n_reducers=4).run(spec, inputs)
@@ -202,8 +196,6 @@ class TestSimulatedMapReduce:
         assert simulated.map_finish <= simulated.shuffle_finish
 
     def test_skewed_reduce_costs_create_stragglers(self):
-        from repro.mapreduce.simulated import MapReduceCosts, SimulatedMapReduce
-
         # One expensive hot key plus several cheap ones spread across
         # reducers, so more than one reducer has work.
         inputs = [(i, f"hot cold{i % 8}") for i in range(100)]
@@ -216,8 +208,6 @@ class TestSimulatedMapReduce:
         assert result.straggler_ratio > 2.0
 
     def test_reduce_setup_charged_per_group(self):
-        from repro.mapreduce.simulated import MapReduceCosts, SimulatedMapReduce
-
         inputs = [(0, "a b c d")]
         spec = self.make_wordcount()
         light = SimulatedMapReduce(Cluster.homogeneous(2)).run(spec, inputs)
@@ -228,8 +218,6 @@ class TestSimulatedMapReduce:
         assert heavy.makespan > light.makespan + 0.4
 
     def test_combiner_applied_before_reduce(self):
-        from repro.mapreduce.simulated import SimulatedMapReduce
-
         spec = MapReduceSpec(
             map_fn=lambda _k, text: [(w, 1) for w in text.split()],
             reduce_fn=lambda w, counts: [(w, sum(counts))],
@@ -241,7 +229,36 @@ class TestSimulatedMapReduce:
         assert ("x", 3) in result.outputs
 
     def test_validation(self):
-        from repro.mapreduce.simulated import SimulatedMapReduce
-
         with pytest.raises(ValueError):
             SimulatedMapReduce(Cluster.homogeneous(2), reducers_per_node=0)
+
+
+class TestFigure5GoldenRows:
+    """Figure 5's reduce-side bars, pinned to the float (seed 7).
+
+    Each bar is ``makespan / 60``; a change to the reduce-side dataflow
+    (map CPU, shuffle sizes, reduce order, model loads) moves them.
+    """
+
+    MAKESPANS = {
+        ("smoke", "Hadoop"): 14.120588022786261,
+        ("smoke", "CSAW"): 2.566579658132888,
+        ("smoke", "FlowJoinLB"): 2.614518629768057,
+        ("default", "Hadoop"): 40.28209929559424,
+        ("default", "CSAW"): 4.359827039005987,
+        ("default", "FlowJoinLB"): 7.1395263752265725,
+    }
+
+    @pytest.mark.parametrize("scale", ["smoke", "default"])
+    def test_reduce_side_bars(self, scale):
+        from repro.experiments import fig5_clueweb
+
+        preset = fig5_clueweb.SCALES[scale]
+        workload = AnnotationWorkload(
+            n_tokens=preset.n_tokens, n_docs=preset.n_docs, seed=7
+        )
+        for technique in ("Hadoop", "CSAW", "FlowJoinLB"):
+            minutes = fig5_clueweb._reduce_side_minutes(
+                workload, preset, technique, 7
+            )
+            assert minutes == self.MAKESPANS[(scale, technique)] / 60.0, technique
