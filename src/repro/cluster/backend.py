@@ -76,9 +76,9 @@ class ClusterBackend:
     fault_tolerance: FaultTolerance | None = None
     resilience: ResilienceOptions | None = None
     #: Opt-in elastic placement: mid-run bucket migration + hot-key
-    #: replication over the driver's :class:`PlacementService`; ``None``
-    #: (or disabled) keeps the legacy static-partition protocol
-    #: byte-identical on the wire.
+    #: replication over the driver's :class:`PlacementService`.  Every
+    #: run routes through that service's frame; ``None`` (or disabled)
+    #: keeps it at epoch 0, the static partition, with no rebalance.
     elastic: ElasticOptions | None = None
     #: Opt-in memory-adaptive execution: workers run budget-governed
     #: value caches and honour scheduled memory_pressure faults.

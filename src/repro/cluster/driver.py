@@ -157,19 +157,19 @@ class ClusterDriver:
             else DRIVER_TOLERANCE
         )
         self.resilience = resilience
-        self.elastic = (
-            elastic if elastic is not None and elastic.enabled else None
-        )
+        self.elastic = elastic if elastic is not None else ElasticOptions.off()
         self.memory = (
             memory
             if memory is not None and getattr(memory, "enabled", False)
             else None
         )
-        #: The epoch-stamped bucket->worker map (elastic runs only) —
-        #: the same :class:`PlacementService` the simulated engines use,
-        #: with region ids as buckets and node ids as ``data_ids``
-        #: indices.  Built in :meth:`start` once the ring is known.
-        self.placement_service: PlacementService | None = None
+        #: The epoch-stamped bucket->worker map, the cluster's only
+        #: routing state — the same :class:`PlacementService` the
+        #: simulated engines use, with region ids as buckets and node
+        #: ids as ``data_ids`` indices.  Built in :meth:`_specs` once
+        #: the ring is known; without elasticity it stays at epoch 0
+        #: unless a write-off moves a dead worker's buckets.
+        self.placement_service: PlacementService
         self.tracer = tracer
         self.registry = registry
         self.startup_timeout = startup_timeout
@@ -199,53 +199,38 @@ class ClusterDriver:
     # Topology + startup
     # ------------------------------------------------------------------
     def _specs(self, driver_address: tuple[str, int]) -> list[WorkerSpec]:
-        specs: list[WorkerSpec] = []
+        """Lay out the fleet: worker ids by role, the epoch-0 placement
+        and one spec per worker (``node_id`` is the layout position)."""
         if self.placement == "colocated":
             n = max(self.n_compute, self.n_data)
-            self.compute_ids = [f"w{i}" for i in range(n)]
-            self.data_ids = list(self.compute_ids)
-            for i in range(n):
-                specs.append(WorkerSpec(
-                    worker_id=f"w{i}",
-                    node_id=i,
-                    roles=("compute", "data"),
-                    driver_address=driver_address,
-                    seed=self.seed,
-                    log_path="",  # set by the supervisor
-                    data_index=i,
-                    n_data_partitions=n,
-                    schedule=self.fault_schedule,
-                memory=self.memory,
-                ))
-            return specs
-        self.compute_ids = [f"c{i}" for i in range(self.n_compute)]
-        self.data_ids = [f"d{j}" for j in range(self.n_data)]
-        for i in range(self.n_compute):
-            specs.append(WorkerSpec(
-                worker_id=f"c{i}",
-                node_id=i,
-                roles=("compute",),
+            layout = [(f"w{i}", ("compute", "data")) for i in range(n)]
+        else:
+            layout = [(f"c{i}", ("compute",)) for i in range(self.n_compute)]
+            layout += [(f"d{j}", ("data",)) for j in range(self.n_data)]
+        self.compute_ids = [w for w, roles in layout if "compute" in roles]
+        self.data_ids = [w for w, roles in layout if "data" in roles]
+        # Bucket b starts on data worker b % n: exactly the static
+        # ``owner_index`` partition, since (h % (k*n)) % n == h % n —
+        # a static placement is an epoch with no moves.
+        n_data = len(self.data_ids)
+        n_buckets = n_data * self.elastic.buckets_per_node
+        self.placement_service = PlacementService(
+            HashPartitioner(n_regions=n_buckets),
+            [b % n_data for b in range(n_buckets)],
+        )
+        return [
+            WorkerSpec(
+                worker_id=worker_id,
+                node_id=node_id,
+                roles=roles,
                 driver_address=driver_address,
                 seed=self.seed,
-                log_path="",
-                n_data_partitions=self.n_data,
+                log_path="",  # set by the supervisor
                 schedule=self.fault_schedule,
                 memory=self.memory,
-            ))
-        for j in range(self.n_data):
-            specs.append(WorkerSpec(
-                worker_id=f"d{j}",
-                node_id=self.n_compute + j,
-                roles=("data",),
-                driver_address=driver_address,
-                seed=self.seed,
-                log_path="",
-                data_index=j,
-                n_data_partitions=self.n_data,
-                schedule=self.fault_schedule,
-                memory=self.memory,
-            ))
-        return specs
+            )
+            for node_id, (worker_id, roles) in enumerate(layout)
+        ]
 
     def start(self) -> None:
         """Fork the workers and complete the cluster-wide handshake."""
@@ -258,17 +243,6 @@ class ClusterDriver:
         )
         self._accept_thread.start()
         specs = self._specs(address)
-        if self.elastic is not None:
-            # Bucket b starts on data worker b % n: exactly the static
-            # ``owner_index`` routing, since (h % (k*n)) % n == h % n —
-            # the frame changes nothing until the first rebalance.
-            n_data = len(self.data_ids)
-            n_buckets = n_data * self.elastic.buckets_per_node
-            self.placement_service = PlacementService(
-                HashPartitioner(n_regions=n_buckets),
-                [b % n_data for b in range(n_buckets)],
-            )
-            self.placement_service.elastic_active = True
         self.info.n_workers = len(specs)
         self._expected_workers = len(specs)
         if self.tracer.enabled:
@@ -346,21 +320,22 @@ class ClusterDriver:
             and all(h.address is not None for h in handles)
         )
 
-    def _welcome(self, stream: MessageStream, handle: WorkerHandle) -> None:
-        peers = {
-            h.worker_id: h.address
-            for h in self.supervisor.handles.values()
-            if h.address is not None
-        }
-        frame: dict[str, Any] = {
+    def _welcome_frame(self) -> dict[str, Any]:
+        """The peer map, the data ring and the current placement epoch."""
+        return {
             "type": "welcome",
-            "peers": peers,
+            "peers": {
+                h.worker_id: h.address
+                for h in self.supervisor.handles.values()
+                if h.address is not None
+            },
             "data_ring": list(self.data_ids),
+            "placement": self._placement_frame(),
         }
-        if self.placement_service is not None:
-            frame["placement"] = self._placement_frame()
+
+    def _welcome(self, stream: MessageStream, handle: WorkerHandle) -> None:
         try:
-            stream.send(frame)
+            stream.send(self._welcome_frame())
         except ConnectionClosed:
             return
         finally:
@@ -475,7 +450,6 @@ class ClusterDriver:
     def _placement_frame(self) -> dict[str, Any]:
         """The wire form of the current placement epoch."""
         service = self.placement_service
-        assert service is not None
         buckets = [
             self.data_ids[service.node_for_region(b)]
             for b in range(service.partitioner.n_regions)
@@ -514,9 +488,7 @@ class ClusterDriver:
         through the peer mesh — and finally broadcasts the new epoch.
         """
         service = self.placement_service
-        assert service is not None
         opts = self.elastic
-        assert opts is not None
         bucket_loads: dict[int, float] = {}
         key_counts: dict[Any, float] = {}
         for worker_id in self.data_ids:
@@ -569,9 +541,7 @@ class ClusterDriver:
         bucket_loads: dict[int, float],
     ) -> None:
         service = self.placement_service
-        assert service is not None
         opts = self.elastic
-        assert opts is not None
         if opts.max_replicas == 0:
             return
         threshold = opts.hot_key_fraction * total
@@ -617,12 +587,12 @@ class ClusterDriver:
 
         Returns True when the placement changed (caller broadcasts the
         new epoch *outside* the driver lock).  Keys whose only copy was
-        the corpse's static partition stay lost — identical to the
-        non-elastic write-off — but buckets previously migrated or
-        replicated elsewhere keep serving.
+        the corpse's base partition stay lost — the successor's lazy
+        fetch from the dead static owner fails and the run raises — but
+        buckets previously migrated or replicated elsewhere keep serving.
         """
         service = self.placement_service
-        if service is None or worker_id not in self.data_ids:
+        if worker_id not in self.data_ids:
             return False
         dead = self.data_ids.index(worker_id)
         live = [
@@ -662,7 +632,7 @@ class ClusterDriver:
         )
         if self.kill_plan is not None:
             self._run_sequential_with_kill(op, batches, outputs)
-        elif self.elastic is not None and len(batches) > 1:
+        elif self.elastic.enabled and len(batches) > 1:
             # Elastic: dispatch a leading fraction to gather real load
             # observations, run one rebalance round (replication +
             # bucket migration + epoch broadcast), then finish.
@@ -838,7 +808,7 @@ class ClusterDriver:
             merge_counters(
                 self.registry, self.info.worker_counters, prefix="cluster."
             )
-            if self.placement_service is not None:
+            if self.elastic.enabled:
                 self.placement_service.publish(self.registry)
             for client in self._clients.values():
                 for name, value in client.stats().items():

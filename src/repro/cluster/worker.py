@@ -10,6 +10,13 @@ once, at spawn.  Everything *after* the fork crosses a real socket:
   the driver hands every worker the full peer map in ``welcome``, and
   compute workers then dial data workers directly — the data plane
   never routes through the driver);
+* it routes every key through the driver's placement frame, the one
+  routing protocol: key -> bucket -> data worker, hot-key replicas
+  fanning reads in; ``welcome`` carries the current epoch (epoch 0 is
+  the static partition) and ``placement_update`` newer ones;
+* as a data worker it loads its base partition at welcome (the keys it
+  statically owns, :func:`owner_index`) and lazily fetches any other
+  row routed to it from that row's static owner;
 * it serves RPCs (:func:`repro.cluster.rpc.serve_connection`) with an
   idempotent replay cache, one thread per connection;
 * it applies its slice of the fault schedule
@@ -92,9 +99,6 @@ class WorkerSpec:
     driver_address: tuple[str, int]
     seed: int
     log_path: str
-    #: Index among data workers (partition number); None for pure compute.
-    data_index: int | None = None
-    n_data_partitions: int = 1
     listen_address: tuple[str, int] | None = None
     schedule: FaultSchedule | None = None
     #: Whether the scheduled CrashFault (if any) is still pending.
@@ -107,20 +111,22 @@ class WorkerSpec:
     memory: Any = None
 
 
+def owner_index(key: Hashable, n_partitions: int) -> int:
+    """Which data partition statically owns ``key`` (epoch 0's owner)."""
+    return stable_hash(key) % n_partitions
+
+
 def partition_values(
-    workload: "JoinWorkload", data_index: int, n_partitions: int
+    workload: "JoinWorkload", data_ring: list[str], worker_id: str
 ) -> dict[Hashable, Any]:
-    """The slice of the stored relation data worker ``data_index`` owns."""
+    """The base partition of ``worker_id``: the stored rows whose static
+    owner, ``data_ring[owner_index(key, len(data_ring))]``, it is."""
+    index, n = data_ring.index(worker_id), len(data_ring)
     return {
         key: value
         for key, value in workload.stored_values().items()
-        if stable_hash(key) % n_partitions == data_index
+        if owner_index(key, n) == index
     }
-
-
-def owner_index(key: Hashable, n_partitions: int) -> int:
-    """Which data partition owns ``key`` (the kernel's routing hash)."""
-    return stable_hash(key) % n_partitions
 
 
 class _Worker:
@@ -140,6 +146,9 @@ class _Worker:
         self.echo_count = 0
         #: Peer map worker_id -> address, from the welcome frame.
         self.peers: dict[str, tuple[str, int]] = {}
+        #: Data-role worker ids in partition order, from the welcome
+        #: frame: the static owners :meth:`_ensure_values` fetches from.
+        self.data_ring: list[str] = []
         self._peer_clients: dict[str, RpcClient] = {}
         self._peer_lock = threading.Lock()
         #: Compute-side value cache (the rent/buy "buy" analogue): keys
@@ -160,21 +169,19 @@ class _Worker:
                 limit = 100e6
             self.budget = MemoryBudget(limit, node_id=spec.node_id)
             self.budget.add_reclaimer("value-cache", self._reclaim_value_cache)
+        #: Stored rows this worker serves (data role): its base
+        #: partition, loaded at welcome, plus installed and lazily
+        #: fetched copies.
         self.values: dict[Hashable, Any] = {}
-        if "data" in spec.roles and spec.data_index is not None:
-            self.values = partition_values(
-                workload, spec.data_index, spec.n_data_partitions
-            )
-        #: Elastic placement frame from the driver (welcome or a
+        #: Placement frame from the driver (welcome or a newer-epoch
         #: ``placement_update`` broadcast): ``{"epoch", "n_buckets",
-        #: "buckets" (bucket -> worker_id), "replicas"}``.  ``None``
-        #: keeps the worker on the legacy static-partition routing,
-        #: byte-identical to pre-elastic behaviour.
-        self.placement: dict[str, Any] | None = None
+        #: "buckets" (bucket -> worker_id), "replicas"}``.  The welcome
+        #: replaces this pre-handshake stub before any RPC is served.
+        self.placement: dict[str, Any] = {"epoch": -1}
         self._replica_map: dict[Hashable, list[str]] = {}
         self._placement_lock = threading.Lock()
-        #: Per-bucket / per-key serve counts (data role, elastic only):
-        #: the load observations the driver's rebalance round pulls.
+        #: Per-bucket / per-key serve counts (data role): the load
+        #: observations the driver's rebalance round pulls.
         self.bucket_counts: dict[int, float] = {}
         self.key_counts: dict[Hashable, float] = {}
         schedule = spec.schedule
@@ -213,36 +220,37 @@ class _Worker:
             return client
 
     def data_worker_for(self, key: Hashable) -> str:
+        """The data worker serving a read of ``key`` this epoch."""
         placement = self.placement
-        if placement is not None:
-            bucket = stable_hash(key) % placement["n_buckets"]
-            owner = placement["buckets"][bucket]
-            extra = self._replica_map.get(key)
-            if extra:
-                # Hot-key read fan-in: deterministic per reader, so the
-                # value cache stays exact and two runs route alike.
-                serving = [owner] + [w for w in extra if w != owner]
-                return serving[self.spec.node_id % len(serving)]
-            return owner
-        index = owner_index(key, self.spec.n_data_partitions)
-        worker_id = self.data_worker_ids[index]
-        return worker_id
+        owner = placement["buckets"][stable_hash(key) % placement["n_buckets"]]
+        extra = self._replica_map.get(key)
+        if extra:
+            # Hot-key read fan-in: deterministic per reader, so the
+            # value cache stays exact and two runs route alike.
+            serving = [owner] + [w for w in extra if w != owner]
+            return serving[self.spec.node_id % len(serving)]
+        return owner
 
     def apply_placement(self, frame: dict[str, Any]) -> int:
         """Adopt a placement frame if its epoch is newer; returns ours."""
         with self._placement_lock:
-            current = self.placement
-            if current is None or frame["epoch"] > current["epoch"]:
+            if frame["epoch"] > self.placement["epoch"]:
                 self.placement = frame
                 self._replica_map = {
                     key: list(workers) for key, workers in frame["replicas"]
                 }
-            return self.placement["epoch"]  # type: ignore[index]
+            return self.placement["epoch"]
 
-    @property
-    def data_worker_ids(self) -> list[str]:
-        """Data-role worker ids in partition order (from the peer map)."""
-        return self.peers["__data_ring__"]  # type: ignore[return-value]
+    def welcome(self, frame: dict[str, Any]) -> None:
+        """Adopt the driver's welcome: peers, data ring, placement epoch
+        and, for a data worker, its base partition."""
+        self.peers = dict(frame["peers"])
+        self.data_ring = list(frame["data_ring"])
+        self.apply_placement(frame["placement"])
+        if "data" in self.spec.roles:
+            self.values = partition_values(
+                self.workload, self.data_ring, self.spec.worker_id
+            )
 
     def call_peer(self, worker_id: str, op: str, **payload: Any) -> Any:
         self.bump("peer.requests")
@@ -324,14 +332,11 @@ class _Worker:
 
     def _count_serves(self, keys: list[Hashable]) -> None:
         """Record per-bucket / per-key load (the rebalance observations)."""
-        # Per-worker serve volume, placement or not: the skew benchmark
-        # reads these back as ``cluster.served.<worker>`` to compare the
-        # hottest node's share with elasticity off vs on.
+        # Per-worker serve volume: the skew benchmark reads these back
+        # as ``cluster.served.<worker>`` to compare the hottest node's
+        # share with elasticity off vs on.
         self.bump(f"served.{self.spec.worker_id}", float(len(keys)))
-        placement = self.placement
-        if placement is None:
-            return
-        n_buckets = placement["n_buckets"]
+        n_buckets = self.placement["n_buckets"]
         with self._placement_lock:
             for key in keys:
                 bucket = stable_hash(key) % n_buckets
@@ -341,21 +346,20 @@ class _Worker:
     def _ensure_values(self, keys: list[Hashable]) -> None:
         """Fetch rows this worker serves but does not hold yet.
 
-        Elastic placement can route a key here (migrated bucket, hot-key
-        replica) before — or without — a ``region_install`` having
-        landed.  The static owner always retains its partition (copies
-        never delete), so a lazy fetch from it is both safe and
-        terminating: a worker *is* its own static owner for its base
-        partition, and that case never misses.
+        The placement can route a key here (migrated bucket, hot-key
+        replica, a written-off worker's bucket) before — or without — a
+        ``region_install`` having landed.  The static owner always
+        retains its base partition (copies never delete), so a lazy
+        fetch from it is both safe and terminating: a worker *is* its
+        own static owner for its base partition, and that case never
+        misses.
         """
-        if self.placement is None:
-            return
         missing: dict[str, list[Hashable]] = {}
-        n = self.spec.n_data_partitions
+        ring = self.data_ring
         for key in keys:
             if key in self.values:
                 continue
-            static_owner = self.data_worker_ids[owner_index(key, n)]
+            static_owner = ring[owner_index(key, len(ring))]
             if static_owner == self.spec.worker_id:
                 continue  # genuinely unknown key; let the KeyError surface
             missing.setdefault(static_owner, []).append(key)
@@ -567,13 +571,7 @@ class _Worker:
         with self._value_lock:
             if keys is None:
                 bucket = int(request["bucket"])
-                placement = self.placement
-                if placement is None:
-                    raise RpcError("region_push", {
-                        "kind": "no_placement",
-                        "detail": "worker has no placement frame",
-                    })
-                n_buckets = placement["n_buckets"]
+                n_buckets = self.placement["n_buckets"]
                 rows = [
                     (key, value)
                     for key, value in self.values.items()
@@ -662,11 +660,11 @@ def _run_worker(worker: _Worker) -> None:
         welcome = control.recv(timeout=30.0)
         if not isinstance(welcome, dict) or welcome.get("type") != "welcome":
             raise RuntimeError(f"expected welcome frame, got {welcome!r}")
-        worker.peers = dict(welcome["peers"])
-        worker.peers["__data_ring__"] = list(welcome["data_ring"])
-        if "placement" in welcome:
-            worker.apply_placement(welcome["placement"])
-    worker.log(f"welcomed; {len(worker.peers) - 1} peers")
+        worker.welcome(welcome)
+    worker.log(
+        f"welcomed; {len(worker.peers)} workers, "
+        f"{len(worker.values)} base rows, epoch {worker.placement['epoch']}"
+    )
 
     server.settimeout(0.2)
     threads: list[threading.Thread] = []

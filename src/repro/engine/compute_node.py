@@ -72,16 +72,6 @@ class _RowInfo:
         self.hydration_cost = hydration_cost
 
 
-def _always_compute(key: Hashable, dst: int) -> tuple[Route, Any]:
-    """FD, LO and side-effecting UDFs: ship the function to the data node."""
-    return Route.COMPUTE_REQUEST, None
-
-
-def _always_fetch(key: Hashable, dst: int) -> tuple[Route, Any]:
-    """NO and FC: fetch the value and compute here."""
-    return Route.DATA_REQUEST_DISK, None
-
-
 class ComputeNodeRuntime:
     """The compute-node side of the join for one node.
 
@@ -318,6 +308,10 @@ class ComputeNodeRuntime:
         # value)``, chosen here once; :meth:`submit` acts on its route.
         # ------------------------------------------------------------------
         self._recording = tracer.enabled
+        #: Requests routed without Algorithm 1 (the fixed routers and
+        #: FO-NA's frozen misses); the optimizer counts its own.
+        self.routed_compute = 0
+        self.routed_data = 0
         self._dst_cache: dict[Hashable, int] = {}
         self._dst_gen = -1
         self._dst_of: Callable[[Hashable], int] = self._dst_for
@@ -328,11 +322,11 @@ class ComputeNodeRuntime:
             # would need, so the data node executes everything) and
             # never served by a hot-key replica.
             self._dst_of = kvstore.node_for_key
-            self._router = _always_compute
+            self._router = self._always_compute
         elif self.optimizer is None:
             self._router = {
-                RoutingPolicy.ALWAYS_COMPUTE: _always_compute,
-                RoutingPolicy.ALWAYS_DATA: _always_fetch,
+                RoutingPolicy.ALWAYS_COMPUTE: self._always_compute,
+                RoutingPolicy.ALWAYS_DATA: self._always_fetch,
                 RoutingPolicy.RANDOM: self._coin,
             }[config.routing]
         elif self._freeze_after is not None:
@@ -423,11 +417,21 @@ class ComputeNodeRuntime:
             self._dst_cache[key] = dst
         return dst
 
+    def _always_compute(self, key: Hashable, dst: int) -> tuple[Route, Any]:
+        """FD, LO and side-effecting UDFs: ship the function to the data node."""
+        self.routed_compute += 1
+        return Route.COMPUTE_REQUEST, None
+
+    def _always_fetch(self, key: Hashable, dst: int) -> tuple[Route, Any]:
+        """NO and FC: fetch the value and compute here."""
+        self.routed_data += 1
+        return Route.DATA_REQUEST_DISK, None
+
     def _coin(self, key: Hashable, dst: int) -> tuple[Route, Any]:
         """FR: a fair coin per request."""
         if self._rng.random() < 0.5:
-            return Route.COMPUTE_REQUEST, None
-        return Route.DATA_REQUEST_DISK, None
+            return self._always_compute(key, dst)
+        return self._always_fetch(key, dst)
 
     def _route_until_frozen(self, key: Hashable, dst: int) -> tuple[Route, Any]:
         """Figure 9's FO-NA: Algorithm 1 for the adaptive prefix, then
@@ -436,7 +440,7 @@ class ComputeNodeRuntime:
             return self.optimizer.route_fast(key, dst)  # type: ignore[union-attr]
         cached = self.cache.lookup(key)
         if cached is None:
-            return Route.COMPUTE_REQUEST, None
+            return self._always_compute(key, dst)
         value, tier = cached
         if tier is CacheTier.DISK:
             return Route.LOCAL_DISK, value

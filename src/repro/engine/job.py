@@ -800,10 +800,13 @@ def routing_sums(
     runtimes: Iterable[ComputeNodeRuntime], servers: Iterable[DataNodeServer]
 ) -> tuple[int, int, float]:
     """``(compute requests, data requests, mean kept fraction)``: the
-    optimizers' request counts (fixed strategies have none) and the
-    mean of the balancers that decided anything."""
+    requests every runtime's router sent (its optimizer's counts plus
+    the fixed routers' tallies) and the mean of the balancers that
+    decided anything."""
     compute_reqs = data_reqs = 0
     for runtime in runtimes:
+        compute_reqs += runtime.routed_compute
+        data_reqs += runtime.routed_data
         if runtime.optimizer is not None:
             ostats = runtime.optimizer.stats()
             compute_reqs += ostats.compute_requests

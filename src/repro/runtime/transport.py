@@ -568,27 +568,10 @@ class Transport:
         so successive generations wait longer rather than hammering
         replicas at the base timeout.
         """
-        self._pending.pop(rid, None)
-        if entry.timer is not None:
-            entry.timer.cancel()
-        if entry.hedge_timer is not None:
-            entry.hedge_timer.cancel()
-            entry.hedge_timer = None
         self.fallbacks += 1
-        if self.on_abandon is not None:
-            self.on_abandon(entry.dst, entry.kind, entry.items)
         replica = self.replica_for(entry.dst)
-        if self.tracer.enabled:
-            now = self.cluster.sim.now
-            self.tracer.event(
-                "fallback", parent=entry.span, at=now,
-                rid=rid, primary=entry.dst, replica=replica,
-            )
-            if entry.span is not None:
-                self.tracer.end(
-                    entry.span, at=now, status="fallback",
-                    attempts=entry.attempt + 1,
-                )
+        self._abandon(rid, entry, "fallback", "fallback",
+                      primary=entry.dst, replica=replica)
         fallback_items = [
             RequestItem(
                 key=item.key,
@@ -618,31 +601,9 @@ class Transport:
         growing if placement keeps moving under the batch) and nest
         under the refused request's span.
         """
-        self._pending.pop(rid, None)
-        if entry.timer is not None:
-            entry.timer.cancel()
-        if entry.hedge_timer is not None:
-            entry.hedge_timer.cancel()
-            entry.hedge_timer = None
         self.redirects += 1
-        # Credit the in-flight accounting charged at dispatch; the
-        # replacement sends below re-charge their own destinations.
-        if self.on_abandon is not None:
-            self.on_abandon(entry.dst, entry.kind, entry.items)
-        if self.tracer.enabled:
-            now = self.cluster.sim.now
-            self.tracer.event(
-                "wrong-region", parent=entry.span, at=now,
-                rid=rid, dst=entry.dst, epoch=exc.epoch,
-            )
-            if entry.attempt_span is not None:
-                self.tracer.end(entry.attempt_span, at=now, status="wrong_region")
-                entry.attempt_span = None
-            if entry.span is not None:
-                self.tracer.end(
-                    entry.span, at=now, status="wrong_region",
-                    attempts=entry.attempt + 1,
-                )
+        self._abandon(rid, entry, "wrong_region", "wrong-region",
+                      dst=entry.dst, epoch=exc.epoch)
         region_map = self.servers[entry.dst].kvstore.region_map
         groups: "dict[int, list[RequestItem]]" = {}
         for item in entry.items:
@@ -653,6 +614,35 @@ class Transport:
         for owner in sorted(groups):
             self.send(owner, entry.kind, groups[owner],
                       attempt=entry.attempt, span_parent=entry.span)
+
+    def _abandon(
+        self, rid: str, entry: _Pending, status: str, event: str,
+        **attrs: Any,
+    ) -> None:
+        """Give up on ``entry`` at its destination: drop it from the
+        pending table, cancel its timers, credit the in-flight
+        accounting charged at dispatch (the caller's replacement sends
+        re-charge their own destinations), then record ``event`` and
+        end the attempt and request spans with ``status``."""
+        self._pending.pop(rid, None)
+        if entry.timer is not None:
+            entry.timer.cancel()
+        if entry.hedge_timer is not None:
+            entry.hedge_timer.cancel()
+            entry.hedge_timer = None
+        if self.on_abandon is not None:
+            self.on_abandon(entry.dst, entry.kind, entry.items)
+        if self.tracer.enabled:
+            now = self.cluster.sim.now
+            self.tracer.event(event, parent=entry.span, at=now, rid=rid, **attrs)
+            if entry.attempt_span is not None:
+                self.tracer.end(entry.attempt_span, at=now, status=status)
+                entry.attempt_span = None
+            if entry.span is not None:
+                self.tracer.end(
+                    entry.span, at=now, status=status,
+                    attempts=entry.attempt + 1,
+                )
 
     def replica_for(self, dst: int) -> int:
         """The next data node holding a replica of ``dst``'s partitions.
@@ -719,28 +709,10 @@ class Transport:
             return 0
         doomed = [rid for rid, e in self._pending.items() if e.dst == dead]
         for rid in doomed:
-            entry = self._pending.pop(rid)
-            if entry.timer is not None:
-                entry.timer.cancel()
-            if entry.hedge_timer is not None:
-                entry.hedge_timer.cancel()
-                entry.hedge_timer = None
+            entry = self._pending[rid]
             self.failovers += 1
-            if self.on_abandon is not None:
-                self.on_abandon(entry.dst, entry.kind, entry.items)
-            if self.tracer.enabled:
-                now = self.cluster.sim.now
-                self.tracer.event(
-                    "failover", parent=entry.span, at=now,
-                    rid=rid, dead=dead, new_owner=new_owner,
-                )
-                if entry.attempt_span is not None:
-                    self.tracer.end(entry.attempt_span, at=now, status="failover")
-                if entry.span is not None:
-                    self.tracer.end(
-                        entry.span, at=now, status="failover",
-                        attempts=entry.attempt + 1,
-                    )
+            self._abandon(rid, entry, "failover", "failover",
+                          dead=dead, new_owner=new_owner)
             self.send(new_owner, entry.kind, entry.items,
                       attempt=entry.attempt, span_parent=entry.span)
         return len(doomed)

@@ -128,6 +128,7 @@ def _route_and_dispatch(
     if not self.udf.side_effect_free:
         # Side-effecting UDFs run exactly once at the row's owner.
         dst = self.kvstore.node_for_key(key)
+        self.routed_compute += 1
         self._record(tuple_id, key, Route.COMPUTE_REQUEST.value)
         self._enqueue(dst, tuple_id, key, RequestKind.COMPUTE,
                       Route.COMPUTE_REQUEST, params)
@@ -146,6 +147,7 @@ def _route_and_dispatch(
                 self._execute_local(tuple_id, key, value, params,
                                     disk=disk, hydrate=disk)
             else:
+                self.routed_compute += 1
                 self._record(tuple_id, key, Route.COMPUTE_REQUEST.value)
                 self._enqueue(dst, tuple_id, key, RequestKind.COMPUTE,
                               Route.COMPUTE_REQUEST, params)
@@ -163,19 +165,23 @@ def _route_and_dispatch(
             self._enqueue_fetch(dst, tuple_id, key, decision.route, params)
         return
     if policy is RoutingPolicy.ALWAYS_COMPUTE:
+        self.routed_compute += 1
         self._record(tuple_id, key, Route.COMPUTE_REQUEST.value)
         self._enqueue(dst, tuple_id, key, RequestKind.COMPUTE,
                       Route.COMPUTE_REQUEST, params)
     elif policy is RoutingPolicy.ALWAYS_DATA:
+        self.routed_data += 1
         self._record(tuple_id, key, Route.DATA_REQUEST_DISK.value)
         self._enqueue(dst, tuple_id, key, RequestKind.DATA,
                       Route.DATA_REQUEST_DISK, params)
     else:  # RANDOM (FR): fair coin per request.
         if self._rng.random() < 0.5:
+            self.routed_compute += 1
             self._record(tuple_id, key, Route.COMPUTE_REQUEST.value)
             self._enqueue(dst, tuple_id, key, RequestKind.COMPUTE,
                           Route.COMPUTE_REQUEST, params)
         else:
+            self.routed_data += 1
             self._record(tuple_id, key, Route.DATA_REQUEST_DISK.value)
             self._enqueue(dst, tuple_id, key, RequestKind.DATA,
                           Route.DATA_REQUEST_DISK, params)
