@@ -207,7 +207,8 @@ class RunConfig:
         default_factory=ResilienceOptions
     )
     #: Runtime region split/merge/migration and hot-key replication
-    #: over the shared :class:`~repro.placement.PlacementService`.
+    #: over the shared :class:`~repro.placement.PlacementService`
+    #: (``engine`` or ``streaming`` on ``sim``, any engine on ``cluster``).
     #: ``ElasticOptions.off()`` (the default) wires nothing — the run
     #: is bit-identical to the static region map.
     elastic: ElasticOptions = field(default_factory=ElasticOptions)
@@ -260,6 +261,14 @@ class RunConfig:
             raise ValueError(
                 f"backend={self.backend!r} cannot honour "
                 f"{', '.join(dropped)}; use backend={other!r}"
+            )
+        # The simulated shuffle engines have no per-key serving path.
+        if self.elastic.enabled and self.backend == "sim" and (
+            self.engine not in ("engine", "streaming")
+        ):
+            raise ValueError(
+                f"engine={self.engine!r} on backend='sim' would ignore elastic;"
+                " use engine='engine' or 'streaming', or backend='cluster'"
             )
         if self.membership:
             if self.backend != "sim" or self.engine != "engine":

@@ -332,41 +332,20 @@ class JoinJob:
     def __post_init__(self) -> None:
         if not self.compute_nodes or not self.data_nodes:
             raise ValueError("need at least one compute node and one data node")
-        partitioner = HashPartitioner(
-            n_regions=self.regions_per_node * len(self.data_nodes)
+        self.budgets = memory_budgets(
+            self.memory, self.memory_cache_bytes,
+            list(self.compute_nodes) + list(self.data_nodes),
         )
-        # Every layer consults this one epoch-stamped map; inert (no
-        # coordinator) it behaves exactly like the static RegionMap.
-        region_map = PlacementService.round_robin(partitioner, list(self.data_nodes))
-        self.kvstore = KVStore(self.table, region_map)
-        self.servers = {
-            dn: DataNodeServer(
-                cluster=self.cluster,
-                node_id=dn,
-                kvstore=self.kvstore,
-                udf=self.udf,
-                balancer=BatchLoadBalancer(
-                    enabled=self.strategy.load_balancing,
-                    use_exact=self.use_exact_balancer,
-                    rng=np.random.default_rng(derive_seed(self.seed, f"lb:{dn}")),
-                ),
-                block_cache_bytes=self.block_cache_bytes,
-                tracer=self.tracer,
-            )
-            for dn in self.data_nodes
-        }
+        self.kvstore, self.servers = build_data_side(
+            self.cluster, self.data_nodes, self.table, self.udf, self.strategy,
+            regions_per_node=self.regions_per_node,
+            block_cache_bytes=self.block_cache_bytes,
+            budgets=self.budgets, memory=self.memory, tracer=self.tracer,
+            seed=self.seed, use_exact_balancer=self.use_exact_balancer,
+        )
         self._completions = 0
         self._last_finish = 0.0
         self.runtimes = {}
-        self.budgets = {}
-        if self.memory is not None and self.memory.enabled:
-            limit = self.memory.budget_bytes
-            if limit is None:
-                limit = self.memory_cache_bytes
-            for node in list(self.compute_nodes) + list(self.data_nodes):
-                self.budgets[node] = MemoryBudget(limit, node_id=node)
-            for dn, server in self.servers.items():
-                server.arm_memory(self.budgets[dn], self.memory)
         if self.fault_schedule is not None:
             self.injector = FaultInjector(self.fault_schedule, tracer=self.tracer)
             self.injector.install(
@@ -433,16 +412,10 @@ class JoinJob:
         self.incarnations = []
         self.outputs = {}
         sim = self.cluster.sim
-        job_span = None
-        if self.tracer.enabled:
-            job_span = self.tracer.start(
-                "job",
-                at=sim.now,
-                engine="engine",
-                strategy=self.strategy.name,
-                n_tuples=n_tuples,
-                **span_attrs,
-            )
+        job_span = self.tracer.start(
+            "job", at=sim.now, engine="engine", strategy=self.strategy.name,
+            n_tuples=n_tuples, **span_attrs,
+        )
 
         def on_complete(tuple_id: int, finish: float) -> None:
             self._completions += 1
@@ -535,14 +508,9 @@ class JoinJob:
             self.resilience_manager = manager
 
         if self.elastic is not None and self.elastic.enabled:
-            region_map = self.kvstore.region_map
-            if not isinstance(region_map, PlacementService):
-                raise TypeError(
-                    "elastic placement requires a PlacementService region map"
-                )
             coordinator = ElasticCoordinator(
                 cluster=self.cluster,
-                placement=region_map,
+                placement=self.kvstore.region_map,
                 options=self.elastic,
                 table=self.table,
                 tracer=self.tracer,
@@ -586,15 +554,20 @@ class JoinJob:
                 f"job stalled: {self._completions}/{n_tuples} tuples "
                 f"completed{hint}"
             )
-        if job_span is not None:
-            self.tracer.end(job_span, at=self._last_finish)
-        return self._collect(n_tuples, finish_times)
+        self.tracer.end(job_span, at=self._last_finish)
+        return collect_result(
+            self.cluster, self.strategy, n_tuples, self._last_finish,
+            self.incarnations, list(self.servers.values()),
+            self.budgets.values(), udfs=n_tuples, registry=self.registry,
+            injector=self.injector, finish_times=finish_times,
+            loops=(self.resilience_manager, self.elastic_coordinator),
+        )
 
     def _make_runtime(
         self,
         cn: int,
         on_complete: Callable[[int, float], None],
-        job_span: Span | None,
+        job_span: Span,
         expected_inputs: int | None = None,
     ) -> ComputeNodeRuntime:
         """Assemble one compute-node runtime from the job's options."""
@@ -725,117 +698,151 @@ class JoinJob:
         """
         return self.outputs
 
-    # ------------------------------------------------------------------
-    # Metrics
-    # ------------------------------------------------------------------
-    def _collect(self, n_tuples: int, finish_times: list[float]) -> JobResult:
-        udfs_data = sum(server.udfs_executed for server in self.servers.values())
-        mem_hits = disk_hits = 0
-        completed: dict[int, int] = {}
-        for runtime in self.incarnations:
-            completed[runtime.node_id] = (
-                completed.get(runtime.node_id, 0) + runtime.completed
-            )
-            stats = runtime.cache.stats()
-            mem_hits += stats.memory_hits
-            disk_hits += stats.disk_hits
-        # Failover can execute one tuple at two servers (the dead owner
-        # ran it, then the replay ran it at the successor), so the
-        # derived compute-side count must not go negative.
-        udfs_compute = max(0, n_tuples - udfs_data)
-        compute_reqs, data_reqs, lb_kept = routing_sums(
-            self.incarnations, self.servers.values()
-        )
-        wire = transport_stats(r.transport for r in self.incarnations)
-        dup_requests = sum(
-            server.duplicate_requests for server in self.servers.values()
-        )
-        flushes: Counter[str] = Counter()
-        for runtime in self.incarnations:
-            for buffer in runtime.buffers():
-                flushes.update(buffer.flush_counts)
-        result = JobResult(
-            strategy=self.strategy.name,
-            n_tuples=n_tuples,
-            makespan=self._last_finish,
-            bytes_moved=self.cluster.network.bytes_moved,
-            udfs_at_data_nodes=udfs_data,
-            udfs_at_compute_nodes=udfs_compute,
-            cache_memory_hits=mem_hits,
-            cache_disk_hits=disk_hits,
-            compute_requests=compute_reqs,
-            data_requests=data_reqs,
-            lb_kept_fraction=lb_kept,
-            events=self.cluster.sim.events_processed,
-            timeouts=wire.timeouts,
-            retries=wire.retries,
-            fallbacks=wire.fallbacks,
-            duplicate_responses=wire.duplicate_responses,
-            duplicate_requests=dup_requests,
-            messages_faulted=(
-                self.injector.messages_faulted if self.injector else 0
+
+def memory_budgets(
+    memory: MemoryOptions | None, default_limit: float, nodes: Iterable[int]
+) -> dict[int, MemoryBudget]:
+    """One budget arbiter per node, in ``nodes`` order (none without
+    memory adaptation); the limit defaults to the cache budget."""
+    if memory is None or not memory.enabled:
+        return {}
+    limit = memory.budget_bytes
+    if limit is None:
+        limit = default_limit
+    return {node: MemoryBudget(limit, node_id=node) for node in nodes}
+
+
+def build_data_side(
+    cluster: Cluster, data_nodes: Sequence[int], table: Table, udf: UDF,
+    strategy: StrategyConfig, *, regions_per_node: int,
+    block_cache_bytes: float, budgets: dict[int, MemoryBudget],
+    memory: MemoryOptions | None, tracer: Tracer, seed: int,
+    use_exact_balancer: bool = False, stage: int | None = None,
+) -> tuple[KVStore, dict[int, DataNodeServer]]:
+    """The store side of one join: hash regions placed round-robin, one
+    :class:`DataNodeServer` with its own load balancer per data node,
+    each armed with its node's budget when ``budgets`` has one.
+
+    A pipeline builds one per join ``stage``; the stage number keeps
+    its balancer seeds (``lb:{stage}:{dn}``) and build-side owners
+    (``build-{stage}-{dn}``) apart from the other stages'.
+    """
+    partitioner = HashPartitioner(n_regions=regions_per_node * len(data_nodes))
+    # Every layer consults this one epoch-stamped map; inert (no
+    # coordinator) it behaves exactly like the static RegionMap.
+    region_map = PlacementService.round_robin(partitioner, list(data_nodes))
+    kvstore = KVStore(table, region_map)
+    servers = {}
+    for dn in data_nodes:
+        if stage is None:
+            lb_label, owner = f"lb:{dn}", f"build-{dn}"
+        else:
+            lb_label, owner = f"lb:{stage}:{dn}", f"build-{stage}-{dn}"
+        server = servers[dn] = DataNodeServer(
+            cluster=cluster,
+            node_id=dn,
+            kvstore=kvstore,
+            udf=udf,
+            balancer=BatchLoadBalancer(
+                enabled=strategy.load_balancing,
+                use_exact=use_exact_balancer,
+                rng=np.random.default_rng(derive_seed(seed, lb_label)),
             ),
-            completed_per_node=completed,
-            flushes=dict(flushes),
-            completion_times=sorted(finish_times),
+            block_cache_bytes=block_cache_bytes,
+            tracer=tracer,
         )
-        # Every finished job lands in the ambient obs pipeline — this
-        # is what lets the benchmark JSON hook attach routing and fault
-        # counters without any per-tuple instrumentation.
-        sources = memory_counter_sources(
-            self.budgets.values(), self.servers.values(), self.incarnations
-        )
-        for registry in (ambient_registry(), self.registry):
-            if registry is None:
-                continue
-            publish_job_result(result, registry)
-            for loop in (self.resilience_manager, self.elastic_coordinator):
-                if loop is not None:
-                    loop.publish(registry)
-            publish_memory_counters(registry, *sources)
-        return result
+        if dn in budgets:
+            server.arm_memory(budgets[dn], memory, owner=owner)
+    return kvstore, servers
 
 
-def routing_sums(
-    runtimes: Iterable[ComputeNodeRuntime], servers: Iterable[DataNodeServer]
-) -> tuple[int, int, float]:
-    """``(compute requests, data requests, mean kept fraction)``: the
-    requests every runtime's router sent (its optimizer's counts plus
-    the fixed routers' tallies) and the mean of the balancers that
-    decided anything."""
+def collect_result(
+    cluster: Cluster, strategy: StrategyConfig, n_tuples: int, makespan: float,
+    runtimes: Sequence[ComputeNodeRuntime], servers: Sequence[DataNodeServer],
+    budgets: Iterable[MemoryBudget], *, udfs: int,
+    registry: MetricsRegistry | None, injector: FaultInjector | None = None,
+    finish_times: Iterable[float] = (), completed: dict[int, int] | None = None,
+    loops: Iterable[Any] = (), counters: dict[str, float] | None = None,
+) -> JobResult:
+    """Build a finished job's :class:`JobResult` and publish it, with
+    every control loop in ``loops`` and the memory counters (plus
+    ``counters``), to the ambient registry and ``registry``: what lets
+    the benchmark JSON hook attach routing and fault counters without
+    per-tuple instrumentation.  ``udfs``: UDF executions asked for (the
+    data nodes' are subtracted); ``completed``: tuples finished per
+    compute node (default: each runtime's own count).
+    """
+    udfs_data = sum(server.udfs_executed for server in servers)
+    mem_hits = disk_hits = cache_spills = 0
     compute_reqs = data_reqs = 0
+    flushes: Counter[str] = Counter()
+    per_node: Counter[int] = Counter()
     for runtime in runtimes:
+        per_node[runtime.node_id] += runtime.completed
+        stats = runtime.cache.stats()
+        mem_hits += stats.memory_hits
+        disk_hits += stats.disk_hits
+        cache_spills += runtime.cache.budget_spills
+        # The requests every router sent: the optimizer's counts plus
+        # the fixed routers' tallies.
         compute_reqs += runtime.routed_compute
         data_reqs += runtime.routed_data
         if runtime.optimizer is not None:
             ostats = runtime.optimizer.stats()
             compute_reqs += ostats.compute_requests
             data_reqs += ostats.data_requests_memory + ostats.data_requests_disk
+        for buffer in runtime.buffers():
+            flushes.update(buffer.flush_counts)
+    # The mean kept fraction of the balancers that decided anything.
     kept = [
         server.balancer.mean_kept_fraction
         for server in servers
         if server.balancer.decisions > 0
     ]
-    return compute_reqs, data_reqs, sum(kept) / len(kept) if kept else 0.0
-
-
-def memory_counter_sources(
-    budgets: Iterable[MemoryBudget],
-    servers: Iterable[DataNodeServer],
-    runtimes: Iterable[ComputeNodeRuntime],
-) -> list[dict[str, float]]:
-    """Per-component memory-adaptation counters to merge: every budget,
-    every data-node server with any, and the compute caches' spills
-    (none of them without memory adaptation)."""
+    wire = transport_stats(runtime.transport for runtime in runtimes)
+    # Failover can execute one tuple at two servers (the dead owner ran
+    # it, then the replay ran it at the successor), so the derived
+    # compute-side count must not go negative.
+    result = JobResult(
+        strategy=strategy.name,
+        n_tuples=n_tuples,
+        makespan=makespan,
+        bytes_moved=cluster.network.bytes_moved,
+        udfs_at_data_nodes=udfs_data,
+        udfs_at_compute_nodes=max(0, udfs - udfs_data),
+        cache_memory_hits=mem_hits,
+        cache_disk_hits=disk_hits,
+        compute_requests=compute_reqs,
+        data_requests=data_reqs,
+        lb_kept_fraction=sum(kept) / len(kept) if kept else 0.0,
+        events=cluster.sim.events_processed,
+        timeouts=wire.timeouts,
+        retries=wire.retries,
+        fallbacks=wire.fallbacks,
+        duplicate_responses=wire.duplicate_responses,
+        duplicate_requests=sum(server.duplicate_requests for server in servers),
+        messages_faulted=injector.messages_faulted if injector else 0,
+        completed_per_node=dict(per_node) if completed is None else completed,
+        flushes=dict(flushes),
+        completion_times=sorted(finish_times),
+    )
+    # Per-component memory-adaptation counters (none of them without
+    # memory adaptation), summed per name when published.
     sources = [budget.counters() for budget in budgets]
-    for server in servers:
-        counts = server.memory_counters()
-        if counts:
-            sources.append(counts)
-    cache_spills = sum(runtime.cache.budget_spills for runtime in runtimes)
+    sources += [c for c in (s.memory_counters() for s in servers) if c]
     if cache_spills:
         sources.append({"cache_spills": float(cache_spills)})
-    return sources
+    if counters:
+        sources.append(counters)
+    for reg in (ambient_registry(), registry):
+        if reg is None:
+            continue
+        publish_job_result(result, reg)
+        for loop in loops:
+            if loop is not None:
+                loop.publish(reg)
+        publish_memory_counters(reg, *sources)
+    return result
 
 
 class _Feeder:

@@ -12,23 +12,25 @@ the next stage it has a key for on the same compute node — no shuffle,
 no staging of intermediate results (the compute nodes hold no state,
 Section 5).  The chain is the first plan of
 :mod:`repro.memory.replan`, which may re-order it at stage boundaries.
+Each stage is an ordinary join: :mod:`repro.engine.job` builds its
+data side and collects the run's result; only the feeding lives here.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-import numpy as np
-
 from repro.core.frequency import LossyCounter
-from repro.placement.batch import BatchLoadBalancer, SizeProfile
+from repro.placement.batch import SizeProfile
 from repro.engine.compute_node import ComputeNodeRuntime
-from repro.engine.job import JobResult, memory_counter_sources, routing_sums
+from repro.engine.job import (
+    JobResult, build_data_side, collect_result, memory_budgets,
+)
 from repro.engine.requests import UDF
 from repro.engine.strategies import StrategyConfig
 from repro.faults.policy import FaultTolerance
-from repro.memory.budget import MemoryBudget, publish_memory_counters
 from repro.memory.options import MemoryOptions
 from repro.memory.replan import (
     Plan,
@@ -39,14 +41,10 @@ from repro.memory.replan import (
     left_deep,
     plan_repr,
 )
-from repro.obs.registry import MetricsRegistry, ambient_registry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import NO_TRACER, Tracer
-from repro.obs.usage import publish_job_result
 from repro.sim.cluster import Cluster
 from repro.sim.rng import derive_seed
-from repro.store.datanode import DataNodeServer
-from repro.store.kvstore import KVStore
-from repro.store.partitioner import HashPartitioner, RegionMap
 from repro.store.table import Table
 
 
@@ -62,6 +60,9 @@ class JoinStageSpec:
 
 class MultiJoinJob:
     """Left-deep pipelined multi-join over the simulated cluster.
+
+    Each stage is traced under the run's one ``job`` span and collected
+    like a plain join; the per-node memory budgets span all stages.
 
     Parameters
     ----------
@@ -112,49 +113,25 @@ class MultiJoinJob:
         self.stage_estimates = list(stage_estimates) if stage_estimates else None
         self.tracer = tracer
         self.registry = registry
-        self.budgets: dict[int, MemoryBudget] = {}
         self.replan_decisions: list[ReplanDecision] = []
         self.replans = 0
-        self._stage_servers: list[dict[int, DataNodeServer]] = []
-        self._stage_stores: list[KVStore] = []
-        for s, stage in enumerate(self.stages):
-            partitioner = HashPartitioner(
-                n_regions=regions_per_node * len(self.data_nodes)
+        # One arbiter per node, *shared* across stages: the whole point
+        # of a unified budget is that stage 2's build side feels stage
+        # 0's pressure on the same machine.
+        self.budgets = memory_budgets(
+            memory, memory_cache_bytes,
+            set(self.compute_nodes) | set(self.data_nodes),
+        )
+        # Stage s's (kvstore, data-node servers).
+        self._data_sides = [
+            build_data_side(
+                cluster, self.data_nodes, stage.table, stage.udf, strategy,
+                regions_per_node=regions_per_node,
+                block_cache_bytes=block_cache_bytes, budgets=self.budgets,
+                memory=memory, tracer=tracer, seed=seed, stage=s,
             )
-            region_map = RegionMap.round_robin(partitioner, self.data_nodes)
-            kvstore = KVStore(stage.table, region_map)
-            servers = {
-                dn: DataNodeServer(
-                    cluster=cluster,
-                    node_id=dn,
-                    kvstore=kvstore,
-                    udf=stage.udf,
-                    balancer=BatchLoadBalancer(
-                        enabled=strategy.load_balancing,
-                        rng=np.random.default_rng(
-                            derive_seed(seed, f"lb:{s}:{dn}")
-                        ),
-                    ),
-                    block_cache_bytes=block_cache_bytes,
-                )
-                for dn in self.data_nodes
-            }
-            self._stage_stores.append(kvstore)
-            self._stage_servers.append(servers)
-        if memory is not None and memory.enabled:
-            # One arbiter per node, *shared* across stages: the whole
-            # point of a unified budget is that stage 2's build side
-            # feels stage 0's pressure on the same machine.
-            limit = memory.budget_bytes
-            if limit is None:
-                limit = memory_cache_bytes
-            for node in set(self.compute_nodes) | set(self.data_nodes):
-                self.budgets[node] = MemoryBudget(limit, node_id=node)
-            for s, servers in enumerate(self._stage_servers):
-                for dn, server in servers.items():
-                    server.arm_memory(
-                        self.budgets[dn], memory, owner=f"build-{s}-{dn}"
-                    )
+            for s, stage in enumerate(self.stages)
+        ]
 
     def run(self, stage_keys: Sequence[Sequence[Hashable | None]]) -> JobResult:
         """Run all tuples through the pipeline; returns batch metrics.
@@ -202,6 +179,10 @@ class MultiJoinJob:
         # Per compute node (by index, tuple i lives on node i % n):
         # [next tuple id, outstanding, input finished, feeding].
         feed_state = [[j, 0, False, False] for j in range(n_compute)]
+        job_span = self.tracer.start(
+            "job", at=sim.now, engine="multi_join",
+            strategy=self.strategy.name, n_tuples=n_tuples, n_stages=n_stages,
+        )
 
         def maybe_checkpoint(stage: int) -> None:
             nonlocal plan, nodes
@@ -223,6 +204,7 @@ class MultiJoinJob:
             if self.tracer.enabled:
                 self.tracer.event(
                     "memory.replan",
+                    parent=job_span,
                     at=sim.now,
                     stage=stage,
                     switched=decision.switched,
@@ -301,16 +283,19 @@ class MultiJoinJob:
                     runtime.finish_input()
             state[3] = False
 
-        # runtimes[j][s]: stage s's runtime on compute node j.
+        # runtimes[j][s]: stage s's runtime on compute node j, expecting
+        # node j's tuples that have a key at stage s (FO-NA freezes
+        # after a fraction of them).
         runtimes: list[list[ComputeNodeRuntime]] = [[] for _ in range(n_compute)]
         for s, stage in enumerate(self.stages):
+            kvstore, servers = self._data_sides[s]
             for j, cn in enumerate(self.compute_nodes):
                 runtimes[j].append(
                     ComputeNodeRuntime(
                         cluster=self.cluster,
                         node_id=cn,
-                        kvstore=self._stage_stores[s],
-                        servers=self._stage_servers[s],
+                        kvstore=kvstore,
+                        servers=servers,
                         udf=stage.udf,
                         config=self.strategy,
                         sizes=stage.sizes,
@@ -318,8 +303,14 @@ class MultiJoinJob:
                         memory_cache_bytes=self.memory_cache_bytes / n_stages,
                         batch_size=self.batch_size,
                         max_wait=self.max_wait,
+                        expected_inputs=sum(
+                            stage_keys[i][s] is not None
+                            for i in range(j, n_tuples, n_compute)
+                        ),
                         counter=LossyCounter(1e-4),
                         fault_tolerance=self.fault_tolerance,
+                        tracer=self.tracer,
+                        obs_parent=job_span,
                         seed=derive_seed(self.seed, f"cn:{s}:{cn}"),
                         budget=self.budgets.get(cn),
                     )
@@ -332,41 +323,23 @@ class MultiJoinJob:
             raise RuntimeError(
                 f"pipeline stalled: {completions}/{n_tuples} tuples completed"
             )
-        all_runtimes = [rt for node in runtimes for rt in node]
-        all_servers = [
-            server for servers in self._stage_servers for server in servers.values()
-        ]
-        udfs_data = sum(server.udfs_executed for server in all_servers)
-        sources = memory_counter_sources(
-            self.budgets.values(), all_servers, all_runtimes
+        self.tracer.end(job_span, at=last_finish)
+        return collect_result(
+            self.cluster, self.strategy, n_tuples, last_finish,
+            [rt for node in runtimes for rt in node],
+            [sv for _, servers in self._data_sides for sv in servers.values()],
+            self.budgets.values(),
+            udfs=total_udfs,
+            registry=self.registry,
+            # Every tuple finished on the node it was fed to.
+            completed=dict(Counter(
+                self.compute_nodes[i % n_compute] for i in range(n_tuples)
+            )),
+            counters={
+                "replans": float(self.replans),
+                "replan_checkpoints": float(len(self.replan_decisions)),
+            },
         )
-        if self.replan_decisions:
-            sources.append(
-                {
-                    "replans": float(self.replans),
-                    "replan_checkpoints": float(len(self.replan_decisions)),
-                }
-            )
-        compute_reqs, data_reqs, lb_kept = routing_sums(all_runtimes, all_servers)
-        result = JobResult(
-            strategy=self.strategy.name,
-            n_tuples=n_tuples,
-            makespan=last_finish,
-            bytes_moved=self.cluster.network.bytes_moved,
-            udfs_at_data_nodes=udfs_data,
-            udfs_at_compute_nodes=total_udfs - udfs_data,
-            cache_memory_hits=sum(rt.cache.stats().memory_hits for rt in all_runtimes),
-            cache_disk_hits=sum(rt.cache.stats().disk_hits for rt in all_runtimes),
-            compute_requests=compute_reqs,
-            data_requests=data_reqs,
-            lb_kept_fraction=lb_kept,
-            events=sim.events_processed,
-        )
-        for registry in (ambient_registry(), self.registry):
-            if registry is not None:
-                publish_job_result(result, registry)
-                publish_memory_counters(registry, *sources)
-        return result
 
 
 def _with_masks(plan: Plan) -> list[tuple[int, tuple[int, ...]]]:

@@ -168,9 +168,9 @@ def publish_job_result(result, registry: MetricsRegistry | None = None) -> None:
     """Publish one finished job's counters into the metrics pipeline.
 
     Duck-typed on :class:`repro.engine.job.JobResult` so the obs layer
-    stays import-free of the engine.  Called by ``JoinJob._collect``
-    with no explicit registry, which lands in :func:`ambient_registry`
-    — the hook the benchmark JSON exporter reads.
+    stays import-free of the engine.  ``engine.job.collect_result``
+    calls it for :func:`ambient_registry` (the hook the benchmark JSON
+    exporter reads) and for the run's own registry.
     """
     reg = registry if registry is not None else ambient_registry()
     reg.counter("jobs.runs").inc()

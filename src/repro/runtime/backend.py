@@ -155,8 +155,9 @@ class SimBackend:
     #: Opt-in elastic placement (:class:`repro.placement.ElasticOptions`).
     #: The request/response engines (engine, streaming) wire an
     #: :class:`~repro.placement.elastic.ElasticCoordinator` over the
-    #: shared :class:`~repro.placement.service.PlacementService`; the
-    #: analytic shuffle engines have no per-key serving path to migrate.
+    #: shared :class:`~repro.placement.service.PlacementService`.  The
+    #: analytic shuffle engines have no per-key serving path to migrate
+    #: and never read it; ``RunConfig`` rejects it for them.
     elastic: Any = None
     #: Mid-run compute-node membership changes
     #: (:class:`repro.engine.job.MembershipEvent`); non-empty makes the

@@ -19,6 +19,7 @@ from repro.api import (
     BACKENDS,
     BatchOptions,
     ClusterRunOptions,
+    ElasticOptions,
     JobSpec,
     MemoryOptions,
     RunConfig,
@@ -112,6 +113,18 @@ class TestRunConfig:
             # Per-window runs strip it; run_join rejects it unstripped.
             tenancy=TenancyOptions.on(window=0.5),
         )
+
+    @pytest.mark.parametrize("engine", ["mapreduce", "sparklite"])
+    def test_sim_shuffle_engines_reject_elastic(self, engine):
+        # They have no per-key serving path to move: armed, the run's
+        # makespan and registry snapshot would equal an unarmed run's.
+        with pytest.raises(ValueError, match="would ignore elastic"):
+            RunConfig(engine=engine, elastic=ElasticOptions.on())
+        # The cluster's driver places every engine's keys; the simulated
+        # request/response engines run the coordinator.
+        RunConfig(engine=engine, backend="cluster", elastic=ElasticOptions.on())
+        for honoured in ("engine", "streaming"):
+            RunConfig(engine=honoured, elastic=ElasticOptions.on())
 
 
 class TestOptionGroups:

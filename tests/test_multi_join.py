@@ -8,6 +8,7 @@ from repro.experiments import fig7_tpcds
 from repro.memory import MemoryOptions
 from repro.memory.replan import plan_repr
 from repro.obs.registry import MetricsRegistry
+from repro.obs.tracer import Tracer
 from repro.placement.batch import SizeProfile
 from repro.sim.cluster import Cluster
 from repro.store.messages import UDF
@@ -133,6 +134,88 @@ class TestMultiJoin:
         assert registry.value("routing.compute_requests") == compute
         assert registry.value("routing.data_requests") == data
         assert ambient_registry().value("jobs.runs") == runs_before + 1
+
+
+def _keyed_stage(s):
+    """Stage ``s`` over keys ``100 s .. 100 s + 49``: a route event's
+    key names the stage it was routed for."""
+    stage = make_stage(f"dim{s}", 0)
+    for key in range(100 * s, 100 * s + 50):
+        stage.table.put(Row(key=key, value=f"dim{s}-{key}", size=500.0,
+                            compute_cost=0.001))
+    return stage
+
+
+#: Two stages, the second dropped for every third tuple.
+_KEYED = [[i % 50, None if i % 3 == 0 else 100 + (i * 7) % 50]
+          for i in range(300)]
+
+
+def _keyed_run(strategy=None, **kwargs):
+    job = MultiJoinJob(
+        cluster=Cluster.homogeneous(4),
+        compute_nodes=[0, 1],
+        data_nodes=[2, 3],
+        stages=[_keyed_stage(0), _keyed_stage(1)],
+        strategy=strategy or Strategy.fo(),
+        pipeline_window=32,
+        seed=3,
+        **kwargs,
+    )
+    return job.run(_KEYED)
+
+
+class TestObservablePipeline:
+    """Each stage is as observable as a plain join: traced, frozen under
+    FO-NA, and collected into a complete result."""
+
+    def test_traced_pipeline_nests_under_one_job_span(self):
+        tracer = Tracer()
+        _keyed_run(tracer=tracer)
+        roots = [span for span in tracer.spans if span.parent_id is None]
+        assert [span.name for span in roots] == ["job"]
+        job = roots[0]
+        assert not tracer.orphans() and not tracer.unfinished()
+        routes = tracer.events_named("route")
+        batches = tracer.find("batch")
+        assert routes and batches
+        assert all(e.parent_id == job.span_id for e in routes)
+        assert all(span.parent_id == job.span_id for span in batches)
+        per_stage = [0, 0]
+        for event in routes:
+            per_stage[event.attrs["key"] // 100] += 1
+        assert per_stage == [
+            sum(row[s] is not None for row in _KEYED) for s in range(2)
+        ]
+
+    def test_fo_non_adaptive_freezes_in_a_pipeline(self):
+        runs = []
+        for strategy in (Strategy.fo(), Strategy.fo_non_adaptive(0.3)):
+            tracer = Tracer()
+            result = _keyed_run(strategy, tracer=tracer)
+            frozen = sum(
+                e.attrs["frozen"] for e in tracer.events_named("route")
+            )
+            runs.append((result, frozen))
+        (fo, fo_frozen), (fo_na, na_frozen) = runs
+        assert fo_frozen == 0
+        assert na_frozen > 0
+        assert fo_na != fo
+
+    def test_result_is_complete(self):
+        registry = MetricsRegistry()
+        tracer = Tracer()
+        result = _keyed_run(registry=registry, tracer=tracer)
+        assert result.flushes
+        assert sum(result.flushes.values()) == len(tracer.find("batch")) > 0
+        assert sum(result.completed_per_node.values()) == len(_KEYED)
+        counters = registry.snapshot()["counters"]
+        published = {
+            name: value for name, value in counters.items()
+            if name.startswith("batching.flushes_")
+        }
+        assert published
+        assert sum(published.values()) == sum(result.flushes.values())
 
 
 # ----------------------------------------------------------------------
@@ -299,6 +382,25 @@ class TestGoldenPipeline:
     @pytest.mark.parametrize("name", list(_GOLDEN_CASES))
     def test_row(self, name):
         assert _golden_row(name) == _GOLDEN_ROWS[name]
+
+    @pytest.mark.parametrize("name", list(_GOLDEN_CASES))
+    def test_tracing_leaves_the_row_unmoved(self, name, monkeypatch):
+        init = MultiJoinJob.__init__
+        tracers = []
+
+        def traced(job, *args, **kwargs):
+            tracers.append(kwargs.setdefault("tracer", Tracer()))
+            init(job, *args, **kwargs)
+
+        monkeypatch.setattr(MultiJoinJob, "__init__", traced)
+        assert _golden_row(name) == _GOLDEN_ROWS[name]
+        tracer = tracers[0]
+        assert tracer.events_named("route")
+        (job,) = tracer.find("job")
+        assert all(
+            e.parent_id == job.span_id
+            for e in tracer.events_named("memory.replan")
+        )
 
     def test_fig7_smoke_rows(self):
         table = fig7_tpcds.run(scale="smoke", seed=7)
