@@ -17,6 +17,7 @@ Three headline numbers, one deterministic pass each, written to
 
 from repro.faults.policy import FaultTolerance
 from repro.faults.schedule import CrashFault, FaultSchedule, StragglerFault
+from repro.obs import percentile
 from repro.resilience import ResilienceOptions
 from repro.runtime import JoinWorkload, SimBackend
 from repro.workloads.synthetic import SyntheticWorkload
@@ -77,8 +78,8 @@ def _hedging(workload, healthy):
     ), healthy.duration)
     t = hedged.metrics.transport
     return {
-        "baseline_p99": base.metrics.transport.latency_percentile(99),
-        "hedged_p99": t.latency_percentile(99),
+        "baseline_p99": percentile(base.metrics.latencies, 99),
+        "hedged_p99": percentile(hedged.metrics.latencies, 99),
         "baseline_makespan": base.duration,
         "hedged_makespan": hedged.duration,
         "hedges_issued": t.hedges_issued,

@@ -94,8 +94,9 @@ class RpcClient:
         # clients at the same address — hence the random token.
         self._rid_prefix = os.urandom(8).hex()
         self._rid_seq = 0
-        #: Counters mirrored after :class:`repro.runtime.transport
-        #: .TransportStats` (merged into ``cluster.rpc.*``).
+        #: Counters named like the simulated transport's
+        #: (``repro.obs.usage.TRANSPORT_COUNTERS``); :meth:`stats`
+        #: merges them into ``cluster.rpc.*``.
         self.requests_sent = 0
         self.timeouts = 0
         self.retries = 0

@@ -42,12 +42,16 @@ from repro.memory.budget import MemoryBudget, publish_memory_counters
 from repro.memory.options import MemoryOptions
 from repro.obs.registry import MetricsRegistry, ambient_registry
 from repro.obs.tracer import NO_TRACER, Span, Tracer
-from repro.obs.usage import publish_job_result
+from repro.obs.usage import (
+    TRANSPORT_COUNTERS,
+    percentile,
+    publish_job_result,
+    sum_counters,
+)
 from repro.placement import ElasticCoordinator, ElasticOptions, PlacementService
 from repro.resilience.admission import TenantShare
 from repro.resilience.manager import ResilienceManager
 from repro.resilience.options import ResilienceOptions
-from repro.runtime.metrics import transport_stats
 from repro.sim.cluster import Cluster
 from repro.sim.rng import derive_seed
 from repro.store.datanode import DataNodeServer
@@ -192,15 +196,9 @@ class RateRunResult:
             return 0.0
         return self.n_tuples / self.duration
 
-    def latency_percentile(self, percentile: float) -> float:
-        """Latency at ``percentile`` in [0, 100]."""
-        if not 0.0 <= percentile <= 100.0:
-            raise ValueError("percentile must be in [0, 100]")
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        index = min(int(len(ordered) * percentile / 100.0), len(ordered) - 1)
-        return ordered[index]
+    def latency_percentile(self, q: float) -> float:
+        """Latency at percentile ``q`` in [0, 100]."""
+        return percentile(self.latencies, q)
 
     @property
     def mean_latency(self) -> float:
@@ -238,8 +236,6 @@ class JoinJob:
         Memory cache per compute node (the paper limits it to 100 MB).
     pipeline_window:
         Maximum tuples in flight per compute node (Map queue depth).
-    regions_per_node:
-        HBase-style multiple regions per data node.
     membership:
         Mid-run compute-node additions/removals (see
         :func:`replay_membership` for who starts active).  Non-empty
@@ -264,7 +260,6 @@ class JoinJob:
     max_wait: float | None = 0.01
     memory_cache_bytes: float = 100e6
     pipeline_window: int = 256
-    regions_per_node: int = 4
     block_cache_bytes: float = 0.0
     fixed_threshold: float | None = None
     reset_count_on_update: bool = True
@@ -338,7 +333,6 @@ class JoinJob:
         )
         self.kvstore, self.servers = build_data_side(
             self.cluster, self.data_nodes, self.table, self.udf, self.strategy,
-            regions_per_node=self.regions_per_node,
             block_cache_bytes=self.block_cache_bytes,
             budgets=self.budgets, memory=self.memory, tracer=self.tracer,
             seed=self.seed, use_exact_balancer=self.use_exact_balancer,
@@ -699,6 +693,11 @@ class JoinJob:
         return self.outputs
 
 
+#: HBase-style regions per data node: the hash partitioner splits the
+#: key space into this many regions per node.
+REGIONS_PER_NODE = 4
+
+
 def memory_budgets(
     memory: MemoryOptions | None, default_limit: float, nodes: Iterable[int]
 ) -> dict[int, MemoryBudget]:
@@ -714,12 +713,13 @@ def memory_budgets(
 
 def build_data_side(
     cluster: Cluster, data_nodes: Sequence[int], table: Table, udf: UDF,
-    strategy: StrategyConfig, *, regions_per_node: int,
-    block_cache_bytes: float, budgets: dict[int, MemoryBudget],
-    memory: MemoryOptions | None, tracer: Tracer, seed: int,
+    strategy: StrategyConfig, *, block_cache_bytes: float,
+    budgets: dict[int, MemoryBudget], memory: MemoryOptions | None,
+    tracer: Tracer, seed: int,
     use_exact_balancer: bool = False, stage: int | None = None,
 ) -> tuple[KVStore, dict[int, DataNodeServer]]:
-    """The store side of one join: hash regions placed round-robin, one
+    """The store side of one join: :data:`REGIONS_PER_NODE` hash
+    regions per data node placed round-robin, one
     :class:`DataNodeServer` with its own load balancer per data node,
     each armed with its node's budget when ``budgets`` has one.
 
@@ -727,7 +727,7 @@ def build_data_side(
     its balancer seeds (``lb:{stage}:{dn}``) and build-side owners
     (``build-{stage}-{dn}``) apart from the other stages'.
     """
-    partitioner = HashPartitioner(n_regions=regions_per_node * len(data_nodes))
+    partitioner = HashPartitioner(n_regions=REGIONS_PER_NODE * len(data_nodes))
     # Every layer consults this one epoch-stamped map; inert (no
     # coordinator) it behaves exactly like the static RegionMap.
     region_map = PlacementService.round_robin(partitioner, list(data_nodes))
@@ -799,7 +799,9 @@ def collect_result(
         for server in servers
         if server.balancer.decisions > 0
     ]
-    wire = transport_stats(runtime.transport for runtime in runtimes)
+    wire = sum_counters(
+        "transport", TRANSPORT_COUNTERS, (r.transport for r in runtimes)
+    )
     # Failover can execute one tuple at two servers (the dead owner ran
     # it, then the replay ran it at the successor), so the derived
     # compute-side count must not go negative.
@@ -816,10 +818,10 @@ def collect_result(
         data_requests=data_reqs,
         lb_kept_fraction=sum(kept) / len(kept) if kept else 0.0,
         events=cluster.sim.events_processed,
-        timeouts=wire.timeouts,
-        retries=wire.retries,
-        fallbacks=wire.fallbacks,
-        duplicate_responses=wire.duplicate_responses,
+        timeouts=wire["transport.timeouts"],
+        retries=wire["transport.retries"],
+        fallbacks=wire["transport.fallbacks"],
+        duplicate_responses=wire["transport.duplicate_responses"],
         duplicate_requests=sum(server.duplicate_requests for server in servers),
         messages_faulted=injector.messages_faulted if injector else 0,
         completed_per_node=dict(per_node) if completed is None else completed,

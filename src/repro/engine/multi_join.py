@@ -87,7 +87,6 @@ class MultiJoinJob:
         max_wait: float | None = 0.01,
         memory_cache_bytes: float = 100e6,
         pipeline_window: int = 256,
-        regions_per_node: int = 4,
         block_cache_bytes: float = 0.0,
         fault_tolerance: FaultTolerance | None = None,
         seed: int = 0,
@@ -126,7 +125,6 @@ class MultiJoinJob:
         self._data_sides = [
             build_data_side(
                 cluster, self.data_nodes, stage.table, stage.udf, strategy,
-                regions_per_node=regions_per_node,
                 block_cache_bytes=block_cache_bytes, budgets=self.budgets,
                 memory=memory, tracer=tracer, seed=seed, stage=s,
             )

@@ -179,13 +179,13 @@ class SimulatedMapReduce:
         ):
             reduce_node = reducer % n_nodes
             size = sum(costs.record_bytes(k, v) for k, v in records)
-            outcome = self.shuffle.transfer(
+            arrive = self.shuffle.transfer(
                 map_finish_per_node[map_node], map_node, reduce_node, size,
                 span_parent=shuffle_span,
             )
             if map_node != reduce_node:
                 bytes_shuffled += size
-            arrival[reducer] = max(arrival[reducer], outcome.arrive)
+            arrival[reducer] = max(arrival[reducer], arrive)
         shuffle_finish = max(arrival, default=map_finish)
         if shuffle_span is not None:
             self.tracer.end(

@@ -13,8 +13,9 @@ One subsystem, three parts, threaded through the runtime-kernel seams:
   counters shipped over IPC by :mod:`repro.cluster`) into the local
   tracer/registry.
 
-:mod:`repro.obs.usage` holds the cluster-usage and fault-stats
-summaries absorbed from the deleted ``repro.metrics.collector``.
+:mod:`repro.obs.usage` holds the cluster-usage summary absorbed from
+the deleted ``repro.metrics.collector``, the kernel's counter names and
+:class:`RuntimeMetrics`, the view of one run's kernel counters.
 """
 
 from repro.obs.exporters import (
@@ -36,11 +37,12 @@ from repro.obs.registry import (
 )
 from repro.obs.tracer import NO_TRACER, NullTracer, Span, SpanEvent, Tracer
 from repro.obs.usage import (
+    SHUFFLE_COUNTERS,
+    TRANSPORT_COUNTERS,
     ClusterUsage,
-    FaultStats,
-    collect_fault_stats,
+    RuntimeMetrics,
     collect_usage,
-    publish_fault_stats,
+    percentile,
     publish_job_result,
     publish_usage,
     skew_ratio,
@@ -48,25 +50,26 @@ from repro.obs.usage import (
 
 __all__ = [
     "NO_TRACER",
+    "SHUFFLE_COUNTERS",
+    "TRANSPORT_COUNTERS",
     "ClusterUsage",
     "Counter",
-    "FaultStats",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NullTracer",
     "ObsOptions",
     "RunReport",
+    "RuntimeMetrics",
     "Span",
     "SpanEvent",
     "Tracer",
     "ambient_registry",
     "bench_payload",
-    "collect_fault_stats",
     "collect_usage",
     "merge_counters",
     "merge_trace_records",
-    "publish_fault_stats",
+    "percentile",
     "publish_job_result",
     "publish_usage",
     "render_run_report",

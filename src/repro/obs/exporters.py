@@ -12,9 +12,9 @@ Three consumers, three formats:
   snapshot and rendered report to every ``BENCH_*.json`` so perf
   numbers always travel with the observations that explain them.
 
-The ``metrics`` field of :class:`RunReport` is deliberately untyped
-(the concrete object is :class:`repro.runtime.metrics.RuntimeMetrics`);
-``repro.obs`` sits below the runtime layer and must not import it.
+The ``metrics`` field of :class:`RunReport` is a
+:class:`repro.obs.usage.RuntimeMetrics`: the view lives here in
+``repro.obs``, below the runtime layer whose collector fills it.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import Any
 
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
+from repro.obs.usage import RuntimeMetrics
 
 
 @dataclass(frozen=True)
@@ -62,9 +63,9 @@ class RunReport:
     outputs: dict[int, Any] = field(repr=False, default_factory=dict)
     #: Engine-native result (e.g. ``JobResult``), untyped by design.
     result: Any = field(repr=False, default=None)
-    #: Kernel-level ``RuntimeMetrics`` (untyped: obs must not import
-    #: the runtime layer).
-    metrics: Any = field(repr=False, default=None)
+    #: Kernel counters, usage and request latencies (``None`` on the
+    #: cluster backend).
+    metrics: RuntimeMetrics | None = field(repr=False, default=None)
     #: ``MetricsRegistry.snapshot()`` taken at the end of the run.
     snapshot: dict[str, Any] = field(repr=False, default_factory=dict)
     tracer: Tracer | None = field(repr=False, default=None)
@@ -139,7 +140,7 @@ def render_run_report(report: RunReport) -> str:
         f"- throughput: {report.throughput:.1f} tuples/s",
     ]
     counters = report.snapshot.get("counters", {})
-    usage = getattr(report.metrics, "usage", None)
+    usage = report.metrics.usage if report.metrics is not None else None
     if usage is not None:
         lines += ["", "## Per-node utilization", ""]
         lines.append("| node | cpu busy (s) | cpu util | disk busy (s) | disk util |")

@@ -4,9 +4,10 @@ One pipeline for every number the system produces.  Engines (through
 ``repro.runtime.metrics``), the fault layer and the job drivers all
 publish into a :class:`MetricsRegistry`; reports and the benchmark
 JSON hook read a :meth:`~MetricsRegistry.snapshot` back out.  This
-replaces the pre-obs split where ``repro.metrics.collector`` and
+replaced the pre-obs split where ``repro.metrics.collector`` and
 ``repro.runtime.RuntimeMetrics`` each kept their own partial copy of
-the accounting.
+the accounting; ``RuntimeMetrics`` is now :mod:`repro.obs.usage`'s view
+over the same dict the kernel collector publishes here.
 
 Naming convention: dotted lowercase paths, one family per subsystem —
 ``transport.*`` (request/response kernel), ``shuffle.*`` (one-way

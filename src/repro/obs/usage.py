@@ -1,15 +1,18 @@
-"""Cluster usage, skew and fault summaries, published to the registry.
+"""Cluster usage and kernel counters, published to the registry.
 
-This module absorbed ``repro.metrics.collector`` (deleted): the same
-:class:`ClusterUsage` / :class:`FaultStats` value types, but every
-collection call now also publishes into a :class:`MetricsRegistry`, so
-per-node utilization and fault counters flow through the one pipeline
-the run report and benchmark hooks read.
+This module absorbed ``repro.metrics.collector`` (deleted): every
+collection call here also publishes into a :class:`MetricsRegistry`, so
+per-node utilization flows through the one pipeline the run report and
+benchmark hooks read.  It also names the kernel's published counters
+(:data:`TRANSPORT_COUNTERS`, :data:`SHUFFLE_COUNTERS`) and holds
+:class:`RuntimeMetrics`, the read-only view of one run's copy of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.obs.registry import MetricsRegistry, ambient_registry
 from repro.sim.cluster import Cluster
@@ -88,80 +91,85 @@ def publish_usage(usage: ClusterUsage, registry: MetricsRegistry) -> None:
         registry.gauge(f"usage.disk_busy.{node}").set(busy)
 
 
+#: The ``transport.*`` counters a run publishes: plain attributes of
+#: every ``repro.runtime.transport.Transport``, summed across them.
+#: ``redirects`` and ``hedges_armed`` stay unpublished.
+TRANSPORT_COUNTERS = (
+    "requests_sent", "timeouts", "retries", "fallbacks",
+    "duplicate_responses", "hedges_issued", "hedges_won", "hedges_lost",
+    "failovers",
+)
+#: The ``shuffle.*`` counters: attributes of every ``ShuffleChannel``.
+SHUFFLE_COUNTERS = ("sends", "retransmits", "duplicates", "bytes_retransmitted")
+
+
+def sum_counters(
+    family: str, names: Sequence[str], sources: Iterable[Any]
+) -> dict[str, Any]:
+    """``family.name -> sum of attribute name over sources``, for each name."""
+    totals = dict.fromkeys(names, 0)
+    for source in sources:
+        for name in names:
+            totals[name] += getattr(source, name)
+    return {f"{family}.{name}": total for name, total in totals.items()}
+
+
 @dataclass(frozen=True)
-class FaultStats:
-    """Aggregate fault and fault-handling counters for one job run.
+class RuntimeMetrics:
+    """One run's kernel counters: a read-only view over the dict the
+    collector (``repro.runtime.metrics``) published into the registry,
+    the run's :class:`ClusterUsage`, and the raw request latencies (the
+    registry histogram keeps only moments, so tail percentiles come
+    from these)."""
 
-    Injection side (what went wrong) comes from the
-    :class:`repro.faults.FaultInjector`; reaction side (how the engine
-    coped) from the compute-node runtimes and data-node servers.
-    """
-
-    messages_dropped: int = 0
-    messages_duplicated: int = 0
-    messages_delayed: int = 0
-    crash_drops: int = 0
-    timeouts: int = 0
-    retries: int = 0
-    fallbacks: int = 0
-    duplicate_responses: int = 0
-    duplicate_requests: int = 0
-    retry_seconds_charged: float = 0.0
+    #: ``transport.*``, ``shuffle.*`` and ``faults.messages_faulted``.
+    counters: Mapping[str, Any]
+    usage: ClusterUsage | None = None
+    latencies: tuple[float, ...] = field(default=(), repr=False)
 
     @property
-    def messages_faulted(self) -> int:
-        """Messages the injector interfered with."""
-        return (
-            self.messages_dropped
-            + self.messages_duplicated
-            + self.messages_delayed
-            + self.crash_drops
+    def transport(self) -> SimpleNamespace:
+        """The ``transport.*`` family by attribute (``.retries``, ...)."""
+        return self._family("transport", TRANSPORT_COUNTERS)
+
+    @property
+    def shuffle(self) -> SimpleNamespace:
+        """The ``shuffle.*`` family by attribute (``.sends``, ...)."""
+        return self._family("shuffle", SHUFFLE_COUNTERS)
+
+    def _family(self, family: str, names: Sequence[str]) -> SimpleNamespace:
+        return SimpleNamespace(
+            **{name: self.counters[f"{family}.{name}"] for name in names}
         )
 
     @property
+    def messages_faulted(self) -> int:
+        """Messages the fault injector interfered with."""
+        return self.counters["faults.messages_faulted"]
+
+    @property
     def recovery_actions(self) -> int:
-        """Engine-side reactions (retries + fallbacks)."""
-        return self.retries + self.fallbacks
+        """Total engine-side reactions to faults across both seams."""
+        return (
+            self.counters["transport.retries"]
+            + self.counters["transport.fallbacks"]
+            + self.counters["shuffle.retransmits"]
+        )
+
+    @property
+    def perturbed(self) -> bool:
+        """Whether the fault seam visibly touched this run."""
+        return self.messages_faulted > 0 or self.recovery_actions > 0
 
 
-def collect_fault_stats(job, registry: MetricsRegistry | None = None) -> FaultStats:
-    """Aggregate fault counters from a finished :class:`JoinJob`.
-
-    Duck-typed on the job to keep the metrics layer import-free of the
-    engine; works with any object exposing ``incarnations`` (its
-    compute-node runtimes), ``servers`` and (optionally) ``injector``.
-    With a ``registry``, the stats also publish as ``faults.*`` counters.
-    """
-    runtimes = getattr(job, "incarnations", ())
-    wire = [runtime.transport for runtime in runtimes]
-    dup_requests = sum(
-        server.duplicate_requests
-        for server in getattr(job, "servers", {}).values()
-    )
-    injector = getattr(job, "injector", None)
-    stats = FaultStats(
-        messages_dropped=injector.messages_dropped if injector else 0,
-        messages_duplicated=injector.messages_duplicated if injector else 0,
-        messages_delayed=injector.messages_delayed if injector else 0,
-        crash_drops=injector.crash_drops if injector else 0,
-        timeouts=sum(t.timeouts for t in wire),
-        retries=sum(t.retries for t in wire),
-        fallbacks=sum(t.fallbacks for t in wire),
-        duplicate_responses=sum(t.duplicate_responses for t in wire),
-        duplicate_requests=dup_requests,
-        retry_seconds_charged=sum(
-            r.cost_model.retry_seconds_charged for r in runtimes
-        ),
-    )
-    if registry is not None:
-        publish_fault_stats(stats, registry)
-    return stats
-
-
-def publish_fault_stats(stats: FaultStats, registry: MetricsRegistry) -> None:
-    """Write one fault snapshot into ``registry`` as ``faults.*`` counters."""
-    for field in fields(stats):
-        registry.counter(f"faults.{field.name}").inc(getattr(stats, field.name))
+def percentile(values: Sequence[float], q: float) -> float:
+    """Nearest-rank value at percentile ``q`` in [0, 100] (0.0 when empty)."""
+    if not 0.0 <= q <= 100.0:
+        raise ValueError("percentile must be in [0, 100]")
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    return ordered[min(int(len(ordered) * q / 100.0), len(ordered) - 1)]
 
 
 def publish_job_result(result, registry: MetricsRegistry | None = None) -> None:

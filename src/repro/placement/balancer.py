@@ -8,9 +8,8 @@ done for long-term load imbalances."
 
 This module provides that planning mechanism: given observed per-region
 request counts, compute a small set of region moves that evens out
-per-node load.  Under the static :class:`~repro.store.partitioner.RegionMap`
-it is a between-jobs background tool; under an elastic
-:class:`~repro.placement.service.PlacementService` the
+per-node load over a :class:`~repro.placement.service.PlacementService`.
+Inert, it is a between-jobs background tool; elastic, the
 :class:`~repro.placement.elastic.ElasticCoordinator` calls
 :func:`plan_rebalance` mid-run and executes the moves as live
 copy-then-cutover migrations.
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # annotation-only: avoids a store <-> placement cycle
-    from repro.store.partitioner import RegionMap
+    from repro.placement.service import PlacementService
 
 
 @dataclass(frozen=True)
@@ -35,21 +34,8 @@ class RegionMove:
     load: float
 
 
-def _served_regions(region_map: RegionMap) -> list[int]:
-    """The region ids that currently own keys.
-
-    A :class:`PlacementService` hides split parents and merged-away
-    children behind ``visible_regions()``; the static map serves every
-    region id.
-    """
-    visible = getattr(region_map, "visible_regions", None)
-    if visible is not None:
-        return list(visible())
-    return list(range(region_map.n_regions))
-
-
 def plan_rebalance(
-    region_map: RegionMap,
+    region_map: PlacementService,
     region_loads: dict[int, float],
     max_moves: int | None = None,
     tolerance: float = 0.1,
@@ -71,7 +57,7 @@ def plan_rebalance(
         return []
     node_load: dict[int, float] = {n: 0.0 for n in nodes}
     node_regions: dict[int, list[int]] = {n: [] for n in nodes}
-    for region in _served_regions(region_map):
+    for region in region_map.visible_regions():
         node = region_map.node_for_region(region)
         load = region_loads.get(region, 0.0)
         node_load[node] += load
@@ -106,7 +92,9 @@ def plan_rebalance(
     return moves
 
 
-def apply_rebalance(region_map: RegionMap, moves: list[RegionMove]) -> None:
+def apply_rebalance(
+    region_map: PlacementService, moves: list[RegionMove]
+) -> None:
     """Commit planned moves to the region map."""
     for move in moves:
         if region_map.node_for_region(move.region) != move.from_node:
@@ -116,9 +104,11 @@ def apply_rebalance(region_map: RegionMap, moves: list[RegionMove]) -> None:
         region_map.move_region(move.region, move.to_node)
 
 
-def node_loads(region_map: RegionMap, region_loads: dict[int, float]) -> dict[int, float]:
+def node_loads(
+    region_map: PlacementService, region_loads: dict[int, float]
+) -> dict[int, float]:
     """Aggregate per-region loads up to their hosting nodes."""
     loads: dict[int, float] = {n: 0.0 for n in region_map.data_nodes}
-    for region in _served_regions(region_map):
+    for region in region_map.visible_regions():
         loads[region_map.node_for_region(region)] += region_loads.get(region, 0.0)
     return loads

@@ -37,7 +37,7 @@ from repro.runtime.transport import OnewayChannel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.cluster import Cluster
-    from repro.store.partitioner import RegionMap
+    from repro.placement.service import PlacementService
 
 #: Wire size of one heartbeat datagram (node id + sequence + clock).
 HEARTBEAT_BYTES = 64.0
@@ -55,7 +55,7 @@ class ResilienceManager:
         options: ResilienceOptions,
         data_nodes: Iterable[int],
         monitor_node: int,
-        region_map: "RegionMap",
+        region_map: "PlacementService",
         tracer: Tracer = NO_TRACER,
     ) -> None:
         self.cluster = cluster

@@ -32,7 +32,7 @@ from repro.resilience.detector import FailureDetector, NodeState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.transport import Transport
-    from repro.store.partitioner import RegionMap
+    from repro.placement.service import PlacementService
 
 
 class CheckpointManager:
@@ -86,7 +86,7 @@ class RecoveryManager:
 
     def __init__(
         self,
-        region_map: "RegionMap",
+        region_map: "PlacementService",
         detector: FailureDetector,
         tracer: Tracer = NO_TRACER,
     ) -> None:
@@ -132,10 +132,7 @@ class RecoveryManager:
         # Elastic placement first: drop in-flight migrations, expired
         # double-serve grants and hot-key replicas involving the dead
         # node, so the region moves below start from a clean slate.
-        # The static RegionMap has no such state (duck-typed no-op).
-        on_node_dead = getattr(self.region_map, "on_node_dead", None)
-        if on_node_dead is not None:
-            on_node_dead(dead)
+        self.region_map.on_node_dead(dead)
         moved = 0
         for region in list(self.region_map.regions_on_node(dead)):
             self.region_map.move_region(region, new_owner)

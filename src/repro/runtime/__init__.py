@@ -15,9 +15,10 @@ Three seams (see DESIGN.md Section 3):
   four engines) and — re-exported lazily from
   :mod:`repro.cluster` — ``ClusterBackend`` (real driver/worker
   processes over IPC).
-* **Metrics** (:mod:`repro.runtime.metrics`) — one aggregation point
-  (:class:`RuntimeMetrics`) for transport, shuffle and injector
-  counters across engines.
+* **Metrics** (:mod:`repro.runtime.metrics`) — one collector
+  (:func:`collect_runtime_metrics`) that sums the transport, shuffle
+  and injector counters named in :mod:`repro.obs.usage`, publishes
+  them, and returns the :class:`~repro.obs.usage.RuntimeMetrics` view.
 """
 
 from repro.runtime.backend import (
@@ -27,19 +28,11 @@ from repro.runtime.backend import (
     JoinWorkload,
     SimBackend,
 )
-from repro.runtime.metrics import (
-    RuntimeMetrics,
-    ShuffleStats,
-    collect_runtime_metrics,
-    shuffle_stats,
-    transport_stats,
-)
+from repro.runtime.metrics import collect_runtime_metrics
 from repro.runtime.transport import (
     ShuffleChannel,
-    ShuffleOutcome,
     Transport,
     TransportError,
-    TransportStats,
     ring_successor,
 )
 
@@ -62,15 +55,9 @@ __all__ = [
     "ClusterBackend",
     "JoinWorkload",
     "SimBackend",
-    "RuntimeMetrics",
-    "ShuffleStats",
     "collect_runtime_metrics",
-    "shuffle_stats",
-    "transport_stats",
     "ShuffleChannel",
-    "ShuffleOutcome",
     "Transport",
     "TransportError",
-    "TransportStats",
     "ring_successor",
 ]

@@ -31,8 +31,9 @@ from repro.faults.schedule import FaultSchedule
 from repro.memory.options import MemoryOptions
 from repro.obs.registry import MetricsRegistry, ambient_registry
 from repro.obs.tracer import NO_TRACER, Tracer
+from repro.obs.usage import RuntimeMetrics
 from repro.resilience.options import ResilienceOptions
-from repro.runtime.metrics import RuntimeMetrics, collect_runtime_metrics
+from repro.runtime.metrics import collect_runtime_metrics
 from repro.runtime.transport import ShuffleChannel
 from repro.sim.cluster import Cluster
 from repro.store.messages import UDF

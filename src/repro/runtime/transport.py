@@ -32,7 +32,6 @@ schedule installed at the network therefore perturbs every engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.placement.batch import ComputeNodeStats, SizeProfile
@@ -71,47 +70,6 @@ def ring_successor(ring: "list[Any]", node: Any) -> Any:
         return ring[0]
     index = ring.index(node)
     return ring[(index + 1) % len(ring)]
-
-
-@dataclass(frozen=True, slots=True)
-class TransportStats:
-    """Counters of one transport's fault-handling activity."""
-
-    requests_sent: int = 0
-    timeouts: int = 0
-    retries: int = 0
-    fallbacks: int = 0
-    duplicate_responses: int = 0
-    hedges_issued: int = 0
-    hedges_won: int = 0
-    hedges_lost: int = 0
-    failovers: int = 0
-    #: Per-request end-to-end latencies (dispatch to first matched
-    #: response).  The registry histogram keeps only moments, so tail
-    #: percentiles must come from the raw samples kept here.
-    latencies: tuple[float, ...] = field(default=(), repr=False)
-
-    def __add__(self, other: "TransportStats") -> "TransportStats":
-        return TransportStats(
-            requests_sent=self.requests_sent + other.requests_sent,
-            timeouts=self.timeouts + other.timeouts,
-            retries=self.retries + other.retries,
-            fallbacks=self.fallbacks + other.fallbacks,
-            duplicate_responses=self.duplicate_responses + other.duplicate_responses,
-            hedges_issued=self.hedges_issued + other.hedges_issued,
-            hedges_won=self.hedges_won + other.hedges_won,
-            hedges_lost=self.hedges_lost + other.hedges_lost,
-            failovers=self.failovers + other.failovers,
-            latencies=self.latencies + other.latencies,
-        )
-
-    def latency_percentile(self, pct: float) -> float:
-        """Nearest-rank percentile of the recorded request latencies."""
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        rank = min(len(ordered) - 1, max(0, int(pct / 100.0 * len(ordered))))
-        return ordered[rank]
 
 
 class _Pending:
@@ -223,16 +181,16 @@ class Transport:
         self._ring = sorted(servers)
         self._pending: dict[str, _Pending] = {}
         self._rid_seq = 0
-        #: Fault-handling counters (see :meth:`stats`).
+        #: Fault-handling counters; ``repro.obs.usage.TRANSPORT_COUNTERS``
+        #: names the published ones.
         self.requests_sent = 0
         self.timeouts = 0
         self.retries = 0
         self.fallbacks = 0
         self.duplicate_responses = 0
         #: Batches refused under a newer placement epoch and re-routed
-        #: (elastic placement only; see :meth:`_redirect`).  Not part of
-        #: :class:`TransportStats` — the placement service's own
-        #: counters are the published record.
+        #: (elastic placement only; see :meth:`_redirect`).  Unpublished:
+        #: the placement service's own counters are the record.
         self.redirects = 0
         #: Optional straggler-hedging policy (duck-typed: ``observe``
         #: latencies, ``delay() -> float | None``).  ``None`` keeps the
@@ -249,6 +207,8 @@ class Transport:
         self.hedges_won = 0
         self.hedges_lost = 0
         self.failovers = 0
+        #: Per-request end-to-end latencies (dispatch to first matched
+        #: response), kept raw for tail percentiles.
         self.request_latencies: list[float] = []
 
     # ------------------------------------------------------------------
@@ -319,21 +279,6 @@ class Transport:
                 if item.route is Route.DATA_REQUEST_MEMORY
             )
         return keys
-
-    def stats(self) -> TransportStats:
-        """Snapshot of this transport's counters."""
-        return TransportStats(
-            requests_sent=self.requests_sent,
-            timeouts=self.timeouts,
-            retries=self.retries,
-            fallbacks=self.fallbacks,
-            duplicate_responses=self.duplicate_responses,
-            hedges_issued=self.hedges_issued,
-            hedges_won=self.hedges_won,
-            hedges_lost=self.hedges_lost,
-            failovers=self.failovers,
-            latencies=tuple(self.request_latencies),
-        )
 
     def _transmit(
         self,
@@ -718,23 +663,6 @@ class Transport:
         return len(doomed)
 
 
-@dataclass(frozen=True, slots=True)
-class ShuffleOutcome:
-    """Result of one at-least-once shuffle transfer."""
-
-    src: int
-    dst: int
-    size: float
-    start: float
-    arrive: float
-    attempts: int = 1
-    duplicates: int = 0
-
-    @property
-    def retransmits(self) -> int:
-        return self.attempts - 1
-
-
 class ShuffleChannel:
     """At-least-once one-way bulk transfers (the shuffle seam).
 
@@ -792,8 +720,9 @@ class ShuffleChannel:
         dst: int,
         size: float,
         span_parent: Span | None = None,
-    ) -> ShuffleOutcome:
-        """Move ``size`` bytes ``src -> dst``, retrying dropped sends."""
+    ) -> float:
+        """Move ``size`` bytes ``src -> dst``, retrying dropped sends;
+        returns the arrival time."""
         network = self.cluster.network
         self.sends += 1
         span: Span | None = None
@@ -817,11 +746,7 @@ class ShuffleChannel:
                         span, at=arrive,
                         attempts=attempt + 1, duplicates=dup,
                     )
-                return ShuffleOutcome(
-                    src=src, dst=dst, size=size, start=at,
-                    arrive=arrive,
-                    attempts=attempt + 1, duplicates=dup,
-                )
+                return arrive
             # Dropped: the sender notices after a timeout and resends.
             self.retransmits += 1
             self.bytes_retransmitted += size

@@ -151,7 +151,7 @@ class ShuffleExecutor:
                 ready = max(ser_done, spill_done)
                 # All-to-all transfer of this node's outbound share.
                 out_bytes = (fact_bytes_per_node + dim_bytes_per_node) * out_fraction
-                outcome = self.shuffle.transfer(
+                arrive = self.shuffle.transfer(
                     ready, node.node_id, (node.node_id + 1) % n, out_bytes,
                     span_parent=stage_span,
                 )
@@ -161,7 +161,7 @@ class ShuffleExecutor:
                 build_cpu = (len(dim) / n) * costs.build_cpu
                 probe_cpu = (rows_in / n) * costs.probe_cpu
                 _c2, cpu_done = node.cpu.acquire(
-                    outcome.arrive, de_cpu + build_cpu + probe_cpu
+                    arrive, de_cpu + build_cpu + probe_cpu
                 )
                 finish = max(finish, cpu_done)
             current = hash_join(current, dim, join.fact_key, join.dim_key)
@@ -189,12 +189,12 @@ class ShuffleExecutor:
             agg_cpu = (len(current) / n) * costs.agg_cpu
             _c, cpu_done = node.cpu.acquire(agg_start, agg_cpu)
             out_bytes = (len(result) / n) * costs.fact_row_bytes
-            outcome = self.shuffle.transfer(
+            arrive = self.shuffle.transfer(
                 cpu_done, node.node_id, (node.node_id + 1) % n, out_bytes,
                 span_parent=agg_span,
             )
             bytes_shuffled += out_bytes
-            finish = max(finish, outcome.arrive)
+            finish = max(finish, arrive)
         if agg_span is not None:
             self.tracer.end(agg_span, at=finish, rows_out=len(result))
         stage_times.append(finish - agg_start)

@@ -43,7 +43,6 @@ __all__ = [
     "attainment",
     "make_runner",
     "mix_workload",
-    "percentile",
 ]
 
 #: Lazy exports: name -> owning submodule.
@@ -56,7 +55,6 @@ _LAZY = {
     "TenantSpec": "tenant",
     "TrafficTrace": "tenant",
     "attainment": "tenant",
-    "percentile": "tenant",
     "TenancyReport": "report",
     "TenantStats": "report",
     "ReplayRunner": "runner",

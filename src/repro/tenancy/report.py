@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.obs.registry import MetricsRegistry, ambient_registry
-from repro.tenancy.tenant import SLO, attainment, percentile
+from repro.obs.usage import percentile
+from repro.tenancy.tenant import SLO, attainment
 
 
 @dataclass(frozen=True)

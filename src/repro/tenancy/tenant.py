@@ -276,22 +276,10 @@ def attainment(latencies: list[float], deadline: float) -> float:
     return met / len(latencies)
 
 
-def percentile(latencies: list[float], q: float) -> float:
-    """Latency at percentile ``q`` in [0, 100] (0.0 when empty)."""
-    if not 0.0 <= q <= 100.0:
-        raise ValueError("percentile must be in [0, 100]")
-    if not latencies:
-        return 0.0
-    ordered = sorted(latencies)
-    index = min(int(len(ordered) * q / 100.0), len(ordered) - 1)
-    return ordered[index]
-
-
 __all__ = [
     "SLO",
     "TenantMix",
     "TenantSpec",
     "TrafficTrace",
     "attainment",
-    "percentile",
 ]

@@ -24,7 +24,8 @@ from repro.faults import (
     StragglerFault,
     UpdateFault,
 )
-from repro.obs import NO_TRACER, Tracer, collect_fault_stats
+from repro.obs import NO_TRACER, Tracer
+from repro.runtime import collect_runtime_metrics
 from repro.sim.cluster import Cluster
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -121,14 +122,25 @@ class TestAcceptanceScenario:
             workload, Strategy.fo(), schedule=schedule, ft=FT
         )
         assert_oracle_equal(outputs, oracle)
-        stats = collect_fault_stats(job)
-        assert stats.timeouts == result.timeouts
-        assert stats.retries == result.retries
-        assert stats.fallbacks == result.fallbacks
-        assert stats.messages_dropped > 0
-        assert stats.messages_faulted == result.messages_faulted
-        assert stats.retry_seconds_charged > 0.0
-        assert stats.recovery_actions == stats.retries + stats.fallbacks
+        # The injector's own counters ...
+        assert job.injector.messages_dropped > 0
+        assert job.injector.messages_faulted == result.messages_faulted
+        # ... and the kernel metrics a SimBackend run reports.
+        metrics = collect_runtime_metrics(
+            job.cluster,
+            transports=[runtime.transport for runtime in job.incarnations],
+            injector=job.injector,
+        )
+        assert metrics.messages_faulted == result.messages_faulted
+        assert metrics.transport.timeouts == result.timeouts
+        assert metrics.transport.retries == result.retries
+        assert metrics.transport.fallbacks == result.fallbacks
+        assert metrics.recovery_actions == result.retries + result.fallbacks
+        assert metrics.perturbed
+        assert sum(
+            runtime.cost_model.retry_seconds_charged
+            for runtime in job.incarnations
+        ) > 0.0
 
 
 class TestPerFaultFamilies:

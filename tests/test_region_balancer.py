@@ -10,11 +10,12 @@ from repro.placement.balancer import (
     node_loads,
     plan_rebalance,
 )
-from repro.store.partitioner import HashPartitioner, RegionMap
+from repro.placement.service import PlacementService
+from repro.store.partitioner import HashPartitioner
 
 
 def make_map(n_regions=8, nodes=(0, 1)):
-    return RegionMap.round_robin(HashPartitioner(n_regions), list(nodes))
+    return PlacementService.round_robin(HashPartitioner(n_regions), list(nodes))
 
 
 class TestPlanRebalance:
@@ -53,7 +54,7 @@ class TestPlanRebalance:
         assert len(moves) <= 1
 
     def test_single_node_is_noop(self):
-        rm = RegionMap.round_robin(HashPartitioner(4), [0])
+        rm = make_map(n_regions=4, nodes=(0,))
         assert plan_rebalance(rm, {0: 5.0}) == []
 
     def test_stale_moves_rejected(self):
@@ -79,7 +80,7 @@ class TestPlanRebalance:
 )
 @settings(max_examples=80, deadline=None)
 def test_property_rebalance_never_increases_spread(loads, n_nodes):
-    rm = RegionMap.round_robin(HashPartitioner(len(loads)), list(range(n_nodes)))
+    rm = make_map(n_regions=len(loads), nodes=range(n_nodes))
     region_loads = {r: load for r, load in enumerate(loads)}
     before = skew_ratio(list(node_loads(rm, region_loads).values()))
     moves = plan_rebalance(rm, region_loads, max_moves=20)

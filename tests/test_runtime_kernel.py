@@ -6,14 +6,19 @@ execution path the kernel offers must produce bit-for-bit the same
 healthy, and under a fault schedule injected at the transport seam.
 """
 
-import dataclasses
-
 import pytest
 
+from repro.faults.injector import FaultInjector
 from repro.faults.policy import FaultTolerance
 from repro.faults.schedule import FaultSchedule, MessageChaos
-from repro.obs import MetricsRegistry
-from repro.runtime import ENGINES, JoinWorkload, SimBackend
+from repro.obs import SHUFFLE_COUNTERS, TRANSPORT_COUNTERS, MetricsRegistry
+from repro.runtime import (
+    ENGINES,
+    JoinWorkload,
+    ShuffleChannel,
+    SimBackend,
+    Transport,
+)
 from repro.workloads.synthetic import SyntheticWorkload
 from tests.oracle import assert_oracle_equal, single_node_hash_join
 
@@ -40,6 +45,19 @@ CHAOS = FaultSchedule(
     ),
 )
 TOLERANCE = FaultTolerance(request_timeout=0.05)
+
+
+def record_instances(monkeypatch, cls) -> list:
+    """Collect every ``cls`` built while the test runs."""
+    built: list = []
+    init = cls.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(cls, "__init__", recording_init)
+    return built
 
 
 class TestSimBackend:
@@ -72,9 +90,14 @@ class TestSimBackend:
         assert_oracle_equal(faulted.outputs, oracle)
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_each_counter_has_one_publisher(self, engine, workload):
-        """Every ``transport.*`` / ``faults.*`` counter in the per-run
-        registry equals the field it was read from — published once."""
+    def test_each_counter_has_one_publisher(self, engine, workload, monkeypatch):
+        """Every ``transport.*`` / ``shuffle.*`` / ``faults.*`` counter in
+        the per-run registry equals the sum of the attribute it names
+        over the run's transports, shuffle channels and injector."""
+        built = {
+            cls: record_instances(monkeypatch, cls)
+            for cls in (Transport, ShuffleChannel, FaultInjector)
+        }
         registry = MetricsRegistry()
         run = SimBackend(
             engine=engine,
@@ -84,13 +107,20 @@ class TestSimBackend:
             registry=registry,
         ).run_join(workload)
         counters = registry.snapshot()["counters"]
-        sources = {"faults.messages_faulted": run.metrics.messages_faulted}
+        (injector,) = built[FaultInjector]
+        sources = {"faults.messages_faulted": injector.messages_faulted}
         assert sources["faults.messages_faulted"] > 0
-        for field in dataclasses.fields(run.metrics.transport):
-            if field.name != "latencies":
-                sources[f"transport.{field.name}"] = getattr(
-                    run.metrics.transport, field.name
-                )
+        for family, names, objects in (
+            ("transport", TRANSPORT_COUNTERS, built[Transport]),
+            ("shuffle", SHUFFLE_COUNTERS, built[ShuffleChannel]),
+        ):
+            for name in names:
+                total = sum(getattr(obj, name) for obj in objects)
+                sources[f"{family}.{name}"] = total
+                assert getattr(getattr(run.metrics, family), name) == total
+        if engine in ("mapreduce", "sparklite"):
+            # CHAOS drops shuffle messages, and the channel resends them.
+            assert sources["shuffle.retransmits"] > 0
         if engine in ("engine", "streaming"):
             # A JoinJob ran: its JobResult carries the same three sums.
             for name in ("timeouts", "retries", "fallbacks"):
@@ -99,7 +129,7 @@ class TestSimBackend:
                     assert getattr(run.native, name) == sources[f"faults.{name}"]
         published = {
             name: value for name, value in counters.items()
-            if name.startswith(("transport.", "faults."))
+            if name.startswith(("transport.", "shuffle.", "faults."))
         }
         assert published == sources
 
