@@ -209,10 +209,9 @@ class ComputeNodeRuntime:
         if expected_inputs is not None and config.adaptive_fraction < 1.0:
             self._freeze_after = int(expected_inputs * config.adaptive_fraction)
         self._completed = 0
-        #: Real UDF results by tuple id (when the UDF has an ``apply_fn``).
-        #: ``JoinJob`` points every runtime of a run at its one live dict:
-        #: copy it before mutating it.  The later write of a tuple wins.
-        self.outputs: dict[int, Any] = {}
+        #: Real UDF results, one slot per tuple id: ``JoinJob`` points every
+        #: runtime of a run at its one slot list; the later write wins.
+        self.outputs: list[Any] = []
         # ------------------------------------------------------------------
         # Wire traffic is the runtime kernel's job: the transport owns
         # idempotency tokens, delivery faults, timeouts with backoff,

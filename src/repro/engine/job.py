@@ -25,7 +25,10 @@ tuples and flushes its batches.  Nothing migrates.
 from __future__ import annotations
 
 from collections import Counter, deque
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
+from itertools import compress, count, repeat
+from operator import is_not
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 import numpy as np
@@ -208,6 +211,31 @@ class RateRunResult:
         return sum(self.latencies) / len(self.latencies)
 
 
+#: An output slot that no runtime has written yet.
+EMPTY: Any = object()
+
+
+@dataclass(frozen=True, eq=False)
+class OutputView(Mapping[int, Any]):
+    """Read-only ``tuple_id -> output`` over a job's slot list; it skips
+    empty slots, and only a written slot's non-negative int id is a key."""
+
+    slots: list[Any]
+
+    def __getitem__(self, tuple_id: int) -> Any:
+        if isinstance(tuple_id, int) and 0 <= tuple_id < len(self.slots):
+            value = self.slots[tuple_id]
+            if value is not EMPTY:
+                return value
+        raise KeyError(tuple_id)
+
+    def __iter__(self) -> Iterator[int]:
+        return compress(count(), map(is_not, self.slots, repeat(EMPTY)))
+
+    def __len__(self) -> int:
+        return sum(map(is_not, self.slots, repeat(EMPTY)))
+
+
 @dataclass
 class JoinJob:
     """One configured join job over the simulated cluster.
@@ -317,8 +345,9 @@ class JoinJob:
     #: leaves and rejoins gets a fresh runtime, and its first
     #: incarnation's outputs and counters still count.
     incarnations: list[ComputeNodeRuntime] = field(init=False, default_factory=list)
-    #: The latest run's results by tuple id; every incarnation writes here.
-    outputs: dict[int, Any] = field(init=False, default_factory=dict)
+    #: The latest run's results, one slot per tuple id (``EMPTY`` until
+    #: written); every incarnation writes here.
+    outputs: list[Any] = field(init=False, default_factory=list)
     budgets: dict[int, MemoryBudget] = field(init=False, default_factory=dict)
     injector: FaultInjector | None = field(init=False, default=None)
     resilience_manager: ResilienceManager | None = field(init=False, default=None)
@@ -404,7 +433,7 @@ class JoinJob:
         self._completions = 0
         self._last_finish = 0.0
         self.incarnations = []
-        self.outputs = {}
+        self.outputs = [EMPTY] * n_tuples
         sim = self.cluster.sim
         job_span = self.tracer.start(
             "job", at=sim.now, engine="engine", strategy=self.strategy.name,
@@ -680,17 +709,17 @@ class JoinJob:
             latencies=latencies,
         )
 
-    def collected_outputs(self) -> dict[int, Any]:
+    def collected_outputs(self) -> OutputView:
         """Real UDF results by tuple id (requires ``udf.apply_fn``).
 
         Because the function is side-effect free, the result for a
         tuple is identical whether it executed at a compute node, at a
         data node, or from cache — the locational-transparency
-        invariant the tests verify.  This is the job's live dict: copy
-        it before mutating it.  If two incarnations of a node complete
+        invariant the tests verify.  This is a read-only view over the
+        job's live slot list.  If two incarnations of a node complete
         one tuple, the write later in simulated time wins.
         """
-        return self.outputs
+        return OutputView(self.outputs)
 
 
 #: HBase-style regions per data node: the hash partitioner splits the

@@ -26,7 +26,7 @@ from repro.core.frequency import LossyCounter
 from repro.placement.batch import SizeProfile
 from repro.engine.compute_node import ComputeNodeRuntime
 from repro.engine.job import (
-    JobResult, build_data_side, collect_result, memory_budgets,
+    EMPTY, JobResult, build_data_side, collect_result, memory_budgets,
 )
 from repro.engine.requests import UDF
 from repro.engine.strategies import StrategyConfig
@@ -287,6 +287,7 @@ class MultiJoinJob:
         runtimes: list[list[ComputeNodeRuntime]] = [[] for _ in range(n_compute)]
         for s, stage in enumerate(self.stages):
             kvstore, servers = self._data_sides[s]
+            slots = [EMPTY] * n_tuples  # stage s's results, by tuple id
             for j, cn in enumerate(self.compute_nodes):
                 runtimes[j].append(
                     ComputeNodeRuntime(
@@ -313,6 +314,7 @@ class MultiJoinJob:
                         budget=self.budgets.get(cn),
                     )
                 )
+                runtimes[j][s].outputs = slots
         for j in range(n_compute):
             feed(j)
         sim.run()

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
@@ -60,7 +60,7 @@ class RunReport:
     n_tuples: int
     #: Simulated makespan (sim backend) or wall-clock seconds (local).
     makespan: float
-    outputs: dict[int, Any] = field(repr=False, default_factory=dict)
+    outputs: Mapping[int, Any] = field(repr=False, default_factory=dict)
     #: Engine-native result (e.g. ``JobResult``), untyped by design.
     result: Any = field(repr=False, default=None)
     #: Kernel counters, usage and request latencies (``None`` on the

@@ -11,7 +11,7 @@ over the same dict the kernel collector publishes here.
 
 Naming convention: dotted lowercase paths, one family per subsystem —
 ``transport.*`` (request/response kernel), ``shuffle.*`` (one-way
-kernel), ``faults.*`` (injector + reactions), ``usage.*`` (cluster
+kernel), ``faults.*`` (the fault injector), ``usage.*`` (cluster
 resources), ``routing.*`` (decision mix), ``cache.*``, ``jobs.*``.
 
 A process-wide :func:`ambient_registry` exists so call sites that have

@@ -178,36 +178,6 @@ class Tracer:
             if e.attrs["key"] == key
         ]
 
-    def windowed_mix(self, n_windows: int) -> list[dict[str, int]]:
-        """Route mixes over ``n_windows`` equal time slices.
-
-        The Figure-9 story in one view: after a distribution shift the
-        early windows fill with compute requests (re-learning) and the
-        late windows with local hits.
-        """
-        if n_windows < 1:
-            raise ValueError("n_windows must be >= 1")
-        routes = self.events_named("route")
-        buckets: list[Counter] = [Counter() for _ in range(n_windows)]
-        end = max((e.time for e in routes), default=0.0) or 1.0
-        for event in routes:
-            index = min(int(event.time / end * n_windows), n_windows - 1)
-            buckets[index][event.attrs["route"]] += 1
-        return [dict(b) for b in buckets]
-
-    def local_hit_rate_curve(self, n_windows: int = 10) -> list[float]:
-        """Fraction of locally served tuples per time window."""
-        curve = []
-        for mix in self.windowed_mix(n_windows):
-            total = sum(mix.values())
-            local = mix.get("local-memory", 0) + mix.get("local-disk", 0)
-            curve.append(local / total if total else 0.0)
-        return curve
-
-    def per_node_counts(self) -> dict[int, int]:
-        """Routing decisions per compute node."""
-        return dict(Counter(e.attrs["node"] for e in self.events_named("route")))
-
     def orphans(self) -> list[Span]:
         """Spans whose parent id does not resolve (should be empty)."""
         known = {s.span_id for s in self.spans}

@@ -189,9 +189,6 @@ def publish_job_result(result, registry: MetricsRegistry | None = None) -> None:
     reg.counter("routing.data_requests").inc(result.data_requests)
     reg.counter("cache.memory_hits").inc(result.cache_memory_hits)
     reg.counter("cache.disk_hits").inc(result.cache_disk_hits)
-    reg.counter("faults.timeouts").inc(result.timeouts)
-    reg.counter("faults.retries").inc(result.retries)
-    reg.counter("faults.fallbacks").inc(result.fallbacks)
     for cause, count in result.flushes.items():
         reg.counter(f"batching.flushes_{cause}").inc(count)
     reg.histogram("jobs.makespan").observe(result.makespan)

@@ -23,7 +23,8 @@ parametrized suite assert all engines × backends agree bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Protocol, Sequence, runtime_checkable
+from typing import (TYPE_CHECKING, Any, Callable, Hashable, Mapping, Protocol,
+                    Sequence, runtime_checkable)
 
 from repro.placement.batch import SizeProfile
 from repro.faults.policy import FaultTolerance
@@ -101,7 +102,7 @@ class BackendRun:
 
     engine: str
     backend: str
-    outputs: dict[int, Any]
+    outputs: Mapping[int, Any]
     #: Simulated makespan (SimBackend) or wall-clock seconds
     #: (ClusterBackend).
     duration: float

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Protocol, runtime_checkable
+from typing import Any, Mapping, Protocol, runtime_checkable
 
 from repro.api import JobSpec, RunConfig, _backend_for, _traced, run_join
 from repro.engine.job import JoinJob, RateRunResult
@@ -69,7 +69,7 @@ class TenancyResult:
     shed_by_tenant: dict[str, int] = field(repr=False)
     total_shed: int = 0
     #: Real outputs by global tuple index (trace position).
-    outputs: dict[int, Any] = field(repr=False, default_factory=dict)
+    outputs: Mapping[int, Any] = field(repr=False, default_factory=dict)
 
 
 @runtime_checkable

@@ -2,16 +2,18 @@
 
 A compute node works over a stream with bounded per-key state, so at
 the end of the event loop the only per-tuple memory left is the join
-output itself: the job's one output dict, keyed by tuple id.  No copy
-of the key stream, no per-node slice of it, no merged copy of the
-outputs and no per-tuple exactly-once entry for a tuple that was never
-sent.  The tiered cache's victim heap holds one live entry per
-resident, so it too is bounded by the keys, not by the stream.
+output itself: the job's one list of output slots, indexed by tuple id,
+which holds one pointer per tuple and no key.  No copy of the key
+stream, no per-node slice of it, no merged copy of the outputs, no
+tuple-id int kept alive and no per-tuple exactly-once entry for a tuple
+that was never sent.  The tiered cache's victim heap holds one live
+entry per resident, so it too is bounded by the keys, not by the
+stream.
 """
 
 from __future__ import annotations
 
-import linecache
+import inspect
 import tracemalloc
 
 import pytest
@@ -26,16 +28,16 @@ from tests.oracle import single_node_hash_join
 
 N_TUPLES = 40_000
 MB = 1_000_000
+KIB = 1024
 
 
 def _run_traced(monkeypatch):
     """``run_join`` under tracemalloc; returns the spec, the report, the
-    job, the snapshot taken at the end of ``Simulator.run`` and where
-    the output's largest tuple id was allocated."""
+    job and the snapshot taken at the end of ``Simulator.run``."""
     spec = JobSpec.synthetic(n_keys=400, n_tuples=N_TUPLES, skew=1.5, seed=3)
     config = RunConfig(engine="engine", backend="sim", n_compute=4, n_data=4,
                        seed=3)
-    jobs, snapshots, id_frames = [], [], []
+    jobs, snapshots = [], []
     job_run, sim_run = JoinJob.run, Simulator.run
 
     def run_job(self, *args, **kwargs):
@@ -45,8 +47,6 @@ def _run_traced(monkeypatch):
     def run_sim(self, *args, **kwargs):
         sim_run(self, *args, **kwargs)
         snapshots.append(tracemalloc.take_snapshot())
-        largest = max(jobs[0].outputs)
-        id_frames.append(tracemalloc.get_object_traceback(largest)[0])
 
     monkeypatch.setattr(JoinJob, "run", run_job)
     monkeypatch.setattr(Simulator, "run", run_sim)
@@ -57,8 +57,16 @@ def _run_traced(monkeypatch):
         tracemalloc.stop()
     (job,) = jobs
     (snapshot,) = snapshots
-    (id_frame,) = id_frames
-    return spec, report, job, snapshot, id_frame
+    return spec, report, job, snapshot
+
+
+def _slot_site():
+    """``(file, line)`` of ``JoinJob._execute``'s slot-list allocation
+    (the list object itself may come from a free list, so its own
+    traceback cannot name the site; its item array's can)."""
+    lines, first = inspect.getsourcelines(JoinJob._execute)
+    (offset,) = [i for i, line in enumerate(lines) if "[EMPTY] *" in line]
+    return job_module.__file__, first + offset
 
 
 @pytest.fixture(scope="module")
@@ -68,29 +76,25 @@ def traced_run():
 
 
 def test_a_static_run_holds_each_tuple_once(traced_run):
-    spec, report, job, snapshot, id_frame = traced_run
-    outputs = job.collected_outputs()
-    assert all(outputs is runtime.outputs for runtime in job.incarnations)
-    assert report.outputs is outputs
+    spec, report, job, snapshot = traced_run
+    assert len(job.outputs) == N_TUPLES
+    assert job.incarnations
+    assert all(runtime.outputs is job.outputs for runtime in job.incarnations)
+    assert report.outputs.slots is job.outputs
     values = {row.key: row.value for row in spec.table.rows()}
-    assert outputs == single_node_hash_join(spec.keys, spec.udf, values)
+    assert report.outputs == single_node_hash_join(spec.keys, spec.udf, values)
 
-    # The tuple ids are the output's keys: the feeder allocates them,
-    # one each, and the output holds them.
+    # The slot list is one pointer per tuple; every other site in the
+    # job and the compute node, the feeder's tuple ids included, holds
+    # less than 1 MB.
     held = {}
     for stat in snapshot.statistics("lineno"):
         frame = stat.traceback[0]
         if frame.filename in (job_module.__file__, compute_node.__file__):
             held[(frame.filename, frame.lineno)] = stat
-    assert id_frame.filename == job_module.__file__
-    assert held[(id_frame.filename, id_frame.lineno)].count <= N_TUPLES
-
+    slots = held.pop(_slot_site())
+    assert slots.size <= 8 * N_TUPLES + KIB
     for (filename, lineno), stat in held.items():
-        if (filename, lineno) == (id_frame.filename, id_frame.lineno):
-            continue
-        source = linecache.getline(filename, lineno)
-        if filename == compute_node.__file__ and "self.outputs[" in source:
-            continue  # the output write
         assert stat.size < MB, f"{filename}:{lineno} holds {stat.size} B"
 
 
