@@ -38,7 +38,6 @@ class LFUDAPolicy:
     def __init__(self) -> None:
         self._age = 0.0
         self._frequency: dict[Hashable, int] = {}
-        self._weight: dict[Hashable, float] = {}
         self._benefit: dict[Hashable, float] = {}
 
     @property
@@ -56,7 +55,6 @@ class LFUDAPolicy:
             raise ValueError(f"weight must be positive, got {weight!r}")
         freq = self._frequency.get(key, 0) + 1
         self._frequency[key] = freq
-        self._weight[key] = weight
         benefit = weight * freq + self._age
         self._benefit[key] = benefit
         return benefit
@@ -74,7 +72,6 @@ class LFUDAPolicy:
         """
         benefit = self._benefit.pop(key, 0.0)
         self._frequency.pop(key, None)
-        self._weight.pop(key, None)
         if benefit > self._age:
             self._age = benefit
 
@@ -82,7 +79,6 @@ class LFUDAPolicy:
         """Drop a key without aging (e.g. invalidation on update)."""
         self._benefit.pop(key, None)
         self._frequency.pop(key, None)
-        self._weight.pop(key, None)
 
     @property
     def tracked(self) -> int:

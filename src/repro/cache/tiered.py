@@ -195,7 +195,6 @@ class TieredCache:
         policy = self.policy
         freq = policy._frequency.get(key, 0) + 1
         policy._frequency[key] = freq
-        policy._weight[key] = weight
         benefit = weight * freq + policy._age
         policy._benefit[key] = benefit
         resident = self._memory.get(key)

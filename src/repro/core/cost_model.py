@@ -189,7 +189,9 @@ class CostModel:
 
     def observe_local_compute(self, seconds: float) -> None:
         """Record a locally measured UDF execution time (``tc_i``)."""
-        self._local_compute.observe(seconds)
+        local, a = self._local_compute, self._alpha  # SmoothedValue.observe
+        old = local._value
+        local._value = seconds if old is None else a * seconds + (1.0 - a) * old
 
     def observe_timeout(self, data_node: int, waited: float) -> None:
         """Charge one request timeout against ``data_node``.
@@ -240,13 +242,6 @@ class CostModel:
             raise KeyError(f"no size estimate for key {key!r}")
         return per_key.value_size
 
-    def bandwidth_to(self, data_node: int) -> float:
-        """Effective bandwidth ``netBw_ij`` to ``data_node``."""
-        try:
-            return self._bandwidth[data_node]
-        except KeyError:
-            raise KeyError(f"no bandwidth estimate for node {data_node}") from None
-
     def costs(self, key: Hashable, data_node: int) -> RequestCosts:
         """The four decision costs for ``key`` served by ``data_node``.
 
@@ -255,11 +250,31 @@ class CostModel:
         """
         return RequestCosts(*self.costs4(key, data_node))
 
+    def hit_weight(self, key: Hashable, data_node: int) -> float | None:
+        """``rent - tRecMem``, what a memory hit on ``key`` saves: the two
+        :meth:`costs4` terms in its operand order, or ``None`` where it raises."""
+        per_key = self._per_key.get(key)
+        bw = self._bandwidth.get(data_node)
+        if per_key is None or bw is None:
+            return None
+        sp = self._param_size._value
+        scv = self._computed_size._value
+        node_disk = self._remote_disk.get(data_node)
+        t_disk = None if node_disk is None else node_disk._value
+        tc_local = self._local_compute._value
+        return max(
+            0.0 if t_disk is None else t_disk,
+            (self._key_size._value + (0.0 if sp is None else sp)
+             + (0.0 if scv is None else scv)) / bw,
+            per_key.compute_time,
+        ) - (per_key.service_time if tc_local is None else tc_local)
+
     def costs4(self, key: Hashable, data_node: int) -> tuple[float, float, float, float]:
         """``(tCompute, tFetch, tRecMem, tRecDisk)`` as a plain tuple.
 
-        The one copy of the Section 4.3 formulas, read straight off the
-        current estimates; :meth:`costs` wraps the same four floats.
+        The Section 4.3 formulas, read straight off the current
+        estimates; :meth:`costs` wraps the same four floats, and
+        :meth:`hit_weight` repeats the first minus the third.
         Raises ``KeyError`` for an unknown key or a data node without a
         bandwidth estimate.
         """
@@ -269,9 +284,7 @@ class CostModel:
         bw = self._bandwidth.get(data_node)
         if bw is None:
             raise KeyError(f"no bandwidth estimate for node {data_node}")
-        sk = self._key_size._value
-        if sk is None:
-            sk = 8.0
+        sk = self._key_size._value  # never None: its prior is 8 bytes
         sp = self._param_size._value
         if sp is None:
             sp = 0.0

@@ -131,23 +131,17 @@ class JoinLocationOptimizer:
         """Route one request for ``key`` served by ``data_node``.
 
         Returns ``(route, value)``; ``value`` is the cached value on a
-        local route and ``None`` otherwise.  The four costs are read
-        once up front: the benefit weight (weighted LFU-DA: a memory
-        resident saves ``rent - tRecMem`` per access, unknown keys weigh
-        1) and the two ski-rental thresholds share them.
+        local route and ``None`` otherwise.  The benefit weight
+        (weighted LFU-DA: a memory resident saves ``rent - tRecMem`` per
+        access; unknown keys weigh 1) is read before the probe, and the
+        four costs of the ski-rental thresholds only after a miss.
         """
         model = self.cost_model
-        try:
-            c4 = model.costs4(key, data_node)
-        except KeyError:
-            # Unknown key or missing bandwidth: weight 1.
-            c4 = None
-        if c4 is not None:
-            weight = c4[0] - c4[2]
-            if not weight > _MIN_WEIGHT:
-                weight = max(weight, _MIN_WEIGHT)
-        else:
+        weight = model.hit_weight(key, data_node)
+        if weight is None:  # unknown key or missing bandwidth
             weight = 1.0
+        elif not weight > _MIN_WEIGHT:
+            weight = max(weight, _MIN_WEIGHT)
         # Benefit update and lookup fused into one cache probe; the
         # counter add in between touches disjoint state, so the swap
         # with the lookup is unobservable.
@@ -172,11 +166,8 @@ class JoinLocationOptimizer:
             self._n_compute += 1
             return Route.COMPUTE_REQUEST, None
 
-        if c4 is None:
-            # knows_key but no usable costs (e.g. missing bandwidth):
-            # the costs are needed now, so let the lookup raise.
-            c4 = model.costs4(key, data_node)
-        rent, buy, rec_mem, rec_disk = c4
+        # The weight's costs: the probe and the count move no estimate.
+        rent, buy, rec_mem, rec_disk = model.costs4(key, data_node)
         fixed = self.fixed_threshold
         if fixed is not None:
             mem_threshold = fixed

@@ -35,14 +35,13 @@ class SmoothedValue:
     15.0
     """
 
-    __slots__ = ("alpha", "_value", "_observations")
+    __slots__ = ("alpha", "_value")
 
     def __init__(self, alpha: float = 0.3, initial: float | None = None) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
         self.alpha = alpha
         self._value = initial
-        self._observations = 0 if initial is None else 1
 
     @property
     def value(self) -> float:
@@ -62,18 +61,12 @@ class SmoothedValue:
         """Whether at least one value (or a prior) is available."""
         return self._value is not None
 
-    @property
-    def observations(self) -> int:
-        """Number of values folded into the estimate."""
-        return self._observations
-
     def observe(self, measured: float) -> float:
         """Fold one measurement into the estimate; returns the new value."""
         if self._value is None:
             self._value = measured
         else:
             self._value = self.alpha * measured + (1.0 - self.alpha) * self._value
-        self._observations += 1
         return self._value
 
     def value_or(self, default: float) -> float:

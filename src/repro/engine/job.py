@@ -509,11 +509,12 @@ class JoinJob:
 
                 runtime.on_complete = fused
 
-        for time, key, new_value in updates or ():
-            def apply_update(k=key, v=new_value, t=time) -> None:
-                self.kvstore.update_value(k, v, at_time=t)
+        if updates:
+            def apply_update(i: int) -> None:
+                time, key, new_value = updates[i]
+                self.kvstore.update_value(key, new_value, at_time=time)
 
-            sim.schedule_at(time, apply_update)
+            sim.schedule_series([u[0] for u in updates], apply_update)
 
         if self.resilience is not None and self.resilience.enabled:
             manager = ResilienceManager(
@@ -547,15 +548,13 @@ class JoinJob:
         for feeder in feeders:
             feeder.prime()
         if arrivals is not None:
-            for tuple_id, key in enumerate(key_list):
-                target = pushed[tuple_id % len(pushed)]
-                p = params[tuple_id] if params is not None else None
-                sim.schedule_at(
-                    arrivals[tuple_id],
-                    lambda tid=tuple_id, k=key, rt=target, pp=p: (
-                        rt.submit(tid, k, pp)
-                    ),
+            def arrive(tuple_id: int) -> None:
+                pushed[tuple_id % len(pushed)].submit(
+                    tuple_id, key_list[tuple_id],
+                    None if params is None else params[tuple_id],
                 )
+
+            sim.schedule_series(arrivals, arrive)
             if n_tuples:
                 def flush_all() -> None:
                     for runtime in pushed:

@@ -109,17 +109,11 @@ class PreMapRunner:
         self.map_fn = map_fn
         self.window = window
         self._bulk_calls = 0
-        self._keys_fetched = 0
 
     @property
     def bulk_calls(self) -> int:
         """Number of batched fetches issued (amortization metric)."""
         return self._bulk_calls
-
-    @property
-    def keys_fetched(self) -> int:
-        """Total distinct keys fetched across all batches."""
-        return self._keys_fetched
 
     def run(self, items: Iterable[Any]) -> Iterator[Any]:
         """Yield ``map_fn`` outputs in input order, prefetching ahead."""
@@ -147,7 +141,6 @@ class PreMapRunner:
                         window_keys.append(key)
             fetched = self.bulk_fetch(window_keys) if window_keys else {}
             self._bulk_calls += 1
-            self._keys_fetched += len(window_keys)
             # map phase: drain the window in order.
             while pending:
                 item, keys = pending.popleft()

@@ -94,12 +94,15 @@ class FaultInjector:
         if self.schedule.updates:
             if kvstore is None:
                 raise ValueError("update faults need the kvstore")
-            for update in self.schedule.updates:
-                def apply(u=update) -> None:
-                    kvstore.update_value(u.key, u.value, at_time=u.at)
+            updates = self.schedule.updates
+
+            def apply(i: int) -> None:
+                u = updates[i]
+                kvstore.update_value(u.key, u.value, at_time=u.at)
+                if self.tracer.enabled:
                     self._record(u.at, "update", -1, f"key={u.key!r}")
 
-                cluster.sim.schedule_at(update.at, apply)
+            cluster.sim.schedule_series([u.at for u in updates], apply)
         for pressure in self.schedule.memory_pressure:
             budget = None if budgets is None else budgets.get(pressure.node_id)
 

@@ -23,7 +23,9 @@ events is bit-identical to a queue that never compacts
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable
+import math
+from operator import le
+from typing import Any, Callable, Sequence
 
 _INF = float("inf")
 _NEG_INF = float("-inf")
@@ -167,6 +169,43 @@ class Simulator:
         heapq.heappush(self._queue, (time, self._seq, callback, _NEVER_CANCELLED))
         self._seq += 1
 
+    def schedule_series(
+        self, times: Sequence[float], callback: Callable[[int], Any]
+    ) -> None:
+        """Call ``callback(i)`` at ``times[i]`` for every ``i``, in any order.
+
+        Runs as a :meth:`schedule_call` loop over ``i`` would, from one
+        heap entry: the call reserves ``len(times)`` sequence numbers,
+        and item ``i`` is pushed with the loop's key ``(times[i], base +
+        i)`` when its predecessor in key order fires.  The heap compares
+        only keys, and an item cannot be the minimum while its smaller
+        predecessor is queued, so every pop is the loop's pop.
+        """
+        order = (range(len(times)) if all(map(le, times, times[1:]))
+                 else sorted(range(len(times)), key=times.__getitem__))
+        if not order:
+            return
+        if not all(map(math.isfinite, times)) or times[order[0]] < self._now:
+            raise SimulationError(
+                f"series times must be finite and not before {self._now:.9f}"
+            )
+        base = self._seq
+        self._seq += len(order)
+        push = heapq.heappush
+        cursor = 0
+
+        def fire() -> None:
+            nonlocal cursor
+            i = order[cursor]
+            cursor += 1
+            if cursor < len(order):
+                j = order[cursor]
+                push(self._queue, (times[j], base + j, fire, _NEVER_CANCELLED))
+            callback(i)
+
+        j = order[0]
+        push(self._queue, (times[j], base + j, fire, _NEVER_CANCELLED))
+
     def _note_cancel(self) -> None:
         """Record a tombstone; compact the heap once they dominate it."""
         self._tombstones += 1
@@ -180,25 +219,6 @@ class Simulator:
             heapq.heapify(live)
             self._queue = live
             self._tombstones = 0
-
-    def step(self) -> bool:
-        """Run the next queued callback.  Returns False if none remain.
-
-        Cancelled entries are discarded without advancing the clock or
-        the event counter.
-        """
-        while self._queue:
-            time, _seq, callback, handle = heapq.heappop(self._queue)
-            if handle.cancelled:
-                self._events_cancelled += 1
-                if self._tombstones:
-                    self._tombstones -= 1
-                continue
-            self._now = time
-            self._events_processed += 1
-            callback()
-            return True
-        return False
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run callbacks until the queue drains.

@@ -87,9 +87,5 @@ class Relation:
         idx = self.schema.index(column)
         return [row[idx] for row in self.rows]
 
-    def row_bytes(self, per_value: float = 8.0) -> float:
-        """Approximate serialized row width (for the timing model)."""
-        return per_value * len(self.schema.columns)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Relation({self.name!r}, {len(self.rows)} rows)"

@@ -18,7 +18,6 @@ tenant never perturbs the streams of existing ones.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 from repro.resilience.admission import TenantShare
@@ -133,10 +132,6 @@ class TrafficTrace:
         for tenant in self.tenants:
             counts[tenant] = counts.get(tenant, 0) + 1
         return counts
-
-    def slice_until(self, t: float) -> int:
-        """Index of the first arrival at or after ``t``."""
-        return bisect.bisect_left(self.arrivals, t)
 
 
 @dataclass(frozen=True)

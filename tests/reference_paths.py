@@ -12,6 +12,9 @@ exactly like the plainer code it replaced:
 * ``Simulator._note_cancel``'s tombstone compaction.  Its reference is
   the lazy queue: a cancelled entry stays in the heap until the run
   loop pops and skips it.
+* ``Simulator.schedule_series``, which keeps one heap entry per timed
+  series (pushed arrivals, data-store updates).  Its reference arms
+  every item up front, one event each.
 
 :func:`use_reference_paths` puts components constructed after the call
 on the reference side, so a test can compare one run on both sides.
@@ -206,6 +209,12 @@ def _never_compact(self: Simulator) -> None:
     """The lazy queue: tombstones wait until the run loop pops them."""
 
 
+def _series_loop(self: Simulator, times, callback) -> None:
+    """Every item of a series armed up front, one event each."""
+    for i, time in enumerate(times):
+        self.schedule_at(time, lambda i=i: callback(i))
+
+
 def use_reference_paths(monkeypatch: pytest.MonkeyPatch) -> ReferenceRuns:
     """Route new components through the reference paths until undone."""
     runs = ReferenceRuns()
@@ -227,4 +236,5 @@ def use_reference_paths(monkeypatch: pytest.MonkeyPatch) -> ReferenceRuns:
     monkeypatch.setattr(ComputeNodeRuntime, "_dispatch_blocking",
                         _dispatch_blocking)
     monkeypatch.setattr(Simulator, "_note_cancel", _never_compact)
+    monkeypatch.setattr(Simulator, "schedule_series", _series_loop)
     return runs

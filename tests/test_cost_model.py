@@ -172,7 +172,9 @@ _STEP = st.one_of(
 @settings(max_examples=80, deadline=None)
 def test_property_costs4_is_costs_and_the_formulas(steps):
     """After every step ``costs4`` equals the fields of ``costs`` and
-    the formulas evaluated over independently smoothed estimates."""
+    the formulas evaluated over independently smoothed estimates, and
+    ``hit_weight`` is its ``rent - tRecMem`` to the bit, or ``None``
+    exactly where it raises (node 3 has no bandwidth estimate)."""
     cm = model()
     oracle = _Oracle({1: 1e8, 2: 5e7}, 0.001)
     for step in steps:
@@ -180,16 +182,20 @@ def test_property_costs4_is_costs_and_the_formulas(steps):
         _apply(oracle, step)
         for key in ("a", "b", "c"):
             assert cm.knows_key(key) == (key in oracle.per_key)
-            if not cm.knows_key(key):
-                with pytest.raises(KeyError):
-                    cm.costs4(key, 1)
-                continue
-            assert cm.value_size(key) == oracle.per_key[key][0].value
-            for node in (1, 2):
+            if cm.knows_key(key):
+                assert cm.value_size(key) == oracle.per_key[key][0].value
+            for node in (1, 2, 3):
+                weight = cm.hit_weight(key, node)
+                if not cm.knows_key(key) or node == 3:
+                    with pytest.raises(KeyError):
+                        cm.costs4(key, node)
+                    assert weight is None
+                    continue
                 c = cm.costs(key, node)
                 c4 = cm.costs4(key, node)
                 assert c4 == (c.t_compute, c.t_fetch, c.t_rec_mem, c.t_rec_disk)
                 assert c4 == oracle.costs4(key, node)
+                assert weight.hex() == (c4[0] - c4[2]).hex()
 
 
 def _obs(key, node, value_size, compute_time, disk_time, computed_size, **kw):
@@ -282,7 +288,10 @@ class TestCostGoldenPin:
 
     @staticmethod
     def _costs4(cm):
-        return {(k, n): cm.costs4(k, n) for k in "abc" for n in (1, 2)}
+        costs = {(k, n): cm.costs4(k, n) for k in "abc" for n in (1, 2)}
+        for (k, n), c4 in costs.items():
+            assert cm.hit_weight(k, n) == c4[0] - c4[2]
+        return costs
 
     def test_costs4_floats_are_pinned(self):
         cm = model(local_disk_time=0.002)
@@ -369,10 +378,14 @@ class TestPerNodeDisk:
 
 class TestBandwidth:
     def test_bandwidth_lookup(self):
+        # A node without a bandwidth estimate has no costs and no weight.
         cm = model()
-        assert cm.bandwidth_to(1) == 1e8
+        cm.observe(params())
+        assert cm.costs4("k", 1)[1] == max(0.002, (8.0 + 100_000.0) / 1e8)
+        assert cm.hit_weight("k", 1) is not None
         with pytest.raises(KeyError):
-            cm.bandwidth_to(99)
+            cm.costs4("k", 99)
+        assert cm.hit_weight("k", 99) is None
 
     def test_validation(self):
         with pytest.raises(ValueError):

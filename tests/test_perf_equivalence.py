@@ -1,8 +1,8 @@
 """Differential equivalence: the fast hot paths vs their references.
 
-Two hot paths run a lean form unconditionally: the one submit body with
-its per-strategy routers, and the event queue's tombstone compaction.
-Their references are held by :mod:`tests.reference_paths`.  These tests
+Three hot paths run a lean form unconditionally: the one submit body
+with its per-strategy routers, the event queue's tombstone compaction,
+and its one-entry timed series.  Their references are held by :mod:`tests.reference_paths`.  These tests
 are the contract that makes the lean forms admissible: for the same
 spec, both sides must produce byte-identical join outputs, identical
 simulated makespans and metric snapshots (the "cost totals"), and —
@@ -205,6 +205,20 @@ _ENGINE_CASES = {
         ("placement.redirects", "transport.retries", "transport.fallbacks"),
         None,
     ),
+    # Mid-run data-store updates, armed unsorted as one timed series:
+    # cached copies are invalidated and refetched (Section 4.2.3).
+    "engine-updates": (
+        dict(
+            engine="engine",
+            faults=FaultSchedule.random(
+                seed=5, data_nodes=(0,), horizon=0.4, keys=range(60),
+                n_crashes=0, n_stragglers=0, n_chaos=0, n_updates=200,
+            ),
+        ),
+        dict(n_tuples=2000),
+        ("cache.memory_hits", "cache.disk_hits"),
+        None,
+    ),
     # A node joins and another leaves mid-run: the shared input queue
     # replaces the per-node feeders, under the same chaos.
     "engine-membership": (
@@ -304,6 +318,40 @@ def _threshold_run(mode: str, fixed_threshold: float | None):
     for runtime in job.runtimes.values():
         assert runtime.optimizer.fixed_threshold == fixed_threshold
     return result, job.collected_outputs()
+
+
+def _pushed_run(mode: str):
+    """Open-loop arrivals and unsorted mid-run updates, both series."""
+    workload = SyntheticWorkload.data_heavy(
+        n_keys=60, n_tuples=1500, skew=1.2, seed=11
+    )
+    keys = list(workload.keys())
+    updates = [(0.3 - i * 0.002, i % 60, f"u{i}") for i in range(120)]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        runs = use_reference_paths(monkeypatch) if mode == "1" else None
+        job = JoinJob(
+            cluster=Cluster.homogeneous(4),
+            compute_nodes=[0, 1],
+            data_nodes=[2, 3],
+            table=workload.build_table(),
+            udf=workload.udf,
+            strategy=Strategy.fo(),
+            sizes=workload.sizes,
+            seed=11,
+        )
+        result = job.run_trace(
+            keys, [i / 4000 for i in range(len(keys))], updates=updates
+        )
+    assert runs is None or runs.submits, "the reference submit never ran"
+    return result, job.collected_outputs()
+
+
+def test_pushed_arrivals_and_updates_match_reference():
+    """``run_trace``'s two series agree with arming every item."""
+    ref, ref_outputs = _pushed_run("1")
+    opt, opt_outputs = _pushed_run("0")
+    assert ref_outputs == opt_outputs
+    assert ref == opt
 
 
 def test_fixed_threshold_matches_reference():

@@ -1,6 +1,8 @@
 """Tests for the discrete-event loop."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.sim.events import SimulationError, Simulator
 
@@ -86,10 +88,6 @@ class TestRunControls:
         sim.run(until=7.0)
         assert sim.now == 7.0
 
-    def test_step_returns_false_when_empty(self):
-        sim = Simulator()
-        assert sim.step() is False
-
     def test_max_events_guards_against_storms(self):
         sim = Simulator()
 
@@ -117,14 +115,6 @@ class TestRunControls:
         assert sim.events_processed == 3
         assert sim.events_cancelled == 2
         assert sim.pending == 0
-
-    def test_events_cancelled_counted_by_step(self):
-        sim = Simulator()
-        sim.schedule_at(0.0, lambda: None).cancel()
-        sim.schedule_at(1.0, lambda: None)
-        assert sim.step() is True  # discards the cancelled entry en route
-        assert sim.events_cancelled == 1
-        assert sim.events_processed == 1
 
     def test_repr_distinguishes_churn_from_storms(self):
         sim = Simulator()
@@ -204,3 +194,103 @@ class TestCancellationStorm:
         # No compaction: every cancelled entry stays queued until the
         # run loop pops and skips it.
         assert after_storm == 2_000
+
+
+# ----------------------------------------------------------------------
+# schedule_series: one heap entry, the order of a schedule_call loop.
+# ----------------------------------------------------------------------
+#: Few distinct times (sums of them are exact), so items tie with each
+#: other and with the events their callbacks schedule.
+_SERIES_TIMES = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+#: What an item's callback does: schedule a cancellable event, schedule
+#: a never-cancelled one, cancel one of the handles made so far, or
+#: schedule and cancel 70 timers (past the compaction floor of 64).
+_SERIES_ACTION = st.one_of(
+    st.tuples(st.just("at"), _SERIES_TIMES),
+    st.tuples(st.just("call"), _SERIES_TIMES),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=50)),
+    st.tuples(st.just("storm"), _SERIES_TIMES),
+)
+
+
+def _drive_series(series: bool, before, items, after):
+    """Arm ``before`` events, then the items (as one series or as a
+    ``schedule_call`` loop), then ``after`` events, and run."""
+    sim = Simulator()
+    log = []
+    handles = []
+
+    def note(label):
+        return lambda: log.append((label, sim.now))
+
+    def item(i):
+        log.append(("item", i, sim.now))
+        kind, arg = items[i][1]
+        if kind == "at":
+            handles.append(sim.schedule_at(sim.now + arg, note(("at", i))))
+        elif kind == "call":
+            sim.schedule_call(sim.now + arg, note(("call", i)))
+        elif kind == "cancel" and handles:
+            handles[arg % len(handles)].cancel()
+        elif kind == "storm":
+            for n in range(70):
+                sim.schedule_at(sim.now + arg, note(("storm", i, n))).cancel()
+
+    for n, t in enumerate(before):
+        handles.append(sim.schedule_at(t, note(("before", n))))
+    queued = sim.pending
+    times = [t for t, _ in items]
+    if series:
+        sim.schedule_series(times, item)
+    else:
+        for i, t in enumerate(times):
+            sim.schedule_call(t, lambda i=i: item(i))
+    grown = sim.pending - queued
+    for n, t in enumerate(after):
+        handles.append(sim.schedule_at(t, note(("after", n))))
+    sim.run()
+    run = (log, sim.now, sim.events_processed, sim.events_cancelled)
+    return run, grown
+
+
+@given(
+    before=st.lists(_SERIES_TIMES, max_size=6),
+    items=st.lists(st.tuples(_SERIES_TIMES, _SERIES_ACTION), max_size=30),
+    after=st.lists(_SERIES_TIMES, max_size=6),
+)
+# Unsorted, tied items; a storm compacts the loop's heap of tombstones.
+@example(
+    before=[0.5],
+    items=[(1.0, ("call", 0.0)), (0.0, ("storm", 0.5)), (0.5, ("at", 0.5)),
+           (0.0, ("cancel", 0)), (0.5, ("cancel", 1))],
+    after=[0.0, 1.0],
+)
+@settings(max_examples=150, deadline=None)
+def test_property_series_runs_as_the_schedule_call_loop(before, items, after):
+    """Same callback order, clock and counters as arming every item with
+    ``schedule_call``; the series adds one heap entry, not one per item."""
+    loop, loop_grown = _drive_series(False, before, items, after)
+    series, series_grown = _drive_series(True, before, items, after)
+    assert series == loop
+    assert loop_grown == len(items)
+    assert series_grown == min(len(items), 1)
+
+
+class TestScheduleSeries:
+    def test_many_items_keep_one_heap_entry(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule_series([float(i % 7) for i in range(10_000)], seen.append)
+        assert sim.pending == 1
+        sim.run()
+        assert len(seen) == 10_000 and sim.pending == 0
+        assert seen[:3] == [0, 7, 14] and sim.now == 6.0
+
+    def test_bad_times_raise_before_arming(self):
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None)
+        sim.run()
+        for times in ([2.0, 0.5], [2.0, float("nan")], [float("inf")]):
+            with pytest.raises(SimulationError):
+                sim.schedule_series(times, lambda i: None)
+        assert sim.pending == 0

@@ -46,13 +46,6 @@ class TestSmoothedValue:
         s.observe(9.0)
         assert s.value == 9.0
 
-    def test_observation_count(self):
-        s = SmoothedValue()
-        assert s.observations == 0
-        s.observe(1.0)
-        s.observe(2.0)
-        assert s.observations == 2
-
 
 @given(
     values=st.lists(

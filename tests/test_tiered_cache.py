@@ -474,10 +474,13 @@ _LIVE_OP = st.tuples(
 )
 
 
-def _live_step(cache: TieredCache, op: int, key: int, size: float,
-               weight: float):
+def _live_step(cache: TieredCache, weights: dict[int, float], op: int,
+               key: int, size: float, weight: float):
     """One hit / admission / reservation / weight decrease /
-    invalidation / reclaim step; returns its answer."""
+    invalidation / reclaim step; returns its answer.  ``weights`` is
+    this cache's record of the last weight each key was given."""
+    if op <= 4:
+        weights[key] = weight
     if op == 0:
         return cache.access_fast(key, weight)
     if op == 1:
@@ -503,7 +506,7 @@ def _live_step(cache: TieredCache, op: int, key: int, size: float,
         target = residents[key % len(residents)]
         answers = []
         for _ in range(8):
-            cut = cache.policy._weight.get(target, 1.0) * weight / 8.5
+            cut = weights[target] = weights.get(target, 1.0) * weight / 8.5
             answers.append(cache.access_fast(target, cut))
         return answers
     if op == 7:
@@ -550,10 +553,12 @@ def test_property_one_live_entry_matches_an_eager_heap(ops):
     lazy = TieredCache(memory_bytes=100.0, disk_bytes=300.0)
     eager = _EagerHeap(memory_bytes=100.0, disk_bytes=300.0)
     sizes: dict[int, float] = {}
+    lazy_weights: dict[int, float] = {}
+    eager_weights: dict[int, float] = {}
     for op, key, size, weight in ops:
         size = sizes.setdefault(key, size)
-        answer = _live_step(lazy, op, key, size, weight)
-        assert answer == _live_step(eager, op, key, size, weight)
+        answer = _live_step(lazy, lazy_weights, op, key, size, weight)
+        assert answer == _live_step(eager, eager_weights, op, key, size, weight)
         assert lazy.memory_keys == eager.memory_keys
         assert lazy.disk_keys == eager.disk_keys
         assert lazy.memory_used == eager.memory_used
