@@ -34,7 +34,6 @@ retry path exactly-once for side-effecting UDFs.
 
 from __future__ import annotations
 
-import os
 import signal
 import socket
 import threading

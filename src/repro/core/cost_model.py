@@ -158,27 +158,39 @@ class CostModel:
     # Observation side: fold measured parameters into the estimates.
     # ------------------------------------------------------------------
     def observe(self, params: CostParameters) -> None:
-        """Fold a data node's reported parameters into the estimates."""
-        self._key_size.observe(params.key_size)
-        self._param_size.observe(params.param_size)
+        """Fold a data node's reported parameters into the estimates.
+
+        Every fold is :meth:`SmoothedValue.observe`'s expression, in
+        its operand order, written out in this one frame: a response
+        item costs one call, not six.
+        """
+        a = self._alpha
+        b = 1.0 - a
+        sk = self._key_size  # its 8-byte prior is never None
+        sk._value = a * params.key_size + b * sk._value
+        sp = self._param_size
+        old = sp._value
+        sp._value = (params.param_size if old is None
+                     else a * params.param_size + b * old)
         if params.computed_size > 0:
-            self._computed_size.observe(params.computed_size)
-        self._observe_disk(params.node_id, params.disk_time)
+            scv = self._computed_size
+            old = scv._value
+            scv._value = (params.computed_size if old is None
+                          else a * params.computed_size + b * old)
+        node_disk = self._remote_disk.get(params.node_id)
+        if node_disk is None:
+            self._observe_disk(params.node_id, params.disk_time)
+        else:  # a node's estimate is created with its first observation
+            node_disk._value = a * params.disk_time + b * node_disk._value
         per_key = self._per_key.get(params.key)
         if per_key is None:
             self._per_key[params.key] = _KeyEstimates(
                 params.value_size, params.compute_time, params.service_time
             )
             return
-        # SmoothedValue.observe's expression, on the flat record.
-        a = self._alpha
-        per_key.value_size = a * params.value_size + (1.0 - a) * per_key.value_size
-        per_key.compute_time = (
-            a * params.compute_time + (1.0 - a) * per_key.compute_time
-        )
-        per_key.service_time = (
-            a * params.service_time + (1.0 - a) * per_key.service_time
-        )
+        per_key.value_size = a * params.value_size + b * per_key.value_size
+        per_key.compute_time = a * params.compute_time + b * per_key.compute_time
+        per_key.service_time = a * params.service_time + b * per_key.service_time
 
     def _observe_disk(self, data_node: int, seconds: float) -> None:
         """Fold ``seconds`` into ``tDisk_j``."""

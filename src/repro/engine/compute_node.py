@@ -21,7 +21,7 @@ engine-side policy: what to send, and what to do with each response.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator
 
 import numpy as np
@@ -133,10 +133,8 @@ class ComputeNodeRuntime:
         self.cluster = cluster
         self.node_id = node_id
         self.kvstore = kvstore
-        self.servers = servers
         self.udf = udf
         self.config = config
-        self.sizes = sizes
         self.on_complete = on_complete
         # Section 4.2.3: with notifications on, the data node records
         # which compute nodes cached each row and pushes a targeted
@@ -155,9 +153,6 @@ class ComputeNodeRuntime:
         }
         local_disk_time = self._node.spec.cache_disk_time(sizes.value_size)
         self.cost_model = CostModel(node_id, bandwidths, local_disk_time)
-        #: Per-node memory-budget arbiter (memory-adaptive execution);
-        #: ``None`` keeps the cache unbudgeted and bit-identical.
-        self.budget = budget
         self.cache = TieredCache(memory_bytes=memory_cache_bytes, budget=budget)
         self.optimizer: JoinLocationOptimizer | None = None
         if config.routing is RoutingPolicy.SKI_RENTAL:
@@ -208,7 +203,8 @@ class ComputeNodeRuntime:
         self._freeze_after: int | None = None
         if expected_inputs is not None and config.adaptive_fraction < 1.0:
             self._freeze_after = int(expected_inputs * config.adaptive_fraction)
-        self._completed = 0
+        #: Tuples fully processed by this node.
+        self.completed = 0
         #: Real UDF results, one slot per tuple id: ``JoinJob`` points every
         #: runtime of a run at its one slot list; the later write wins.
         self.outputs: list[Any] = []
@@ -218,7 +214,6 @@ class ComputeNodeRuntime:
         # same-id retries and replica fallback.  The engine plugs in
         # its policy via callbacks.
         # ------------------------------------------------------------------
-        self.fault_tolerance = fault_tolerance
         self.transport = Transport(
             cluster,
             node_id,
@@ -240,16 +235,14 @@ class ComputeNodeRuntime:
         # idempotent requests; side-effecting UDFs ride out a dead
         # primary on same-id retries against its idempotency cache.
         self.transport.replay_on_failover = udf.side_effect_free
-        # Exactly-once guard: under fallback, one tuple can reach two
-        # response paths (e.g. a fetch-waiter list and a fallback
-        # response); the first wins.  It holds only tuples that reached a
-        # response path: one executed locally at submit was never sent.
-        self._settled: set[int] = set()
+        # Exactly-once guard, one byte per tuple id (``JoinJob`` hands it
+        # over): a tuple that reaches two response paths under fallback
+        # runs on the first.  One executed at submit stays unmarked.
+        self._settled: bytearray | defaultdict[int, int] = defaultdict(int)
         # ------------------------------------------------------------------
         # Resilience (opt-in; None wires nothing and stays bit-identical
         # to the pre-resilience runtime).
         # ------------------------------------------------------------------
-        self.resilience = resilience
         self.admission: AdmissionController | None = None
         if resilience is not None and resilience.enabled:
             if (
@@ -276,7 +269,6 @@ class ComputeNodeRuntime:
         # the plain global controller — the baseline the tenancy
         # benchmark compares the weighted-fair scheme against.
         # ------------------------------------------------------------------
-        self.tenancy = tenancy
         if (
             tenancy is not None
             and tenancy.enabled
@@ -379,11 +371,6 @@ class ComputeNodeRuntime:
         """Flush every partially filled batch (end of a batch job)."""
         for buffer in self.buffers():
             buffer.flush()
-
-    @property
-    def completed(self) -> int:
-        """Tuples fully processed by this node."""
-        return self._completed
 
     # ------------------------------------------------------------------
     # Routing
@@ -571,12 +558,12 @@ class ComputeNodeRuntime:
         if self.admission is None and not self.config.blocking:
             def complete() -> None:
                 self._pending_local -= 1
-                self._completed += 1
+                self.completed += 1
                 self.on_complete(tuple_id, finish)
         else:
             def complete() -> None:
                 self._pending_local -= 1
-                self._completed += 1
+                self.completed += 1
                 self._admission_release(tuple_id)
                 self.on_complete(tuple_id, finish)
                 self._release_worker()
@@ -650,22 +637,22 @@ class ComputeNodeRuntime:
             if self.optimizer is not None:
                 self.optimizer.observe_response(item.cost_params, item.updated_at)
             if item.computed:
-                if item.tuple_id in settled:
+                if settled[item.tuple_id]:
                     continue
-                settled.add(item.tuple_id)
+                settled[item.tuple_id] = 1
                 if self.udf.apply_fn is not None:
                     self.outputs[item.tuple_id] = item.value
-                self._completed += 1
+                self.completed += 1
                 self._admission_release(item.tuple_id)
                 self.on_complete(item.tuple_id, self.cluster.sim.now)
                 self._release_worker()
                 continue
             if item.route.is_data_request:
                 self._complete_fetch(item)
-            elif item.tuple_id not in settled:
+            elif not settled[item.tuple_id]:
                 # Compute request bounced back by load balancing: the
                 # value arrived uncomputed; run the UDF locally.
-                settled.add(item.tuple_id)
+                settled[item.tuple_id] = 1
                 self._execute_local(item.tuple_id, item.key, item.value,
                                     item.params, disk=False, hydrate=True)
         # The ack clock ticks last, once the completions above have refilled.
@@ -702,9 +689,9 @@ class ComputeNodeRuntime:
             # compute from memory regardless of the cache tier chosen.
             # Hydration happens once per fetch — the first waiter
             # deserializes; the live object serves the rest.
-            if tuple_id in settled:
+            if settled[tuple_id]:
                 continue
-            settled.add(tuple_id)
+            settled[tuple_id] = 1
             self._execute_local(tuple_id, key, item.value, params,
                                 disk=False, hydrate=index == 0)
 

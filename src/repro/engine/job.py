@@ -628,6 +628,7 @@ class JoinJob:
             # responses.  Each incarnation gets its own id range.
             runtime.transport._rid_seq = rejoins << 32
         runtime.outputs = self.outputs
+        runtime._settled = bytearray(len(self.outputs))
         self.runtimes[cn] = runtime
         self.incarnations.append(runtime)
         return runtime

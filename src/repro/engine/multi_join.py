@@ -315,6 +315,7 @@ class MultiJoinJob:
                     )
                 )
                 runtimes[j][s].outputs = slots
+                runtimes[j][s]._settled = bytearray(n_tuples)
         for j in range(n_compute):
             feed(j)
         sim.run()

@@ -90,7 +90,6 @@ class FlowJoinLBPartitioner:
             raise ValueError("n_reducers must be >= 1")
         if threshold <= 0:
             raise ValueError("threshold must be positive")
-        self.n_reducers = n_reducers
         self._rng = np.random.default_rng(seed)
         cutoff = threshold * stats.total_tuples / n_reducers
         self.replicated: set[Hashable] = {
@@ -128,7 +127,6 @@ class CSAWPartitioner:
             raise ValueError("n_reducers must be >= 1")
         if threshold <= 0:
             raise ValueError("threshold must be positive")
-        self.n_reducers = n_reducers
         self._rng = np.random.default_rng(seed)
         cutoff = threshold * stats.total_work / n_reducers
         self.replicated: set[Hashable] = {

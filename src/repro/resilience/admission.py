@@ -227,7 +227,6 @@ class WeightedFairAdmission(AdmissionController):
         self._vtime: dict[str, float] = defaultdict(float)
         self._tenant_owner: dict[int, str] = {}
         self.admitted_by_tenant: dict[str, int] = defaultdict(int)
-        self.parked_by_tenant: dict[str, int] = defaultdict(int)
         self.shed_by_tenant: dict[str, int] = defaultdict(int)
 
     # ------------------------------------------------------------------
@@ -290,7 +289,6 @@ class WeightedFairAdmission(AdmissionController):
             queue = self._queues[dst][tenant] = deque()
         queue.append(token)
         self.parked_total += 1
-        self.parked_by_tenant[tenant] += 1
         deadline = share.deadline if share.deadline is not None else self.deadline
         if deadline is not None:
             self.sim.schedule_after(

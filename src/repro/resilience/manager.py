@@ -62,7 +62,6 @@ class ResilienceManager:
         self.options = options
         self.data_nodes = sorted(data_nodes)
         self.monitor_node = monitor_node
-        self.tracer = tracer
         self.channel = OnewayChannel(cluster)
         self.detector = FailureDetector(
             self.data_nodes,

@@ -76,19 +76,19 @@ class _Pending:
     """One in-flight request batch awaiting its response."""
 
     __slots__ = (
-        "dst", "kind", "items", "attempt", "sent_at", "created_at",
+        "dst", "kind", "items", "attempt", "created_at",
         "timer", "hedged", "hedge_timer", "span", "attempt_span",
     )
 
     def __init__(
-        self, dst: int, kind: RequestKind, items: list[RequestItem]
+        self, dst: int, kind: RequestKind, items: list[RequestItem],
+        attempt: int, created_at: float,
     ) -> None:
         self.dst = dst
         self.kind = kind
         self.items = items
-        self.attempt = 0
-        self.sent_at = 0.0
-        self.created_at = 0.0
+        self.attempt = attempt
+        self.created_at = created_at
         self.timer: EventHandle | None = None
         #: Whether a speculative duplicate is in flight at the replica,
         #: and the timer that would issue one.
@@ -180,6 +180,8 @@ class Transport:
         self.tracer = tracer
         self._ring = sorted(servers)
         self._pending: dict[str, _Pending] = {}
+        #: Request id -> {server: copies on the wire to it}; see _release.
+        self._wire: dict[str, dict[int, int]] = {}
         self._rid_seq = 0
         #: Fault-handling counters; ``repro.obs.usage.TRANSPORT_COUNTERS``
         #: names the published ones.
@@ -236,9 +238,7 @@ class Transport:
         self.requests_sent += 1
         if self.on_dispatch is not None:
             self.on_dispatch(dst, kind, items)
-        entry = _Pending(dst, kind, list(items))
-        entry.attempt = attempt
-        entry.created_at = self.cluster.sim.now
+        entry = _Pending(dst, kind, list(items), attempt, self.cluster.sim.now)
         if self.tracer.enabled:
             entry.span = self.tracer.start(
                 "request",
@@ -289,7 +289,6 @@ class Transport:
     ) -> None:
         """One (re)transmission of a registered batch."""
         sim = self.cluster.sim
-        entry.sent_at = sim.now
         if self.tracer.enabled:
             entry.attempt_span = self.tracer.start(
                 "attempt",
@@ -299,7 +298,7 @@ class Transport:
                 dst=entry.dst,
             )
         batch = self._make_batch(rid, entry.kind, items, attempt, entry.dst)
-        self._put_on_wire(batch)
+        self._put_on_wire(rid, batch)
         ft = self.fault_tolerance
         if ft is not None and ft.enabled:
             timeout = ft.timeout_for(attempt)
@@ -331,7 +330,7 @@ class Transport:
             request_id=rid, attempt=attempt,
         )
 
-    def _put_on_wire(self, batch: BatchRequest) -> None:
+    def _put_on_wire(self, rid: str, batch: BatchRequest) -> None:
         """Book the NIC and schedule every planned delivery of ``batch``."""
         sim = self.cluster.sim
         network = self.cluster.network
@@ -339,28 +338,26 @@ class Transport:
             sim.now, self.node_id, batch.dst,
             batch.request_bytes(self.key_size, self.param_size),
         )
-        for extra in network.delivery_plan(
+        plan = network.delivery_plan(
             self.node_id, batch.dst, sim.now, transfer.arrive
-        ):
+        )
+        copies = self._wire.setdefault(rid, {})
+        copies[batch.dst] = copies.get(batch.dst, 0) + len(plan)
+        for extra in plan:
             sim.schedule_at(
-                transfer.arrive + extra, lambda: self._deliver(batch)
+                transfer.arrive + extra, lambda: self._deliver(rid, batch)
             )
 
     # ------------------------------------------------------------------
     # Serving side (request in, response back)
     # ------------------------------------------------------------------
-    def _deliver(self, batch: BatchRequest) -> None:
+    def _deliver(self, rid: str, batch: BatchRequest) -> None:
         sim = self.cluster.sim
-        server = self.servers[batch.dst]
         # A late duplicate delivery of an already-answered batch has no
         # live entry; its serve span then hangs off the trace root.
-        entry = (
-            self._pending.get(batch.request_id)
-            if batch.request_id is not None
-            else None
-        )
+        entry = self._pending.get(rid)
         try:
-            served = server.serve(
+            served = self.servers[batch.dst].serve(
                 sim.now, batch, self.sizes,
                 parent_span=entry.span if entry is not None else None,
             )
@@ -370,8 +367,11 @@ class Transport:
             # Re-route the live batch to the current owners.  A late
             # duplicate of an already-settled batch just dies here.
             if entry is not None:
-                self._redirect(batch.request_id, entry, exc)
+                self._redirect(rid, entry, exc)
             return
+        finally:
+            self._wire[rid][batch.dst] -= 1
+            self._release(rid)
         response = served.response
 
         def send_response() -> None:
@@ -405,6 +405,7 @@ class Transport:
                         src=response.src,
                     )
                 return
+            self._release(response.request_id)
             if entry.timer is not None:
                 entry.timer.cancel()
             if entry.hedge_timer is not None:
@@ -570,6 +571,7 @@ class Transport:
         re-charge their own destinations), then record ``event`` and
         end the attempt and request spans with ``status``."""
         self._pending.pop(rid, None)
+        self._release(rid)
         if entry.timer is not None:
             entry.timer.cancel()
         if entry.hedge_timer is not None:
@@ -588,6 +590,16 @@ class Transport:
                     entry.span, at=now, status=status,
                     attempts=entry.attempt + 1,
                 )
+
+    def _release(self, rid: str) -> None:
+        """Free ``rid``'s cached responses once it is settled (never sent
+        again) and no copy is left on the wire: a replay needs one."""
+        copies = self._wire[rid]
+        if rid in self._pending or any(copies.values()):
+            return
+        del self._wire[rid]
+        for dst in copies:
+            self.servers[dst].release(rid)
 
     def replica_for(self, dst: int) -> int:
         """The next data node holding a replica of ``dst``'s partitions.
@@ -630,7 +642,7 @@ class Transport:
                 rid=rid, primary=entry.dst, replica=replica,
             )
         self._put_on_wire(
-            self._make_batch(rid, entry.kind, entry.items, entry.attempt, replica)
+            rid, self._make_batch(rid, entry.kind, entry.items, entry.attempt, replica)
         )
 
     def fail_node(self, dead: int, new_owner: int) -> int:
@@ -805,7 +817,6 @@ class OnewayChannel:
     def __init__(self, cluster: Cluster) -> None:
         self.cluster = cluster
         self.sends = 0
-        self.dropped = 0
 
     def send(
         self,
@@ -821,9 +832,6 @@ class OnewayChannel:
         self.sends += 1
         transfer = network.transfer(sim.now, src, dst, size)
         plan = network.delivery_plan(src, dst, sim.now, transfer.arrive)
-        if not plan:
-            self.dropped += 1
-            return
         for extra in plan:
             arrive = transfer.arrive + extra
             sim.schedule_at(

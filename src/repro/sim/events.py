@@ -72,6 +72,37 @@ class EventHandle:
 _NEVER_CANCELLED = EventHandle(None)
 
 
+class _Series:
+    """One :meth:`Simulator.schedule_series`: its next item is its one
+    heap entry, keyed ``(times[i], base + i)``.  The entry holds a bound
+    method, not a closure over itself, so nothing keeps a finished
+    series (its times, order and callback) alive in a reference cycle."""
+
+    __slots__ = ("sim", "times", "order", "callback", "base", "cursor")
+
+    def __init__(self, sim: "Simulator", times: Sequence[float],
+                 order: Sequence[int], callback: Callable[[int], Any]) -> None:
+        self.sim, self.times, self.order, self.callback = sim, times, order, callback
+        self.base = sim._seq
+        sim._seq += len(order)
+        self.cursor = 0
+
+    def push(self) -> None:
+        j = self.order[self.cursor]
+        heapq.heappush(self.sim._queue,
+                       (self.times[j], self.base + j, self.fire, _NEVER_CANCELLED))
+
+    def fire(self) -> None:
+        i = self.order[self.cursor]
+        self.cursor += 1
+        callback = self.callback
+        if self.cursor < len(self.order):
+            self.push()
+        else:  # the last item: let go of everything before it runs
+            del self.sim, self.times, self.order, self.callback
+        callback(i)
+
+
 class Simulator:
     """A deterministic discrete-event loop.
 
@@ -189,22 +220,7 @@ class Simulator:
             raise SimulationError(
                 f"series times must be finite and not before {self._now:.9f}"
             )
-        base = self._seq
-        self._seq += len(order)
-        push = heapq.heappush
-        cursor = 0
-
-        def fire() -> None:
-            nonlocal cursor
-            i = order[cursor]
-            cursor += 1
-            if cursor < len(order):
-                j = order[cursor]
-                push(self._queue, (times[j], base + j, fire, _NEVER_CANCELLED))
-            callback(i)
-
-        j = order[0]
-        push(self._queue, (times[j], base + j, fire, _NEVER_CANCELLED))
+        _Series(self, times, order, callback).push()
 
     def _note_cancel(self) -> None:
         """Record a tombstone; compact the heap once they dominate it."""

@@ -27,7 +27,6 @@ from repro.core.cost_model import CostParameters
 from repro.core.smoothing import SmoothedValue
 from repro.placement.batch import (
     BatchLoadBalancer,
-    ComputeNodeStats,
     DataNodeStats,
     SizeProfile,
 )
@@ -366,6 +365,10 @@ class DataNodeServer:
         if span is not None:
             self.tracer.end(span, at=ready_at, kept_at_data_node=d)
         return ServedBatch(response=response, ready_at=ready_at, kept_at_data_node=d)
+
+    def release(self, request_id: str) -> None:
+        """Forget ``request_id``'s response: no copy of it can arrive any more."""
+        self._response_cache.pop(request_id, None)
 
     # ------------------------------------------------------------------
     # Introspection

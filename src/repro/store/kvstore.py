@@ -16,7 +16,7 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable
 
 from repro.store.partitioner import RegionMap
 from repro.store.table import Row, Table
@@ -41,29 +41,6 @@ class KVStore:
     def node_for_key(self, key: Hashable) -> int:
         """Data node owning ``key``."""
         return self.region_map.node_for_key(key)
-
-    def group_by_node(
-        self, keys: Iterable[Hashable]
-    ) -> dict[int, list[Hashable]]:
-        """Group keys by owning data node (client-side batching aid)."""
-        grouped: dict[int, list[Hashable]] = defaultdict(list)
-        for key in keys:
-            grouped[self.node_for_key(key)].append(key)
-        return dict(grouped)
-
-    def group_by_region(
-        self, keys: Iterable[Hashable]
-    ) -> dict[int, list[Hashable]]:
-        """Group keys by region (Appendix D.3 wrapper API).
-
-        With the default HBase API a batch sent to a node hosting ``r``
-        regions would be replicated ``r`` times; grouping per region
-        sends each ``(k, p)`` pair exactly once.
-        """
-        grouped: dict[int, list[Hashable]] = defaultdict(list)
-        for key in keys:
-            grouped[self.region_map.region_of(key)].append(key)
-        return dict(grouped)
 
     # ------------------------------------------------------------------
     # Data access

@@ -15,7 +15,7 @@ Rows carry everything the simulation and the real executors need:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Hashable, Iterator
 
 

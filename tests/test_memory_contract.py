@@ -18,11 +18,12 @@ import tracemalloc
 
 import pytest
 
-from repro.api import JobSpec, RunConfig, run_join
+from repro.api import BatchOptions, JobSpec, RunConfig, run_join
 from repro.cache import tiered
 from repro.engine import compute_node, job as job_module
 from repro.engine.job import JoinJob
 from repro.sim.events import Simulator
+from repro.store import datanode
 
 from tests.oracle import single_node_hash_join
 
@@ -31,12 +32,9 @@ MB = 1_000_000
 KIB = 1024
 
 
-def _run_traced(monkeypatch):
+def _run_traced(monkeypatch, spec, config):
     """``run_join`` under tracemalloc; returns the spec, the report, the
     job and the snapshot taken at the end of ``Simulator.run``."""
-    spec = JobSpec.synthetic(n_keys=400, n_tuples=N_TUPLES, skew=1.5, seed=3)
-    config = RunConfig(engine="engine", backend="sim", n_compute=4, n_data=4,
-                       seed=3)
     jobs, snapshots = [], []
     job_run, sim_run = JoinJob.run, Simulator.run
 
@@ -69,10 +67,22 @@ def _slot_site():
     return job_module.__file__, first + offset
 
 
+def _held_by(snapshot, module):
+    """Bytes live at each ``(file, line)`` site of ``module``."""
+    return {
+        (stat.traceback[0].filename, stat.traceback[0].lineno): stat
+        for stat in snapshot.statistics("lineno")
+        if stat.traceback[0].filename == module.__file__
+    }
+
+
 @pytest.fixture(scope="module")
 def traced_run():
+    spec = JobSpec.synthetic(n_keys=400, n_tuples=N_TUPLES, skew=1.5, seed=3)
+    config = RunConfig(engine="engine", backend="sim", n_compute=4, n_data=4,
+                       seed=3)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        return _run_traced(monkeypatch)
+        return _run_traced(monkeypatch, spec, config)
 
 
 def test_a_static_run_holds_each_tuple_once(traced_run):
@@ -87,11 +97,7 @@ def test_a_static_run_holds_each_tuple_once(traced_run):
     # The slot list is one pointer per tuple; every other site in the
     # job and the compute node, the feeder's tuple ids included, holds
     # less than 1 MB.
-    held = {}
-    for stat in snapshot.statistics("lineno"):
-        frame = stat.traceback[0]
-        if frame.filename in (job_module.__file__, compute_node.__file__):
-            held[(frame.filename, frame.lineno)] = stat
+    held = _held_by(snapshot, job_module) | _held_by(snapshot, compute_node)
     slots = held.pop(_slot_site())
     assert slots.size <= 8 * N_TUPLES + KIB
     for (filename, lineno), stat in held.items():
@@ -108,3 +114,21 @@ def test_the_cache_heap_holds_one_entry_per_resident(traced_run):
         if stat.traceback[0].filename == tiered.__file__
     )
     assert held < MB, f"cache/tiered.py holds {held} B"
+
+
+def test_a_data_node_holds_no_response_past_its_request():
+    """joinbench's ``sim_rent`` shape (cold keys, ~70 % compute
+    requests, 2 + 2 nodes, batches of 16): every served batch caches its
+    response for replays, and the transport releases it once the
+    request is settled and no copy is left on the wire.  Without the
+    release the cached responses and their cost parameters grow with
+    the stream, past 1 MB a site here."""
+    n = 20_000
+    spec = JobSpec.synthetic(n_keys=n, n_tuples=n, skew=0.5, seed=3)
+    config = RunConfig(engine="engine", backend="sim", n_compute=2, n_data=2,
+                       seed=3, batching=BatchOptions(batch_size=16))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _, report, _, snapshot = _run_traced(monkeypatch, spec, config)
+    assert report.result.native.compute_requests > n // 2
+    for (filename, lineno), stat in _held_by(snapshot, datanode).items():
+        assert stat.size < MB, f"{filename}:{lineno} holds {stat.size} B"

@@ -1,5 +1,8 @@
 """Tests for the discrete-event loop."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -285,6 +288,27 @@ class TestScheduleSeries:
         sim.run()
         assert len(seen) == 10_000 and sim.pending == 0
         assert seen[:3] == [0, 7, 14] and sim.now == 6.0
+
+    @pytest.mark.parametrize("times", [[0.5, 1.0, 2.0], [2.0, 0.5, 1.0]])
+    def test_a_finished_series_keeps_nothing_alive(self, times):
+        """Without the cyclic collector, a series' callback (and with it
+        its times and order) is freed once its last item has fired."""
+        sim = Simulator()
+        seen = []
+
+        def callback(i):
+            seen.append(i)
+
+        ref = weakref.ref(callback)
+        gc.disable()
+        try:
+            sim.schedule_series(times, callback)
+            del callback
+            sim.run()
+            assert seen == sorted(range(3), key=times.__getitem__)
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_bad_times_raise_before_arming(self):
         sim = Simulator()

@@ -123,19 +123,6 @@ class TestKVStore:
         assert store.get("a").value == "A"
         assert store.node_for_key("a") in {10, 11}
 
-    def test_group_by_node_covers_all_keys(self):
-        store = self.make_store()
-        grouped = store.group_by_node(["a", "b", "c", "d"])
-        assert sorted(k for keys in grouped.values() for k in keys) == [
-            "a", "b", "c", "d",
-        ]
-
-    def test_group_by_region_sends_keys_once(self):
-        store = self.make_store()
-        grouped = store.group_by_region(["a", "b", "a"])
-        total = sum(len(keys) for keys in grouped.values())
-        assert total == 3
-
     def test_update_notifies_only_subscribers(self):
         store = self.make_store()
         hits = []
