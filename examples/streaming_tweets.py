@@ -15,8 +15,11 @@ Run:  python examples/streaming_tweets.py
 
 from collections import Counter
 
+from repro.engine.job import JoinJob
+from repro.engine.strategies import Strategy
 from repro.metrics.report import ExperimentTable
-from repro.streaming.muppet import MuppetJoinSimulation, MuppetLocal
+from repro.sim.cluster import Cluster
+from repro.streaming.muppet import MuppetLocal
 from repro.workloads.tweets import tweet_annotation_workload
 
 
@@ -65,16 +68,19 @@ def main() -> None:
     )
     throughputs = {}
     for strategy in ("NO", "FC", "FD", "FR", "FO"):
-        simulation = MuppetJoinSimulation(
+        # Three stream nodes (compute) and three HBase-analog data nodes.
+        job = JoinJob(
+            cluster=Cluster.homogeneous(6),
+            compute_nodes=[0, 1, 2],
+            data_nodes=[3, 4, 5],
             table=models.build_table(),
             udf=models.udf,
+            strategy=Strategy.by_name(strategy),
             sizes=models.sizes,
-            n_compute_nodes=3,
-            n_data_nodes=3,
+            max_wait=0.02,
             seed=21,
         )
-        result = simulation.run(strategy, stream.mentions)
-        throughputs[strategy] = result.throughput
+        throughputs[strategy] = job.run(stream.mentions).throughput
     for strategy, throughput in throughputs.items():
         table.add_row([strategy, throughput, throughput / throughputs["NO"]])
     print()

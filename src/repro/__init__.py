@@ -6,9 +6,9 @@ ski-rental routing between map-side (fetch + cache) and reduce-side
 (ship the function) join execution, two-tier benefit-managed caching,
 runtime cost measurement, compute/data-node load balancing, batching
 and ``preMap`` prefetching — together with every substrate the paper's
-evaluation needs (cluster simulator, HBase-analog store, MapReduce and
-streaming engines, a mini SparkSQL, workload generators) and one
-experiment harness per paper figure.
+evaluation needs (cluster simulator, HBase-analog store, MapReduce
+engine, Muppet-style MapUpdate executor, a mini SparkSQL, workload
+generators) and one experiment harness per paper figure.
 
 The curated surface is small: :func:`repro.api.run_join` drives any
 engine from one call, :mod:`repro.obs` observes it, and the core

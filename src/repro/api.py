@@ -1,8 +1,8 @@
 """repro.api — one call to run a join on any engine.
 
-Before this module, driving the four engines meant four differently
-shaped constructors (``JoinJob``, ``MuppetJoinSimulation``,
-``SimulatedMapReduce`` + spec plumbing, ``StarQuery`` + executor).
+Before this module, driving the three engines meant three differently
+shaped constructors (``JoinJob``, ``SimulatedMapReduce`` + spec
+plumbing, ``StarQuery`` + executor).
 :func:`run_join` replaces that with two frozen values:
 
 * :class:`JobSpec` — *what* to join: the stored table, the UDF, the
@@ -208,7 +208,7 @@ class RunConfig:
     )
     #: Runtime region split/merge/migration and hot-key replication
     #: over the shared :class:`~repro.placement.PlacementService`
-    #: (``engine`` or ``streaming`` on ``sim``, any engine on ``cluster``).
+    #: (``engine`` on ``sim``, any engine on ``cluster``).
     #: ``ElasticOptions.off()`` (the default) wires nothing — the run
     #: is bit-identical to the static region map.
     elastic: ElasticOptions = field(default_factory=ElasticOptions)
@@ -244,6 +244,8 @@ class RunConfig:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
+        if self.n_compute < 1 or self.n_data < 1:
+            raise ValueError("n_compute and n_data must be >= 1")
         # Real processes have no batch timer and no sized cache tier;
         # the simulator has no process topology.
         if self.backend == "cluster":
@@ -264,11 +266,11 @@ class RunConfig:
             )
         # The simulated shuffle engines have no per-key serving path.
         if self.elastic.enabled and self.backend == "sim" and (
-            self.engine not in ("engine", "streaming")
+            self.engine != "engine"
         ):
             raise ValueError(
                 f"engine={self.engine!r} on backend='sim' would ignore elastic;"
-                " use engine='engine' or 'streaming', or backend='cluster'"
+                " use engine='engine' or backend='cluster'"
             )
         if self.membership:
             if self.backend != "sim" or self.engine != "engine":
@@ -289,7 +291,7 @@ class RunConfig:
 def run_join(spec: JobSpec, config: RunConfig | None = None) -> RunReport:
     """Run one join described by ``spec`` under ``config``.
 
-    The single entry point over the four engines, simulated or on real
+    The single entry point over the three engines, simulated or on real
     processes: builds the observability plumbing (tracer + per-run
     registry), executes, optionally dumps the trace, and returns the
     :class:`RunReport`.
@@ -297,21 +299,19 @@ def run_join(spec: JobSpec, config: RunConfig | None = None) -> RunReport:
     cfg = config if config is not None else RunConfig()
     # RunConfig never sees the spec, so a setting that only some runners
     # read is checked here, before any backend is built or process
-    # forked: SimBackend hands the strategy to engine and streaming, and
-    # per-tenant admission to engine (the tenancy runners strip it).
-    on_sim = cfg.backend == "sim"
+    # forked: SimBackend hands the strategy and per-tenant admission to
+    # engine only (the tenancy runners strip the latter).
+    adaptive = cfg.backend == "sim" and cfg.engine == "engine"
     ignored: list[str] = []
-    if spec.strategy != JobSpec.strategy and not (
-        on_sim and cfg.engine in ("engine", "streaming")
-    ):
+    if spec.strategy != JobSpec.strategy and not adaptive:
         ignored.append(f"strategy={spec.strategy!r}")
-    if cfg.tenancy.enabled and not (on_sim and cfg.engine == "engine"):
+    if cfg.tenancy.enabled and not adaptive:
         ignored.append("tenancy")
     if ignored:
         raise ValueError(
             f"engine={cfg.engine!r} on backend={cfg.backend!r} would ignore "
-            f"{', '.join(ignored)}; a strategy needs engine or streaming on "
-            "sim, tenancy needs engine on sim or a tenancy runner"
+            f"{', '.join(ignored)}; a strategy needs engine on sim, tenancy "
+            "needs engine on sim or a tenancy runner"
         )
     registry = MetricsRegistry()
     workload = spec.to_workload()

@@ -4,7 +4,7 @@ Everything else in this repository executes joins inside the
 discrete-event simulator (``SimBackend``).  This package is the other
 backend: the driver forks worker processes (data nodes, compute
 nodes, or both), hands them the full peer map over a real TCP
-handshake, and drives the same four engines through RPCs — so fault
+handshake, and drives the same three engines through RPCs — so fault
 schedules crash *actual* processes, failover redials *actual* sockets,
 and the differential oracle checks the whole stack end to end.
 

@@ -3,7 +3,7 @@
 Same contract as :class:`repro.runtime.backend.SimBackend` — a
 :class:`JoinWorkload` in, a :class:`BackendRun` with real outputs out —
 but execution happens in forked worker processes joined to the driver
-over TCP (:mod:`repro.cluster.driver`).  All four engines run
+over TCP (:mod:`repro.cluster.driver`).  All three engines run
 unchanged because the backend seam is the engine boundary: the
 differential oracle suite (``tests/test_cluster_oracle.py``) holds
 this backend bit-for-bit equal to the single-node oracle and to
@@ -98,13 +98,6 @@ class ClusterBackend:
             raise ValueError("batch_size must be >= 1")
 
     def run_join(self, workload: JoinWorkload) -> BackendRun:
-        # Engine parity: reject what the simulated engine rejects,
-        # before any process is forked.
-        if self.engine == "streaming" and workload.params is not None:
-            raise ValueError(
-                "the streaming engine feeds bare key streams; "
-                "per-tuple params are not expressible"
-            )
         started = time.perf_counter()
         driver = ClusterDriver(
             workload,

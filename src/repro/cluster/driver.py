@@ -10,12 +10,9 @@ counters back into the caller's tracer/registry.
 Engine plans (all produce the same ``tuple_id -> result`` mapping,
 which is what the cross-process oracle suite checks):
 
-* ``engine``    — probe batches round-robin over compute workers;
+* ``engine`` — probe batches round-robin over compute workers;
   the worker fetches values from the owning data workers over the
   mesh and applies the UDF locally (compute-side join).
-* ``streaming`` — the same request/response shape but dispatched in
-  windows with a barrier per wave (MUPPET-style synchronized epochs);
-  rejects per-tuple params, like the simulated streaming engine.
 * ``mapreduce`` — map at compute workers, shuffle the grouped pairs
   to the owning data workers, reduce (UDF) there.
 * ``sparklite`` — probe shuffle: ship each probe to the data worker
@@ -611,24 +608,14 @@ class ClusterDriver:
     # ------------------------------------------------------------------
     def run(self) -> dict[int, Any]:
         """Execute the workload; returns ``tuple_id -> result``."""
-        workload = self.workload
-        if self.engine == "streaming" and workload.params is not None:
-            raise ValueError(
-                "the streaming engine feeds bare key streams; "
-                "per-tuple params are not expressible"
-            )
         op = {
             "engine": "run_batch",
-            "streaming": "run_batch",
             "mapreduce": "map_batch",
             "sparklite": "probe_batch",
         }[self.engine]
         batches = self._batches()
         self.info.n_batches = len(batches)
         outputs: dict[int, Any] = {}
-        runner = (
-            self._run_waves if self.engine == "streaming" else self._run_pooled
-        )
         if self.kill_plan is not None:
             self._run_sequential_with_kill(op, batches, outputs)
         elif self.elastic.enabled and len(batches) > 1:
@@ -639,11 +626,11 @@ class ClusterDriver:
                 len(batches) - 1,
                 max(1, int(len(batches) * self.elastic.migrate_after_fraction)),
             )
-            runner(op, batches[:cut], outputs)
+            self._run_pooled(op, batches[:cut], outputs)
             self._rebalance()
-            runner(op, batches[cut:], outputs)
+            self._run_pooled(op, batches[cut:], outputs)
         else:
-            runner(op, batches, outputs)
+            self._run_pooled(op, batches, outputs)
         return outputs
 
     def _batches(self) -> list[dict[str, Any]]:
@@ -676,14 +663,6 @@ class ClusterDriver:
             ]
             for future in futures:
                 outputs.update(future.result())
-
-    def _run_waves(
-        self, op: str, batches: list[dict[str, Any]], outputs: dict[int, Any]
-    ) -> None:
-        """Streaming: synchronized windows, one wave per worker set."""
-        wave = max(len(self.compute_ids), 1)
-        for start in range(0, len(batches), wave):
-            self._run_pooled(op, batches[start:start + wave], outputs)
 
     def _run_sequential_with_kill(
         self, op: str, batches: list[dict[str, Any]], outputs: dict[int, Any]

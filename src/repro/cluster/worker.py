@@ -29,7 +29,7 @@ once, at spawn.  Everything *after* the fork crosses a real socket:
   (:mod:`repro.obs.merge`).
 
 Ops by role — compute: ``run_batch`` (fetch values from owning data
-workers, apply the UDF locally — the engine/streaming plan),
+workers, apply the UDF locally — the engine plan),
 ``map_batch`` (map + shuffle pairs to reducers — the mapreduce plan),
 ``probe_batch`` (ship probes to the owning data worker — the
 sparklite plan); data: ``get_values``, ``reduce_batch``,

@@ -36,7 +36,6 @@ from repro.engine.job import (
     JobResult,
     MembershipEvent,
     RateRunResult,
-    StreamResult,
 )
 from repro.engine.multi_join import JoinStageSpec, MultiJoinJob
 
@@ -57,7 +56,6 @@ __all__ = [
     "JoinJob",
     "JobResult",
     "RateRunResult",
-    "StreamResult",
     "JoinStageSpec",
     "MembershipEvent",
     "MultiJoinJob",

@@ -167,17 +167,6 @@ class JobResult:
 
 
 @dataclass(frozen=True)
-class StreamResult:
-    """Outcome of one streaming run (same fields, throughput first-class)."""
-
-    strategy: str
-    n_tuples: int
-    duration: float
-    throughput: float
-    bytes_moved: float
-
-
-@dataclass(frozen=True)
 class RateRunResult:
     """Outcome of a fixed-arrival-rate streaming run with latencies.
 
@@ -632,17 +621,6 @@ class JoinJob:
         self.runtimes[cn] = runtime
         self.incarnations.append(runtime)
         return runtime
-
-    def run_streaming(self, keys: Iterable[Hashable]) -> StreamResult:
-        """Saturation-feed the stream and report throughput."""
-        result = self.run(keys)
-        return StreamResult(
-            strategy=result.strategy,
-            n_tuples=result.n_tuples,
-            duration=result.makespan,
-            throughput=result.throughput,
-            bytes_moved=result.bytes_moved,
-        )
 
     def run_at_rate(
         self, keys: Iterable[Hashable], arrivals_per_second: float

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.strategies import STREAMING_STRATEGIES
+from repro.engine.job import JoinJob
+from repro.engine.strategies import STREAMING_STRATEGIES, Strategy
 from repro.metrics.report import ExperimentTable
-from repro.streaming.muppet import MuppetJoinSimulation
+from repro.sim.cluster import Cluster
 from repro.workloads.tweets import tweet_annotation_workload
 
 
@@ -56,22 +57,26 @@ def run(scale: str = "default", seed: int = 7) -> ExperimentTable:
             "every few thousand tweets."
         ),
     )
+    n_nodes = preset.n_compute + preset.n_data
     throughputs: dict[str, float] = {}
     for strategy in STREAMING_STRATEGIES:
-        simulation = MuppetJoinSimulation(
+        job = JoinJob(
+            cluster=Cluster.homogeneous(n_nodes),
+            compute_nodes=list(range(preset.n_compute)),
+            data_nodes=list(range(preset.n_compute, n_nodes)),
             table=models.build_table(),
             udf=models.udf,
+            strategy=Strategy.by_name(strategy),
             sizes=models.sizes,
-            n_compute_nodes=preset.n_compute,
-            n_data_nodes=preset.n_data,
+            # Muppet's batch timer: a partial batch waits at most 20 ms.
+            max_wait=0.02,
             # The tweet model store is small enough to live in the
             # HBase block cache, so data nodes serve hot rows from
             # memory (the paper's data-node skew is CPU skew here).
             block_cache_bytes=1e9,
             seed=seed,
         )
-        result = simulation.run(strategy, stream.mentions)
-        throughputs[strategy] = result.throughput
+        throughputs[strategy] = job.run(stream.mentions).throughput
     base = throughputs["NO"]
     for strategy in STREAMING_STRATEGIES:
         table.add_row([strategy, throughputs[strategy], throughputs[strategy] / base])

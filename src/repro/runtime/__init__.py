@@ -12,7 +12,7 @@ Three seams (see DESIGN.md Section 3):
 * **Executor** (:mod:`repro.runtime.backend`) — :class:`Backend`
   implementations turning one :class:`JoinWorkload` into outputs:
   :class:`SimBackend` (discrete-event simulation through any of the
-  four engines) and — re-exported lazily from
+  three engines) and — re-exported lazily from
   :mod:`repro.cluster` — ``ClusterBackend`` (real driver/worker
   processes over IPC).
 * **Metrics** (:mod:`repro.runtime.metrics`) — one collector

@@ -1,14 +1,14 @@
 """Executor seam of the runtime kernel: one workload, many engines.
 
 The paper's routing contribution is engine-agnostic, and with the
-transport seam extracted (:mod:`repro.runtime.transport`) the four
+transport seam extracted (:mod:`repro.runtime.transport`) the three
 engines in this repository are thin policies over the same substrate.
 This module makes that substrate *callable*: a :class:`JoinWorkload`
 is a value describing one join (stored relation, UDF, probe stream),
 and a :class:`Backend` turns it into outputs:
 
 * :class:`SimBackend` — runs the workload on the discrete-event
-  simulator through any of the four engines (``engine``, ``streaming``,
+  simulator through any of the three engines (``engine``,
   ``mapreduce``, ``sparklite``).  Fault schedules and tolerance
   policies plug in uniformly because every engine dispatches through
   the kernel transports.
@@ -46,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.synthetic import SyntheticWorkload
 
 #: Engines the simulated backend can drive.
-ENGINES = ("engine", "streaming", "mapreduce", "sparklite")
+ENGINES = ("engine", "mapreduce", "sparklite")
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,9 @@ class BackendRun:
     #: (ClusterBackend).
     duration: float
     metrics: RuntimeMetrics | None = None
-    #: The engine-native result value (``JobResult``, ``StreamResult``,
-    #: ...) for callers that want engine-specific detail the portable
-    #: fields above do not carry.
+    #: The engine-native result value (``JobResult``,
+    #: ``SimulatedMapReduceResult``, ...) for callers that want
+    #: engine-specific detail the portable fields above do not carry.
     native: Any = None
 
 
@@ -155,7 +155,7 @@ class SimBackend:
     #: (their recovery is the ShuffleChannel's at-least-once resend).
     resilience: ResilienceOptions | None = None
     #: Opt-in elastic placement (:class:`repro.placement.ElasticOptions`).
-    #: The request/response engines (engine, streaming) wire an
+    #: The request/response engine (``engine``) wires an
     #: :class:`~repro.placement.elastic.ElasticCoordinator` over the
     #: shared :class:`~repro.placement.service.PlacementService`.  The
     #: analytic shuffle engines have no per-key serving path to migrate
@@ -204,12 +204,12 @@ class SimBackend:
         return Cluster.homogeneous(self.n_compute + self.n_data)
 
     # ------------------------------------------------------------------
-    # engine / streaming: the adaptive request/response engines
+    # engine: the adaptive request/response engine
     # ------------------------------------------------------------------
     def build_job(self, workload: JoinWorkload) -> "JoinJob":
-        """The one ``JoinJob`` builder: the ``engine`` and ``streaming``
-        runners and the tenancy :class:`~repro.tenancy.SimRunner` run
-        what it returns, so every option above reaches all three."""
+        """The one ``JoinJob`` builder: the ``engine`` runner and the
+        tenancy :class:`~repro.tenancy.SimRunner` run what it returns,
+        so every option above reaches both."""
         from repro.engine.job import JoinJob
         from repro.engine.strategies import Strategy
 
@@ -247,23 +247,12 @@ class SimBackend:
 
     def _run_engine(self, workload: JoinWorkload) -> BackendRun:
         job = self.build_job(workload)
-        result: Any
-        if self.engine == "streaming":
-            if workload.params is not None:
-                raise ValueError(
-                    "the streaming engine feeds bare key streams; "
-                    "per-tuple params are not expressible"
-                )
-            result = job.run_streaming(workload.keys)
-            duration = result.duration
-        else:
-            result = job.run(workload.keys, params=workload.params)
-            duration = result.makespan
+        result = job.run(workload.keys, params=workload.params)
         return BackendRun(
             engine=self.engine,
             backend="sim",
             outputs=job.collected_outputs(),
-            duration=duration,
+            duration=result.makespan,
             metrics=collect_runtime_metrics(
                 job.cluster,
                 transports=[r.transport for r in job.incarnations],
@@ -272,8 +261,6 @@ class SimBackend:
             ),
             native=result,
         )
-
-    _run_streaming = _run_engine
 
     # ------------------------------------------------------------------
     # mapreduce / sparklite: the shuffle engines

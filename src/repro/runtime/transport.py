@@ -4,8 +4,8 @@ Every engine in this repository ultimately moves two kinds of traffic:
 
 * **request/response envelopes** — a compute node ships a batch of
   ``(k, p)`` items to a data node and waits for the answering batch
-  (the join engine, the streaming engine, and the indexed sparklite
-  executor all speak this protocol), and
+  (the join engine and the indexed sparklite executor both speak this
+  protocol), and
 * **one-way bulk transfers** — a mapper ships its partition of shuffle
   output to a reducer and never hears back (the MapReduce engines and
   the sparklite shuffle executor).

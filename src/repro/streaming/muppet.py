@@ -1,32 +1,22 @@
 """MapUpdate stream processing (Muppet analog).
 
-Two layers:
+:class:`MuppetLocal` executes real MapUpdate applications in-process
+— ``map`` fans each event out into keyed records, ``update`` folds
+records into per-key *slates* (Muppet's persistent per-key state).
+An optional ``pre_map`` hook mirrors the paper's prefetching extension
+(Appendix D.2): it runs ahead of ``map`` on a window of events and
+issues batched lookups through a user-supplied fetcher.
 
-* :class:`MuppetLocal` executes real MapUpdate applications in-process
-  — ``map`` fans each event out into keyed records, ``update`` folds
-  records into per-key *slates* (Muppet's persistent per-key state).
-  An optional ``pre_map`` hook mirrors the paper's prefetching
-  extension (Appendix D.2): it runs ahead of ``map`` on a window of
-  events and issues batched lookups through a user-supplied fetcher.
-
-* :class:`MuppetJoinSimulation` is the throughput benchmark used by
-  Figures 6 and 11: a stream of join keys saturation-fed through the
-  simulated cluster under one of the NO/FC/FD/FR/FO strategies, with
-  throughput = tuples processed per simulated second.
+The simulated Muppet throughput runs of Figures 6 and 11 are plain
+:class:`~repro.engine.job.JoinJob` runs read as
+:attr:`~repro.engine.job.JobResult.throughput`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable
 
-from repro.engine.job import JoinJob, RateRunResult, StreamResult
 from repro.engine.prefetch import PreMapRunner
-from repro.engine.strategies import Strategy, StrategyConfig
-from repro.placement.batch import SizeProfile
-from repro.sim.cluster import Cluster, NodeSpec
-from repro.store.messages import UDF
-from repro.store.table import Table
 
 
 class MuppetLocal:
@@ -102,69 +92,3 @@ class MuppetLocal:
         self._events += 1
         for key, record in records:
             self.slates[key] = self.update_fn(key, record, self.slates.get(key))
-
-
-@dataclass
-class MuppetJoinSimulation:
-    """Streaming join throughput benchmark (Figures 6 and 11).
-
-    The stream engine's nodes are the compute nodes; the data store
-    (HBase in the paper) occupies the data nodes.  Throughput is
-    measured under saturation feeding — the paper's "number of input
-    tuples processed per unit time".
-    """
-
-    table: Table
-    udf: UDF
-    sizes: SizeProfile
-    n_compute_nodes: int = 10
-    n_data_nodes: int = 10
-    node_spec: NodeSpec | None = None
-    memory_cache_bytes: float = 100e6
-    batch_size: int = 64
-    max_wait: float | None = 0.02
-    block_cache_bytes: float = 0.0
-    seed: int = 0
-
-    def _build_job(self, strategy: StrategyConfig | str) -> JoinJob:
-        config = (
-            Strategy.by_name(strategy) if isinstance(strategy, str) else strategy
-        )
-        n_nodes = self.n_compute_nodes + self.n_data_nodes
-        spec = self.node_spec if self.node_spec is not None else NodeSpec()
-        return JoinJob(
-            cluster=Cluster.homogeneous(n_nodes, spec),
-            compute_nodes=list(range(self.n_compute_nodes)),
-            data_nodes=list(range(self.n_compute_nodes, n_nodes)),
-            table=self.table,
-            udf=self.udf,
-            strategy=config,
-            sizes=self.sizes,
-            batch_size=self.batch_size,
-            max_wait=self.max_wait,
-            memory_cache_bytes=self.memory_cache_bytes,
-            block_cache_bytes=self.block_cache_bytes,
-            seed=self.seed,
-        )
-
-    def run(
-        self, strategy: StrategyConfig | str, stream: Sequence[Hashable]
-    ) -> StreamResult:
-        """Run the stream under ``strategy``; returns throughput."""
-        return self._build_job(strategy).run_streaming(stream)
-
-    def run_at_rate(
-        self,
-        strategy: StrategyConfig | str,
-        stream: Sequence[Hashable],
-        arrivals_per_second: float,
-    ) -> RateRunResult:
-        """Feed the stream at a fixed arrival rate and measure latency.
-
-        The latency side of Section 7.2's max-wait trade-off: tuples
-        arrive on a schedule instead of under saturation, and each
-        tuple's arrival-to-completion latency is recorded.
-        """
-        return self._build_job(strategy).run_at_rate(
-            list(stream), arrivals_per_second
-        )

@@ -5,7 +5,7 @@ One frozen value gates the whole subsystem, mirroring
 (the default, and :meth:`TenancyOptions.off`) *nothing* is wired — no
 tenant admission queues, no per-tenant accounting — and a run is
 bit-identical to a pre-tenancy build.  The differential test in
-``tests/test_tenancy.py`` enforces that across all four engines.
+``tests/test_tenancy.py`` enforces that across all three engines.
 """
 
 from __future__ import annotations

@@ -75,12 +75,30 @@ class TestJobSpec:
 
 class TestRunConfig:
     def test_rejects_unknown_engine_and_backend(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            RunConfig(engine="warp")
+        # Stream runs are ``engine`` runs: ``streaming`` names no engine.
+        for engine in ("warp", "streaming"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                RunConfig(engine=engine)
+        assert ENGINES == ("engine", "mapreduce", "sparklite")
         for backend in ("cloud", "local"):
             with pytest.raises(ValueError, match="unknown backend"):
                 RunConfig(backend=backend)
         assert BACKENDS == ("sim", "cluster")
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "shape", [(0, 2), (2, 0), (-1, 3)],
+        ids=["no-compute", "no-data", "negative-compute"],
+    )
+    def test_rejects_node_counts_below_one(self, backend, shape):
+        # Unchecked, a negative count runs on the shuffle engines as a
+        # smaller node pool and a zero fails only inside JoinJob.
+        n_compute, n_data = shape
+        with pytest.raises(ValueError, match="n_compute and n_data"):
+            RunConfig(
+                engine="mapreduce", backend=backend,
+                n_compute=n_compute, n_data=n_data,
+            )
 
     def test_with_obs_copies(self):
         config = RunConfig()
@@ -123,8 +141,7 @@ class TestRunConfig:
         # The cluster's driver places every engine's keys; the simulated
         # request/response engines run the coordinator.
         RunConfig(engine=engine, backend="cluster", elastic=ElasticOptions.on())
-        for honoured in ("engine", "streaming"):
-            RunConfig(engine=honoured, elastic=ElasticOptions.on())
+        RunConfig(engine="engine", elastic=ElasticOptions.on())
 
 
 class TestOptionGroups:
@@ -229,7 +246,7 @@ class TestRunJoin:
             ("engine", "cluster", "FD", False),
             ("mapreduce", "sim", "FD", False),
             ("sparklite", "sim", "NO", False),
-            ("streaming", "sim", "FO", True),
+            ("mapreduce", "sim", "FO", True),
         ],
     )
     def test_rejects_what_the_runner_would_ignore(
@@ -252,13 +269,13 @@ class TestRunJoin:
         with pytest.raises(Built):
             run_join(spec, RunConfig(engine="engine", tenancy=admission))
 
-    def test_streaming_honours_memory_cache_bytes(self):
-        # The streaming runner builds its job through the one SimBackend
+    def test_engine_honours_memory_cache_bytes(self):
+        # The engine runner builds its job through the one SimBackend
         # builder, so the cache budget reaches its compute nodes.
         spec = JobSpec.synthetic(n_keys=500, n_tuples=3000, skew=1.0, seed=3)
         makespans = {
             cache: run_join(spec, RunConfig(
-                engine="streaming", seed=3, memory_cache_bytes=cache,
+                engine="engine", seed=3, memory_cache_bytes=cache,
             )).makespan
             for cache in (100e6, 20e3)
         }
@@ -288,7 +305,7 @@ class TestCuratedSurface:
         # Neither internal plumbing nor the subpackages' entry points
         # resolve at the top level; import them from their subpackage.
         for name in ("BatchBuffer", "ResultHashMap", "SmoothedValue",
-                     "RuntimeMetrics", "StreamResult", "PreMapRunner",
+                     "RuntimeMetrics", "PreMapRunner",
                      "JoinJob", "Cluster", "Transport"):
             with pytest.raises(AttributeError):
                 getattr(repro, name)

@@ -1,12 +1,12 @@
 """Cross-process differential oracle: ClusterBackend vs. ground truth.
 
-The whole point of ``repro.cluster`` is that the *same* four engines
+The whole point of ``repro.cluster`` is that the *same* three engines
 produce the *same* answers when the nodes are real processes and the
 wire is a real socket.  This suite holds the cluster backend to the
 single-node oracle (``tests/oracle.py``) and to ``SimBackend``:
 
-* all four engines, healthy, on >= 2 workers per role — bit-for-bit;
-* all four engines under seeded message chaos (drops / duplicates /
+* all three engines, healthy, on >= 2 workers per role — bit-for-bit;
+* all three engines under seeded message chaos (drops / duplicates /
   delays actually injected, counted, and survived);
 * a scheduled :class:`CrashFault` killing a real data-worker process
   mid-run (``os._exit``), restarted by the driver, outputs intact;
@@ -14,9 +14,9 @@ single-node oracle (``tests/oracle.py``) and to ``SimBackend``:
   the corpse is restarted, without it work reroutes to the ring
   successor; either way outputs match and a file-backed side-effect
   ledger proves every tuple's UDF ran exactly once;
-* engine-parity details: the streaming engine rejects per-tuple params
-  with the same error as on the simulator; colocated placement joins
-  locally; cluster == sim for identical specs.
+* engine-parity details: an unknown engine is rejected at construction,
+  as on the simulator; colocated placement joins locally; cluster ==
+  sim for identical specs.
 
 All tests run under the ``cluster`` marker's SIGALRM hard timeout and
 the child-process/fd leak check from ``tests/conftest.py``.
@@ -50,10 +50,6 @@ CRASH = FaultSchedule(
     seed=3, crashes=(CrashFault(node_id=2, at=0.01, duration=1.0),)
 )
 
-#: Engines that accept per-tuple params (streaming feeds bare keys).
-PARAM_ENGINES = tuple(e for e in ENGINES if e != "streaming")
-
-
 @pytest.fixture(scope="module")
 def workload():
     return JoinWorkload.from_synthetic(
@@ -82,7 +78,7 @@ class TestHealthyOracle:
         assert run.native.n_workers == 4
         assert not run.native.perturbed
 
-    @pytest.mark.parametrize("engine", PARAM_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_engine_matches_oracle_with_params(self, engine, workload):
         params = tuple(f"p{i % 7}" for i in range(len(workload.keys)))
         with_params = replace(workload, params=params)
@@ -226,17 +222,12 @@ class TestKillFailover:
 
 
 class TestEngineParity:
-    def test_streaming_rejects_params_like_sim(self, workload):
-        params = tuple(range(len(workload.keys)))
-        with_params = replace(workload, params=params)
-        with pytest.raises(ValueError, match="params"):
-            SimBackend(engine="streaming").run_join(with_params)
-        with pytest.raises(ValueError, match="params"):
-            cluster("streaming").run_join(with_params)
-
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            ClusterBackend(engine="warp")
+        # Refused at construction, before any process is forked;
+        # ``streaming`` names no engine (stream runs are ``engine`` runs).
+        for engine in ("warp", "streaming"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                ClusterBackend(engine=engine)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError, match="n_compute"):

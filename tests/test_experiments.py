@@ -89,6 +89,22 @@ class TestFig6Shapes:
         for strategy in ("FR", "FO"):
             assert fig6.cell(strategy, "tweets_per_second") > fd
 
+    def test_throughput_is_pinned_bit_for_bit(self, fig6):
+        # The Figure 6 bars at seed 7, smoke scale, as float.hex: any
+        # change to how the stream runs are built moves one of them.
+        pinned = {
+            "NO": "0x1.79811967147dep+11",
+            "FC": "0x1.738b304e735a4p+11",
+            "FD": "0x1.2dbe30cc19764p+11",
+            "FR": "0x1.208d0253c8839p+12",
+            "FO": "0x1.455949f0eab9ep+12",
+        }
+        got = {
+            strategy: float(fig6.cell(strategy, "tweets_per_second")).hex()
+            for strategy in pinned
+        }
+        assert got == pinned
+
 
 class TestFig7Shapes:
     def test_framework_wins_every_query(self, fig7):

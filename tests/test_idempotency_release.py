@@ -37,9 +37,6 @@ RUNS = {
     "engine/healthy": {"engine": "engine"},
     "engine/chaos": {"engine": "engine", "fault_schedule": CHAOS,
                      "fault_tolerance": TOLERANCE},
-    "streaming/healthy": {"engine": "streaming"},
-    "streaming/chaos": {"engine": "streaming", "fault_schedule": CHAOS,
-                        "fault_tolerance": TOLERANCE},
     "engine/hedged": {
         "engine": "engine", "strategy": "FD", "fault_schedule": STRAGGLER,
         "fault_tolerance": FaultTolerance(request_timeout=5.0, max_retries=8),

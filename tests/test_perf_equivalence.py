@@ -51,7 +51,7 @@ def _run(mode: str, spec_kwargs: dict, cfg: RunConfig):
     with pytest.MonkeyPatch.context() as monkeypatch:
         runs = use_reference_paths(monkeypatch) if mode == "1" else None
         report = run_join(_spec(spec_kwargs), cfg)
-    if runs is not None and cfg.engine in ("engine", "streaming"):
+    if runs is not None and cfg.engine == "engine":
         # The shuffle engines route no tuple through a compute node.
         assert runs.submits, "the reference submit never ran"
     spans = None
@@ -398,10 +398,6 @@ _FIG8 = dict(n_keys=200, n_tuples=2000, skew=1.5, seed=7)
 _GOLDEN = {
     "fig8_engine": (
         _FIG8, RunConfig(engine="engine"),
-        "55c12c8d669237fd2a01f418e34f7fc9", 0.4345240640000007,
-    ),
-    "fig8_streaming": (
-        _FIG8, RunConfig(engine="streaming"),
         "55c12c8d669237fd2a01f418e34f7fc9", 0.4345240640000007,
     ),
     "fig8_mapreduce": (

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from tests.oracle import assert_oracle_equal, single_node_hash_join
 from repro.api import JobSpec, RunConfig, run_join
 from repro.placement import ElasticOptions, PlacementService, WrongRegion
+from repro.runtime import ENGINES
 from repro.store.partitioner import HashPartitioner, RegionMap
 
 KEYS = list(range(60))
@@ -443,9 +444,7 @@ class TestClusterMigrationChaos:
             ),
         )
 
-    @pytest.mark.parametrize(
-        "engine", ("engine", "streaming", "mapreduce", "sparklite")
-    )
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_no_key_unreachable_under_chaos(self, engine):
         from repro.obs.registry import MetricsRegistry
 

@@ -714,7 +714,7 @@ class TestRandomSchedules:
         stragglers = ()
         # The analytic shuffle engines have no data-node servers to
         # slow down; stragglers only exist on the event-loop engines.
-        if straggle and engine in ("engine", "streaming"):
+        if straggle and engine == "engine":
             other = 5 - node  # the other data node of {2, 3}
             stragglers = (StragglerFault(
                 node_id=other, at=0.0, duration=10 * makespan,

@@ -1,6 +1,6 @@
 """Cross-engine differential suite for the runtime kernel.
 
-One small DH workload, four engines, one oracle: every simulated
+One small DH workload, three engines, one oracle: every simulated
 execution path the kernel offers must produce bit-for-bit the same
 ``tuple_id -> result`` mapping as the naive single-node hash join —
 healthy, and under a fault schedule injected at the transport seam.
@@ -155,16 +155,15 @@ class TestSimBackend:
             workload.stored_values(),
             params=list(workload.params),
         )
-        for engine in ("engine", "mapreduce", "sparklite"):
+        for engine in ENGINES:
             run = SimBackend(engine=engine, seed=2).run_join(workload)
             assert_oracle_equal(run.outputs, oracle)
-        # Bare-key streams cannot carry per-tuple params.
-        with pytest.raises(ValueError, match="params"):
-            SimBackend(engine="streaming").run_join(workload)
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            SimBackend(engine="spark")
+        # Stream runs are ``engine`` runs: ``streaming`` names no engine.
+        for engine in ("spark", "streaming"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                SimBackend(engine=engine)
 
 
 class TestJoinWorkload:

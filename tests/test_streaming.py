@@ -1,10 +1,8 @@
-"""Tests for the Muppet analog (MapUpdate + streaming join benchmark)."""
+"""Tests for the Muppet analog's in-process MapUpdate executor."""
 
 import pytest
 
-from repro.streaming.muppet import MuppetJoinSimulation, MuppetLocal
-from repro.workloads.synthetic import SyntheticWorkload
-from repro.workloads.tweets import tweet_annotation_workload
+from repro.streaming.muppet import MuppetLocal
 
 
 class TestMuppetLocal:
@@ -52,62 +50,3 @@ class TestMuppetLocal:
                 pre_map=lambda e: [e],
             )
 
-
-class TestMuppetJoinSimulation:
-    def make_sim(self, **kwargs):
-        wl = SyntheticWorkload.compute_heavy(n_keys=300, n_tuples=900, skew=1.0)
-        defaults = dict(
-            table=wl.build_table(),
-            udf=wl.udf,
-            sizes=wl.sizes,
-            n_compute_nodes=2,
-            n_data_nodes=2,
-            seed=3,
-        )
-        defaults.update(kwargs)
-        return wl, MuppetJoinSimulation(**defaults)
-
-    def test_throughput_reported(self):
-        wl, sim = self.make_sim()
-        result = sim.run("FO", wl.keys())
-        assert result.n_tuples == 900
-        assert result.throughput == pytest.approx(900 / result.duration)
-
-    def test_accepts_strategy_objects(self):
-        from repro.engine.strategies import Strategy
-
-        wl, sim = self.make_sim()
-        result = sim.run(Strategy.fd(), wl.keys())
-        assert result.strategy == "FD"
-
-    def test_fo_beats_no_on_skewed_stream(self):
-        models, stream = tweet_annotation_workload(
-            n_entities=400, n_mentions=2500, seed=2
-        )
-        throughputs = {}
-        for strategy in ("NO", "FO"):
-            sim = MuppetJoinSimulation(
-                table=models.build_table(),
-                udf=models.udf,
-                sizes=models.sizes,
-                n_compute_nodes=2,
-                n_data_nodes=2,
-                seed=2,
-            )
-            throughputs[strategy] = sim.run(strategy, stream.mentions).throughput
-        assert throughputs["FO"] > throughputs["NO"]
-
-
-class TestMuppetRateRuns:
-    def test_rate_run_reports_latency(self):
-        from repro.workloads.synthetic import SyntheticWorkload
-
-        wl = SyntheticWorkload.compute_heavy(n_keys=200, n_tuples=600, skew=1.0)
-        sim = MuppetJoinSimulation(
-            table=wl.build_table(), udf=wl.udf, sizes=wl.sizes,
-            n_compute_nodes=2, n_data_nodes=2, seed=9,
-        )
-        result = sim.run_at_rate("FO", wl.keys(), arrivals_per_second=150)
-        assert result.n_tuples == 600
-        assert result.mean_latency > 0
-        assert result.latency_percentile(99) >= result.latency_percentile(50)

@@ -668,7 +668,7 @@ class TestRunnerSeam:
         # Forcing the replay adapter is constructing it.
         assert ReplayRunner(config=sim_engine).config is sim_engine
         assert isinstance(
-            make_runner(RunConfig(engine="streaming", backend="sim")),
+            make_runner(RunConfig(engine="mapreduce", backend="sim")),
             ReplayRunner,
         )
         # Builds without forking: processes start only in run_join.
@@ -689,7 +689,7 @@ class TestRunnerSeam:
         assert result.backend == "sim" and result.fair
         assert_serves_everything(result, trace)
 
-    @pytest.mark.parametrize("engine", ("engine", "streaming"))
+    @pytest.mark.parametrize("engine", ("engine", "mapreduce"))
     def test_replay_runner_outputs_match_the_oracle(self, engine):
         mix = small_mix()
         trace = mix.trace(horizon=1.5, seed=5)
